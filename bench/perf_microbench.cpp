@@ -295,16 +295,11 @@ void BM_RecorderRecordThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_RecorderRecordThroughput);
 
-// The reuse-window simulation backends racing on an encode-like read trace
-// (row scans with parent-style revisits and a sprinkle of random jumps),
-// across the codec's window ladder.  kReferenceLru is the original
-// std::list + unordered_map simulator, kExact the flat ring/intrusive-LRU
-// replacement with bit-identical miss counts, kClock the second-chance
-// approximation for the windows above the exact-ring threshold.
-void reuse_window_modes(benchmark::State& state, trace::ReuseSimMode mode) {
-  trace::RecorderOptions options;
-  options.reuse_sim = mode;
-  trace::Recorder recorder("bench", options);
+// The stack-distance reuse simulation on an encode-like read trace (row
+// scans with parent-style revisits and a sprinkle of random jumps), across
+// a codec-like window ladder: one pass per read prices all four windows.
+void BM_RecorderReuseWindow(benchmark::State& state) {
+  trace::Recorder recorder("bench");
   // An address space twice the largest window: like the codec's frame, the
   // row-buffer-sized window captures real reuse instead of pure thrashing.
   constexpr std::uint64_t kWords = 1 << 13;
@@ -335,21 +330,7 @@ void reuse_window_modes(benchmark::State& state, trace::ReuseSimMode mode) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(trace_indices.size()));
 }
-
-void BM_RecorderReuseWindowReferenceLru(benchmark::State& state) {
-  reuse_window_modes(state, trace::ReuseSimMode::kReferenceLru);
-}
-BENCHMARK(BM_RecorderReuseWindowReferenceLru);
-
-void BM_RecorderReuseWindowExact(benchmark::State& state) {
-  reuse_window_modes(state, trace::ReuseSimMode::kExact);
-}
-BENCHMARK(BM_RecorderReuseWindowExact);
-
-void BM_RecorderReuseWindowClock(benchmark::State& state) {
-  reuse_window_modes(state, trace::ReuseSimMode::kClock);
-}
-BENCHMARK(BM_RecorderReuseWindowClock);
+BENCHMARK(BM_RecorderReuseWindow);
 
 // Uninstrumented wrapper accesses; the Release target for this is raw
 // std::vector indexing speed (bounds checks compile out, one null test).

@@ -21,8 +21,9 @@ cmake --build "$BUILD_DIR" -j --target perf_microbench
 # silently dropped them (filtered run, renamed bench) would let the nightly
 # compare gate pass on an empty intersection.  The *Scalar twins must be
 # present too — without both halves the scalar-vs-SIMD ratio in the
-# trajectory is unreadable.
+# trajectory is unreadable — and so must the profiling hot path.
 for bench in BM_MotionEstimate BM_MotionEstimateScalar \
+             BM_RecorderReuseWindow BM_ProfiledEncode \
              BM_ExploreMotion BM_ExploreMultiWorkload \
              BM_HyperspecEncode BM_HyperspecEncodeScalar BM_ProfiledFeedback256 \
              BM_PersistRoundTrip BM_ProfileCacheHit \

@@ -877,9 +877,8 @@ EncodedImage deserialize(const std::vector<std::uint8_t>& bytes) {
 }
 
 ir::Application profile_btpc(const support::Image& image, int declared_width,
-                             int declared_height, const CodecOptions& options,
-                             const trace::RecorderOptions& recorder_options) {
-  trace::Recorder recorder("btpc", recorder_options);
+                             int declared_height, const CodecOptions& options) {
+  trace::Recorder recorder("btpc");
   Encoder encoder(recorder, image.width(), image.height(), declared_width,
                   declared_height, options);
   (void)encoder.encode(image, options);

@@ -188,12 +188,9 @@ class Decoder {
 
 /// Convenience: profile one full encode of `image` and return the pruned
 /// application model, declared at `declared_width/height` and extrapolated
-/// by the pixel-count ratio.  `recorder_options` selects the reuse-sim mode
-/// and exact-ring threshold of the profiling run (giant declared geometries
-/// can pick the clock approximation without touching the codec).
-[[nodiscard]] ir::Application profile_btpc(
-    const support::Image& image, int declared_width, int declared_height,
-    const CodecOptions& options = {},
-    const trace::RecorderOptions& recorder_options = {});
+/// by the pixel-count ratio.
+[[nodiscard]] ir::Application profile_btpc(const support::Image& image, int declared_width,
+                                           int declared_height,
+                                           const CodecOptions& options = {});
 
 }  // namespace dtse::btpc

@@ -18,7 +18,6 @@
 #include "core/explorer.hpp"
 #include "ir/application.hpp"
 #include "support/image.hpp"
-#include "trace/recorder.hpp"
 
 namespace dtse::core {
 
@@ -33,10 +32,6 @@ struct BtpcCaseOptions {
   /// reference); the bitstream and profile are traversal-invariant, only the
   /// profiling run's own memory behaviour changes.
   btpc::CodecOptions codec;
-  /// Reuse-simulation knobs of the profiling run (exact vs clock mode, ring
-  /// threshold) — sweeps over giant declared geometries pick these per
-  /// design point instead of inheriting hard-coded defaults.
-  trace::RecorderOptions recorder;
 };
 
 /// Runs the instrumented BTPC encoder on a synthetic compound image and

@@ -381,27 +381,18 @@ Encoder::Encoder(trace::Recorder& recorder, CubeShape shape, CubeShape declared,
   // of BTPC's line buffers.
   // Register-file-sized windows are geometry-independent; row and plane
   // windows scale with the declared geometry so "one row" / "one band" keep
-  // their meaning at the design point.  A window whose *simulated* capacity
-  // would not exceed the previous rung's is dropped (narrow profile cubes
-  // would otherwise simulate a declared row with fewer words than a register
-  // window and invert the miss curve), so the ladder is monotone in both
-  // simulated and declared words for every geometry.
+  // their meaning at the design point (on narrow profile cubes the recorder
+  // drops rungs that would simulate fewer words than a register window).
   const auto row = static_cast<std::uint64_t>(shape_.width);
   const auto declared_row = static_cast<std::uint64_t>(declared.width);
   const std::uint64_t plane = shape_.plane_samples();
   const std::uint64_t declared_plane = declared.plane_samples();
-  std::vector<trace::Recorder::WindowSpec> windows = {{4, 4}, {12, 12}};
-  auto add_window = [&windows](std::uint64_t sim, std::uint64_t declared_words) {
-    if (sim > windows.back().sim_words && declared_words > windows.back().declared_words) {
-      windows.push_back({sim, declared_words});
-    }
-  };
-  for (const std::uint64_t rows : {1u, 4u}) {
-    add_window(rows * row, rows * declared_row);
-  }
-  add_window(plane, declared_plane);
-  add_window(2 * plane, 2 * declared_plane);
-  recorder.set_reuse_windows(cube_.id(), std::move(windows));
+  recorder.set_reuse_windows(cube_.id(), {{4, 4},
+                                          {12, 12},
+                                          {row, declared_row},
+                                          {4 * row, 4 * declared_row},
+                                          {plane, declared_plane},
+                                          {2 * plane, 2 * declared_plane}});
 }
 
 void Encoder::predict_band(int z, int maxval) {
@@ -912,9 +903,8 @@ EncodedCube deserialize(const std::vector<std::uint8_t>& bytes) {
 }
 
 ir::Application profile_hyperspec(const Cube& cube, CubeShape declared,
-                                  const HsCodecOptions& options,
-                                  const trace::RecorderOptions& recorder_options) {
-  trace::Recorder recorder("hyperspec", recorder_options);
+                                  const HsCodecOptions& options) {
+  trace::Recorder recorder("hyperspec");
   Encoder encoder(recorder, cube.shape(), declared, options);
   (void)encoder.encode(cube, options);
   const CubeShape d = fill_declared(declared, cube.shape());

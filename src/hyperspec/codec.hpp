@@ -235,8 +235,7 @@ class Decoder {
 /// Convenience: profile one full encode of `cube` and return the pruned
 /// application model, declared at `declared` geometry and extrapolated by
 /// the sample-count ratio.
-[[nodiscard]] ir::Application profile_hyperspec(
-    const Cube& cube, CubeShape declared, const HsCodecOptions& options = {},
-    const trace::RecorderOptions& recorder_options = {});
+[[nodiscard]] ir::Application profile_hyperspec(const Cube& cube, CubeShape declared,
+                                                const HsCodecOptions& options = {});
 
 }  // namespace dtse::hyperspec

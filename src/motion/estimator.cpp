@@ -233,21 +233,16 @@ Estimator::Estimator(trace::Recorder* recorder, int width, int height,
   // overlap — the line-buffer decision).  Window capacities scale with the
   // declared frame width so "a window-high line buffer" keeps its meaning at
   // the design point.
-  const int win_edge = options_.block_size + 2 * options_.search_range;
+  const auto win_edge =
+      static_cast<std::uint64_t>(options_.block_size + 2 * options_.search_range);
   const auto row = static_cast<std::uint64_t>(width_);
   const auto declared_row = static_cast<std::uint64_t>(declared_width);
-  std::vector<trace::Recorder::WindowSpec> windows = {{4, 4}, {12, 12}};
-  auto add_window = [&windows](std::uint64_t sim, std::uint64_t declared_words) {
-    if (sim > windows.back().sim_words && declared_words > windows.back().declared_words) {
-      windows.push_back({sim, declared_words});
-    }
-  };
-  add_window(static_cast<std::uint64_t>(win_edge), static_cast<std::uint64_t>(win_edge));
-  add_window(static_cast<std::uint64_t>(win_edge) * win_edge,
-             static_cast<std::uint64_t>(win_edge) * win_edge);
-  add_window(static_cast<std::uint64_t>(win_edge) * row,
-             static_cast<std::uint64_t>(win_edge) * declared_row);
-  recorder_->set_reuse_windows(ref_frame_.id(), std::move(windows));
+  recorder_->set_reuse_windows(ref_frame_.id(),
+                               {{4, 4},
+                                {12, 12},
+                                {win_edge, win_edge},
+                                {win_edge * win_edge, win_edge * win_edge},
+                                {win_edge * row, win_edge * declared_row}});
 }
 
 void Estimator::load_block(int bx, int by) {
@@ -462,9 +457,8 @@ MotionField reference_full_search(const support::Image& reference,
 }
 
 ir::Application profile_motion(const FramePair& frames, int declared_width,
-                               int declared_height, const MotionOptions& options,
-                               const trace::RecorderOptions& recorder_options) {
-  trace::Recorder recorder("motion", recorder_options);
+                               int declared_height, const MotionOptions& options) {
+  trace::Recorder recorder("motion");
   Estimator estimator(recorder, frames.reference.width(), frames.reference.height(),
                       options, declared_width, declared_height);
   (void)estimator.estimate(frames.reference, frames.current);

@@ -160,9 +160,8 @@ class Estimator {
 /// Convenience: profile one estimation run of `frames` and return the pruned
 /// application model, declared at `declared_width` x `declared_height` and
 /// extrapolated by the block-count ratio.
-[[nodiscard]] ir::Application profile_motion(
-    const FramePair& frames, int declared_width, int declared_height,
-    const MotionOptions& options = {},
-    const trace::RecorderOptions& recorder_options = {});
+[[nodiscard]] ir::Application profile_motion(const FramePair& frames, int declared_width,
+                                             int declared_height,
+                                             const MotionOptions& options = {});
 
 }  // namespace dtse::motion

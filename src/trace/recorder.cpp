@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "obs/telemetry.hpp"
 #include "support/check.hpp"
@@ -15,47 +16,113 @@ constexpr ir::AccessKind kind_of(std::uint32_t slot) {
   return static_cast<ir::AccessKind>(slot & 1u);
 }
 
-/// splitmix64 finalizer: the index hash of the reuse simulators' flat maps.
+/// splitmix64 finalizer: the index hash of the reuse simulator's flat map.
 constexpr std::uint64_t mix_index(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
   return x ^ (x >> 31);
 }
 
+/// Lowest set bit: the span of a Fenwick tree node.
+constexpr std::size_t lowbit(std::size_t i) { return i & (~i + 1); }
+
 }  // namespace
 
 // --- ReuseSim ----------------------------------------------------------------
 
-void ReuseSim::init(ReuseSimMode mode, std::uint64_t ring_threshold,
-                    std::uint64_t capacity, std::uint64_t declared_capacity) {
-  capacity_ = capacity;
-  declared_capacity_ = declared_capacity;
-  switch (mode) {
-    case ReuseSimMode::kReferenceLru:
-      backend_ = Backend::kReference;
-      return;
-    case ReuseSimMode::kExact:
-      backend_ = capacity <= ring_threshold ? Backend::kRing : Backend::kFlatLru;
-      break;
-    case ReuseSimMode::kClock:
-      backend_ = capacity <= ring_threshold ? Backend::kRing : Backend::kClock;
-      break;
-  }
-  if (backend_ == Backend::kRing) {
-    ring_.reserve(capacity);
-    return;
-  }
-  // Flat map sized at twice the capacity (load factor <= 0.5), power of two.
+void ReuseSim::init(std::vector<std::uint64_t> capacities) {
+  *this = ReuseSim{};
+  capacities_ = std::move(capacities);
+  if (capacities_.empty()) return;
+  DTSE_CHECK(std::adjacent_find(capacities_.begin(), capacities_.end(),
+                                std::greater_equal<>{}) == capacities_.end(),
+             "reuse capacities must be strictly increasing");
+  const std::uint64_t tracked = capacities_.back();
+  DTSE_CHECK(capacities_.front() > 0 && tracked < (std::uint64_t{1} << 30),
+             "reuse window capacity out of range");
+  reads_by_rung_.assign(capacities_.size() + 1, 0);
+  // Flat map sized at twice the tracked indices (load factor <= 0.5).
   std::uint64_t map_size = 2;
-  while (map_size < 2 * capacity) map_size <<= 1;
+  while (map_size < 2 * tracked) map_size <<= 1;
   map_mask_ = map_size - 1;
   map_keys_.assign(map_size, kEmptyKey);
   map_vals_.assign(map_size, 0);
-  if (backend_ == Backend::kFlatLru) {
-    nodes_.reserve(capacity);
+  slot_keys_.assign(2 * tracked, kEmptyKey);
+  fenwick_.assign(2 * tracked + 1, 0);
+}
+
+void ReuseSim::touch(std::uint64_t index) {
+  if (next_slot_ == slot_keys_.size()) compact();
+  std::size_t rung = capacities_.size();  // untracked: misses every window
+  if (auto* found = map_find(index)) {
+    const std::uint32_t last = *found;
+    const std::uint64_t distance = live_ - live_through(last);
+    // Tracked indices sit at distance < capacities_.back(), so this stops.
+    rung = 0;
+    while (capacities_[rung] <= distance) ++rung;
+    slot_keys_[last] = kEmptyKey;
+    fenwick_add(last, -1);
+    *found = next_slot_;
   } else {
-    slots_.reserve(capacity);
+    if (live_ == capacities_.back()) {
+      // Evict the least recently read tracked index.
+      while (slot_keys_[oldest_] == kEmptyKey) ++oldest_;
+      map_erase(slot_keys_[oldest_]);
+      slot_keys_[oldest_] = kEmptyKey;
+      fenwick_add(oldest_, -1);
+    } else {
+      ++live_;
+    }
+    map_insert(index, next_slot_);
   }
+  ++reads_by_rung_[rung];
+  slot_keys_[next_slot_] = index;
+  fenwick_add(next_slot_, 1);
+  ++next_slot_;
+}
+
+std::uint64_t ReuseSim::misses(std::size_t window) const {
+  DTSE_CHECK(window < capacities_.size(), "unknown reuse window");
+  std::uint64_t total = 0;
+  for (std::size_t rung = window + 1; rung < reads_by_rung_.size(); ++rung) {
+    total += reads_by_rung_[rung];
+  }
+  return total;
+}
+
+void ReuseSim::compact() {
+  std::uint32_t kept = 0;
+  for (std::uint32_t slot = oldest_; slot < next_slot_; ++slot) {
+    const std::uint64_t key = slot_keys_[slot];
+    if (key == kEmptyKey) continue;
+    slot_keys_[kept] = key;
+    *map_find(key) = kept;
+    ++kept;
+  }
+  DTSE_DCHECK(kept == live_, "reuse slots out of sync with the index map");
+  std::fill(slot_keys_.begin() + kept, slot_keys_.end(), kEmptyKey);
+  // Linear rebuild: node i covers slots [i - lowbit(i), i), of which the
+  // ones below `kept` are live.
+  for (std::size_t i = 1; i < fenwick_.size(); ++i) {
+    const std::size_t first = i - lowbit(i);
+    fenwick_[i] = first < kept
+                      ? static_cast<std::uint32_t>(std::min<std::size_t>(i, kept) - first)
+                      : 0;
+  }
+  next_slot_ = kept;
+  oldest_ = 0;
+}
+
+void ReuseSim::fenwick_add(std::uint32_t slot, int delta) {
+  for (std::size_t i = slot + 1; i < fenwick_.size(); i += lowbit(i)) {
+    fenwick_[i] += static_cast<std::uint32_t>(delta);
+  }
+}
+
+std::uint32_t ReuseSim::live_through(std::uint32_t slot) const {
+  std::uint32_t sum = 0;
+  for (std::size_t i = slot + 1; i > 0; i -= lowbit(i)) sum += fenwick_[i];
+  return sum;
 }
 
 std::uint32_t* ReuseSim::map_find(std::uint64_t key) {
@@ -99,107 +166,10 @@ void ReuseSim::map_erase(std::uint64_t key) {
   map_keys_[hole] = kEmptyKey;
 }
 
-void ReuseSim::touch_ring(std::uint64_t index) {
-  const std::size_t size = ring_.size();
-  for (std::size_t i = 0; i < size; ++i) {
-    if (ring_[i] == index) {
-      // Move-to-front: everything above the hit shifts down one place.
-      for (std::size_t j = i; j > 0; --j) ring_[j] = ring_[j - 1];
-      ring_[0] = index;
-      return;
-    }
-  }
-  ++misses_;
-  if (size < capacity_) ring_.push_back(0);
-  for (std::size_t j = ring_.size() - 1; j > 0; --j) ring_[j] = ring_[j - 1];
-  ring_[0] = index;
-}
-
-void ReuseSim::touch_flat(std::uint64_t index) {
-  if (const auto* found = map_find(index)) {
-    const std::uint32_t n = *found;
-    if (n == head_) return;
-    // Unlink, then relink at the head.
-    nodes_[nodes_[n].prev].next = nodes_[n].next;
-    if (n == tail_) {
-      tail_ = nodes_[n].prev;
-    } else {
-      nodes_[nodes_[n].next].prev = nodes_[n].prev;
-    }
-    nodes_[n].prev = 0;
-    nodes_[n].next = head_;
-    nodes_[head_].prev = n;
-    head_ = n;
-    return;
-  }
-  ++misses_;
-  std::uint32_t n;
-  if (node_count_ < capacity_) {
-    n = node_count_++;
-    if (nodes_.size() <= n) nodes_.push_back({});
-    if (n == 0) {  // first entry: list of one
-      nodes_[0] = {index, 0, 0};
-      head_ = tail_ = 0;
-      map_insert(index, 0);
-      return;
-    }
-  } else {
-    n = tail_;
-    map_erase(nodes_[n].key);
-    tail_ = nodes_[n].prev;
-  }
-  nodes_[n].key = index;
-  nodes_[n].next = head_;
-  nodes_[head_].prev = n;
-  head_ = n;
-  map_insert(index, n);
-}
-
-void ReuseSim::touch_clock(std::uint64_t index) {
-  if (const auto* found = map_find(index)) {
-    slots_[*found].ref = 1;
-    return;
-  }
-  ++misses_;
-  std::uint32_t slot;
-  if (used_ < capacity_) {
-    slot = used_++;
-    slots_.push_back({});
-  } else {
-    // Second chance: clear ref bits until an unreferenced victim comes by.
-    while (slots_[hand_].ref != 0) {
-      slots_[hand_].ref = 0;
-      hand_ = hand_ + 1 == used_ ? 0 : hand_ + 1;
-    }
-    slot = hand_;
-    map_erase(slots_[slot].key);
-    hand_ = hand_ + 1 == used_ ? 0 : hand_ + 1;
-  }
-  slots_[slot] = {index, 1};
-  map_insert(index, slot);
-}
-
-void ReuseSim::touch_reference(std::uint64_t index) {
-  const auto it = where_.find(index);
-  if (it != where_.end()) {
-    order_.erase(it->second);
-    order_.push_front(index);
-    it->second = order_.begin();
-    return;
-  }
-  ++misses_;
-  order_.push_front(index);
-  where_[index] = order_.begin();
-  if (order_.size() > capacity_) {
-    where_.erase(order_.back());
-    order_.pop_back();
-  }
-}
-
 // --- Recorder ----------------------------------------------------------------
 
-Recorder::Recorder(std::string application_name, RecorderOptions options)
-    : app_name_(std::move(application_name)), options_(options) {}
+Recorder::Recorder(std::string application_name)
+    : app_name_(std::move(application_name)) {}
 
 ArrayId Recorder::register_array(std::string name, std::uint64_t words, int bitwidth,
                                  std::optional<memlib::Location> forced_location) {
@@ -221,18 +191,25 @@ void Recorder::set_reuse_windows(ArrayId array, std::vector<WindowSpec> windows)
   DTSE_CHECK(array < arrays_.size(), "unknown array");
   std::sort(windows.begin(), windows.end(),
             [](const WindowSpec& a, const WindowSpec& b) {
-              return a.declared_words < b.declared_words;
+              return a.declared_words != b.declared_words
+                         ? a.declared_words < b.declared_words
+                         : a.sim_words < b.sim_words;
             });
-  auto& reuse = arrays_[array].reuse;
-  reuse.clear();
+  auto& info = arrays_[array];
+  info.windows.clear();
+  std::vector<std::uint64_t> capacities;
   for (const auto& window : windows) {
     DTSE_CHECK(window.sim_words > 0 && window.declared_words > 0,
                "reuse window must hold at least one word");
-    ReuseSim sim;
-    sim.init(options_.reuse_sim, options_.exact_ring_capacity, window.sim_words,
-             window.declared_words);
-    reuse.push_back(std::move(sim));
+    if (!info.windows.empty() &&
+        (window.sim_words <= info.windows.back().sim_words ||
+         window.declared_words <= info.windows.back().declared_words)) {
+      continue;
+    }
+    info.windows.push_back(window);
+    capacities.push_back(window.sim_words);
   }
+  info.reuse.init(std::move(capacities));
 }
 
 void Recorder::set_reuse_windows(ArrayId array,
@@ -420,12 +397,14 @@ ir::Application Recorder::build(double scale) const {
 
   std::uint64_t reuse_misses = 0;
   for (std::size_t i = 0; i < arrays_.size(); ++i) {
-    if (arrays_[i].reuse.empty()) continue;
+    const auto& info = arrays_[i];
+    if (info.windows.empty()) continue;
     ir::ReuseProfile profile;
-    for (const auto& sim : arrays_[i].reuse) {
-      reuse_misses += sim.misses();
+    for (std::size_t w = 0; w < info.windows.size(); ++w) {
+      const std::uint64_t misses = info.reuse.misses(w);
+      reuse_misses += misses;
       profile.windows.push_back(
-          {sim.declared_capacity(), static_cast<double>(sim.misses()) * scale});
+          {info.windows[w].declared_words, static_cast<double>(misses) * scale});
     }
     app.set_reuse_profile(group_of[i], std::move(profile));
   }

@@ -15,15 +15,15 @@
 // and per array a working-set reuse simulation at configurable capacities
 // (the data-reuse input of the memory hierarchy decision).
 //
-// The reuse simulation runs on every instrumented read, once per window, so
-// its inner loop is flat and allocation-free: small windows run an exact
-// move-to-front ring, large windows an exact intrusive LRU list over
-// preallocated nodes with an open-addressing index map (`ReuseSimMode::
-// kExact`, the default — miss counts bit-identical to a textbook LRU stack).
-// `ReuseSimMode::kClock` trades exactness above the ring threshold for a
-// clock/second-chance approximation (one ref-bit write per hit), and
-// `ReuseSimMode::kReferenceLru` keeps the original std::list +
-// unordered_map simulator as the equivalence/bench baseline.
+// The reuse simulation runs on every instrumented read, so it is one pass
+// per array, not one per window.  LRU is a stack algorithm (Mattson et al.,
+// IBM Sys. J. 1970): a read whose LRU stack distance — the number of
+// distinct indices read since its previous read — is d hits in exactly the
+// windows of capacity > d.  `ReuseSim` computes that distance with a
+// Fenwick tree over access slots (Bennett–Kruskal) and keeps only the
+// array's largest window worth of indices, so one lookup yields the exact
+// LRU miss count of every window and memory is bounded by the largest
+// window, never by the array size.
 //
 // All aggregation state is flat and slot-indexed: a *slot* is
 // `array * 2 + kind`, so per-(array, kind) statistics live in plain vectors
@@ -39,12 +39,10 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <map>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "ir/application.hpp"
@@ -54,96 +52,58 @@ namespace dtse::trace {
 
 using ArrayId = std::uint32_t;
 
-/// How reuse windows are simulated (see the header comment).
-enum class ReuseSimMode : std::uint8_t {
-  kExact,         ///< exact LRU misses, flat storage (ring / intrusive list)
-  kClock,         ///< exact ring below the threshold, clock approximation above
-  kReferenceLru,  ///< original list+hash LRU (equivalence tests, baseline bench)
-};
-
-struct RecorderOptions {
-  ReuseSimMode reuse_sim = ReuseSimMode::kExact;
-  /// Largest window capacity handled by the exact move-to-front ring.  In
-  /// kClock mode this is the exact/approximate boundary: the small windows
-  /// that decide register-file-sized hierarchy layers stay exact, only the
-  /// row-buffer-sized windows are approximated.
-  std::uint64_t exact_ring_capacity = 64;
-};
-
-/// One reuse-window simulator.  The backend is fixed at set-up from the
-/// recorder options and the window capacity; `touch` is the per-read hot
-/// path.  Exposed outside `Recorder` so the microbenchmarks can race the
-/// backends directly.
+/// Exact LRU simulation of one array at a ladder of window capacities, in
+/// one stack-distance pass per read (see the header comment).
+///
+/// Only the `C` most recently read distinct indices are tracked, where `C`
+/// is the largest capacity: an index outside them has a stack distance of at
+/// least `C` and misses every window.  Tracked indices map (open addressing)
+/// to the *slot* of their latest read; slots are handed out in read order
+/// and a Fenwick tree over 2·C slots marks the live ones, so a read's stack
+/// distance is the number of live slots after its previous slot.  When the
+/// slots run out, the live ones are compacted to the front.
 class ReuseSim {
  public:
-  void init(ReuseSimMode mode, std::uint64_t ring_threshold, std::uint64_t capacity,
-            std::uint64_t declared_capacity);
+  /// `capacities` must be strictly increasing; empty disables the simulator.
+  void init(std::vector<std::uint64_t> capacities);
 
-  void touch(std::uint64_t index) {
-    switch (backend_) {
-      case Backend::kRing: touch_ring(index); return;
-      case Backend::kFlatLru: touch_flat(index); return;
-      case Backend::kClock: touch_clock(index); return;
-      case Backend::kReference: touch_reference(index); return;
-    }
-  }
+  [[nodiscard]] bool enabled() const { return !capacities_.empty(); }
 
-  [[nodiscard]] std::uint64_t misses() const { return misses_; }
-  [[nodiscard]] std::uint64_t capacity() const { return capacity_; }
-  [[nodiscard]] std::uint64_t declared_capacity() const { return declared_capacity_; }
+  /// Records one read (the per-read hot path).
+  void touch(std::uint64_t index);
+
+  /// Reads that missed the LRU window of `capacities[window]` words.
+  [[nodiscard]] std::uint64_t misses(std::size_t window) const;
 
  private:
-  enum class Backend : std::uint8_t { kRing, kFlatLru, kClock, kReference };
+  void compact();
+  void fenwick_add(std::uint32_t slot, int delta);
+  /// Live slots among [0, slot].
+  [[nodiscard]] std::uint32_t live_through(std::uint32_t slot) const;
 
-  struct Node {
-    std::uint64_t key = 0;
-    std::uint32_t prev = 0;
-    std::uint32_t next = 0;
-  };
-  struct ClockSlot {
-    std::uint64_t key = 0;
-    std::uint8_t ref = 0;
-  };
-
-  void touch_ring(std::uint64_t index);
-  void touch_flat(std::uint64_t index);
-  void touch_clock(std::uint64_t index);
-  void touch_reference(std::uint64_t index);
-
-  // Open-addressing index map shared by the flat-LRU and clock backends.
   [[nodiscard]] std::uint32_t* map_find(std::uint64_t key);
   void map_insert(std::uint64_t key, std::uint32_t value);
   void map_erase(std::uint64_t key);
 
-  Backend backend_ = Backend::kRing;
-  std::uint64_t capacity_ = 0;
-  std::uint64_t declared_capacity_ = 0;
-  std::uint64_t misses_ = 0;
-
-  std::vector<std::uint64_t> ring_;  ///< kRing: most-recent-first, <= capacity
+  std::vector<std::uint64_t> capacities_;  ///< ascending
+  /// `reads_by_rung_[m]`: reads that missed exactly the `m` smallest windows.
+  std::vector<std::uint64_t> reads_by_rung_;
 
   static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
-  std::vector<std::uint64_t> map_keys_;   ///< kEmptyKey = free slot
-  std::vector<std::uint32_t> map_vals_;
+  std::vector<std::uint64_t> map_keys_;   ///< kEmptyKey = free entry
+  std::vector<std::uint32_t> map_vals_;   ///< slot of the key's latest read
   std::uint64_t map_mask_ = 0;
 
-  std::vector<Node> nodes_;  ///< kFlatLru: preallocated, index-linked
-  std::uint32_t head_ = 0;
-  std::uint32_t tail_ = 0;
-  std::uint32_t node_count_ = 0;
-
-  std::vector<ClockSlot> slots_;  ///< kClock
-  std::uint32_t hand_ = 0;
-  std::uint32_t used_ = 0;
-
-  // kReference: the original simulator, kept verbatim for equivalence tests.
-  std::list<std::uint64_t> order_;  ///< front = most recent
-  std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator> where_;
+  std::vector<std::uint64_t> slot_keys_;  ///< index read in each slot; kEmptyKey = dead
+  std::vector<std::uint32_t> fenwick_;    ///< 1-based, over slot liveness
+  std::uint32_t next_slot_ = 0;
+  std::uint32_t oldest_ = 0;  ///< no live slot lies before this one
+  std::uint32_t live_ = 0;    ///< tracked indices, <= capacities_.back()
 };
 
 class Recorder {
  public:
-  explicit Recorder(std::string application_name, RecorderOptions options = {});
+  explicit Recorder(std::string application_name);
 
   // --- declaration ---------------------------------------------------------
   /// Declares an array.  `words`/`bitwidth` describe the *product* geometry
@@ -161,6 +121,10 @@ class Recorder {
   };
 
   /// Enables LRU reuse simulation for the array at the given capacities.
+  /// Windows are ordered by declared words; a window that does not exceed
+  /// the previous kept one in both simulated and declared words is dropped
+  /// (on a narrow profiled frame a declared row can simulate fewer words
+  /// than a register window), so the miss curve never inverts.
   void set_reuse_windows(ArrayId array, std::vector<WindowSpec> windows);
   void set_reuse_windows(ArrayId array, const std::vector<std::uint64_t>& window_words);
 
@@ -193,7 +157,7 @@ class Recorder {
     // layer serve reads, writes go to the backing store anyway.
     if ((slot & 1u) == static_cast<std::uint32_t>(ir::AccessKind::kRead)) {
       auto& reuse = arrays_[slot >> 1].reuse;
-      for (auto& sim : reuse) sim.touch(index);
+      if (reuse.enabled()) reuse.touch(index);
     }
   }
 
@@ -212,7 +176,8 @@ class Recorder {
     std::uint64_t words = 0;
     int bitwidth = 0;
     std::optional<memlib::Location> forced_location;
-    std::vector<ReuseSim> reuse;
+    std::vector<WindowSpec> windows;  ///< kept reuse windows, ascending
+    ReuseSim reuse;                   ///< simulates `windows[i].sim_words`
   };
 
   /// Aggregated per-slot statistics within one loop body.
@@ -249,7 +214,6 @@ class Recorder {
   static void grow_body_state(BodyInfo& body, std::size_t arrays);
 
   std::string app_name_;
-  RecorderOptions options_;
   std::vector<ArrayInfo> arrays_;
   std::vector<BodyInfo> bodies_;
   std::map<std::string, std::size_t, std::less<>> body_index_;

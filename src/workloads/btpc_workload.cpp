@@ -18,7 +18,6 @@ core::BtpcCaseOptions case_options(const btpc::CodecOptions& codec,
   result.codec = codec;
   if (options.entropy_backend) result.codec.backend = *options.entropy_backend;
   result.codec.simd = options.simd;
-  result.recorder = options.recorder;
   return result;
 }
 

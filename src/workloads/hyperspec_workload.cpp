@@ -40,7 +40,7 @@ ir::Application HyperspecWorkload::profile(const WorkloadOptions& options) const
   codec.simd = options.simd;
   const auto cube = hyperspec::make_synthetic_cube(profile_shape(options), options.seed,
                                                    codec.dynamic_range_bits);
-  return hyperspec::profile_hyperspec(cube, declared_, codec, options.recorder);
+  return hyperspec::profile_hyperspec(cube, declared_, codec);
 }
 
 VerifyReport HyperspecWorkload::verify(const WorkloadOptions& options) const {

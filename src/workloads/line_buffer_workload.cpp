@@ -162,7 +162,7 @@ ir::Application LineBufferWorkload::profile(const WorkloadOptions& options) cons
   const int edge = profile_edge(options);
   const auto input = support::make_synthetic_image(
       edge, edge, support::SyntheticKind::kCompound, options.seed);
-  trace::Recorder recorder("line_buffer", options.recorder);
+  trace::Recorder recorder("line_buffer");
   Filter filter(recorder, edge, edge, declared_width_, declared_height_);
   (void)filter.run(input);
   const double scale =

@@ -456,12 +456,6 @@ TEST(ProfileStore, KeysSeparateEveryRequestDimension) {
   other.seed = 43;
   EXPECT_NE(workloads::profile_cache_key("btpc", other), key);
   other = base;
-  other.recorder.reuse_sim = trace::ReuseSimMode::kClock;
-  EXPECT_NE(workloads::profile_cache_key("btpc", other), key);
-  other = base;
-  other.recorder.exact_ring_capacity = 128;
-  EXPECT_NE(workloads::profile_cache_key("btpc", other), key);
-  other = base;
   other.entropy_backend = entropy::Backend::kRice;
   EXPECT_NE(workloads::profile_cache_key("btpc", other), key);
   EXPECT_NE(workloads::profile_cache_key("hyperspec", base), key);

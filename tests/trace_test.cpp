@@ -2,6 +2,10 @@
 // LRU reuse simulation, and IR extraction.
 #include <gtest/gtest.h>
 
+#include <list>
+#include <unordered_map>
+#include <vector>
+
 #include "support/check.hpp"
 #include "support/rng.hpp"
 #include "trace/instrumented_array.hpp"
@@ -254,16 +258,46 @@ TEST(InstrumentedArray2D, RowMajorIndexing) {
   EXPECT_EQ(app.group(ir::BasicGroupId(0)).words, 12u);
 }
 
-// --- reuse-simulation backends ----------------------------------------------
+// --- reuse simulation against an independent LRU oracle ---------------------
 
-/// Replays `trace` as reads of one array under the given mode and returns
-/// the per-window miss counts.
-std::vector<double> reuse_misses(ReuseSimMode mode,
-                                 const std::vector<std::uint64_t>& windows,
-                                 const std::vector<std::uint64_t>& trace) {
-  RecorderOptions options;
-  options.reuse_sim = mode;
-  Recorder rec("app", options);
+/// Textbook LRU cache of one capacity: a recency list plus a hash index.
+/// Deliberately shares nothing with `ReuseSim` (no stack distances, no
+/// Fenwick tree, no slot compaction), so a bug there cannot hide here.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(std::uint64_t capacity) : capacity_(capacity) {}
+
+  void touch(std::uint64_t index) {
+    const auto it = where_.find(index);
+    if (it != where_.end()) {
+      order_.erase(it->second);
+      order_.push_front(index);
+      it->second = order_.begin();
+      return;
+    }
+    ++misses_;
+    order_.push_front(index);
+    where_[index] = order_.begin();
+    if (order_.size() > capacity_) {
+      where_.erase(order_.back());
+      order_.pop_back();
+    }
+  }
+
+  [[nodiscard]] std::uint64_t misses() const { return misses_; }
+
+ private:
+  std::uint64_t capacity_;
+  std::uint64_t misses_ = 0;
+  std::list<std::uint64_t> order_;  ///< front = most recent
+  std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator> where_;
+};
+
+/// Replays `trace` as reads of one array through a `Recorder` and returns
+/// the per-window miss counts of the built reuse profile.
+std::vector<double> recorder_misses(const std::vector<std::uint64_t>& windows,
+                                    const std::vector<std::uint64_t>& trace) {
+  Recorder rec("app");
   const auto a = rec.register_array("a", 1 << 20, 8);
   rec.set_reuse_windows(a, windows);
   for (const auto index : trace) {
@@ -295,60 +329,70 @@ std::vector<std::uint64_t> mixed_trace(std::uint64_t span, std::uint64_t seed) {
   return trace;
 }
 
-TEST(ReuseSim, ExactBackendsMatchReferenceLru) {
-  // Capacities straddle the exact-ring threshold (64): small windows run the
-  // move-to-front ring, large ones the flat intrusive LRU.  Both must
-  // reproduce the original list+hash simulator's misses exactly.
-  const std::vector<std::uint64_t> windows{2, 4, 63, 64, 65, 128, 1024};
+TEST(ReuseSim, MatchesReferenceLruAtEveryWindow) {
+  // 64 is listed twice: the recorder keeps one window per capacity.
+  const std::vector<std::uint64_t> windows{1, 2, 4, 63, 64, 64, 65, 128, 1024};
+  const std::vector<std::uint64_t> distinct{1, 2, 4, 63, 64, 65, 128, 1024};
+  const std::uint64_t largest = distinct.back();
+  struct Case {
+    const char* name;
+    std::vector<std::uint64_t> trace;
+  };
+  std::vector<Case> cases;
+  // 20k reads over 4096 indices: more reads than the 2 * 1024 access slots
+  // (forces compaction) and more distinct indices than the largest window
+  // (forces eviction).
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
-    const auto trace = mixed_trace(4096, seed);
-    const auto reference = reuse_misses(ReuseSimMode::kReferenceLru, windows, trace);
-    const auto exact = reuse_misses(ReuseSimMode::kExact, windows, trace);
-    ASSERT_EQ(reference.size(), exact.size());
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-      EXPECT_DOUBLE_EQ(reference[i], exact[i])
-          << "window " << windows[i] << " seed " << seed;
-    }
+    cases.push_back({"mixed 4096", mixed_trace(4096, seed)});
   }
-}
-
-TEST(ReuseSim, ClockIsExactBelowTheRingThreshold) {
-  const std::vector<std::uint64_t> windows{2, 16, 64};  // all <= threshold
-  const auto trace = mixed_trace(512, 9);
-  EXPECT_EQ(reuse_misses(ReuseSimMode::kReferenceLru, windows, trace),
-            reuse_misses(ReuseSimMode::kClock, windows, trace));
-}
-
-TEST(ReuseSim, ClockApproximationIsSaneAboveTheThreshold) {
-  const std::vector<std::uint64_t> windows{256, 1024};
-  const auto trace = mixed_trace(2048, 4);
-  std::uint64_t distinct = 0;
+  // A working set that fits the largest window: compaction without eviction.
+  cases.push_back({"mixed 700", mixed_trace(700, 4)});
+  // Cyclic scans just above and below the largest window (LRU's worst case).
+  for (const std::uint64_t span : {largest - 1, largest, largest + 1}) {
+    std::vector<std::uint64_t> trace;
+    for (std::uint64_t i = 0; i < 6 * span; ++i) trace.push_back(i % span);
+    cases.push_back({"cyclic", std::move(trace)});
+  }
+  // Uniform random over a span far wider than the largest window.
   {
-    std::vector<bool> seen(4096, false);
-    for (const auto index : trace) {
-      if (!seen[index]) { seen[index] = true; ++distinct; }
-    }
+    support::Rng rng(11);
+    std::vector<std::uint64_t> trace;
+    for (int i = 0; i < 10'000; ++i) trace.push_back(rng.below(1 << 16));
+    cases.push_back({"random 65536", std::move(trace)});
   }
-  const auto clock = reuse_misses(ReuseSimMode::kClock, windows, trace);
-  const auto exact = reuse_misses(ReuseSimMode::kExact, windows, trace);
-  for (std::size_t i = 0; i < windows.size(); ++i) {
-    // Compulsory misses bound any replacement policy from below...
-    EXPECT_GE(clock[i], static_cast<double>(distinct)) << "window " << windows[i];
-    // ...and the approximation must stay in the neighbourhood of exact LRU.
-    EXPECT_LE(clock[i], 1.5 * exact[i] + 1.0) << "window " << windows[i];
+
+  for (const auto& c : cases) {
+    ASSERT_GT(c.trace.size(), 2 * largest) << c.name;
+    const auto misses = recorder_misses(windows, c.trace);
+    ASSERT_EQ(misses.size(), distinct.size()) << c.name;
+    for (std::size_t i = 0; i < distinct.size(); ++i) {
+      ReferenceLru oracle(distinct[i]);
+      for (const auto index : c.trace) oracle.touch(index);
+      EXPECT_DOUBLE_EQ(misses[i], static_cast<double>(oracle.misses()))
+          << c.name << ", window " << distinct[i];
+    }
   }
 }
 
-TEST(ReuseSim, ClockNeverEvictsAFittingWorkingSet) {
-  // A working set no larger than the window capacity: after the compulsory
-  // misses the clock must never miss again (nothing is ever evicted).
-  const std::vector<std::uint64_t> windows{256};
-  std::vector<std::uint64_t> trace;
-  for (int round = 0; round < 50; ++round) {
-    for (std::uint64_t i = 0; i < 200; ++i) trace.push_back((i * 7) % 200);
+TEST(ReuseSim, DropsWindowsThatWouldInvertTheMissCurve) {
+  Recorder rec("app");
+  const auto a = rec.register_array("a", 1 << 20, 8);
+  // Declared 1024 simulates only 64 words, fewer than the 256-word rung;
+  // declared 4096 simulates 256, no more than that rung either.
+  rec.set_reuse_windows(a, std::vector<Recorder::WindowSpec>{
+                               {4, 4}, {256, 256}, {64, 1024}, {256, 4096}, {512, 8192}});
+  for (const auto index : mixed_trace(2048, 5)) {
+    Iteration scope(rec, "body");
+    rec.record(a, index, ir::AccessKind::kRead);
   }
-  const auto clock = reuse_misses(ReuseSimMode::kClock, windows, trace);
-  EXPECT_DOUBLE_EQ(clock[0], 200.0);
+  const auto app = rec.build();
+  const auto& windows = app.reuse_profile(ir::BasicGroupId(0))->windows;
+  ASSERT_EQ(windows.size(), 3u);
+  EXPECT_EQ(windows[0].window_words, 4u);
+  EXPECT_EQ(windows[1].window_words, 256u);
+  EXPECT_EQ(windows[2].window_words, 8192u);
+  EXPECT_GE(windows[0].misses_per_frame, windows[1].misses_per_frame);
+  EXPECT_GE(windows[1].misses_per_frame, windows[2].misses_per_frame);
 }
 
 TEST(Recorder, BuildValidatesAndIsRepeatable) {

@@ -5,6 +5,8 @@
 
 #include "core/explorer.hpp"
 #include "core/pareto.hpp"
+#include "persist/app_container.hpp"
+#include "persist/fnv.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 #include "workloads/btpc_workload.hpp"
@@ -87,20 +89,55 @@ TEST(Workloads, ProfilesAreDeterministicPerSeed) {
   }
 }
 
-TEST(Workloads, RecorderOptionsReachTheProfiler) {
-  // The plumbing satellite: a sweep can pick the clock reuse approximation
-  // per design point.  Access counts stay identical, only the reuse miss
-  // estimates may move.
-  auto clocked = small_options();
-  clocked.recorder.reuse_sim = trace::ReuseSimMode::kClock;
-  clocked.recorder.exact_ring_capacity = 16;
-  for (const auto name : workload_names()) {
-    const auto* workload = find_workload(name);
-    const auto exact = workload->profile(small_options());
-    const auto clock = workload->profile(clocked);
-    EXPECT_DOUBLE_EQ(exact.total_accesses_per_frame(), clock.total_accesses_per_frame())
-        << name;
-    EXPECT_NO_THROW(clock.validate()) << name;
+// Pins the APP1 bytes of the eight profiles a default `explore` run makes
+// (default geometry, every roster backend).  Any change to profiling
+// semantics — reuse simulation included — shows up here first.
+TEST(Workloads, DefaultProfilesArePinned) {
+  struct Golden {
+    const char* workload;
+    std::optional<entropy::Backend> backend;
+    std::uint64_t fnv;
+  };
+  const Golden goldens[] = {
+      {"btpc", std::nullopt, 0xff5d2f6646dca5bdull},
+      {"hyperspec", std::nullopt, 0xfc5a0fc203e07ee2ull},
+      {"line_buffer", std::nullopt, 0x382a44595d018d1eull},
+      {"motion", std::nullopt, 0x570357d1c33bf152ull},
+      {"btpc", entropy::Backend::kRice, 0x2479b6ac1e3ce3d3ull},
+      {"btpc", entropy::Backend::kExpGolomb, 0xf9cecd890c712de1ull},
+      {"hyperspec", entropy::Backend::kExpGolomb, 0x1823f8cff3491ae0ull},
+      {"hyperspec", entropy::Backend::kRans, 0x82d27de56bb1d1f7ull},
+  };
+  for (const auto& golden : goldens) {
+    WorkloadOptions options;
+    options.entropy_backend = golden.backend;
+    const auto bytes = persist::serialize(find_workload(golden.workload)->profile(options));
+    EXPECT_EQ(persist::fnv1a(bytes.data(), bytes.size()), golden.fnv)
+        << golden.workload << "["
+        << (golden.backend ? to_string(*golden.backend) : "default") << "]";
+  }
+}
+
+TEST(Workloads, ReuseCurvesNeverIncreaseWithCapacity) {
+  // Small profile frames make row-sized windows simulate fewer words than
+  // the register windows; the recorder must drop those rungs rather than
+  // report more misses for a larger buffer.
+  for (const int size : {64, 128}) {
+    WorkloadOptions options;
+    options.profile_size = size;
+    for (const auto name : workload_names()) {
+      const auto app = find_workload(name)->profile(options);
+      for (const auto id : app.group_ids()) {
+        const auto* reuse = app.reuse_profile(id);
+        if (reuse == nullptr) continue;
+        for (std::size_t w = 1; w < reuse->windows.size(); ++w) {
+          EXPECT_LE(reuse->windows[w].misses_per_frame,
+                    reuse->windows[w - 1].misses_per_frame)
+              << name << "/" << app.group(id).name << " at profile size " << size
+              << ", window " << reuse->windows[w].window_words;
+        }
+      }
+    }
   }
 }
 
