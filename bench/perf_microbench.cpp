@@ -17,6 +17,7 @@
 #include "hyperspec/codec.hpp"
 #include "motion/estimator.hpp"
 #include "obs/telemetry.hpp"
+#include "oracles/full_recost.hpp"
 #include "persist/app_container.hpp"
 #include "persist/profile_cache.hpp"
 #include "scbd/budget_distribution.hpp"
@@ -126,12 +127,32 @@ void BM_AssignmentBranchAndBound(benchmark::State& state) {
 }
 BENCHMARK(BM_AssignmentBranchAndBound)->Arg(5)->Arg(8)->Arg(12);
 
+// One single-chain annealing run: the solver itself (incremental cost
+// engine) or the test-side replay of its chain on the full-recost oracle.
+// Both are bit-identical in results (same seed => same trajectory => same
+// final cost, reported as the final_cost counter); only the per-move cost
+// differs.
+struct AnnealRun {
+  std::uint64_t moves = 0;
+  std::uint64_t accepted = 0;
+  double final_cost = 0.0;
+};
+
+AnnealRun anneal_once(const alloc::AssignmentProblem& problem, int memories,
+                      const alloc::SolverOptions& options, bool incremental) {
+  if (!incremental) {
+    const auto run = alloc::oracle::anneal_greedy_chain<alloc::oracle::FullRecostState>(
+        problem, memories, options);
+    return {run.moves, run.accepted, run.best_cost};
+  }
+  const auto solution = alloc::solve_assignment(problem, memories, options);
+  return {solution.nodes_explored, solution.accepted_moves, solution.scalar_cost};
+}
+
 // The annealing hot loop: moves evaluated (and accepted) per second, with
-// the incremental cost engine against the full-recost baseline.  Both modes
-// are bit-identical in results (same seed => same trajectory => same final
-// cost, reported as the final_cost counter); only the per-move cost differs.
-// The acceptance bar for the incremental engine is >=5x the baseline's
-// accepted moves/sec at equal solution quality.
+// the incremental cost engine against the full-recost baseline.  The
+// acceptance bar for the incremental engine is >=5x the baseline's accepted
+// moves/sec at equal solution quality.
 void annealing_moves(benchmark::State& state, bool incremental) {
   const auto& app = demo_app();
   const auto scbd_result = scbd::distribute_budget(app, {});
@@ -142,18 +163,17 @@ void annealing_moves(benchmark::State& state, bool incremental) {
                                          20'000'000);
   alloc::SolverOptions options;
   options.solver = alloc::Solver::kSimulatedAnnealing;
-  options.sa_incremental = incremental;
   options.sa_chains = 1;
   options.sa_iterations = 20'000;
   std::uint64_t moves = 0;
   std::uint64_t accepted = 0;
   double final_cost = 0.0;
   for (auto _ : state) {
-    const auto solution =
-        alloc::solve_assignment(problem, static_cast<int>(state.range(0)), options);
-    moves += solution.nodes_explored;
-    accepted += solution.accepted_moves;
-    final_cost = solution.scalar_cost;
+    const auto run =
+        anneal_once(problem, static_cast<int>(state.range(0)), options, incremental);
+    moves += run.moves;
+    accepted += run.accepted;
+    final_cost = run.final_cost;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(moves));
   state.counters["accepted/s"] = benchmark::Counter(static_cast<double>(accepted),
@@ -209,15 +229,14 @@ void annealing_large_members(benchmark::State& state, bool incremental) {
                                          20'000'000);
   alloc::SolverOptions options;
   options.solver = alloc::Solver::kSimulatedAnnealing;
-  options.sa_incremental = incremental;
   options.sa_chains = 1;
   options.sa_iterations = 20'000;
   std::uint64_t moves = 0;
   double final_cost = 0.0;
   for (auto _ : state) {
-    const auto solution = alloc::solve_assignment(problem, 4, options);
-    moves += solution.nodes_explored;
-    final_cost = solution.scalar_cost;
+    const auto run = anneal_once(problem, 4, options, incremental);
+    moves += run.moves;
+    final_cost = run.final_cost;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(moves));
   state.counters["final_cost"] = final_cost;

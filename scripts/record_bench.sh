@@ -21,7 +21,8 @@ cmake --build "$BUILD_DIR" -j --target perf_microbench
 # silently dropped them (filtered run, renamed bench) would let the nightly
 # compare gate pass on an empty intersection.  The *Scalar twins must be
 # present too — without both halves the scalar-vs-SIMD ratio in the
-# trajectory is unreadable — and so must the profiling hot path.
+# trajectory is unreadable — and so must the profiling hot path and the
+# what-if query hot path (budget distribution and annealing moves).
 for bench in BM_MotionEstimate BM_MotionEstimateScalar \
              BM_RecorderReuseWindow BM_ProfiledEncode \
              BM_ExploreMotion BM_ExploreMultiWorkload \
@@ -30,7 +31,7 @@ for bench in BM_MotionEstimate BM_MotionEstimateScalar \
              BM_BitWriterThroughput BM_BitReaderThroughput \
              BM_EncodeLossless BM_EncodeLosslessScalar \
              BM_EntropyHuffman BM_EntropyRice BM_EntropyExpGolomb BM_EntropyRans \
-             BM_TelemetryOverhead; do
+             BM_TelemetryOverhead BM_ScbdDistribution BM_AnnealingIncremental; do
   if ! grep -q "\"$bench" "$OUT"; then
     echo "error: $OUT is missing $bench — incomplete trajectory point" >&2
     exit 1

@@ -98,16 +98,19 @@ AllocationResult MemoryAllocator::allocate(const ir::Application& app,
     best = solve_assignment(problem, options.onchip_memories, options.solver);
     best_n = options.onchip_memories;
   } else {
+    // The reported effort covers every memory count searched, not only the
+    // winning one.
+    std::uint64_t nodes = 0;
     for (int n = problem.min_memories(); n <= options.max_onchip_memories; ++n) {
       auto candidate = solve_assignment(problem, n, options.solver);
-      candidate.nodes_explored += best.nodes_explored;
+      nodes += candidate.nodes_explored;
       if (candidate.feasible &&
           (!best.feasible || candidate.scalar_cost < best.scalar_cost)) {
         best_n = n;
-        std::swap(best, candidate);
-        best.nodes_explored += candidate.nodes_explored;
+        best = std::move(candidate);
       }
     }
+    best.nodes_explored = nodes;
   }
 
   result.requested_memories = best_n;

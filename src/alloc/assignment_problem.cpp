@@ -135,15 +135,13 @@ std::optional<MemoryInstance> AssignmentProblem::build_memory(
   return mem;
 }
 
-memlib::CostTerm AssignmentProblem::member_cost_term(
-    const std::vector<std::size_t>& members, int ports) const {
+memlib::CostTerm AssignmentProblem::aggregate_cost_term(const GroupAggregates& sum,
+                                                       int ports) const {
   DTSE_DCHECK(ports == 1 || ports == 2, "memories have one or two ports");
-  if (members.empty()) return memlib::CostTerm{};
-  const auto agg = aggregate_members(members);
   const auto cost = library_->sram().cost(
-      agg.words, agg.width_bits,
+      sum.words, sum.width_bits,
       ports == 2 ? memlib::PortCount::kDual : memlib::PortCount::kSingle);
-  const double power = library_->onchip_power_mw(cost, agg.reads, agg.writes, frame_cycles_);
+  const double power = library_->onchip_power_mw(cost, sum.reads, sum.writes, frame_cycles_);
   return memlib::CostTerm{cost.area_mm2, power};
 }
 
@@ -152,7 +150,7 @@ std::optional<memlib::CostTerm> AssignmentProblem::cost_of_members(
   if (members.empty()) return memlib::CostTerm{};
   const int ports_needed = simultaneous_accesses(members);
   if (ports_needed > 2) return std::nullopt;
-  return member_cost_term(members, ports_needed);
+  return aggregate_cost_term(aggregate_members(members), ports_needed);
 }
 
 std::optional<memlib::CostSummary> AssignmentProblem::evaluate(

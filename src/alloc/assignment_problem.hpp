@@ -71,13 +71,29 @@ class AssignmentProblem {
   /// bit-for-bit.
   [[nodiscard]] int simultaneous_accesses(const std::vector<std::size_t>& members) const;
 
-  /// Area/power term of a member set whose port count the caller has already
-  /// established (`ports` in {1, 2}).  Runs the exact aggregation and model
-  /// calls of `cost_of_members` after its feasibility gate — the entry point
-  /// for the incremental cost engine, which maintains per-memory conflict
-  /// counts and therefore knows the port count in O(members).
-  [[nodiscard]] memlib::CostTerm member_cost_term(
-      const std::vector<std::size_t>& members, int ports) const;
+  /// Integer figures of one group, or their sum over a member set (words,
+  /// reads and writes add up; the width is the widest member's).
+  struct GroupAggregates {
+    std::uint64_t words = 0;
+    int width_bits = 0;
+    std::uint64_t reads = 0;
+    std::uint64_t writes = 0;
+  };
+
+  /// Cached figures of group i, summed by `build_memory` and maintained per
+  /// memory by the incremental cost engine.
+  [[nodiscard]] const GroupAggregates& group_aggregates(std::size_t i) const {
+    return aggregates_[i];
+  }
+
+  /// Area/power term of a non-empty member set given its aggregate and a
+  /// port count the caller has already established (`ports` in {1, 2}).
+  /// Runs the model calls of `build_memory`, so a cost priced here matches
+  /// the built memory bit-for-bit — the entry point for the incremental cost
+  /// engine, which keeps each memory's aggregate and port count up to date
+  /// per move.
+  [[nodiscard]] memlib::CostTerm aggregate_cost_term(const GroupAggregates& sum,
+                                                     int ports) const;
 
   // --- conflict bitsets (problem-local indices, 64 groups per word) --------
   /// Words per adjacency row; all bitsets below share this pitch.
@@ -114,15 +130,7 @@ class AssignmentProblem {
   [[nodiscard]] int min_memories() const;
 
  private:
-  /// Per-group figures cached at construction (the access totals walk every
-  /// loop body, far too slow to redo per candidate memory).
-  struct GroupAggregates {
-    std::uint64_t words = 0;
-    int width_bits = 0;
-    std::uint64_t reads = 0;
-    std::uint64_t writes = 0;
-  };
-  /// Sums of the members' cached figures, in member order.
+  /// Sums of the members' cached figures.
   [[nodiscard]] GroupAggregates aggregate_members(
       const std::vector<std::size_t>& members) const;
 
@@ -137,7 +145,9 @@ class AssignmentProblem {
   std::size_t conflict_words_ = 0;            ///< bitset row pitch in words
   std::vector<std::uint64_t> conflict_bits_;  ///< n adjacency rows of conflict_words_
   std::vector<std::uint64_t> self_bits_;
-  std::vector<GroupAggregates> aggregates_;   ///< per problem-local group
+  /// Per-group figures cached at construction (the access totals walk every
+  /// loop body, far too slow to redo per candidate memory).
+  std::vector<GroupAggregates> aggregates_;
 };
 
 }  // namespace dtse::alloc

@@ -9,16 +9,6 @@ namespace dtse::alloc {
 
 namespace {
 
-void insert_sorted(std::vector<std::size_t>& members, std::size_t group) {
-  members.insert(std::lower_bound(members.begin(), members.end(), group), group);
-}
-
-void erase_sorted(std::vector<std::size_t>& members, std::size_t group) {
-  const auto it = std::lower_bound(members.begin(), members.end(), group);
-  DTSE_DCHECK(it != members.end() && *it == group, "group not a member");
-  members.erase(it);
-}
-
 constexpr std::uint64_t bit_of(std::size_t group) {
   return std::uint64_t{1} << (group % 64);
 }
@@ -26,8 +16,8 @@ constexpr std::uint64_t bit_of(std::size_t group) {
 }  // namespace
 
 AssignmentState::AssignmentState(const AssignmentProblem& problem, int memory_count,
-                                 const memlib::CostWeights& weights, CostMode mode)
-    : problem_(&problem), weights_(weights), mode_(mode), memory_count_(memory_count) {
+                                 const memlib::CostWeights& weights)
+    : problem_(&problem), weights_(weights), memory_count_(memory_count) {
   DTSE_CHECK(memory_count >= 1, "need at least one memory");
 }
 
@@ -37,7 +27,7 @@ double AssignmentState::scalar_from_terms() const {
   // a from-scratch evaluation bit-for-bit.
   memlib::CostSummary summary;
   for (const auto& mem : memories_) {
-    if (mem.members.empty()) continue;
+    if (mem.members == 0) continue;
     summary.onchip_area_mm2 += mem.term.area_mm2;
     summary.onchip_power_mw += mem.term.power_mw;
   }
@@ -45,14 +35,9 @@ double AssignmentState::scalar_from_terms() const {
 }
 
 memlib::CostTerm AssignmentState::onchip_total() const {
-  if (mode_ == CostMode::kFullRecost) {
-    const auto summary = problem_->evaluate(assignment_, memory_count_);
-    DTSE_ASSERT(summary.has_value(), "state holds a feasible assignment");
-    return {summary->onchip_area_mm2, summary->onchip_power_mw};
-  }
   memlib::CostTerm total;
   for (const auto& mem : memories_) {
-    if (!mem.members.empty()) total += mem.term;
+    if (mem.members > 0) total += mem.term;
   }
   return total;
 }
@@ -62,48 +47,73 @@ bool AssignmentState::reset(const std::vector<int>& assignment) {
   assignment_ = assignment;
   last_.active = false;
 
-  if (mode_ == CostMode::kFullRecost) {
-    const auto summary = problem_->evaluate(assignment_, memory_count_);
-    if (!summary) return false;
-    scalar_ = weights_.scalarize(*summary);
-    return true;
-  }
-
   const std::size_t words = problem_->conflict_words();
   scratch_.assign(words, 0);
   memories_.assign(static_cast<std::size_t>(memory_count_), {});
-  // Pre-size the member lists so moves never reallocate mid-run.
-  for (auto& mem : memories_) {
-    mem.members.reserve(assignment_.size());
-    mem.bits.assign(words, 0);
-  }
+  for (auto& mem : memories_) mem.bits.assign(words, 0);
+  std::vector<std::vector<std::size_t>> members(memories_.size());
   for (std::size_t i = 0; i < assignment_.size(); ++i) {
     DTSE_CHECK(assignment_[i] >= 0 && assignment_[i] < memory_count_,
                "assignment entry out of range");
-    auto& mem = memories_[static_cast<std::size_t>(assignment_[i])];
-    mem.members.push_back(i);
-    mem.bits[i / 64] |= bit_of(i);
+    members[static_cast<std::size_t>(assignment_[i])].push_back(i);
   }
-  const std::uint64_t* self_bits = problem_->self_conflict_bits();
-  for (auto& mem : memories_) {
+  for (std::size_t m = 0; m < memories_.size(); ++m) {
     // The feasibility gate stays with the exact reference computation; the
     // maintained counts only ever describe sets that passed it.
-    const auto term = problem_->cost_of_members(mem.members);
-    if (!term) return false;
-    mem.term = *term;
-    std::uint64_t degree_sum = 0;
-    for (const auto m : mem.members) {
-      const std::uint64_t* row = problem_->conflict_row(m);
-      for (std::size_t w = 0; w < words; ++w) degree_sum += std::popcount(row[w] & mem.bits[w]);
+    if (problem_->simultaneous_accesses(members[m]) > 2) return false;
+    auto& mem = memories_[m];
+    for (const auto group : members[m]) {
+      add_member(mem, group, neighbours_in(mem, group));
+      widen(mem, problem_->group_aggregates(group).width_bits);
     }
-    mem.pair_conflicts = degree_sum / 2;  // each pair counted from both ends
-    mem.self_conflicts = 0;
-    for (std::size_t w = 0; w < words; ++w) {
-      mem.self_conflicts += std::popcount(self_bits[w] & mem.bits[w]);
-    }
+    if (mem.members > 0) mem.term = problem_->aggregate_cost_term(mem.sum, mem.ports());
   }
   scalar_ = scalar_from_terms();
   return true;
+}
+
+void AssignmentState::add_member(MemoryState& mem, std::size_t group, std::uint64_t degree) {
+  const auto& g = problem_->group_aggregates(group);
+  mem.bits[group / 64] |= bit_of(group);
+  ++mem.members;
+  mem.sum.words += g.words;
+  mem.sum.reads += g.reads;
+  mem.sum.writes += g.writes;
+  mem.pair_conflicts += degree;
+  mem.self_conflicts += problem_->self_conflicting(group) ? 1 : 0;
+}
+
+void AssignmentState::remove_member(MemoryState& mem, std::size_t group,
+                                    std::uint64_t degree) {
+  const auto& g = problem_->group_aggregates(group);
+  mem.bits[group / 64] &= ~bit_of(group);
+  --mem.members;
+  mem.sum.words -= g.words;
+  mem.sum.reads -= g.reads;
+  mem.sum.writes -= g.writes;
+  mem.pair_conflicts -= degree;
+  mem.self_conflicts -= problem_->self_conflicting(group) ? 1 : 0;
+}
+
+void AssignmentState::widen(MemoryState& mem, int width) {
+  if (width > mem.sum.width_bits) {
+    mem.sum.width_bits = width;
+    mem.width_holders = 1;
+  } else if (width == mem.sum.width_bits) {
+    ++mem.width_holders;
+  }
+}
+
+void AssignmentState::narrow(MemoryState& mem, int width) {
+  if (width != mem.sum.width_bits || --mem.width_holders > 0) return;
+  // The last widest member left: rescan the remaining members.
+  mem.sum.width_bits = 0;
+  for (std::size_t w = 0; w < mem.bits.size(); ++w) {
+    for (std::uint64_t scan = mem.bits[w]; scan != 0; scan &= scan - 1) {
+      const auto m = w * 64 + static_cast<std::size_t>(std::countr_zero(scan));
+      widen(mem, problem_->group_aggregates(m).width_bits);
+    }
+  }
 }
 
 std::uint64_t AssignmentState::neighbours_in(const MemoryState& mem, std::size_t group) {
@@ -143,19 +153,6 @@ std::optional<double> AssignmentState::apply(std::size_t group, int new_m) {
   const int old_m = assignment_[group];
   DTSE_DCHECK(new_m != old_m, "move must change the memory");
 
-  if (mode_ == CostMode::kFullRecost) {
-    assignment_[group] = new_m;
-    const auto summary = problem_->evaluate(assignment_, memory_count_);
-    if (!summary) {
-      assignment_[group] = old_m;
-      last_.active = false;  // a failed move leaves nothing to revert
-      return std::nullopt;
-    }
-    last_ = {group, old_m, new_m, {}, {}, 0, 0, scalar_, true};
-    scalar_ = weights_.scalarize(*summary);
-    return scalar_;
-  }
-
   auto& src = memories_[static_cast<std::size_t>(old_m)];
   auto& dst = memories_[static_cast<std::size_t>(new_m)];
   const std::uint64_t degree_dst = neighbours_in(dst, group);
@@ -164,21 +161,28 @@ std::optional<double> AssignmentState::apply(std::size_t group, int new_m) {
     return std::nullopt;
   }
   const std::uint64_t degree_src = neighbours_in(src, group);
-  const bool self = problem_->self_conflicting(group);
 
-  insert_sorted(dst.members, group);
-  dst.bits[group / 64] |= bit_of(group);
-  dst.pair_conflicts += degree_dst;
-  dst.self_conflicts += self ? 1 : 0;
-  erase_sorted(src.members, group);
-  src.bits[group / 64] &= ~bit_of(group);
-  src.pair_conflicts -= degree_src;
-  src.self_conflicts -= self ? 1 : 0;
-
-  last_ = {group,      old_m,      new_m,   src.term, dst.term,
-           degree_src, degree_dst, scalar_, true};
-  src.term = problem_->member_cost_term(src.members, src.ports());
-  dst.term = problem_->member_cost_term(dst.members, dst.ports());
+  last_ = {.group = group,
+           .from = old_m,
+           .to = new_m,
+           .from_term = src.term,
+           .to_term = dst.term,
+           .from_width = src.sum.width_bits,
+           .from_holders = src.width_holders,
+           .to_width = dst.sum.width_bits,
+           .to_holders = dst.width_holders,
+           .degree_from = degree_src,
+           .degree_to = degree_dst,
+           .scalar = scalar_,
+           .active = true};
+  const int width = problem_->group_aggregates(group).width_bits;
+  add_member(dst, group, degree_dst);
+  widen(dst, width);
+  remove_member(src, group, degree_src);
+  narrow(src, width);
+  src.term = src.members > 0 ? problem_->aggregate_cost_term(src.sum, src.ports())
+                             : memlib::CostTerm{};
+  dst.term = problem_->aggregate_cost_term(dst.sum, dst.ports());
   assignment_[group] = new_m;
   scalar_ = scalar_from_terms();
   return scalar_;
@@ -189,19 +193,15 @@ void AssignmentState::revert() {
   last_.active = false;
   assignment_[last_.group] = last_.from;
   scalar_ = last_.scalar;
-  if (mode_ == CostMode::kFullRecost) return;
 
-  const bool self = problem_->self_conflicting(last_.group);
   auto& src = memories_[static_cast<std::size_t>(last_.from)];
   auto& dst = memories_[static_cast<std::size_t>(last_.to)];
-  erase_sorted(dst.members, last_.group);
-  dst.bits[last_.group / 64] &= ~bit_of(last_.group);
-  dst.pair_conflicts -= last_.degree_to;
-  dst.self_conflicts -= self ? 1 : 0;
-  insert_sorted(src.members, last_.group);
-  src.bits[last_.group / 64] |= bit_of(last_.group);
-  src.pair_conflicts += last_.degree_from;
-  src.self_conflicts += self ? 1 : 0;
+  remove_member(dst, last_.group, last_.degree_to);
+  add_member(src, last_.group, last_.degree_from);
+  src.sum.width_bits = last_.from_width;
+  src.width_holders = last_.from_holders;
+  dst.sum.width_bits = last_.to_width;
+  dst.width_holders = last_.to_holders;
   src.term = last_.from_term;
   dst.term = last_.to_term;
 }

@@ -3,22 +3,27 @@
 // A simulated-annealing move reassigns ONE group, so only the source and
 // destination memories change; every other memory keeps its area and power.
 // `AssignmentState` caches one `memlib::CostTerm` per memory plus, per
-// memory, a member bitset and conflict/port counts (conflicting pairs and
-// self-conflicting members).  A live memory is feasible, so it holds no
+// memory, a member bitset, conflict/port counts (conflicting pairs and
+// self-conflicting members) and the member aggregate the cost models read:
+// member count, summed words/reads/writes, and the max width with the number
+// of members at that width.  A live memory is feasible, so it holds no
 // conflict triangle and no conflicting pair with a self-conflicting
 // endpoint; its port count is then fully determined by the two counts
-// (any pair or self-conflict => dual-port), and a move re-costs its two
-// touched memories in O(members) — feasibility and count deltas come from
-// bitset intersections with the moved group's adjacency row, instead of the
-// O(members^2)-and-worse clique scan of `simultaneous_accesses`.
+// (any pair or self-conflict => dual-port).  Feasibility and count deltas
+// come from bitset intersections with the moved group's adjacency row,
+// instead of the O(members^2)-and-worse clique scan of
+// `simultaneous_accesses`, and the aggregate updates in O(1): the max width
+// is rescanned from the bitset only when its last holder leaves.
 //
 // Correctness anchor: after any move sequence, `scalar_cost()` equals a
 // from-scratch `CostWeights::scalarize(problem.evaluate(assignment))`
 // bit-for-bit.  This holds because the maintained port decision provably
-// matches `simultaneous_accesses` on feasible sets, the touched memories are
-// re-costed through the same `member_cost_term` aggregation `build_memory`
-// uses (same member order, same SRAM/power model calls), and the per-memory
-// terms are summed in memory-index order, mirroring `evaluate`.
+// matches `simultaneous_accesses` on feasible sets, the aggregate sums are
+// exact integer arithmetic (so they equal `build_memory`'s sums in any
+// order), the touched memories are priced through the same
+// `aggregate_cost_term` model calls, and the per-memory terms are summed in
+// memory-index order, mirroring `evaluate`.  The tests check this against a
+// test-side from-scratch oracle and pinned evaluation goldens.
 #pragma once
 
 #include <cstdint>
@@ -30,26 +35,18 @@
 
 namespace dtse::alloc {
 
-/// How `AssignmentState` re-costs a move.
-enum class CostMode {
-  kIncremental,  ///< re-cost only the two memories the move touches
-  kFullRecost,   ///< re-evaluate the whole assignment (reference/baseline)
-};
-
 /// A complete assignment with incrementally maintained cost, supporting
 /// single-group moves with O(1)-memory undo.
 class AssignmentState {
  public:
   AssignmentState(const AssignmentProblem& problem, int memory_count,
-                  const memlib::CostWeights& weights,
-                  CostMode mode = CostMode::kIncremental);
+                  const memlib::CostWeights& weights);
 
   /// Loads a complete assignment (one entry per group, each in
   /// [0, memory_count)).  Returns false when any memory is infeasible; the
   /// state must then be reset again before use.
   bool reset(const std::vector<int>& assignment);
 
-  [[nodiscard]] CostMode mode() const { return mode_; }
   [[nodiscard]] const std::vector<int>& assignment() const { return assignment_; }
 
   /// Scalar objective of the current assignment; identical to scalarizing a
@@ -71,8 +68,10 @@ class AssignmentState {
 
  private:
   struct MemoryState {
-    std::vector<std::size_t> members;  ///< ascending problem-local indices
-    std::vector<std::uint64_t> bits;   ///< the same members as a bitset
+    std::vector<std::uint64_t> bits;   ///< member bitset
+    std::size_t members = 0;
+    AssignmentProblem::GroupAggregates sum;  ///< width_bits: the widest member's
+    std::size_t width_holders = 0;     ///< members at that width
     std::uint64_t pair_conflicts = 0;  ///< conflicting pairs inside the memory
     std::uint64_t self_conflicts = 0;  ///< self-conflicting members
     memlib::CostTerm term;
@@ -89,11 +88,26 @@ class AssignmentState {
     int to = -1;
     memlib::CostTerm from_term;
     memlib::CostTerm to_term;
+    int from_width = 0;             ///< source width state before the move
+    std::size_t from_holders = 0;
+    int to_width = 0;               ///< and the destination's
+    std::size_t to_holders = 0;
     std::uint64_t degree_from = 0;  ///< group's conflict degree in the source
     std::uint64_t degree_to = 0;    ///< and in the destination
     double scalar = 0.0;
     bool active = false;
   };
+
+  /// Adds `group` to `mem`'s bitset, conflict counts and summed figures
+  /// (`degree`: its conflict neighbours there); the width is left to `widen`.
+  void add_member(MemoryState& mem, std::size_t group, std::uint64_t degree);
+  /// The inverse of `add_member`; the width is left to `narrow`.
+  void remove_member(MemoryState& mem, std::size_t group, std::uint64_t degree);
+  /// Accounts a member of `width` bits joining `mem`.
+  static void widen(MemoryState& mem, int width);
+  /// Accounts a member of `width` bits having left `mem`; rescans the
+  /// remaining members when it was the last one at the max width.
+  void narrow(MemoryState& mem, int width);
 
   /// Scalar of the cached per-memory terms, summed in memory-index order to
   /// mirror `AssignmentProblem::evaluate` exactly.
@@ -112,10 +126,9 @@ class AssignmentState {
 
   const AssignmentProblem* problem_;
   memlib::CostWeights weights_;
-  CostMode mode_;
   int memory_count_;
   std::vector<int> assignment_;
-  std::vector<MemoryState> memories_;  ///< kIncremental only
+  std::vector<MemoryState> memories_;
   std::vector<std::uint64_t> scratch_;  ///< one bitset row, reused per move
   double scalar_ = 0.0;
   LastMove last_;

@@ -283,9 +283,7 @@ void diversify_start(AssignmentState& state, const AssignmentProblem& problem,
 ChainOutcome anneal_chain(const AssignmentProblem& problem, int memory_count,
                           const SolverOptions& options, const std::vector<int>& start,
                           std::size_t chain, int iterations) {
-  AssignmentState state(problem, memory_count, options.weights,
-                        options.sa_incremental ? CostMode::kIncremental
-                                               : CostMode::kFullRecost);
+  AssignmentState state(problem, memory_count, options.weights);
   const bool ok = state.reset(start);
   DTSE_ASSERT(ok, "annealing start assignment must be feasible");
   if (chain > 0 && options.sa_start != SaStart::kGreedy) {

@@ -84,10 +84,6 @@ struct SolverOptions {
   /// serial because the exploration sweeps already parallelize across sweep
   /// points; only affects wall time, never the result.
   unsigned sa_parallelism = 1;
-  /// When false, every move is re-costed from scratch — the reference
-  /// baseline kept for the ablation/benchmark comparison.  Identical results
-  /// either way (the incremental cost is bit-exact), only slower.
-  bool sa_incremental = true;
   /// Cooperative cancellation (not owned; may be null).  Every solver polls
   /// it at a coarse stride — annealing chains every few hundred moves, B&B
   /// every few thousand nodes, greedy per group — and returns its best

@@ -28,15 +28,13 @@ struct CostCurve {
   }
 };
 
-CostCurve build_curve(const ir::Application& app, ir::LoopBodyId body,
-                      const ScbdOptions& options) {
+CostCurve build_curve(const BodyScheduler& scheduler) {
   CostCurve curve;
-  curve.min_budget = min_body_budget(app, body, options.latency);
-  const auto serial = std::max<std::uint64_t>(serial_body_budget(app, body),
+  curve.min_budget = scheduler.min_budget();
+  const auto serial = std::max<std::uint64_t>(scheduler.serial_budget(),
                                               std::max<std::uint64_t>(curve.min_budget, 1));
   for (std::uint64_t b = std::max<std::uint64_t>(curve.min_budget, 1); b <= serial; ++b) {
-    const auto result = balance_body(app, body, b, options.latency, options.penalties);
-    curve.cost.push_back(result.conflict_cost);
+    curve.cost.push_back(scheduler.conflict_cost(b));
   }
   if (curve.min_budget == 0) curve.min_budget = 1;  // empty bodies schedule in 1 cycle
   if (curve.cost.empty()) curve.cost.push_back(0.0);
@@ -48,10 +46,17 @@ CostCurve build_curve(const ir::Application& app, ir::LoopBodyId body,
 ScbdResult distribute_budget(const ir::Application& app, const ScbdOptions& options) {
   DTSE_CHECK(options.global_budget_cycles > 0, "global cycle budget must be positive");
 
+  // One scheduling context per body: every cost-curve step and the final
+  // schedule reuse its unit DAG and static bounds.
   const auto body_ids = app.body_ids();
+  std::vector<BodyScheduler> schedulers;
   std::vector<CostCurve> curves;
+  schedulers.reserve(body_ids.size());
   curves.reserve(body_ids.size());
-  for (const auto id : body_ids) curves.push_back(build_curve(app, id, options));
+  for (const auto id : body_ids) {
+    schedulers.emplace_back(app, id, options.latency, options.penalties);
+    curves.push_back(build_curve(schedulers.back()));
+  }
 
   ScbdResult result;
   // Start every body at its minimum; track global usage.
@@ -101,8 +106,7 @@ ScbdResult distribute_budget(const ir::Application& app, const ScbdOptions& opti
     bb.min_cycles = curves[i].min_budget;
     bb.serial_cycles = curves[i].max_budget();
     bb.budget_cycles = budget[i];
-    bb.schedule = balance_body(app, body_ids[i], budget[i], options.latency,
-                               options.penalties);
+    bb.schedule = schedulers[i].balance(budget[i]);
     result.conflicts.merge(bb.schedule.conflicts);
     result.conflict_cost += bb.schedule.conflict_cost;
     result.bodies.push_back(std::move(bb));

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <set>
-#include <numeric>
 
-#include "graph/digraph.hpp"
+#include "obs/telemetry.hpp"
 #include "support/check.hpp"
 
 namespace dtse::scbd {
@@ -39,133 +37,130 @@ std::vector<Unit> expand_units(const ir::LoopBody& body) {
 }
 
 /// Dependency DAG over units: every unit of access a precedes every unit of
-/// access b when (a, b) is a dependency of the body.
+/// access b when (a, b) is a dependency of the body.  Edges go in dependency
+/// order, then by ascending unit index on both ends.
 graph::Digraph unit_dag(const ir::LoopBody& body, const std::vector<Unit>& units) {
+  std::vector<std::vector<std::size_t>> units_of(body.accesses.size());
+  for (std::size_t u = 0; u < units.size(); ++u) units_of[units[u].access].push_back(u);
   graph::Digraph dag(units.size());
   for (const auto& [from, to] : body.deps) {
-    for (std::size_t u = 0; u < units.size(); ++u) {
-      if (units[u].access != from) continue;
-      for (std::size_t v = 0; v < units.size(); ++v) {
-        if (units[v].access == to) dag.add_edge(u, v);
-      }
+    if (from >= units_of.size() || to >= units_of.size()) continue;  // names no unit
+    for (const auto u : units_of[from]) {
+      for (const auto v : units_of[to]) dag.add_edge(u, v);
     }
   }
   return dag;
 }
 
-double pair_penalty(const ir::BasicGroup& a, const ir::BasicGroup& b, bool same_group,
-                    const graph::LatencyModel& latency, const ConflictPenalties& p) {
-  const bool a_off = latency.presumed_offchip(a);
-  const bool b_off = latency.presumed_offchip(b);
-  if (same_group) return a_off ? p.offchip_self : p.onchip_self;
-  if (a_off && b_off) return p.offchip_pair;
-  if (a_off || b_off) return p.mixed_pair;
-  return p.onchip_pair;
+/// Dependency critical path in whole cycles from per-unit earliest starts
+/// (the same maximum `Digraph::longest_path` takes).
+std::uint64_t critical_path(const std::vector<double>& start,
+                            const std::vector<double>& latency) {
+  double path = 0.0;
+  for (std::size_t u = 0; u < start.size(); ++u) path = std::max(path, start[u] + latency[u]);
+  return static_cast<std::uint64_t>(std::ceil(path));
 }
 
 }  // namespace
 
-std::uint64_t min_body_budget(const ir::Application& app, ir::LoopBodyId body_id,
-                              const graph::LatencyModel& latency) {
+BodyScheduler::BodyScheduler(const ir::Application& app, ir::LoopBodyId body_id,
+                             const graph::LatencyModel& latency,
+                             const ConflictPenalties& penalties)
+    : penalties_(penalties) {
+  // One per scheduling context built: `distribute_budget` adds one per body.
+  obs::TelemetryRegistry::global().counter("scbd.body_schedulers").add(1);
   const auto& body = app.body(body_id);
+  frame_weight_ = static_cast<double>(body.iterations);
   const auto units = expand_units(body);
-  if (units.empty()) return 0;
-  const auto dag = unit_dag(body, units);
-  std::vector<double> weight(units.size());
-  for (std::size_t u = 0; u < units.size(); ++u) {
-    weight[u] = latency.latency(app.group(body.accesses[units[u].access].group));
+  const std::size_t n = units.size();
+  weight_.resize(n);
+  group_.resize(n);
+  offchip_.resize(n);
+  latency_.resize(n);
+  std::vector<double> default_latency(n);
+  for (std::size_t u = 0; u < n; ++u) {
+    const auto id = body.accesses[units[u].access].group;
+    const auto it = std::find(group_ids_.begin(), group_ids_.end(), id);
+    group_[u] = static_cast<std::size_t>(it - group_ids_.begin());
+    if (it == group_ids_.end()) group_ids_.push_back(id);
+    const auto& group = app.group(id);
+    weight_[u] = units[u].weight;
+    offchip_[u] = latency.presumed_offchip(group);
+    latency_[u] = latency.latency(group);
+    default_latency[u] = graph::LatencyModel{}.latency(group);
   }
-  const auto path = dag.longest_path(weight);
-  DTSE_CHECK(path.has_value(), "cyclic dependencies in body " + body.name);
-  return static_cast<std::uint64_t>(std::ceil(*path));
-}
+  if (n == 0) return;
 
-std::uint64_t serial_body_budget(const ir::Application& app, ir::LoopBodyId body_id) {
-  const auto& body = app.body(body_id);
-  const auto units = expand_units(body);
+  dag_ = unit_dag(body, units);
+  auto asap = dag_.earliest_start(latency_);
+  DTSE_CHECK(asap.has_value(), "cyclic dependencies in body " + body.name);
+  asap_ = std::move(*asap);
+  min_budget_ = critical_path(asap_, latency_);
   // One unit per cycle is always conflict-free; dependencies can only need
   // more cycles than units when off-chip latencies stack up along a chain.
-  const auto cp = min_body_budget(app, body_id, graph::LatencyModel{});
-  return std::max<std::uint64_t>(units.size(), cp);
+  const auto default_asap = dag_.earliest_start(default_latency);
+  serial_budget_ = std::max<std::uint64_t>(n, critical_path(*default_asap, default_latency));
+
+  graph::Digraph reverse(n);
+  for (std::size_t u = 0; u < n; ++u) {
+    for (const auto succ : dag_.successors(u)) reverse.add_edge(succ, u);
+  }
+  auto rev_start = reverse.earliest_start(latency_);
+  DTSE_ASSERT(rev_start.has_value(), "reverse DAG must be acyclic too");
+  reverse_asap_ = std::move(*rev_start);
+  topo_ = *dag_.topological_order();
 }
 
-BalanceResult balance_body(const ir::Application& app, ir::LoopBodyId body_id,
-                           std::uint64_t budget_cycles, const graph::LatencyModel& latency,
-                           const ConflictPenalties& penalties) {
-  const auto& body = app.body(body_id);
-  const auto units = expand_units(body);
+double BodyScheduler::pair_penalty(std::size_t a, std::size_t b) const {
+  const bool a_off = offchip_[a];
+  const bool b_off = offchip_[b];
+  if (group_[a] == group_[b]) return a_off ? penalties_.offchip_self : penalties_.onchip_self;
+  if (a_off && b_off) return penalties_.offchip_pair;
+  if (a_off || b_off) return penalties_.mixed_pair;
+  return penalties_.onchip_pair;
+}
 
-  BalanceResult result;
-  const auto min_budget = min_body_budget(app, body_id, latency);
-  result.feasible = budget_cycles >= min_budget;
-  result.budget_cycles = std::max(budget_cycles, std::max<std::uint64_t>(min_budget, 1));
-  result.slots.assign(result.budget_cycles, {});
-  if (units.empty()) return result;
-
-  const auto dag = unit_dag(body, units);
-  std::vector<double> lat(units.size());
-  for (std::size_t u = 0; u < units.size(); ++u) {
-    lat[u] = latency.latency(app.group(body.accesses[units[u].access].group));
-  }
+BodyScheduler::Slots BodyScheduler::schedule(std::uint64_t budget) const {
+  budget = std::max(budget, std::max<std::uint64_t>(min_budget_, 1));
+  const std::size_t n = weight_.size();
+  Slots slots(budget);
+  if (n == 0) return slots;
 
   // Static ASAP / ALAP bounds define each unit's mobility window.
-  const auto asap_opt = dag.earliest_start(lat);
-  DTSE_CHECK(asap_opt.has_value(), "cyclic dependencies in body " + body.name);
-  const auto& asap = *asap_opt;
-
-  graph::Digraph reverse(units.size());
-  for (std::size_t u = 0; u < units.size(); ++u) {
-    for (const auto succ : dag.successors(u)) reverse.add_edge(succ, u);
-  }
-  const auto rev_start = reverse.earliest_start(lat);
-  DTSE_ASSERT(rev_start.has_value(), "reverse DAG must be acyclic too");
-
-  const double horizon = static_cast<double>(result.budget_cycles);
-  std::vector<double> alap(units.size());
-  for (std::size_t u = 0; u < units.size(); ++u) {
-    alap[u] = horizon - (*rev_start)[u] - lat[u];
-  }
+  const double horizon = static_cast<double>(budget);
+  std::vector<double> alap(n);
+  for (std::size_t u = 0; u < n; ++u) alap[u] = horizon - reverse_asap_[u] - latency_[u];
 
   // Schedule in topological order; among ready choices the order is by
   // mobility (tightest window first), then by weight (heavy accesses first).
-  const auto topo = dag.topological_order();
-  DTSE_ASSERT(topo.has_value(), "checked above");
-  std::vector<std::size_t> order = *topo;
+  std::vector<std::size_t> order = topo_;
   std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const double mob_a = alap[a] - asap[a];
-    const double mob_b = alap[b] - asap[b];
+    const double mob_a = alap[a] - asap_[a];
+    const double mob_b = alap[b] - asap_[b];
     if (mob_a != mob_b) return mob_a < mob_b;
-    return units[a].weight > units[b].weight;
+    return weight_[a] > weight_[b];
   });
   // Re-establish topological feasibility: sort is only a tie-break within
   // the dynamic-ASAP handling below, which tracks placed predecessors.
 
-  std::vector<long> placed_slot(units.size(), -1);
+  std::vector<long> placed_slot(n, -1);
 
   // Conflict pairs already created while scheduling this body.  Re-using an
   // existing pair barely hurts (those two groups will be simultaneously
   // accessible anyway); a *new* pair grows the conflict graph and with it
   // the number of memories allocation will need.  The discount makes the
   // scheduler cluster parallelism on few group pairs, as flow-graph
-  // balancing does.
-  std::set<std::pair<ir::BasicGroupId, ir::BasicGroupId>> seen_pairs;
-  auto pair_key = [](ir::BasicGroupId a, ir::BasicGroupId b) {
-    if (b < a) std::swap(a, b);
-    return std::make_pair(a, b);
-  };
+  // balancing does.  One flag per (group, group) pair, both orders.
+  const std::size_t groups = group_ids_.size();
+  std::vector<std::uint8_t> seen_pairs(groups * groups, 0);
   constexpr double kReusedPairDiscount = 0.25;
 
   auto placement_cost = [&](std::size_t unit, std::size_t slot) {
     double cost = 0.0;
-    const auto group_id_u = body.accesses[units[unit].access].group;
-    const auto& group_u = app.group(group_id_u);
-    for (const auto other : result.slots[slot]) {
-      const auto group_id_o = body.accesses[units[other].access].group;
-      const auto& group_o = app.group(group_id_o);
-      const bool same = group_id_u == group_id_o;
-      const double co_weight = std::min(units[unit].weight, units[other].weight);
-      double penalty = pair_penalty(group_u, group_o, same, latency, penalties);
-      if (seen_pairs.count(pair_key(group_id_u, group_id_o)) > 0) {
+    for (const auto other : slots[slot]) {
+      const double co_weight = std::min(weight_[unit], weight_[other]);
+      double penalty = pair_penalty(unit, other);
+      if (seen_pairs[group_[unit] * groups + group_[other]] != 0) {
         penalty *= kReusedPairDiscount;
       }
       cost += penalty * co_weight;
@@ -177,12 +172,12 @@ BalanceResult balance_body(const ir::Application& app, ir::LoopBodyId body_id,
     // Dynamic ASAP from already-placed predecessors (all predecessors appear
     // earlier in `order`'s topological base, but the mobility sort may have
     // moved them; fall back to the static bound when one is unplaced).
-    double ready = asap[unit];
-    for (const auto pred : dag.predecessors(unit)) {
+    double ready = asap_[unit];
+    for (const auto pred : dag_.predecessors(unit)) {
       if (placed_slot[pred] >= 0) {
-        ready = std::max(ready, static_cast<double>(placed_slot[pred]) + lat[pred]);
+        ready = std::max(ready, static_cast<double>(placed_slot[pred]) + latency_[pred]);
       } else {
-        ready = std::max(ready, asap[pred] + lat[pred]);
+        ready = std::max(ready, asap_[pred] + latency_[pred]);
       }
     }
     const auto lo = static_cast<std::size_t>(
@@ -195,7 +190,7 @@ BalanceResult balance_body(const ir::Application& app, ir::LoopBodyId body_id,
     std::size_t best_load = std::numeric_limits<std::size_t>::max();
     for (std::size_t t = lo; t <= hi; ++t) {
       const double cost = placement_cost(unit, t);
-      const std::size_t load = result.slots[t].size();
+      const std::size_t load = slots[t].size();
       if (cost < best_cost || (cost == best_cost && load < best_load)) {
         best_cost = cost;
         best_load = load;
@@ -203,33 +198,61 @@ BalanceResult balance_body(const ir::Application& app, ir::LoopBodyId body_id,
       }
       if (best_cost == 0.0 && best_load == 0) break;  // cannot improve
     }
-    for (const auto other : result.slots[best_slot]) {
-      seen_pairs.insert(pair_key(body.accesses[units[unit].access].group,
-                                 body.accesses[units[other].access].group));
+    for (const auto other : slots[best_slot]) {
+      seen_pairs[group_[unit] * groups + group_[other]] = 1;
+      seen_pairs[group_[other] * groups + group_[unit]] = 1;
     }
-    result.slots[best_slot].push_back(unit);
+    slots[best_slot].push_back(unit);
     placed_slot[unit] = static_cast<long>(best_slot);
   }
+  return slots;
+}
 
-  // Harvest the conflict graph: every pair of units sharing a slot is a
-  // conflict, weighted by expected co-occurrences per frame.
-  const auto frame_weight = static_cast<double>(body.iterations);
-  for (const auto& slot : result.slots) {
+double BodyScheduler::harvest(const Slots& slots, graph::ConflictGraph* conflicts) const {
+  // Every pair of units sharing a slot is a conflict, weighted by expected
+  // co-occurrences per frame.
+  double cost = 0.0;
+  for (const auto& slot : slots) {
     for (std::size_t i = 0; i < slot.size(); ++i) {
       for (std::size_t j = i + 1; j < slot.size(); ++j) {
-        const auto& acc_i = body.accesses[units[slot[i]].access];
-        const auto& acc_j = body.accesses[units[slot[j]].access];
-        const double co = std::min(units[slot[i]].weight, units[slot[j]].weight);
-        result.conflicts.add_conflict(acc_i.group, acc_j.group, co * frame_weight);
-        const auto& gi = app.group(acc_i.group);
-        const auto& gj = app.group(acc_j.group);
-        result.conflict_cost +=
-            pair_penalty(gi, gj, acc_i.group == acc_j.group, latency, penalties) * co *
-            frame_weight;
+        const double co = std::min(weight_[slot[i]], weight_[slot[j]]);
+        if (conflicts != nullptr) {
+          conflicts->add_conflict(group_ids_[group_[slot[i]]], group_ids_[group_[slot[j]]],
+                                  co * frame_weight_);
+        }
+        cost += pair_penalty(slot[i], slot[j]) * co * frame_weight_;
       }
     }
   }
+  return cost;
+}
+
+BalanceResult BodyScheduler::balance(std::uint64_t budget_cycles) const {
+  BalanceResult result;
+  result.feasible = budget_cycles >= min_budget_;
+  result.slots = schedule(budget_cycles);
+  result.budget_cycles = result.slots.size();
+  result.conflict_cost = harvest(result.slots, &result.conflicts);
   return result;
+}
+
+double BodyScheduler::conflict_cost(std::uint64_t budget_cycles) const {
+  return harvest(schedule(budget_cycles), nullptr);
+}
+
+std::uint64_t min_body_budget(const ir::Application& app, ir::LoopBodyId body,
+                              const graph::LatencyModel& latency) {
+  return BodyScheduler(app, body, latency).min_budget();
+}
+
+std::uint64_t serial_body_budget(const ir::Application& app, ir::LoopBodyId body) {
+  return BodyScheduler(app, body).serial_budget();
+}
+
+BalanceResult balance_body(const ir::Application& app, ir::LoopBodyId body,
+                           std::uint64_t budget_cycles, const graph::LatencyModel& latency,
+                           const ConflictPenalties& penalties) {
+  return BodyScheduler(app, body, latency, penalties).balance(budget_cycles);
 }
 
 }  // namespace dtse::scbd

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "graph/conflict_graph.hpp"
+#include "graph/digraph.hpp"
 #include "graph/macp.hpp"
 #include "ir/application.hpp"
 
@@ -40,6 +41,64 @@ struct BalanceResult {
   bool feasible = false;                     ///< budget >= dependency critical path
 };
 
+/// Budget-invariant scheduling state of one loop body: the expanded access
+/// units, their dependency DAG, per-unit latencies, ASAP and reverse-ASAP
+/// bounds, the topological order and the critical-path budget.  Building it
+/// is the part of balancing that does not depend on the budget, so
+/// `distribute_budget` builds one per body and balances every step of the
+/// body's cost curve, and the final schedule, on it.
+class BodyScheduler {
+ public:
+  BodyScheduler(const ir::Application& app, ir::LoopBodyId body,
+                const graph::LatencyModel& latency = {},
+                const ConflictPenalties& penalties = {});
+
+  /// Minimal per-iteration budget for which the body is schedulable: the
+  /// dependency critical path measured in whole cycles (0 without accesses).
+  [[nodiscard]] std::uint64_t min_budget() const { return min_budget_; }
+
+  /// Budget at which the body schedules without any conflict: all access
+  /// units in distinct cycles, or the critical path under the default
+  /// latency model when that is longer.
+  [[nodiscard]] std::uint64_t serial_budget() const { return serial_budget_; }
+
+  /// Balances the body into `budget_cycles` slots.  If the budget is below
+  /// the dependency critical path the result is marked infeasible and
+  /// scheduled at the critical-path budget instead.
+  [[nodiscard]] BalanceResult balance(std::uint64_t budget_cycles) const;
+
+  /// `balance(budget_cycles).conflict_cost` without harvesting the conflict
+  /// graph — what a cost-curve step needs.
+  [[nodiscard]] double conflict_cost(std::uint64_t budget_cycles) const;
+
+ private:
+  using Slots = std::vector<std::vector<std::size_t>>;
+
+  /// The list schedule at `budget` slots, raised to the critical path (and
+  /// to one slot) when below it.
+  [[nodiscard]] Slots schedule(std::uint64_t budget) const;
+
+  /// Penalty-weighted cost per frame of `slots`; also accumulates the
+  /// conflicts into `conflicts` when it is non-null.
+  [[nodiscard]] double harvest(const Slots& slots, graph::ConflictGraph* conflicts) const;
+
+  [[nodiscard]] double pair_penalty(std::size_t a, std::size_t b) const;
+
+  ConflictPenalties penalties_;
+  double frame_weight_ = 1.0;                 ///< body iterations per frame
+  std::vector<double> weight_;                ///< per unit: executions per iteration
+  std::vector<std::size_t> group_;            ///< per unit: body-local group index
+  std::vector<bool> offchip_;                 ///< per unit: presumed off-chip
+  std::vector<ir::BasicGroupId> group_ids_;   ///< body-local index -> group id
+  graph::Digraph dag_;
+  std::vector<double> latency_;
+  std::vector<double> asap_;
+  std::vector<double> reverse_asap_;
+  std::vector<std::size_t> topo_;
+  std::uint64_t min_budget_ = 0;
+  std::uint64_t serial_budget_ = 0;
+};
+
 /// Minimal per-iteration budget for which the body is schedulable: the
 /// dependency critical path measured in whole cycles.
 [[nodiscard]] std::uint64_t min_body_budget(const ir::Application& app, ir::LoopBodyId body,
@@ -50,9 +109,7 @@ struct BalanceResult {
 [[nodiscard]] std::uint64_t serial_body_budget(const ir::Application& app,
                                                ir::LoopBodyId body);
 
-/// Balances `body` into `budget_cycles` slots.  If the budget is below the
-/// dependency critical path the result is marked infeasible and scheduled at
-/// the critical-path budget instead.
+/// Balances `body` into `budget_cycles` slots (see `BodyScheduler::balance`).
 [[nodiscard]] BalanceResult balance_body(const ir::Application& app, ir::LoopBodyId body,
                                          std::uint64_t budget_cycles,
                                          const graph::LatencyModel& latency = {},

@@ -429,6 +429,32 @@ TEST(Allocator, AutoPickFindsFeasibleCount) {
   EXPECT_FALSE(result.onchip.empty());
 }
 
+// With an automatic memory count the reported search effort is the sum over
+// every count tried, whichever count wins.
+TEST(Allocator, AutoCountSearchNodesSumEveryCount) {
+  Fixture fix(7, 2.0);
+  fix.conflicts.add_conflict(fix.groups[0], fix.groups[1], 1.0);
+  fix.conflicts.add_conflict(fix.groups[1], fix.groups[2], 1.0);
+  fix.conflicts.add_conflict(fix.groups[0], fix.groups[2], 1.0);
+  MemoryAllocator allocator{fix.library};
+  AllocationOptions options;
+  options.onchip_memories = 0;
+  options.max_onchip_memories = 6;
+  const auto result = allocator.allocate(fix.app, fix.conflicts, options);
+  ASSERT_TRUE(result.feasible);
+
+  const auto [onchip, offchip] = allocator.partition_groups(fix.app, options);
+  ASSERT_TRUE(offchip.empty());
+  const AssignmentProblem problem(fix.app, onchip, fix.conflicts, fix.library,
+                                  options.frame_cycles);
+  std::uint64_t nodes = 0;
+  for (int n = problem.min_memories(); n <= options.max_onchip_memories; ++n) {
+    nodes += solve_assignment(problem, n, options.solver).nodes_explored;
+  }
+  EXPECT_GT(nodes, 0u);
+  EXPECT_EQ(result.search_nodes, nodes);
+}
+
 TEST(Allocator, SweepCoversRequestedCounts) {
   Fixture fix(6);
   MemoryAllocator allocator{fix.library};

@@ -1,14 +1,17 @@
 // Tests for the incremental assignment-cost engine and the multi-chain
 // annealing built on it.  The load-bearing property: the incrementally
 // maintained scalar cost equals a from-scratch evaluation after any move
-// sequence, which is what lets the solver trust O(delta) re-costing.
+// sequence, which is what lets the solver trust O(delta) re-costing.  The
+// from-scratch side is the test-side oracle in oracles/full_recost.hpp.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <optional>
 
 #include "alloc/incremental_cost.hpp"
 #include "alloc/solvers.hpp"
+#include "oracles/full_recost.hpp"
 #include "support/rng.hpp"
 
 namespace dtse::alloc {
@@ -96,10 +99,106 @@ TEST(AssignmentState, ResetDetectsInfeasibleAssignment) {
   EXPECT_TRUE(state.reset({0, 0, 1}));
 }
 
-// The correctness anchor from the issue: over 10k random moves (applied,
-// reverted, accepted in random mixture) the incremental cost stays within
-// 1e-9 of a from-scratch scalarization — and the full-recost reference mode
-// agrees move by move, including on which moves are infeasible.
+/// Drives `state` and the oracle through the same move and checks that both
+/// price it identically, bit for bit, and agree with a from-scratch evaluate.
+void expect_same_costs(const AssignmentState& state, const oracle::FullRecostState& full,
+                       const AssignmentProblem& problem, int memories,
+                       const memlib::CostWeights& weights) {
+  ASSERT_EQ(state.assignment(), full.assignment());
+  EXPECT_EQ(state.scalar_cost(), full.scalar_cost());
+  const auto summary = problem.evaluate(state.assignment(), memories);
+  ASSERT_TRUE(summary.has_value());
+  EXPECT_EQ(state.scalar_cost(), weights.scalarize(*summary));
+  EXPECT_EQ(state.onchip_total().area_mm2, summary->onchip_area_mm2);
+  EXPECT_EQ(state.onchip_total().power_mw, summary->onchip_power_mw);
+}
+
+void apply_both(AssignmentState& state, oracle::FullRecostState& full, std::size_t group,
+                int new_m) {
+  const auto fast = state.apply(group, new_m);
+  const auto slow = full.apply(group, new_m);
+  ASSERT_TRUE(fast.has_value() && slow.has_value());
+  EXPECT_EQ(*fast, *slow);
+}
+
+void revert_both(AssignmentState& state, oracle::FullRecostState& full) {
+  state.revert();
+  full.revert();
+}
+
+// The memory width is the max over its members.  When the only member at
+// that width leaves, the state must find the next-widest member; a revert
+// must restore the old width.  Fixture widths cycle 4, 8, 12, 16.
+TEST(AssignmentState, OnlyWidestMemberLeavingShrinksTheWidth) {
+  constexpr int kMemories = 3;
+  Fixture fix(6);
+  const auto problem = fix.problem();
+  const memlib::CostWeights weights;
+  AssignmentState state(problem, kMemories, weights);
+  oracle::FullRecostState full(problem, kMemories, weights);
+  // Memory 0 holds widths {4, 8, 16}; group 3 is its only 16-bit member.
+  const std::vector<int> start = {0, 0, 1, 0, 1, 2};
+  ASSERT_TRUE(state.reset(start));
+  ASSERT_TRUE(full.reset(start));
+  expect_same_costs(state, full, problem, kMemories, weights);
+
+  apply_both(state, full, 3, 2);  // memory 0 narrows to 8 bits
+  expect_same_costs(state, full, problem, kMemories, weights);
+  revert_both(state, full);       // and widens back to 16
+  expect_same_costs(state, full, problem, kMemories, weights);
+  EXPECT_EQ(state.assignment(), start);
+
+  apply_both(state, full, 3, 1);  // memory 1 widens from 12 to 16 bits
+  expect_same_costs(state, full, problem, kMemories, weights);
+  apply_both(state, full, 2, 0);  // memory 1's 12-bit member leaves a 16-bit holder
+  expect_same_costs(state, full, problem, kMemories, weights);
+  apply_both(state, full, 3, 0);  // memory 1 drops back to its 4-bit member
+  expect_same_costs(state, full, problem, kMemories, weights);
+  revert_both(state, full);
+  expect_same_costs(state, full, problem, kMemories, weights);
+
+  // Emptying a memory, then refilling it, starts its width from scratch.
+  apply_both(state, full, 5, 0);
+  expect_same_costs(state, full, problem, kMemories, weights);
+  apply_both(state, full, 1, 2);
+  expect_same_costs(state, full, problem, kMemories, weights);
+}
+
+// Two members tie at the max width: the first to leave must not narrow the
+// memory, the second must; reverts step back through both states.
+TEST(AssignmentState, TiedWidestMembersLeaveOneAtATime) {
+  constexpr int kMemories = 3;
+  Fixture fix(8);
+  const auto problem = fix.problem();
+  const memlib::CostWeights weights;
+  AssignmentState state(problem, kMemories, weights);
+  oracle::FullRecostState full(problem, kMemories, weights);
+  // Memory 0 holds widths {4, 16, 16} (groups 0, 3, 7).
+  const std::vector<int> start = {0, 1, 1, 0, 2, 2, 1, 0};
+  ASSERT_TRUE(state.reset(start));
+  ASSERT_TRUE(full.reset(start));
+  expect_same_costs(state, full, problem, kMemories, weights);
+
+  apply_both(state, full, 3, 1);  // one 16-bit holder left: width stays 16
+  expect_same_costs(state, full, problem, kMemories, weights);
+  apply_both(state, full, 7, 2);  // none left: width falls to 4
+  expect_same_costs(state, full, problem, kMemories, weights);
+  revert_both(state, full);       // group 7 returns: 16 again
+  expect_same_costs(state, full, problem, kMemories, weights);
+  apply_both(state, full, 7, 1);  // memory 1 now ties 16-bit groups 3 and 7
+  expect_same_costs(state, full, problem, kMemories, weights);
+  revert_both(state, full);
+  expect_same_costs(state, full, problem, kMemories, weights);
+  apply_both(state, full, 3, 0);  // group 3 rejoins the tie in memory 0
+  expect_same_costs(state, full, problem, kMemories, weights);
+  revert_both(state, full);
+  expect_same_costs(state, full, problem, kMemories, weights);
+}
+
+// The correctness anchor: over 10k random moves (applied, reverted, accepted
+// in random mixture) the incremental cost stays within 1e-9 of a
+// from-scratch scalarization — and the full-recost oracle agrees move by
+// move, including on which moves are infeasible.
 TEST(AssignmentState, IncrementalMatchesFullRecostOver10kRandomMoves) {
   constexpr int kMemories = 4;
   Fixture fix(12, 2.0);
@@ -108,8 +207,8 @@ TEST(AssignmentState, IncrementalMatchesFullRecostOver10kRandomMoves) {
   const memlib::CostWeights weights;
   const auto start = greedy_start(problem, kMemories);
 
-  AssignmentState incremental(problem, kMemories, weights, CostMode::kIncremental);
-  AssignmentState full(problem, kMemories, weights, CostMode::kFullRecost);
+  AssignmentState incremental(problem, kMemories, weights);
+  oracle::FullRecostState full(problem, kMemories, weights);
   ASSERT_TRUE(incremental.reset(start));
   ASSERT_TRUE(full.reset(start));
 
@@ -144,7 +243,7 @@ TEST(AssignmentState, IncrementalMatchesFullRecostOver10kRandomMoves) {
 
 // The O(members) count-maintenance path at the member-set sizes it exists
 // for: 96 groups in 3 memories average 32 members per memory, so every move
-// exercises bitset-sized neighbourhoods, and the full-recost reference (which
+// exercises bitset-sized neighbourhoods, and the full-recost oracle (which
 // re-derives the port counts from scratch through `simultaneous_accesses`)
 // must agree move by move — including on which moves are infeasible.
 TEST(AssignmentState, IncrementalMatchesFullRecostWithLargeMemberSets) {
@@ -166,8 +265,8 @@ TEST(AssignmentState, IncrementalMatchesFullRecostWithLargeMemberSets) {
   const memlib::CostWeights weights;
   const auto start = greedy_start(problem, kMemories);
 
-  AssignmentState incremental(problem, kMemories, weights, CostMode::kIncremental);
-  AssignmentState full(problem, kMemories, weights, CostMode::kFullRecost);
+  AssignmentState incremental(problem, kMemories, weights);
+  oracle::FullRecostState full(problem, kMemories, weights);
   ASSERT_TRUE(incremental.reset(start));
   ASSERT_TRUE(full.reset(start));
 
@@ -243,9 +342,10 @@ TEST(Solvers, MultiChainIsDeterministicAcrossParallelism) {
   }
 }
 
-TEST(Solvers, IncrementalAndFullRecostChainsAreIdentical) {
-  // The incremental cost is bit-exact, so the two modes see the same deltas,
-  // make the same accept decisions, and land on the same solution.
+// Pinned annealing trajectory, recorded before the per-memory aggregates
+// replaced the member lists: the incremental cost is bit-exact, so the
+// chains make the same accept decisions and land on the same solution.
+TEST(Solvers, AnnealingTrajectoryIsPinned) {
   Fixture fix(11);
   fix.add_conflict_pattern();
   const auto problem = fix.problem();
@@ -255,14 +355,38 @@ TEST(Solvers, IncrementalAndFullRecostChainsAreIdentical) {
   options.sa_chains = 2;
   options.seed = 5;
 
-  options.sa_incremental = true;
-  const auto fast = solve_assignment(problem, 4, options);
-  options.sa_incremental = false;
-  const auto reference = solve_assignment(problem, 4, options);
-  ASSERT_TRUE(fast.feasible && reference.feasible);
-  EXPECT_EQ(fast.assignment, reference.assignment);
-  EXPECT_DOUBLE_EQ(fast.scalar_cost, reference.scalar_cost);
-  EXPECT_EQ(fast.accepted_moves, reference.accepted_moves);
+  const auto solution = solve_assignment(problem, 4, options);
+  ASSERT_TRUE(solution.feasible);
+  std::uint64_t cost_bits = 0;
+  std::memcpy(&cost_bits, &solution.scalar_cost, sizeof(cost_bits));
+  EXPECT_EQ(solution.assignment, (std::vector<int>{2, 0, 1, 3, 2, 0, 1, 3, 0, 0, 1}));
+  EXPECT_EQ(cost_bits, 0x4041dc04833c9ebdull) << std::hex << cost_bits;
+  EXPECT_EQ(solution.accepted_moves, 105u);
+  EXPECT_EQ(solution.nodes_explored, 1514u);
+}
+
+// The oracle's chain replay is the solver's chain 0: with one chain it lands
+// on the solver's answer through either cost path, move for move.
+TEST(Solvers, GreedyChainReplayMatchesSolver) {
+  Fixture fix(12, 2.0);
+  fix.add_conflict_pattern();
+  const auto problem = fix.problem();
+  SolverOptions options;
+  options.solver = Solver::kSimulatedAnnealing;
+  options.sa_iterations = 3000;
+  options.sa_chains = 1;
+  options.seed = 9;
+
+  const auto solution = solve_assignment(problem, 4, options);
+  const auto fast = oracle::anneal_greedy_chain<AssignmentState>(problem, 4, options);
+  const auto full = oracle::anneal_greedy_chain<oracle::FullRecostState>(problem, 4, options);
+  ASSERT_TRUE(solution.feasible);
+  for (const auto* run : {&fast, &full}) {
+    EXPECT_EQ(run->best_assignment, solution.assignment);
+    EXPECT_EQ(run->best_cost, solution.scalar_cost);
+    EXPECT_EQ(run->moves, solution.nodes_explored);
+    EXPECT_EQ(run->accepted, solution.accepted_moves);
+  }
 }
 
 TEST(Solvers, DiversifiedStartsAreDeterministicAndNeverLoseToGreedy) {

@@ -1,9 +1,13 @@
 // Tests for flow-graph balancing and storage cycle budget distribution.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "obs/telemetry.hpp"
 #include "scbd/budget_distribution.hpp"
 #include "scbd/flow_graph_balancing.hpp"
 #include "support/check.hpp"
+#include "workloads/workload.hpp"
 
 namespace dtse::scbd {
 namespace {
@@ -250,6 +254,94 @@ TEST_P(BudgetSweep, UsedNeverExceedsBudgetWhenFeasible) {
 INSTANTIATE_TEST_SUITE_P(Budgets, BudgetSweep,
                          ::testing::Values(1500, 2020, 2100, 2500, 3000, 4040, 9999,
                                            100000));
+
+// --- one scheduling context per body ------------------------------------------
+
+/// The tuned default models of every registered workload.
+const std::vector<ir::Application>& default_models() {
+  static const auto models = [] {
+    std::vector<ir::Application> apps;
+    for (const auto name : workloads::workload_names()) {
+      const auto* workload = workloads::find_workload(name);
+      apps.push_back(workload->tuned_variant(workload->profile({})));
+    }
+    return apps;
+  }();
+  return models;
+}
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+void expect_same_schedule(const BalanceResult& a, const BalanceResult& b,
+                          const std::string& where) {
+  EXPECT_EQ(a.budget_cycles, b.budget_cycles) << where;
+  EXPECT_EQ(a.feasible, b.feasible) << where;
+  EXPECT_EQ(a.slots, b.slots) << where;
+  EXPECT_EQ(bits_of(a.conflict_cost), bits_of(b.conflict_cost)) << where;
+  const auto edges_a = a.conflicts.edges();
+  const auto edges_b = b.conflicts.edges();
+  ASSERT_EQ(edges_a.size(), edges_b.size()) << where;
+  for (std::size_t e = 0; e < edges_a.size(); ++e) {
+    EXPECT_EQ(edges_a[e].a, edges_b[e].a) << where;
+    EXPECT_EQ(edges_a[e].b, edges_b[e].b) << where;
+    EXPECT_EQ(bits_of(edges_a[e].weight), bits_of(edges_b[e].weight)) << where;
+  }
+}
+
+// The schedules `distribute_budget` returns come from its per-body contexts;
+// each must equal a standalone `balance_body` at the chosen budget.
+TEST(BodyScheduler, DistributedSchedulesMatchStandaloneBalancing) {
+  for (const auto& app : default_models()) {
+    for (const std::uint64_t budget : {20'000'000u, 15'000'000u, 11'600'000u}) {
+      ScbdOptions options;
+      options.global_budget_cycles = budget;
+      const auto result = distribute_budget(app, options);
+      for (const auto& body : result.bodies) {
+        expect_same_schedule(body.schedule,
+                             balance_body(app, body.body, body.budget_cycles,
+                                          options.latency, options.penalties),
+                             app.name() + "/" + body.name + " at " + std::to_string(budget));
+      }
+    }
+  }
+}
+
+// Cost-curve steps skip the conflict graph; their cost must still be the full
+// path's, bit for bit, at every budget from the minimum to the serial one.
+TEST(BodyScheduler, CurveCostMatchesFullBalancingAtEveryBudget) {
+  for (const auto& app : default_models()) {
+    for (const auto id : app.body_ids()) {
+      const BodyScheduler scheduler(app, id);
+      EXPECT_EQ(scheduler.min_budget(), min_body_budget(app, id, {}));
+      EXPECT_EQ(scheduler.serial_budget(), serial_body_budget(app, id));
+      const auto lo = std::max<std::uint64_t>(scheduler.min_budget(), 1);
+      const auto hi = std::max(scheduler.serial_budget(), lo);
+      for (std::uint64_t b = lo; b <= hi; ++b) {
+        const auto full = scheduler.balance(b);
+        EXPECT_EQ(bits_of(scheduler.conflict_cost(b)), bits_of(full.conflict_cost))
+            << app.name() << "/" << app.body(id).name << " at " << b;
+        expect_same_schedule(full, balance_body(app, id, b),
+                             app.name() + "/" + app.body(id).name);
+      }
+    }
+  }
+}
+
+TEST(BodyScheduler, DistributionBuildsOneContextPerBody) {
+#ifdef DTSE_OBS_OFF
+  GTEST_SKIP() << "counters compile out";
+#endif
+  auto& counter = obs::TelemetryRegistry::global().counter("scbd.body_schedulers");
+  for (const auto& app : default_models()) {
+    const auto before = counter.value();
+    (void)distribute_budget(app, {});
+    EXPECT_EQ(counter.value() - before, app.body_ids().size()) << app.name();
+  }
+}
 
 }  // namespace
 }  // namespace dtse::scbd
