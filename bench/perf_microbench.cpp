@@ -23,7 +23,6 @@
 #include "scbd/budget_distribution.hpp"
 #include "support/image.hpp"
 #include "support/rng.hpp"
-#include "support/simd.hpp"
 #include "trace/instrumented_array.hpp"
 #include "trace/recorder.hpp"
 #include "workloads/hyperspec_workload.hpp"
@@ -56,24 +55,6 @@ void BM_EncodeLossless(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(size) * size);
 }
 BENCHMARK(BM_EncodeLossless)->Arg(64)->Arg(128)->Arg(256);
-
-// Scalar twin of BM_EncodeLossless: dispatch pinned to the golden reference
-// loops.  The default bench runs kAuto (the widest SIMD path the host has),
-// so the pair prices the predict-pass vectorization directly — same input,
-// same stream, different kernels.
-void BM_EncodeLosslessScalar(benchmark::State& state) {
-  const int size = static_cast<int>(state.range(0));
-  const auto image =
-      support::make_synthetic_image(size, size, support::SyntheticKind::kCompound, 7);
-  btpc::Encoder encoder(size, size);
-  btpc::CodecOptions options;
-  options.simd = support::SimdMode::kScalar;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(encoder.encode(image, options));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(size) * size);
-}
-BENCHMARK(BM_EncodeLosslessScalar)->Arg(64)->Arg(128)->Arg(256);
 
 void BM_DecodeLossless(benchmark::State& state) {
   const int size = static_cast<int>(state.range(0));
@@ -538,24 +519,6 @@ void BM_HyperspecEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_HyperspecEncode)->Arg(64)->Arg(128);
 
-// Scalar twin of BM_HyperspecEncode (see BM_EncodeLosslessScalar): prices the
-// local-sum/residual-mapping vectorization against the reference loop.
-void BM_HyperspecEncodeScalar(benchmark::State& state) {
-  workloads::WorkloadOptions profile_options;
-  profile_options.profile_size = static_cast<int>(state.range(0));
-  const auto shape = workloads::HyperspecWorkload{}.profile_shape(profile_options);
-  const auto cube = hyperspec::make_synthetic_cube(shape, 7);
-  hyperspec::Encoder encoder(shape);
-  hyperspec::HsCodecOptions options;
-  options.simd = support::SimdMode::kScalar;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(encoder.encode(cube, options));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(shape.samples()));
-}
-BENCHMARK(BM_HyperspecEncodeScalar)->Arg(64)->Arg(128);
-
 // The motion workload's kernel: one uninstrumented block-matching run (Arg =
 // frame edge; 0 selects full search instead of the default three-step).
 void BM_MotionEstimate(benchmark::State& state) {
@@ -570,22 +533,6 @@ void BM_MotionEstimate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(edge) * edge);
 }
 BENCHMARK(BM_MotionEstimate)->Args({96, 1})->Args({96, 0})->Args({176, 1});
-
-// Scalar twin of BM_MotionEstimate (see BM_EncodeLosslessScalar): prices the
-// widening SAD accumulate against the reference per-pixel loop.
-void BM_MotionEstimateScalar(benchmark::State& state) {
-  const int edge = static_cast<int>(state.range(0));
-  motion::MotionOptions options;
-  if (state.range(1) == 0) options.search = motion::SearchStrategy::kFullSearch;
-  options.simd = support::SimdMode::kScalar;
-  const auto frames = motion::make_synthetic_frame_pair(edge, edge, 7);
-  motion::Estimator estimator(edge, edge, options);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(estimator.estimate(frames.reference, frames.current));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(edge) * edge);
-}
-BENCHMARK(BM_MotionEstimateScalar)->Args({96, 1})->Args({96, 0})->Args({176, 1});
 
 // The motion workload's exploration path: profile once outside the timed
 // region, then sweep the allocation counts of its memory organization.

@@ -19,17 +19,16 @@ cmake --build "$BUILD_DIR" -j --target perf_microbench
 
 # The trajectory must cover the workload-roster benchmarks: a snapshot that
 # silently dropped them (filtered run, renamed bench) would let the nightly
-# compare gate pass on an empty intersection.  The *Scalar twins must be
-# present too — without both halves the scalar-vs-SIMD ratio in the
-# trajectory is unreadable — and so must the profiling hot path and the
-# what-if query hot path (budget distribution and annealing moves).
-for bench in BM_MotionEstimate BM_MotionEstimateScalar \
+# compare gate pass on an empty intersection.  The profiling hot path and the
+# what-if query hot path (budget distribution and annealing moves) must be
+# present too.
+for bench in BM_MotionEstimate \
              BM_RecorderReuseWindow BM_ProfiledEncode \
              BM_ExploreMotion BM_ExploreMultiWorkload \
-             BM_HyperspecEncode BM_HyperspecEncodeScalar BM_ProfiledFeedback256 \
+             BM_HyperspecEncode BM_ProfiledFeedback256 \
              BM_PersistRoundTrip BM_ProfileCacheHit \
              BM_BitWriterThroughput BM_BitReaderThroughput \
-             BM_EncodeLossless BM_EncodeLosslessScalar \
+             BM_EncodeLossless \
              BM_EntropyHuffman BM_EntropyRice BM_EntropyExpGolomb BM_EntropyRans \
              BM_TelemetryOverhead BM_ScbdDistribution BM_AnnealingIncremental; do
   if ! grep -q "\"$bench" "$OUT"; then

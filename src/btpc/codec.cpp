@@ -7,11 +7,8 @@
 #include "btpc/predictor.hpp"
 #include "entropy/exp_golomb.hpp"
 #include "entropy/golomb_rice.hpp"
+#include "support/byte_io.hpp"
 #include "support/check.hpp"
-
-#if DTSE_SIMD_SSE2
-#include <immintrin.h>
-#endif
 
 namespace dtse::btpc {
 
@@ -46,242 +43,6 @@ int effective_tile_rows(const CodecOptions& options, int width, int height) {
   const int budget_rows = static_cast<int>((256 * 1024) / (static_cast<long>(width) * 4));
   return std::clamp(budget_rows, 16, std::max(16, height));
 }
-
-#if DTSE_SIMD_SSE2
-/// The neighbour/context rows feeding one scale-0 predict row: at scale 0
-/// all four parents and both causal context samples sit on the rows
-/// y-2 .. y+1, so a row kernel needs exactly these four base pointers.
-struct BtpcRows {
-  const std::uint16_t* row;     ///< y: west2 and the actual sample (and the
-                                ///<    axial west/east parents)
-  const std::uint16_t* north;   ///< y-1: diagonal parents / axial north
-  const std::uint16_t* south;   ///< y+1: diagonal parents / axial south
-  const std::uint16_t* north2;  ///< y-2: causal refinement context
-  bool square;                  ///< phase: diagonal vs axial parents
-};
-
-/// Gathers 8 lattice samples at stride 2 starting at p (reads p[0..15]).
-/// Samples are <= 255, so the masked dwords pack without saturation.
-inline __m128i btpc_gather2_sse2(const std::uint16_t* p) {
-  const __m128i mask = _mm_set1_epi32(0xFFFF);
-  const __m128i a =
-      _mm_and_si128(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)), mask);
-  const __m128i b = _mm_and_si128(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 8)), mask);
-  return _mm_packs_epi32(a, b);
-}
-
-/// Exact lane-parallel v / 3: (v * 43691) >> 17 for 0 <= v <= 766 (43691 =
-/// (2^17 + 1) / 3; the error term v / (3 * 2^17) never crosses the floor).
-inline __m128i btpc_div3_sse2(__m128i v) {
-  return _mm_srli_epi16(
-      _mm_mulhi_epu16(v, _mm_set1_epi16(static_cast<short>(0xAAAB))), 1);
-}
-
-inline __m128i btpc_sel_sse2(__m128i mask, __m128i a, __m128i b) {
-  return _mm_or_si128(_mm_and_si128(mask, a), _mm_andnot_si128(mask, b));
-}
-
-/// Predicts the 8 scale-0 detail points x = xb, xb+2, ..., xb+14 of one row:
-/// per lane the folded residual and the refined pixel class, mirroring
-/// predict_from_neighbours + refine_class comparator for comparator.
-/// Requires xb >= 2 and xb + 16 <= width - 1 (every gather stays in-row).
-void btpc_predict_block_sse2(const BtpcRows& r, int xb, std::uint16_t* folded,
-                             std::uint16_t* cls) {
-  __m128i n0, n1, n2, n3;
-  if (r.square) {
-    n0 = btpc_gather2_sse2(r.north + xb - 1);
-    n1 = btpc_gather2_sse2(r.north + xb + 1);
-    n2 = btpc_gather2_sse2(r.south + xb - 1);
-    n3 = btpc_gather2_sse2(r.south + xb + 1);
-  } else {
-    n0 = btpc_gather2_sse2(r.row + xb - 1);
-    n1 = btpc_gather2_sse2(r.row + xb + 1);
-    n2 = btpc_gather2_sse2(r.north + xb);
-    n3 = btpc_gather2_sse2(r.south + xb);
-  }
-  // The 5-comparator sorting network as lane-parallel min/max.
-  const __m128i s0 = _mm_min_epi16(n0, n1);
-  const __m128i s1 = _mm_max_epi16(n0, n1);
-  const __m128i s2 = _mm_min_epi16(n2, n3);
-  const __m128i s3 = _mm_max_epi16(n2, n3);
-  const __m128i t0 = _mm_min_epi16(s0, s2);
-  const __m128i t2 = _mm_max_epi16(s0, s2);
-  const __m128i t1 = _mm_min_epi16(s1, s3);
-  const __m128i t3 = _mm_max_epi16(s1, s3);
-  const __m128i u1 = _mm_min_epi16(t1, t2);
-  const __m128i u2 = _mm_max_epi16(t1, t2);
-  // Sorted: t0 <= u1 <= u2 <= t3.
-  const __m128i range = _mm_sub_epi16(t3, t0);
-  const __m128i low_gap = _mm_sub_epi16(u1, t0);
-  const __m128i high_gap = _mm_sub_epi16(t3, u2);
-  const __m128i core = _mm_sub_epi16(u2, u1);
-  const __m128i zero = _mm_setzero_si128();
-  const __m128i one = _mm_set1_epi16(1);
-  const __m128i eight = _mm_set1_epi16(8);
-
-  const __m128i m_smooth = _mm_cmplt_epi16(range, _mm_set1_epi16(3));
-  const __m128i m_rhigh = _mm_cmpgt_epi16(
-      high_gap, _mm_add_epi16(core, _mm_add_epi16(low_gap, eight)));
-  const __m128i m_rlow = _mm_cmpgt_epi16(
-      low_gap, _mm_add_epi16(core, _mm_add_epi16(high_gap, eight)));
-  const __m128i m_edge =
-      _mm_and_si128(_mm_cmpgt_epi16(range, _mm_set1_epi16(32)),
-                    _mm_cmpgt_epi16(core, _mm_add_epi16(low_gap, high_gap)));
-
-  const __m128i mid_sum = _mm_add_epi16(u1, u2);
-  const __m128i v_smooth = _mm_srli_epi16(
-      _mm_add_epi16(_mm_add_epi16(_mm_add_epi16(t0, t3), mid_sum),
-                    _mm_set1_epi16(2)),
-      2);
-  const __m128i v_rhigh = btpc_div3_sse2(_mm_add_epi16(_mm_add_epi16(t0, mid_sum), one));
-  const __m128i v_rlow = btpc_div3_sse2(_mm_add_epi16(_mm_add_epi16(mid_sum, t3), one));
-  const __m128i v_mid = _mm_srli_epi16(_mm_add_epi16(mid_sum, one), 1);
-
-  // Value and class cascade in reverse priority order; the scalar branches
-  // are mutually exclusive, so only the ordering of smooth matters.
-  __m128i value = v_mid;
-  value = btpc_sel_sse2(m_rlow, v_rlow, value);
-  value = btpc_sel_sse2(m_rhigh, v_rhigh, value);
-  value = btpc_sel_sse2(m_smooth, v_smooth, value);
-
-  const __m128i k_textured = _mm_set1_epi16(static_cast<int>(PixelClass::kTextured));
-  const __m128i k_ridge = _mm_set1_epi16(static_cast<int>(PixelClass::kRidge));
-  __m128i cls_v = k_textured;
-  cls_v = btpc_sel_sse2(
-      m_edge, _mm_set1_epi16(static_cast<int>(PixelClass::kEdge)), cls_v);
-  cls_v = btpc_sel_sse2(m_rlow, k_ridge, cls_v);
-  cls_v = btpc_sel_sse2(m_rhigh, k_ridge, cls_v);
-
-  // refine_class on the smooth lanes: causal west2/north2 activity.
-  const __m128i west2 = btpc_gather2_sse2(r.row + xb - 2);
-  const __m128i north2 = btpc_gather2_sse2(r.north2 + xb);
-  const __m128i dw = _mm_sub_epi16(west2, value);
-  const __m128i dn = _mm_sub_epi16(north2, value);
-  const __m128i act = _mm_add_epi16(_mm_max_epi16(dw, _mm_sub_epi16(zero, dw)),
-                                    _mm_max_epi16(dn, _mm_sub_epi16(zero, dn)));
-  const __m128i smooth_cls = btpc_sel_sse2(
-      _mm_cmpgt_epi16(act, _mm_set1_epi16(24)), k_textured,
-      _mm_set1_epi16(static_cast<int>(PixelClass::kSmooth)));
-  cls_v = btpc_sel_sse2(m_smooth, smooth_cls, cls_v);
-
-  // Fold the lossless residual: 2|e| for e >= 0, 2|e| - 1 for e < 0 (the
-  // compare mask is the all-ones -1).
-  const __m128i actual = btpc_gather2_sse2(r.row + xb);
-  const __m128i e = _mm_sub_epi16(actual, value);
-  const __m128i abs_e = _mm_max_epi16(e, _mm_sub_epi16(zero, e));
-  const __m128i neg = _mm_cmplt_epi16(e, zero);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(folded),
-                   _mm_add_epi16(_mm_slli_epi16(abs_e, 1), neg));
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(cls), cls_v);
-}
-#endif  // DTSE_SIMD_SSE2
-
-#if DTSE_SIMD_AVX2
-/// 16-lane stride-2 gather (reads p[0..31]); the qword permute undoes the
-/// per-128-bit-lane interleave of the dword pack.
-DTSE_TARGET_AVX2 inline __m256i btpc_gather2_avx2(const std::uint16_t* p) {
-  const __m256i mask = _mm256_set1_epi32(0xFFFF);
-  const __m256i a = _mm256_and_si256(
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)), mask);
-  const __m256i b = _mm256_and_si256(
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 16)), mask);
-  return _mm256_permute4x64_epi64(_mm256_packs_epi32(a, b), 0xD8);
-}
-
-DTSE_TARGET_AVX2 inline __m256i btpc_div3_avx2(__m256i v) {
-  return _mm256_srli_epi16(
-      _mm256_mulhi_epu16(v, _mm256_set1_epi16(static_cast<short>(0xAAAB))), 1);
-}
-
-/// 16-lane AVX2 twin of btpc_predict_block_sse2 (identical arithmetic).
-/// Requires xb >= 2 and xb + 32 <= width - 1.
-DTSE_TARGET_AVX2
-void btpc_predict_block_avx2(const BtpcRows& r, int xb, std::uint16_t* folded,
-                             std::uint16_t* cls) {
-  __m256i n0, n1, n2, n3;
-  if (r.square) {
-    n0 = btpc_gather2_avx2(r.north + xb - 1);
-    n1 = btpc_gather2_avx2(r.north + xb + 1);
-    n2 = btpc_gather2_avx2(r.south + xb - 1);
-    n3 = btpc_gather2_avx2(r.south + xb + 1);
-  } else {
-    n0 = btpc_gather2_avx2(r.row + xb - 1);
-    n1 = btpc_gather2_avx2(r.row + xb + 1);
-    n2 = btpc_gather2_avx2(r.north + xb);
-    n3 = btpc_gather2_avx2(r.south + xb);
-  }
-  const __m256i s0 = _mm256_min_epi16(n0, n1);
-  const __m256i s1 = _mm256_max_epi16(n0, n1);
-  const __m256i s2 = _mm256_min_epi16(n2, n3);
-  const __m256i s3 = _mm256_max_epi16(n2, n3);
-  const __m256i t0 = _mm256_min_epi16(s0, s2);
-  const __m256i t2 = _mm256_max_epi16(s0, s2);
-  const __m256i t1 = _mm256_min_epi16(s1, s3);
-  const __m256i t3 = _mm256_max_epi16(s1, s3);
-  const __m256i u1 = _mm256_min_epi16(t1, t2);
-  const __m256i u2 = _mm256_max_epi16(t1, t2);
-  const __m256i range = _mm256_sub_epi16(t3, t0);
-  const __m256i low_gap = _mm256_sub_epi16(u1, t0);
-  const __m256i high_gap = _mm256_sub_epi16(t3, u2);
-  const __m256i core = _mm256_sub_epi16(u2, u1);
-  const __m256i zero = _mm256_setzero_si256();
-  const __m256i one = _mm256_set1_epi16(1);
-  const __m256i eight = _mm256_set1_epi16(8);
-
-  const __m256i m_smooth = _mm256_cmpgt_epi16(_mm256_set1_epi16(3), range);
-  const __m256i m_rhigh = _mm256_cmpgt_epi16(
-      high_gap, _mm256_add_epi16(core, _mm256_add_epi16(low_gap, eight)));
-  const __m256i m_rlow = _mm256_cmpgt_epi16(
-      low_gap, _mm256_add_epi16(core, _mm256_add_epi16(high_gap, eight)));
-  const __m256i m_edge = _mm256_and_si256(
-      _mm256_cmpgt_epi16(range, _mm256_set1_epi16(32)),
-      _mm256_cmpgt_epi16(core, _mm256_add_epi16(low_gap, high_gap)));
-
-  const __m256i mid_sum = _mm256_add_epi16(u1, u2);
-  const __m256i v_smooth = _mm256_srli_epi16(
-      _mm256_add_epi16(_mm256_add_epi16(_mm256_add_epi16(t0, t3), mid_sum),
-                       _mm256_set1_epi16(2)),
-      2);
-  const __m256i v_rhigh =
-      btpc_div3_avx2(_mm256_add_epi16(_mm256_add_epi16(t0, mid_sum), one));
-  const __m256i v_rlow =
-      btpc_div3_avx2(_mm256_add_epi16(_mm256_add_epi16(mid_sum, t3), one));
-  const __m256i v_mid = _mm256_srli_epi16(_mm256_add_epi16(mid_sum, one), 1);
-
-  __m256i value = v_mid;
-  value = _mm256_blendv_epi8(value, v_rlow, m_rlow);
-  value = _mm256_blendv_epi8(value, v_rhigh, m_rhigh);
-  value = _mm256_blendv_epi8(value, v_smooth, m_smooth);
-
-  const __m256i k_textured =
-      _mm256_set1_epi16(static_cast<int>(PixelClass::kTextured));
-  const __m256i k_ridge = _mm256_set1_epi16(static_cast<int>(PixelClass::kRidge));
-  __m256i cls_v = k_textured;
-  cls_v = _mm256_blendv_epi8(
-      cls_v, _mm256_set1_epi16(static_cast<int>(PixelClass::kEdge)), m_edge);
-  cls_v = _mm256_blendv_epi8(cls_v, k_ridge, m_rlow);
-  cls_v = _mm256_blendv_epi8(cls_v, k_ridge, m_rhigh);
-
-  const __m256i west2 = btpc_gather2_avx2(r.row + xb - 2);
-  const __m256i north2 = btpc_gather2_avx2(r.north2 + xb);
-  const __m256i act =
-      _mm256_add_epi16(_mm256_abs_epi16(_mm256_sub_epi16(west2, value)),
-                       _mm256_abs_epi16(_mm256_sub_epi16(north2, value)));
-  const __m256i smooth_cls = _mm256_blendv_epi8(
-      _mm256_set1_epi16(static_cast<int>(PixelClass::kSmooth)), k_textured,
-      _mm256_cmpgt_epi16(act, _mm256_set1_epi16(24)));
-  cls_v = _mm256_blendv_epi8(cls_v, smooth_cls, m_smooth);
-
-  const __m256i actual = btpc_gather2_avx2(r.row + xb);
-  const __m256i e = _mm256_sub_epi16(actual, value);
-  const __m256i abs_e = _mm256_abs_epi16(e);
-  const __m256i neg = _mm256_cmpgt_epi16(zero, e);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(folded),
-                      _mm256_add_epi16(_mm256_slli_epi16(abs_e, 1), neg));
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(cls), cls_v);
-}
-#endif  // DTSE_SIMD_AVX2
 
 }  // namespace
 
@@ -400,18 +161,6 @@ void Encoder::init_tables(const CodecOptions& options) {
 
 void Encoder::predict_pass(const LevelSpec& level, const CodecOptions& options,
                            int y_begin, int y_end) {
-#if DTSE_SIMD_SSE2
-  // The vector twin covers the lossless scale-0 strips (the bulk of the
-  // detail points); lossy mode keeps the scalar loop — its in-loop
-  // reconstruction writes back into image_, a loop-carried dependency the
-  // lattice row kernel cannot honour.  Instrumented runs always take the
-  // scalar sequence so the recorded profile is dispatch-invariant.
-  if (recorder_ == nullptr && simd_ != support::SimdMode::kScalar &&
-      !options.lossy && level.scale == 0) {
-    predict_pass_simd(level, options, y_begin, y_end);
-    return;
-  }
-#endif
   visit_detail_points_in_rows(level, width_, height_, y_begin, y_end,
                               [&](Point p) { predict_point(p, level, options); });
 }
@@ -465,70 +214,6 @@ void Encoder::predict_point(Point p, const LevelSpec& level,
                    static_cast<int>(prediction.pixel_class));
   }
 }
-
-#if DTSE_SIMD_SSE2
-void Encoder::predict_pass_simd(const LevelSpec& level, const CodecOptions& options,
-                                int y_begin, int y_end) {
-  // Preconditions (checked by the caller): scale 0, lossless, uninstrumented.
-  // Row/point enumeration mirrors visit_detail_points_in_rows exactly — the
-  // escape FIFO and value deque fill in raster order, which the encode pass
-  // replays.
-  const int w = width_;
-  const int h = height_;
-  const std::uint16_t* img = image_.flat().raw().data();
-  const bool square = level.phase == Phase::kSquare;
-  const int y_stop = std::min(y_end, h);
-
-  alignas(32) std::uint16_t folded[16];
-  alignas(32) std::uint16_t cls[16];
-
-  const auto process_row = [&](int y, int x_start) {
-    // Rows without a full causal context (y-2 .. y+1 in range) stay scalar,
-    // as do the left/right edges (reflected parents, west2/north2 fallback)
-    // and the lane tail of every row.
-    const bool row_ok = y >= (square ? 3 : 2) && y + 1 < h;
-    int x = x_start;
-    if (row_ok) {
-      const std::size_t base = static_cast<std::size_t>(y) * w;
-      const BtpcRows rows{img + base, img + base - w, img + base + w,
-                          img + base - 2 * static_cast<std::size_t>(w), square};
-      // The west2 context needs x >= 2: at most one scalar prologue point.
-      for (; x < std::min(x_start + 2, w); x += 2) {
-        predict_point(Point{x, y}, level, options);
-      }
-#if DTSE_SIMD_AVX2
-      if (simd_ == support::SimdMode::kAvx2) {
-        for (; x + 32 <= w - 1; x += 32) {
-          btpc_predict_block_avx2(rows, x, folded, cls);
-          for (int i = 0; i < 16; ++i) {
-            finalize_point(Point{x + 2 * i, y}, folded[i], cls[i]);
-          }
-        }
-      }
-#endif
-      for (; x + 16 <= w - 1; x += 16) {
-        btpc_predict_block_sse2(rows, x, folded, cls);
-        for (int i = 0; i < 8; ++i) {
-          finalize_point(Point{x + 2 * i, y}, folded[i], cls[i]);
-        }
-      }
-    }
-    for (; x < w; x += 2) predict_point(Point{x, y}, level, options);
-  };
-
-  if (square) {
-    // Odd rows: y = 1, 3, 5, ... aligned up into [y_begin, y_end).
-    int y = 1;
-    if (y_begin > 1) y = 1 + (y_begin - 1 + 1) / 2 * 2;
-    for (; y < y_stop; y += 2) process_row(y, 1);
-  } else {
-    // Every row; the x parity follows the quincunx coordinate-sum rule.
-    for (int y = std::max(y_begin, 0); y < y_stop; ++y) {
-      process_row(y, ((y & 1) != 0) ? 0 : 1);
-    }
-  }
-}
-#endif  // DTSE_SIMD_SSE2
 
 void Encoder::finalize_point(Point p, int folded, int pixel_class) {
   int symbol = folded;
@@ -610,7 +295,6 @@ EncodedImage Encoder::encode(const support::Image& image, const CodecOptions& op
     }
   }
   init_tables(options);
-  simd_ = support::resolve_simd_mode(options.simd);
 
   BitWriter writer;
   writer.attach(&bit_accum_, &out_buf_);
@@ -792,29 +476,23 @@ support::Image Decoder::decode(const EncodedImage& encoded) {
 }
 
 std::vector<std::uint8_t> serialize(const EncodedImage& encoded) {
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(15 + encoded.stream.size() * 2);
-  auto put16 = [&](std::uint16_t v) {
-    bytes.push_back(static_cast<std::uint8_t>(v >> 8));
-    bytes.push_back(static_cast<std::uint8_t>(v & 0xFF));
-  };
   // A Huffman stream keeps the legacy "BTPC" framing byte for byte; the
   // roster backends travel in the "BTP2" extension, which inserts one
   // backend byte before the word count.
   const bool extended = encoded.backend != entropy::Backend::kHuffman;
-  bytes.push_back('B');
-  bytes.push_back('T');
-  bytes.push_back('P');
-  bytes.push_back(extended ? '2' : 'C');
-  put16(static_cast<std::uint16_t>(encoded.width));
-  put16(static_cast<std::uint16_t>(encoded.height));
-  bytes.push_back(encoded.lossy ? 1 : 0);
-  bytes.push_back(static_cast<std::uint8_t>(encoded.quantizer_delta));
-  if (extended) bytes.push_back(static_cast<std::uint8_t>(encoded.backend));
-  put16(static_cast<std::uint16_t>(encoded.stream.size() >> 16));
-  put16(static_cast<std::uint16_t>(encoded.stream.size() & 0xFFFF));
-  for (const auto word : encoded.stream) put16(word);
-  return bytes;
+  support::ByteWriter out;
+  out.u8('B');
+  out.u8('T');
+  out.u8('P');
+  out.u8(extended ? '2' : 'C');
+  out.u16(static_cast<std::uint16_t>(encoded.width));
+  out.u16(static_cast<std::uint16_t>(encoded.height));
+  out.u8(encoded.lossy ? 1 : 0);
+  out.u8(static_cast<std::uint8_t>(encoded.quantizer_delta));
+  if (extended) out.u8(static_cast<std::uint8_t>(encoded.backend));
+  out.u32(static_cast<std::uint32_t>(encoded.stream.size()));
+  for (const auto word : encoded.stream) out.u16(word);
+  return out.take();
 }
 
 support::Result<EncodedImage> try_deserialize(const std::vector<std::uint8_t>& bytes) {
@@ -835,38 +513,34 @@ support::Result<EncodedImage> try_deserialize(const std::vector<std::uint8_t>& b
                                   "container shorter than the 15-byte BTP2 header",
                                   static_cast<std::uint64_t>(bytes.size()) * 8);
   }
-  auto get16 = [&](std::size_t offset) {
-    return static_cast<std::uint32_t>((bytes[offset] << 8) | bytes[offset + 1]);
-  };
+  support::ByteReader in(bytes.data() + 4, bytes.size() - 4);
   EncodedImage encoded;
-  encoded.width = static_cast<int>(get16(4));
-  encoded.height = static_cast<int>(get16(6));
-  encoded.lossy = bytes[8] != 0;
-  encoded.quantizer_delta = bytes[9];
+  encoded.width = in.u16();
+  encoded.height = in.u16();
+  encoded.lossy = in.u8() != 0;
+  encoded.quantizer_delta = in.u8();
   if (extended) {
-    if (!entropy::backend_valid(bytes[10])) {
+    const std::uint8_t backend = in.u8();
+    if (!entropy::backend_valid(backend)) {
       return support::Status::error(
           support::StatusCode::kMalformedHeader,
-          "unknown entropy backend " + std::to_string(bytes[10]), 80);
+          "unknown entropy backend " + std::to_string(backend), 80);
     }
-    encoded.backend = static_cast<entropy::Backend>(bytes[10]);
+    encoded.backend = static_cast<entropy::Backend>(backend);
   }
-  const std::size_t words_at = extended ? 11 : 10;
-  const std::size_t words = (get16(words_at) << 16) | get16(words_at + 2);
+  const std::size_t words = in.u32();
   // The declared word count bounds the allocation by the actual input size:
   // a fuzzed length field cannot make the parser reserve past the bytes it
   // was handed.
-  if (bytes.size() < header_bytes + words * 2) {
+  if (in.remaining() < words * 2) {
     return support::Status::error(
         support::StatusCode::kTruncated,
         "container declares " + std::to_string(words) + " stream words but carries " +
-            std::to_string((bytes.size() - header_bytes) / 2),
+            std::to_string(in.remaining() / 2),
         static_cast<std::uint64_t>(bytes.size()) * 8);
   }
   encoded.stream.reserve(words);
-  for (std::size_t i = 0; i < words; ++i) {
-    encoded.stream.push_back(static_cast<std::uint16_t>(get16(header_bytes + 2 * i)));
-  }
+  for (std::size_t i = 0; i < words; ++i) encoded.stream.push_back(in.u16());
   return encoded;
 }
 

@@ -26,7 +26,6 @@
 #include "entropy/adaptive_huffman.hpp"
 #include "entropy/entropy_coder.hpp"
 #include "support/image.hpp"
-#include "support/simd.hpp"
 #include "support/status.hpp"
 #include "trace/instrumented_array.hpp"
 #include "trace/recorder.hpp"
@@ -60,10 +59,6 @@ struct CodecOptions {
   /// interleaves entropy codes with raw fields level by level, which fights
   /// rANS's reverse-order encoding.
   entropy::Backend backend = entropy::Backend::kHuffman;
-  /// Dispatch path of the predict pass's scale-0 row strips.  Every path
-  /// produces a byte-identical bitstream; instrumented runs always take the
-  /// scalar sequence so the profile is dispatch-invariant.
-  support::SimdMode simd = support::SimdMode::kAuto;
 };
 
 /// An encoded image: self-contained header plus the entropy-coded stream.
@@ -111,13 +106,8 @@ class Encoder {
   /// [y_begin, y_end).  The full-level passes are the [0, height) case.
   void predict_pass(const LevelSpec& level, const CodecOptions& options, int y_begin,
                     int y_end);
-  /// The scalar reference body of the predict pass, one detail point.
+  /// The predict pass body, one detail point.
   void predict_point(Point p, const LevelSpec& level, const CodecOptions& options);
-  /// Lane-parallel twin of the lossless scale-0 predict strips; only runs
-  /// uninstrumented (so profiles stay dispatch-invariant) and falls back to
-  /// predict_point for rows, edges and tails the vector kernel cannot cover.
-  void predict_pass_simd(const LevelSpec& level, const CodecOptions& options,
-                         int y_begin, int y_end);
   /// Finalizes one predicted point from its folded residual and class:
   /// escape bookkeeping, pyr/ridge stores, symbol histogram.
   void finalize_point(Point p, int folded, int pixel_class);
@@ -125,8 +115,6 @@ class Encoder {
                    int y_begin, int y_end);
 
   trace::Recorder* recorder_ = nullptr;
-  /// Resolved dispatch path of the current encode() run (never kAuto).
-  support::SimdMode simd_ = support::SimdMode::kScalar;
   int width_;
   int height_;
   entropy::Backend profile_backend_ = entropy::Backend::kHuffman;

@@ -8,6 +8,7 @@
 #include "entropy/exp_golomb.hpp"
 #include "entropy/golomb_rice.hpp"
 #include "entropy/rans.hpp"
+#include "support/byte_io.hpp"
 #include "support/check.hpp"
 
 namespace dtse::entropy {
@@ -215,27 +216,6 @@ class RansBatchCoder final : public EntropyCoder {
 constexpr std::uint8_t kBatchMagic[4] = {'E', 'N', 'T', '1'};
 constexpr std::size_t kBatchHeaderBytes = 17;
 
-void put_u16(std::vector<std::uint8_t>& bytes, std::uint32_t v) {
-  bytes.push_back(static_cast<std::uint8_t>((v >> 8) & 0xFFu));
-  bytes.push_back(static_cast<std::uint8_t>(v & 0xFFu));
-}
-
-void put_u32(std::vector<std::uint8_t>& bytes, std::uint32_t v) {
-  put_u16(bytes, (v >> 16) & 0xFFFFu);
-  put_u16(bytes, v & 0xFFFFu);
-}
-
-[[nodiscard]] std::uint32_t get_u16(const std::vector<std::uint8_t>& bytes,
-                                    std::size_t at) {
-  return (static_cast<std::uint32_t>(bytes[at]) << 8) |
-         static_cast<std::uint32_t>(bytes[at + 1]);
-}
-
-[[nodiscard]] std::uint32_t get_u32(const std::vector<std::uint8_t>& bytes,
-                                    std::size_t at) {
-  return (get_u16(bytes, at) << 16) | get_u16(bytes, at + 2);
-}
-
 }  // namespace
 
 std::string_view to_string(Backend backend) {
@@ -336,17 +316,16 @@ support::Result<std::vector<std::uint32_t>> try_decode_batch(const EncodedBatch&
 }
 
 std::vector<std::uint8_t> serialize(const EncodedBatch& batch) {
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(kBatchHeaderBytes + batch.stream.size() * 2);
-  bytes.insert(bytes.end(), std::begin(kBatchMagic), std::end(kBatchMagic));
-  bytes.push_back(static_cast<std::uint8_t>(batch.backend));
-  bytes.push_back(static_cast<std::uint8_t>(batch.value_bits));
-  bytes.push_back(static_cast<std::uint8_t>(batch.unary_limit));
-  put_u16(bytes, static_cast<std::uint32_t>(batch.rescale_limit));
-  put_u32(bytes, batch.count);
-  put_u32(bytes, static_cast<std::uint32_t>(batch.stream.size()));
-  for (const auto word : batch.stream) put_u16(bytes, word);
-  return bytes;
+  support::ByteWriter out;
+  for (const auto byte : kBatchMagic) out.u8(byte);
+  out.u8(static_cast<std::uint8_t>(batch.backend));
+  out.u8(static_cast<std::uint8_t>(batch.value_bits));
+  out.u8(static_cast<std::uint8_t>(batch.unary_limit));
+  out.u16(static_cast<std::uint16_t>(batch.rescale_limit));
+  out.u32(batch.count);
+  out.u32(static_cast<std::uint32_t>(batch.stream.size()));
+  for (const auto word : batch.stream) out.u16(word);
+  return out.take();
 }
 
 support::Result<EncodedBatch> try_deserialize(const std::vector<std::uint8_t>& bytes) {
@@ -361,31 +340,31 @@ support::Result<EncodedBatch> try_deserialize(const std::vector<std::uint8_t>& b
     return support::Status::error(support::StatusCode::kMalformedHeader,
                                   "bad container magic (expected \"ENT1\")", 0);
   }
-  if (!backend_valid(bytes[4])) {
+  support::ByteReader in(bytes.data() + sizeof kBatchMagic,
+                         bytes.size() - sizeof kBatchMagic);
+  const std::uint8_t backend = in.u8();
+  if (!backend_valid(backend)) {
     return support::Status::error(
         support::StatusCode::kMalformedHeader,
-        "unknown entropy backend " + std::to_string(bytes[4]), 32);
+        "unknown entropy backend " + std::to_string(backend), 32);
   }
   EncodedBatch batch;
-  batch.backend = static_cast<Backend>(bytes[4]);
-  batch.value_bits = static_cast<int>(bytes[5]);
-  batch.unary_limit = static_cast<int>(bytes[6]);
-  batch.rescale_limit = static_cast<int>(get_u16(bytes, 7));
-  batch.count = get_u32(bytes, 9);
-  const std::size_t words = get_u32(bytes, 13);
+  batch.backend = static_cast<Backend>(backend);
+  batch.value_bits = in.u8();
+  batch.unary_limit = in.u8();
+  batch.rescale_limit = in.u16();
+  batch.count = in.u32();
+  const std::size_t words = in.u32();
   // The declared word count bounds the allocation by the actual input size.
-  if (bytes.size() < kBatchHeaderBytes + words * 2) {
+  if (in.remaining() < words * 2) {
     return support::Status::error(
         support::StatusCode::kTruncated,
         "container declares " + std::to_string(words) + " stream words but carries " +
-            std::to_string((bytes.size() - kBatchHeaderBytes) / 2),
+            std::to_string(in.remaining() / 2),
         static_cast<std::uint64_t>(bytes.size()) * 8);
   }
   batch.stream.reserve(words);
-  for (std::size_t i = 0; i < words; ++i) {
-    batch.stream.push_back(
-        static_cast<std::uint16_t>(get_u16(bytes, kBatchHeaderBytes + 2 * i)));
-  }
+  for (std::size_t i = 0; i < words; ++i) batch.stream.push_back(in.u16());
   return batch;
 }
 

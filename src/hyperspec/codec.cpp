@@ -9,11 +9,8 @@
 
 #include "entropy/exp_golomb.hpp"
 #include "entropy/golomb_rice.hpp"
+#include "support/byte_io.hpp"
 #include "support/rng.hpp"
-
-#if DTSE_SIMD_SSE2
-#include <immintrin.h>
-#endif
 
 namespace dtse::hyperspec {
 
@@ -94,155 +91,6 @@ template <typename CurrFn, typename PrevFn>
   const int magnitude = mapped - theta;
   return pred <= maxval - pred ? magnitude : -magnitude;
 }
-
-#if DTSE_SIMD_SSE2
-/// Rows feeding one vector pass over a y > 0 row of the current band: the
-/// band's own row and north row, plus the previous band's pair (null for
-/// band 0).
-struct HsRows {
-  const std::uint16_t* curr;
-  const std::uint16_t* north;
-  const std::uint16_t* prev;        ///< co-located previous-band row
-  const std::uint16_t* prev_north;  ///< previous-band north row
-};
-
-inline __m128i hs_load4_i32(const std::uint16_t* p) {
-  return _mm_unpacklo_epi16(
-      _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)), _mm_setzero_si128());
-}
-
-inline __m128i hs_min_i32(__m128i a, __m128i b) {
-  const __m128i gt = _mm_cmpgt_epi32(a, b);
-  return _mm_or_si128(_mm_and_si128(gt, b), _mm_andnot_si128(gt, a));
-}
-
-inline __m128i hs_max_i32(__m128i a, __m128i b) {
-  const __m128i gt = _mm_cmpgt_epi32(a, b);
-  return _mm_or_si128(_mm_and_si128(gt, a), _mm_andnot_si128(gt, b));
-}
-
-/// Maps samples [x0, x0 + n) of a y > 0 row in 4-lane i32 blocks; requires
-/// x0 >= 1 and x0 + n <= width - 1 so the north-east load stays in the row.
-/// Writes the largest sample it processed to *sample_max (for the caller's
-/// dynamic-range contract check) and returns how many samples it consumed
-/// (a multiple of 4; the caller finishes the tail on the scalar path).
-int hs_map_row_sse2(const HsRows& r, std::uint16_t* out, int x0, int n, int maxval,
-                    int* sample_max) {
-  const __m128i vmax = _mm_set1_epi32(maxval);
-  const __m128i zero = _mm_setzero_si128();
-  const __m128i two = _mm_set1_epi32(2);
-  const __m128i bias32 = _mm_set1_epi32(0x8000);
-  const __m128i bias16 = _mm_set1_epi16(static_cast<short>(0x8000));
-  __m128i smax = zero;
-  int x = x0;
-  const int end = x0 + (n & ~3);
-  for (; x < end; x += 4) {
-    const __m128i sample = hs_load4_i32(r.curr + x);
-    const __m128i ls =
-        _mm_add_epi32(_mm_add_epi32(hs_load4_i32(r.curr + x - 1),
-                                    hs_load4_i32(r.north + x - 1)),
-                      _mm_add_epi32(hs_load4_i32(r.north + x),
-                                    hs_load4_i32(r.north + x + 1)));
-    __m128i pred;
-    if (r.prev != nullptr) {
-      const __m128i lsp =
-          _mm_add_epi32(_mm_add_epi32(hs_load4_i32(r.prev + x - 1),
-                                      hs_load4_i32(r.prev_north + x - 1)),
-                        _mm_add_epi32(hs_load4_i32(r.prev_north + x),
-                                      hs_load4_i32(r.prev_north + x + 1)));
-      const __m128i colo = hs_load4_i32(r.prev + x);
-      pred = _mm_add_epi32(
-          colo, _mm_srai_epi32(_mm_add_epi32(_mm_sub_epi32(ls, lsp), two), 2));
-    } else {
-      pred = _mm_srai_epi32(_mm_add_epi32(ls, two), 2);
-    }
-    pred = hs_min_i32(hs_max_i32(pred, zero), vmax);
-    const __m128i delta = _mm_sub_epi32(sample, pred);
-    const __m128i theta = hs_min_i32(pred, _mm_sub_epi32(vmax, pred));
-    const __m128i absd = hs_max_i32(delta, _mm_sub_epi32(zero, delta));
-    const __m128i neg = _mm_cmpgt_epi32(zero, delta);
-    const __m128i out_of_band = _mm_cmpgt_epi32(absd, theta);
-    // In band: the sign-interleaved 2|d| (minus one when negative, the
-    // all-ones mask); out of band: the one-sided tail theta + |d|.
-    const __m128i in_band = _mm_add_epi32(_mm_slli_epi32(absd, 1), neg);
-    const __m128i tail = _mm_add_epi32(theta, absd);
-    const __m128i mapped = _mm_or_si128(_mm_and_si128(out_of_band, tail),
-                                        _mm_andnot_si128(out_of_band, in_band));
-    smax = hs_max_i32(smax, sample);
-    // u16 store via the signed-saturating pack with a bias (values can sit
-    // anywhere in [0, 65535], beyond packs' signed range).
-    const __m128i packed = _mm_xor_si128(
-        _mm_packs_epi32(_mm_sub_epi32(mapped, bias32), _mm_sub_epi32(mapped, bias32)),
-        bias16);
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(out + x), packed);
-  }
-  alignas(16) int lanes[4];
-  _mm_store_si128(reinterpret_cast<__m128i*>(lanes), smax);
-  *sample_max = std::max(std::max(lanes[0], lanes[1]), std::max(lanes[2], lanes[3]));
-  return x - x0;
-}
-#endif  // DTSE_SIMD_SSE2
-
-#if DTSE_SIMD_AVX2
-// A lambda would not inherit the enclosing function's target attribute, so
-// the widening load lives at file scope with its own.
-DTSE_TARGET_AVX2 inline __m256i hs_load8_i32(const std::uint16_t* p) {
-  return _mm256_cvtepu16_epi32(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
-}
-
-/// 8-lane AVX2 twin of hs_map_row_sse2 (identical arithmetic, wider lanes).
-DTSE_TARGET_AVX2
-int hs_map_row_avx2(const HsRows& r, std::uint16_t* out, int x0, int n, int maxval,
-                    int* sample_max) {
-  const __m256i vmax = _mm256_set1_epi32(maxval);
-  const __m256i zero = _mm256_setzero_si256();
-  const __m256i two = _mm256_set1_epi32(2);
-  __m256i smax = zero;
-  int x = x0;
-  const int end = x0 + (n & ~7);
-  for (; x < end; x += 8) {
-    const __m256i sample = hs_load8_i32(r.curr + x);
-    const __m256i ls = _mm256_add_epi32(
-        _mm256_add_epi32(hs_load8_i32(r.curr + x - 1), hs_load8_i32(r.north + x - 1)),
-        _mm256_add_epi32(hs_load8_i32(r.north + x), hs_load8_i32(r.north + x + 1)));
-    __m256i pred;
-    if (r.prev != nullptr) {
-      const __m256i lsp = _mm256_add_epi32(
-          _mm256_add_epi32(hs_load8_i32(r.prev + x - 1), hs_load8_i32(r.prev_north + x - 1)),
-          _mm256_add_epi32(hs_load8_i32(r.prev_north + x), hs_load8_i32(r.prev_north + x + 1)));
-      const __m256i colo = hs_load8_i32(r.prev + x);
-      pred = _mm256_add_epi32(
-          colo,
-          _mm256_srai_epi32(_mm256_add_epi32(_mm256_sub_epi32(ls, lsp), two), 2));
-    } else {
-      pred = _mm256_srai_epi32(_mm256_add_epi32(ls, two), 2);
-    }
-    pred = _mm256_min_epi32(_mm256_max_epi32(pred, zero), vmax);
-    const __m256i delta = _mm256_sub_epi32(sample, pred);
-    const __m256i theta = _mm256_min_epi32(pred, _mm256_sub_epi32(vmax, pred));
-    const __m256i absd = _mm256_abs_epi32(delta);
-    const __m256i neg = _mm256_cmpgt_epi32(zero, delta);
-    const __m256i out_of_band = _mm256_cmpgt_epi32(absd, theta);
-    const __m256i in_band = _mm256_add_epi32(_mm256_slli_epi32(absd, 1), neg);
-    const __m256i tail = _mm256_add_epi32(theta, absd);
-    const __m256i mapped = _mm256_blendv_epi8(in_band, tail, out_of_band);
-    smax = _mm256_max_epi32(smax, sample);
-    // packus interleaves the two 128-bit lanes; the qword permute restores
-    // element order before the low half is stored.
-    const __m256i packed = _mm256_permute4x64_epi64(
-        _mm256_packus_epi32(mapped, mapped), 0xD8);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + x),
-                     _mm256_castsi256_si128(packed));
-  }
-  alignas(32) int lanes[8];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), smax);
-  int best = 0;
-  for (const int lane : lanes) best = std::max(best, lane);
-  *sample_max = best;
-  return x - x0;
-}
-#endif  // DTSE_SIMD_AVX2
 
 /// Fills zeroed declared-geometry fields from the profiled shape.  Runs
 /// before the instrumented members are constructed, so it also carries the
@@ -396,14 +244,6 @@ Encoder::Encoder(trace::Recorder& recorder, CubeShape shape, CubeShape declared,
 }
 
 void Encoder::predict_band(int z, int maxval) {
-#if DTSE_SIMD_SSE2
-  // The vector twin only runs uninstrumented: a profiling run must execute
-  // the scalar access sequence so the recorded model is dispatch-invariant.
-  if (recorder_ == nullptr && simd_ != support::SimdMode::kScalar) {
-    predict_band_simd(z, maxval);
-    return;
-  }
-#endif
   const int width = shape_.width;
   auto curr = [&](int y, int x) { return cube_sample(z, y, x); };
   auto prev = [&](int y, int x) { return cube_sample(z - 1, y, x); };
@@ -419,62 +259,6 @@ void Encoder::predict_band(int z, int maxval) {
     }
   }
 }
-
-#if DTSE_SIMD_SSE2
-void Encoder::predict_band_simd(int z, int maxval) {
-  const int width = shape_.width;
-  const int height = shape_.height;
-  const auto plane = static_cast<std::size_t>(shape_.plane_samples());
-  const std::uint16_t* curr = cube_.raw().data() + static_cast<std::size_t>(z) * plane;
-  const std::uint16_t* prev = z > 0 ? curr - plane : nullptr;
-  std::uint16_t* res = residual_.raw().data();
-
-  auto curr_s = [&](int y, int x) {
-    return int{curr[static_cast<std::size_t>(y) * width + x]};
-  };
-  auto prev_s = [&](int y, int x) {
-    return int{prev[static_cast<std::size_t>(y) * width + x]};
-  };
-  auto scalar_one = [&](int y, int x) {
-    const int pred = predict_sample(z > 0, curr_s, prev_s, y, x, width, maxval);
-    const int sample = curr_s(y, x);
-    DTSE_CHECK(sample <= maxval, "cube sample exceeds the declared dynamic range");
-    res[static_cast<std::size_t>(y) * width + x] =
-        static_cast<std::uint16_t>(map_residual(sample, pred, maxval));
-  };
-
-  // The y == 0 row degenerates to the west-sample local sum — scalar, once
-  // per band.
-  for (int x = 0; x < width; ++x) scalar_one(0, x);
-
-  for (int y = 1; y < height; ++y) {
-    scalar_one(y, 0);
-    if (width == 1) continue;
-    // Vector domain: x in [1, width - 2] (the north-east load must stay in
-    // the row); x == width - 1 takes the scalar path with its ne fallback.
-    const int n = width - 2;
-    int consumed = 0;
-    if (n > 0) {
-      const std::size_t row = static_cast<std::size_t>(y) * width;
-      const HsRows rows{curr + row, curr + row - width,
-                        prev != nullptr ? prev + row : nullptr,
-                        prev != nullptr ? prev + row - width : nullptr};
-      int sample_max = 0;
-#if DTSE_SIMD_AVX2
-      if (simd_ == support::SimdMode::kAvx2) {
-        consumed = hs_map_row_avx2(rows, res + row, 1, n, maxval, &sample_max);
-      } else
-#endif
-      {
-        consumed = hs_map_row_sse2(rows, res + row, 1, n, maxval, &sample_max);
-      }
-      DTSE_CHECK(sample_max <= maxval,
-                 "cube sample exceeds the declared dynamic range");
-    }
-    for (int x = 1 + consumed; x < width; ++x) scalar_one(y, x);
-  }
-}
-#endif  // DTSE_SIMD_SSE2
 
 void Encoder::encode_band(int z, btpc::BitWriter& writer, const HsCodecOptions& options) {
   const int width = shape_.width;
@@ -600,7 +384,6 @@ EncodedCube Encoder::encode(const Cube& cube, const HsCodecOptions& options) {
   // Load the input cube (arrival of the samples is not part of the encoder's
   // access profile, like the BTPC frame load).
   cube_.raw() = cube.samples();
-  simd_ = support::resolve_simd_mode(options.simd);
 
   btpc::BitWriter writer;
   writer.attach(&bit_accum_, &out_buf_);
@@ -791,27 +574,6 @@ constexpr std::uint8_t kHsMagic[3] = {'H', 'S', 'C'};
 constexpr std::size_t kHsHeaderBytes = 18;
 constexpr std::size_t kHs2HeaderBytes = 19;
 
-void put_u16(std::vector<std::uint8_t>& bytes, std::uint32_t v) {
-  bytes.push_back(static_cast<std::uint8_t>((v >> 8) & 0xFFu));
-  bytes.push_back(static_cast<std::uint8_t>(v & 0xFFu));
-}
-
-void put_u32(std::vector<std::uint8_t>& bytes, std::uint32_t v) {
-  put_u16(bytes, (v >> 16) & 0xFFFFu);
-  put_u16(bytes, v & 0xFFFFu);
-}
-
-[[nodiscard]] std::uint32_t get_u16(const std::vector<std::uint8_t>& bytes,
-                                    std::size_t at) {
-  return (static_cast<std::uint32_t>(bytes[at]) << 8) |
-         static_cast<std::uint32_t>(bytes[at + 1]);
-}
-
-[[nodiscard]] std::uint32_t get_u32(const std::vector<std::uint8_t>& bytes,
-                                    std::size_t at) {
-  return (get_u16(bytes, at) << 16) | get_u16(bytes, at + 2);
-}
-
 }  // namespace
 
 std::vector<std::uint8_t> serialize(const EncodedCube& encoded) {
@@ -822,21 +584,19 @@ std::vector<std::uint8_t> serialize(const EncodedCube& encoded) {
   DTSE_CHECK(encoded.backend != entropy::Backend::kHuffman,
              "the hyperspectral container does not carry the Huffman backend");
   const bool extended = encoded.backend != entropy::Backend::kRice;
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve((extended ? kHs2HeaderBytes : kHsHeaderBytes) +
-                encoded.stream.size() * 2);
-  bytes.insert(bytes.end(), std::begin(kHsMagic), std::end(kHsMagic));
-  bytes.push_back(extended ? '2' : '1');
-  put_u16(bytes, static_cast<std::uint32_t>(encoded.shape.bands));
-  put_u16(bytes, static_cast<std::uint32_t>(encoded.shape.height));
-  put_u16(bytes, static_cast<std::uint32_t>(encoded.shape.width));
-  bytes.push_back(static_cast<std::uint8_t>(encoded.dynamic_range_bits));
-  bytes.push_back(static_cast<std::uint8_t>(encoded.unary_limit));
-  put_u16(bytes, static_cast<std::uint32_t>(encoded.rescale_limit));
-  if (extended) bytes.push_back(static_cast<std::uint8_t>(encoded.backend));
-  put_u32(bytes, static_cast<std::uint32_t>(encoded.stream.size()));
-  for (const auto word : encoded.stream) put_u16(bytes, word);
-  return bytes;
+  support::ByteWriter out;
+  for (const auto byte : kHsMagic) out.u8(byte);
+  out.u8(extended ? '2' : '1');
+  out.u16(static_cast<std::uint16_t>(encoded.shape.bands));
+  out.u16(static_cast<std::uint16_t>(encoded.shape.height));
+  out.u16(static_cast<std::uint16_t>(encoded.shape.width));
+  out.u8(static_cast<std::uint8_t>(encoded.dynamic_range_bits));
+  out.u8(static_cast<std::uint8_t>(encoded.unary_limit));
+  out.u16(static_cast<std::uint16_t>(encoded.rescale_limit));
+  if (extended) out.u8(static_cast<std::uint8_t>(encoded.backend));
+  out.u32(static_cast<std::uint32_t>(encoded.stream.size()));
+  for (const auto word : encoded.stream) out.u16(word);
+  return out.take();
 }
 
 support::Result<EncodedCube> try_deserialize(const std::vector<std::uint8_t>& bytes) {
@@ -862,26 +622,27 @@ support::Result<EncodedCube> try_deserialize(const std::vector<std::uint8_t>& by
             std::to_string(header_bytes) + "-byte header",
         bytes.size() * 8);
   }
+  support::ByteReader in(bytes.data() + 4, bytes.size() - 4);
   EncodedCube encoded;
-  encoded.shape.bands = static_cast<int>(get_u16(bytes, 4));
-  encoded.shape.height = static_cast<int>(get_u16(bytes, 6));
-  encoded.shape.width = static_cast<int>(get_u16(bytes, 8));
-  encoded.dynamic_range_bits = static_cast<int>(bytes[10]);
-  encoded.unary_limit = static_cast<int>(bytes[11]);
-  encoded.rescale_limit = static_cast<int>(get_u16(bytes, 12));
+  encoded.shape.bands = in.u16();
+  encoded.shape.height = in.u16();
+  encoded.shape.width = in.u16();
+  encoded.dynamic_range_bits = in.u8();
+  encoded.unary_limit = in.u8();
+  encoded.rescale_limit = in.u16();
   if (extended) {
-    if (!entropy::backend_valid(bytes[14])) {
+    const std::uint8_t backend = in.u8();
+    if (!entropy::backend_valid(backend)) {
       return support::Status::error(
           support::StatusCode::kMalformedHeader,
-          "unknown entropy backend " + std::to_string(bytes[14]), 14 * 8);
+          "unknown entropy backend " + std::to_string(backend), 14 * 8);
     }
-    encoded.backend = static_cast<entropy::Backend>(bytes[14]);
+    encoded.backend = static_cast<entropy::Backend>(backend);
   }
-  const std::size_t words_at = extended ? 15 : 14;
-  const std::uint32_t declared_words = get_u32(bytes, words_at);
-  const std::size_t actual_words = (bytes.size() - header_bytes) / 2;
+  const std::uint32_t declared_words = in.u32();
+  const std::size_t actual_words = in.remaining() / 2;
   if (declared_words != actual_words ||
-      bytes.size() != header_bytes + static_cast<std::size_t>(declared_words) * 2) {
+      in.remaining() != static_cast<std::size_t>(declared_words) * 2) {
     return support::Status::error(
         support::StatusCode::kTruncated,
         "container declares " + std::to_string(declared_words) + " stream words but " +
@@ -889,10 +650,7 @@ support::Result<EncodedCube> try_deserialize(const std::vector<std::uint8_t>& by
         header_bytes * 8);
   }
   encoded.stream.reserve(declared_words);
-  for (std::size_t i = 0; i < declared_words; ++i) {
-    encoded.stream.push_back(
-        static_cast<std::uint16_t>(get_u16(bytes, header_bytes + i * 2)));
-  }
+  for (std::size_t i = 0; i < declared_words; ++i) encoded.stream.push_back(in.u16());
   return encoded;
 }
 

@@ -33,7 +33,6 @@
 #include "entropy/rans.hpp"
 #include "ir/application.hpp"
 #include "support/check.hpp"
-#include "support/simd.hpp"
 #include "support/status.hpp"
 #include "trace/instrumented_array.hpp"
 #include "trace/recorder.hpp"
@@ -120,11 +119,6 @@ struct HsCodecOptions {
   /// not offered here: the bank's 64-symbol alphabet cannot cover a 16-bit
   /// residual range without an escape design of its own.
   entropy::Backend backend = entropy::Backend::kRice;
-  /// Dispatch path of the local-sum + residual-mapping loop.  Every path
-  /// fills a bit-identical residual plane (and therefore stream);
-  /// instrumented runs always take the scalar sequence so the profile is
-  /// dispatch-invariant.
-  support::SimdMode simd = support::SimdMode::kAuto;
 };
 
 /// An encoded cube: self-contained header plus the Rice-coded stream.
@@ -172,8 +166,6 @@ class Encoder {
           const HsCodecOptions& options, bool);
 
   void predict_band(int z, int maxval);
-  /// Lane-parallel twin of predict_band's interior; only runs uninstrumented.
-  void predict_band_simd(int z, int maxval);
   void encode_band(int z, btpc::BitWriter& writer, const HsCodecOptions& options);
   void encode_band_rans(int z, btpc::BitWriter& writer);
 
@@ -185,8 +177,6 @@ class Encoder {
   trace::Recorder* recorder_ = nullptr;
   CubeShape shape_;
   HsCodecOptions profile_options_;  ///< options the instrumented model declares
-  /// Resolved dispatch path of the current encode() run (never kAuto).
-  support::SimdMode simd_ = support::SimdMode::kScalar;
 
   // The workload's basic groups.
   trace::InstrumentedArray<std::uint16_t> cube_;        ///< input samples

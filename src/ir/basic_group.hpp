@@ -27,7 +27,7 @@ struct BasicGroup {
 
   /// If set, the signal-to-memory assignment must place the group here
   /// (e.g. a register-file layer is by construction on-chip).
-  std::optional<memlib::Location> forced_location;
+  std::optional<memlib::Location> forced_location = std::nullopt;
 
   /// Memory hierarchy layer this group belongs to.  Layer 0 is closest to
   /// the datapath; the main (original) arrays live on the highest layer.

@@ -34,7 +34,6 @@
 
 #include "ir/application.hpp"
 #include "support/image.hpp"
-#include "support/simd.hpp"
 #include "trace/instrumented_array.hpp"
 #include "trace/recorder.hpp"
 
@@ -51,10 +50,6 @@ struct MotionOptions {
   int block_size = 16;    ///< edge of the square blocks (>= 4)
   int search_range = 8;   ///< maximum displacement per axis, in pixels (>= 1)
   SearchStrategy search = SearchStrategy::kThreeStep;
-  /// Dispatch path of the SAD accumulate.  Every path returns bit-equal
-  /// SADs and fields; instrumented runs always take the scalar sequence so
-  /// the profile is dispatch-invariant.
-  support::SimdMode simd = support::SimdMode::kAuto;
 };
 
 /// One block's winning displacement and its exact SAD.
@@ -133,8 +128,6 @@ class Estimator {
                        MotionVector& best);
 
   trace::Recorder* recorder_ = nullptr;
-  /// Resolved dispatch path of the current estimate() run (never kAuto).
-  support::SimdMode simd_ = support::SimdMode::kScalar;
   MotionOptions options_;
   int width_ = 0;
   int height_ = 0;

@@ -7,14 +7,16 @@
 #include <string>
 #include <utility>
 
-#include "persist/byte_io.hpp"
 #include "persist/fnv.hpp"
+#include "support/byte_io.hpp"
 #include "support/check.hpp"
 
 namespace dtse::persist {
 
 namespace {
 
+using support::ByteReader;
+using support::ByteWriter;
 using support::Result;
 using support::Status;
 using support::StatusCode;

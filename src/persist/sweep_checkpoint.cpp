@@ -3,15 +3,17 @@
 #include <cmath>
 #include <cstring>
 
-#include "persist/byte_io.hpp"
 #include "persist/file_io.hpp"
 #include "persist/fnv.hpp"
+#include "support/byte_io.hpp"
 #include "support/check.hpp"
 
 namespace dtse::persist {
 
 namespace {
 
+using support::ByteReader;
+using support::ByteWriter;
 using support::Result;
 using support::Status;
 using support::StatusCode;

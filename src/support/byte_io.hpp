@@ -1,5 +1,6 @@
-// Big-endian byte-level serialization primitives shared by the persistence
-// containers (APP1 application models, SWP1 sweep checkpoints).
+// Big-endian byte-level serialization primitives: the one framing layer of
+// every byte container (APP1 application models, SWP1 sweep checkpoints,
+// BTPC/BTP2 images, HSC1/HSC2 cubes, ENT1 entropy streams).
 //
 // `ByteWriter` appends fixed-width big-endian fields; `ByteReader` is the
 // hardened mirror with the same soft-exhaustion contract as
@@ -19,7 +20,7 @@
 #include <string_view>
 #include <vector>
 
-namespace dtse::persist {
+namespace dtse::support {
 
 class ByteWriter {
  public:
@@ -117,4 +118,4 @@ class ByteReader {
   bool overrun_ = false;
 };
 
-}  // namespace dtse::persist
+}  // namespace dtse::support

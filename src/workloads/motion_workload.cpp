@@ -40,10 +40,7 @@ int MotionWorkload::profile_edge(const WorkloadOptions& options) const {
 ir::Application MotionWorkload::profile(const WorkloadOptions& options) const {
   const int edge = profile_edge(options);
   const auto frames = motion::make_synthetic_frame_pair(edge, edge, options.seed);
-  auto estimator_options = options_;
-  estimator_options.simd = options.simd;
-  return motion::profile_motion(frames, declared_width_, declared_height_,
-                                estimator_options);
+  return motion::profile_motion(frames, declared_width_, declared_height_, options_);
 }
 
 VerifyReport MotionWorkload::verify(const WorkloadOptions& options) const {
@@ -52,7 +49,6 @@ VerifyReport MotionWorkload::verify(const WorkloadOptions& options) const {
 
   // Full search against the independent oracle: bit-exact field equality.
   auto exhaustive = options_;
-  exhaustive.simd = options.simd;
   exhaustive.search = motion::SearchStrategy::kFullSearch;
   motion::Estimator full(edge, edge, exhaustive);
   const auto full_field = full.estimate(frames.reference, frames.current);
@@ -66,11 +62,9 @@ VerifyReport MotionWorkload::verify(const WorkloadOptions& options) const {
   // be no worse than the null vector (three-step always scores (0, 0)).
   // When the workload is configured for full search, the field above is
   // already that estimation — no need to run the exhaustive search twice.
-  auto configured = options_;
-  configured.simd = options.simd;
   const auto field = options_.search == motion::SearchStrategy::kFullSearch
                          ? full_field
-                         : motion::Estimator(edge, edge, configured)
+                         : motion::Estimator(edge, edge, options_)
                                .estimate(frames.reference, frames.current);
   const int bs = options_.block_size;
   for (int by = 0; by < field.blocks_y; ++by) {

@@ -27,7 +27,6 @@
 
 #include "entropy/entropy_coder.hpp"
 #include "ir/application.hpp"
-#include "support/simd.hpp"
 
 namespace dtse::workloads {
 
@@ -74,11 +73,6 @@ struct WorkloadOptions {
   /// hyperspec rejects kHuffman, so sweep drivers pick from each workload's
   /// supported set.  Workloads without an entropy stage ignore the field.
   std::optional<entropy::Backend> entropy_backend;
-  /// Kernel dispatch path, forwarded to the codec/estimator options.  Every
-  /// path produces identical outputs and profiles (profiling always runs the
-  /// scalar access sequence), so this knob trades wall-clock only — it is
-  /// deliberately excluded from profile cache keys.
-  support::SimdMode simd = support::SimdMode::kAuto;
 };
 
 /// The workload contract.  Implementations must be deterministic: for a

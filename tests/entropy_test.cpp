@@ -25,7 +25,6 @@
 #include "hyperspec/codec.hpp"
 #include "support/image.hpp"
 #include "support/rng.hpp"
-#include "support/simd.hpp"
 #include "support/status.hpp"
 
 namespace dtse::entropy {
@@ -176,69 +175,49 @@ TEST(EntropyRoster, NamesRoundTripThroughTheParser) {
 // pre-roster encoders.  A mismatch means the wire format changed — bump the
 // container version instead of updating the hash casually.
 
-// Every golden is asserted under every dispatchable SIMD path: the pinned
-// hash is the proof that the vector kernels reproduce the legacy containers
-// byte for byte, not just that they agree with today's scalar code.
-
 TEST(GoldenBitstreams, BtpcLosslessHuffmanContainerIsByteStable) {
   const auto image =
       support::make_synthetic_image(48, 48, support::SyntheticKind::kCompound, 4242);
-  for (const auto simd : support::dispatchable_simd_modes()) {
-    btpc::Encoder encoder(48, 48);
-    btpc::CodecOptions options;
-    options.simd = simd;
-    const auto bytes = btpc::serialize(encoder.encode(image, options));
-    EXPECT_EQ(bytes.size(), 862u) << support::to_string(simd);
-    EXPECT_EQ(fnv1a(bytes), 0x61b719e9ee260483ull) << support::to_string(simd);
-  }
+  btpc::Encoder encoder(48, 48);
+  const auto bytes = btpc::serialize(encoder.encode(image));
+  EXPECT_EQ(bytes.size(), 862u);
+  EXPECT_EQ(fnv1a(bytes), 0x61b719e9ee260483ull);
 }
 
 TEST(GoldenBitstreams, BtpcLossyHuffmanContainerIsByteStable) {
   const auto image =
       support::make_synthetic_image(32, 32, support::SyntheticKind::kEdges, 99);
-  for (const auto simd : support::dispatchable_simd_modes()) {
-    btpc::Encoder encoder(32, 32);
-    btpc::CodecOptions options;
-    options.lossy = true;
-    options.quantizer_delta = 4;
-    options.simd = simd;
-    const auto bytes = btpc::serialize(encoder.encode(image, options));
-    EXPECT_EQ(bytes.size(), 348u) << support::to_string(simd);
-    EXPECT_EQ(fnv1a(bytes), 0xd689d95af90424bfull) << support::to_string(simd);
-  }
+  btpc::Encoder encoder(32, 32);
+  btpc::CodecOptions options;
+  options.lossy = true;
+  options.quantizer_delta = 4;
+  const auto bytes = btpc::serialize(encoder.encode(image, options));
+  EXPECT_EQ(bytes.size(), 348u);
+  EXPECT_EQ(fnv1a(bytes), 0xd689d95af90424bfull);
 }
 
 TEST(GoldenBitstreams, HyperspecRiceContainerIsByteStable) {
   const auto cube = hyperspec::make_synthetic_cube({4, 12, 12}, 31);
-  for (const auto simd : support::dispatchable_simd_modes()) {
-    hyperspec::Encoder encoder({4, 12, 12});
-    hyperspec::HsCodecOptions options;
-    options.simd = simd;
-    const auto bytes = hyperspec::serialize(encoder.encode(cube, options));
-    EXPECT_EQ(bytes.size(), 522u) << support::to_string(simd);
-    EXPECT_EQ(fnv1a(bytes), 0x5dfa556b931849b7ull) << support::to_string(simd);
-  }
+  hyperspec::Encoder encoder({4, 12, 12});
+  const auto bytes = hyperspec::serialize(encoder.encode(cube));
+  EXPECT_EQ(bytes.size(), 522u);
+  EXPECT_EQ(fnv1a(bytes), 0x5dfa556b931849b7ull);
 }
 
 TEST(GoldenBitstreams, HyperspecNarrowRiceContainerIsByteStable) {
   const auto cube = hyperspec::make_synthetic_cube({8, 8, 16}, 77);
-  for (const auto simd : support::dispatchable_simd_modes()) {
-    hyperspec::Encoder encoder({8, 8, 16});
-    hyperspec::HsCodecOptions options;
-    options.unary_limit = 8;
-    options.rescale_limit = 32;
-    options.simd = simd;
-    const auto bytes = hyperspec::serialize(encoder.encode(cube, options));
-    EXPECT_EQ(bytes.size(), 758u) << support::to_string(simd);
-    EXPECT_EQ(fnv1a(bytes), 0xbb583201e4deca61ull) << support::to_string(simd);
-  }
+  hyperspec::Encoder encoder({8, 8, 16});
+  hyperspec::HsCodecOptions options;
+  options.unary_limit = 8;
+  options.rescale_limit = 32;
+  const auto bytes = hyperspec::serialize(encoder.encode(cube, options));
+  EXPECT_EQ(bytes.size(), 758u);
+  EXPECT_EQ(fnv1a(bytes), 0xbb583201e4deca61ull);
 }
 
 TEST(GoldenBitstreams, BtpcRosterContainersAreByteStable) {
-  // BTP2 framing pinned per roster backend, under every dispatch path.
-  // Hashes captured from the scalar encoder at the time the SIMD twins
-  // landed; a mismatch means the wire format moved — bump the container
-  // version instead of editing these.
+  // BTP2 framing pinned per roster backend.  A mismatch means the wire
+  // format moved — bump the container version instead of editing these.
   const auto image =
       support::make_synthetic_image(48, 48, support::SyntheticKind::kCompound, 4242);
   const struct {
@@ -250,22 +229,17 @@ TEST(GoldenBitstreams, BtpcRosterContainersAreByteStable) {
       {Backend::kExpGolomb, 857u, 0xb4d91decc34b3aeaull},
   };
   for (const auto& golden : goldens) {
-    for (const auto simd : support::dispatchable_simd_modes()) {
-      btpc::Encoder encoder(48, 48);
-      btpc::CodecOptions options;
-      options.backend = golden.backend;
-      options.simd = simd;
-      const auto bytes = btpc::serialize(encoder.encode(image, options));
-      EXPECT_EQ(bytes.size(), golden.size)
-          << to_string(golden.backend) << " under " << support::to_string(simd);
-      EXPECT_EQ(fnv1a(bytes), golden.hash)
-          << to_string(golden.backend) << " under " << support::to_string(simd);
-    }
+    btpc::Encoder encoder(48, 48);
+    btpc::CodecOptions options;
+    options.backend = golden.backend;
+    const auto bytes = btpc::serialize(encoder.encode(image, options));
+    EXPECT_EQ(bytes.size(), golden.size) << to_string(golden.backend);
+    EXPECT_EQ(fnv1a(bytes), golden.hash) << to_string(golden.backend);
   }
 }
 
 TEST(GoldenBitstreams, HyperspecRosterContainersAreByteStable) {
-  // HSC2 framing pinned per roster backend, under every dispatch path.
+  // HSC2 framing pinned per roster backend.
   const auto cube = hyperspec::make_synthetic_cube({4, 12, 12}, 31);
   const struct {
     Backend backend;
@@ -276,17 +250,12 @@ TEST(GoldenBitstreams, HyperspecRosterContainersAreByteStable) {
       {Backend::kRans, 2197u, 0x8c9c743e5ba0a40bull},
   };
   for (const auto& golden : goldens) {
-    for (const auto simd : support::dispatchable_simd_modes()) {
-      hyperspec::Encoder encoder({4, 12, 12});
-      hyperspec::HsCodecOptions options;
-      options.backend = golden.backend;
-      options.simd = simd;
-      const auto bytes = hyperspec::serialize(encoder.encode(cube, options));
-      EXPECT_EQ(bytes.size(), golden.size)
-          << to_string(golden.backend) << " under " << support::to_string(simd);
-      EXPECT_EQ(fnv1a(bytes), golden.hash)
-          << to_string(golden.backend) << " under " << support::to_string(simd);
-    }
+    hyperspec::Encoder encoder({4, 12, 12});
+    hyperspec::HsCodecOptions options;
+    options.backend = golden.backend;
+    const auto bytes = hyperspec::serialize(encoder.encode(cube, options));
+    EXPECT_EQ(bytes.size(), golden.size) << to_string(golden.backend);
+    EXPECT_EQ(fnv1a(bytes), golden.hash) << to_string(golden.backend);
   }
 }
 

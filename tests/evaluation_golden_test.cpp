@@ -69,7 +69,9 @@ std::vector<std::pair<std::string, ir::Application>> default_tuned_models() {
     options.entropy_backend = model.backend;
     const auto* workload = workloads::find_workload(model.workload);
     std::string label = model.workload;
-    if (model.backend) label += "[" + std::string(entropy::to_string(*model.backend)) + "]";
+    if (model.backend) {
+      label.append("[").append(entropy::to_string(*model.backend)).append("]");
+    }
     tuned.emplace_back(label, workload->tuned_variant(workload->profile(options)));
   }
   return tuned;

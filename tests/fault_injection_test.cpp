@@ -19,16 +19,10 @@
 #include "persist/profile_cache.hpp"
 #include "support/image.hpp"
 #include "support/rng.hpp"
-#include "support/simd.hpp"
 #include "testing/fault_injection.hpp"
 
 namespace dtse::testing {
 namespace {
-
-// The golden containers are encoded with dispatch forced to the widest
-// vector path this build + host supports: the fault campaigns then double as
-// a corruption sweep over vector-encoded streams (identical bytes to scalar
-// by the simd_test contract, but the encode itself runs the SIMD kernels).
 
 std::vector<std::uint8_t> golden_btpc(int edge, int delta,
                                       entropy::Backend backend = entropy::Backend::kHuffman) {
@@ -39,7 +33,6 @@ std::vector<std::uint8_t> golden_btpc(int edge, int delta,
   options.lossy = delta > 1;
   options.quantizer_delta = delta;
   options.backend = backend;
-  options.simd = support::widest_simd_mode();
   return btpc::serialize(encoder.encode(image, options));
 }
 
@@ -49,7 +42,6 @@ std::vector<std::uint8_t> golden_hyperspec(hyperspec::CubeShape shape, int unary
   hyperspec::HsCodecOptions options;
   options.unary_limit = unary;
   options.backend = backend;
-  options.simd = support::widest_simd_mode();
   return hyperspec::serialize(
       encoder.encode(hyperspec::make_synthetic_cube(shape, 31), options));
 }

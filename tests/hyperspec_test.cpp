@@ -71,6 +71,25 @@ TEST(HyperspecCodec, EncodingIsDeterministic) {
   EXPECT_EQ(ea.stream, eb.stream);
 }
 
+TEST(HyperspecCodec, InstrumentedEncodeMatchesPlainStream) {
+  // Profiling must observe the kernel, never change it: an encode through
+  // the instrumented arrays emits the plain encoder's stream word for word,
+  // for every backend and on a geometry with odd edges.
+  const CubeShape shape{5, 19, 23};
+  const auto cube = make_synthetic_cube(shape, 11);
+  for (const auto backend :
+       {entropy::Backend::kRice, entropy::Backend::kExpGolomb, entropy::Backend::kRans}) {
+    HsCodecOptions options;
+    options.backend = backend;
+    Encoder plain(shape);
+    trace::Recorder recorder("hyperspec");
+    Encoder instrumented(recorder, shape, {}, options);
+    EXPECT_EQ(instrumented.encode(cube, options).stream,
+              plain.encode(cube, options).stream)
+        << entropy::to_string(backend);
+  }
+}
+
 TEST(HyperspecCodec, SampleExceedingDynamicRangeIsRejected) {
   const CubeShape shape{1, 2, 2};
   Cube cube(shape);

@@ -29,8 +29,10 @@ struct Fixture {
     body.name = "loop";
     body.iterations = 100'000;
     for (int i = 0; i < n_groups; ++i) {
+      std::string name = "g";
+      name += std::to_string(i);
       const auto id = app.add_group(
-          {"g" + std::to_string(i), 256u << (i % 3), 4 + 4 * (i % 4), {}, 2});
+          {name, 256u << (i % 3), 4 + 4 * (i % 4), {}, 2});
       groups.push_back(id);
       body.accesses.push_back({id, ir::AccessKind::kRead, reads_per_iter});
       if (i % 2 == 0) {
