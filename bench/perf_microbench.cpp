@@ -317,7 +317,7 @@ void BM_RecorderReuseWindow(benchmark::State& state) {
     }
   }
   // Codec-sized iteration scopes (a handful of accesses each) keep the
-  // recorder's per-iteration aggregation realistic instead of quadratic.
+  // recorder's per-iteration aggregation at its share of a profiling run.
   constexpr std::size_t kPerIteration = 8;
   for (auto _ : state) {
     for (std::size_t base = 0; base < trace_indices.size(); base += kPerIteration) {
@@ -331,6 +331,72 @@ void BM_RecorderReuseWindow(benchmark::State& state) {
                           static_cast<std::int64_t>(trace_indices.size()));
 }
 BENCHMARK(BM_RecorderReuseWindow);
+
+// Per-iteration aggregation on btpc-encode-shaped iterations: 24 events,
+// with same-index reads across arrays (pixel + prediction, three Huffman
+// tree arrays per node walked) and same-index writes, so the co-access
+// counting finds real pairs among many non-pairs.  No reuse windows are set:
+// this times the recording and aggregation layer alone.
+void BM_RecorderCoAccess(benchmark::State& state) {
+  trace::Recorder recorder("bench");
+  constexpr std::uint64_t kWidth = 256;
+  const auto image = recorder.register_array("image", kWidth * kWidth, 8);
+  const auto pred = recorder.register_array("pred", kWidth * kWidth, 8);
+  const auto residual = recorder.register_array("residual", kWidth * kWidth, 9);
+  const auto recon = recorder.register_array("recon", kWidth * kWidth, 8);
+  const auto weight = recorder.register_array("tree_weight", 1024, 16);
+  const auto parent = recorder.register_array("tree_parent", 1024, 10);
+  const auto child = recorder.register_array("tree_child", 1024, 10);
+  const auto context = recorder.register_array("context", 256, 16);
+
+  struct Event {
+    trace::ArrayId array;
+    std::uint64_t index;
+    ir::AccessKind kind;
+  };
+  constexpr auto kRead = ir::AccessKind::kRead;
+  constexpr auto kWrite = ir::AccessKind::kWrite;
+  constexpr std::size_t kPixels = 1024;
+  constexpr std::size_t kPerIteration = 24;
+  support::Rng rng(9);
+  std::vector<Event> events;
+  events.reserve(kPixels * kPerIteration);
+  for (std::size_t i = 0; i < kPixels; ++i) {
+    const std::uint64_t p = kWidth + 1 + (i * 7) % (kWidth * (kWidth - 2));
+    for (const auto q : {p - 1, p + 1, p - kWidth, p + kWidth}) {
+      events.push_back({image, q, kRead});
+    }
+    events.push_back({image, p, kRead});
+    events.push_back({pred, p, kRead});
+    events.push_back({residual, p, kWrite});
+    events.push_back({recon, p, kWrite});
+    std::uint64_t node = rng.below(1024);
+    for (int level = 0; level < 4; ++level, node /= 2) {
+      for (const auto array : {weight, parent, child}) {
+        events.push_back({array, node, kRead});
+      }
+    }
+    events.push_back({weight, node, kWrite});
+    events.push_back({weight, node * 2, kWrite});
+    events.push_back({context, p & 255u, kRead});
+    events.push_back({context, (p + 1) & 255u, kRead});
+  }
+  if (events.size() != kPixels * kPerIteration) {
+    state.SkipWithError("iteration shape is not 24 events");
+    return;
+  }
+  for (auto _ : state) {
+    for (std::size_t base = 0; base < events.size(); base += kPerIteration) {
+      trace::Iteration scope(recorder, "encode");
+      for (std::size_t i = base; i < base + kPerIteration; ++i) {
+        recorder.record(events[i].array, events[i].index, events[i].kind);
+      }
+    }
+  }
+  benchmark::DoNotOptimize(recorder.total_events());
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(events.size()));
+}
+BENCHMARK(BM_RecorderCoAccess);
 
 // Uninstrumented wrapper accesses; the Release target for this is raw
 // std::vector indexing speed (bounds checks compile out, one null test).

@@ -1,11 +1,12 @@
-// Seed-corpus generator for the decode fuzzers.
+// Seed-corpus generator for the fuzz targets.
 //
 // Writes a handful of golden containers — real encoder output across the
 // codecs' option space, plus a few deterministic mutants from the
 // fault-injection mutators — into <outdir>/btpc and <outdir>/hyperspec.
 // Starting libFuzzer from structurally valid streams lets it reach the
 // entropy-decode loops immediately instead of spending its budget guessing
-// the container magic.
+// the container magic.  The reuse-simulation fuzzer gets window ladders
+// with read traces in <outdir>/reuse_sim.
 //
 // Usage: make_fuzz_corpus <outdir>
 #include <cstdint>
@@ -81,6 +82,31 @@ void emit(const std::filesystem::path& dir, const std::string& stem,
   return app;
 }
 
+/// Reuse-simulation input (layout in fuzz_reuse_sim.cpp): a window ladder
+/// and a read trace over `span` indices, one in four reads repeating the
+/// previous one.  Traces run past twice the largest capacity, so the seeds
+/// reach slot compaction, and eviction where `span` exceeds that capacity.
+[[nodiscard]] std::vector<std::uint8_t> make_reuse_input(
+    const std::vector<std::uint16_t>& capacities, std::uint32_t span, std::size_t reads,
+    std::uint64_t seed) {
+  const bool wide = span > 256;
+  std::vector<std::uint8_t> bytes{static_cast<std::uint8_t>(capacities.size() - 1),
+                                  static_cast<std::uint8_t>(wide ? 1 : 0)};
+  for (const auto capacity : capacities) {
+    const auto v = static_cast<std::uint16_t>(capacity - 1);
+    bytes.push_back(static_cast<std::uint8_t>(v >> 8));
+    bytes.push_back(static_cast<std::uint8_t>(v & 0xFF));
+  }
+  dtse::support::Rng rng(seed);
+  std::uint64_t index = 0;
+  for (std::size_t i = 0; i < reads; ++i) {
+    if (rng.below(4) != 0) index = i % 3 == 0 ? rng.below(span) : (index + 1) % span;
+    if (wide) bytes.push_back(static_cast<std::uint8_t>(index >> 8));
+    bytes.push_back(static_cast<std::uint8_t>(index & 0xFF));
+  }
+  return bytes;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -94,11 +120,13 @@ int main(int argc, char** argv) {
   const auto eg_dir = out / "entropy_expgolomb";
   const auto rans_dir = out / "entropy_rans";
   const auto app_dir = out / "persist_app";
+  const auto reuse_dir = out / "reuse_sim";
   std::filesystem::create_directories(btpc_dir);
   std::filesystem::create_directories(hs_dir);
   std::filesystem::create_directories(eg_dir);
   std::filesystem::create_directories(rans_dir);
   std::filesystem::create_directories(app_dir);
+  std::filesystem::create_directories(reuse_dir);
 
   using dtse::support::SyntheticKind;
   // BTPC: both traversals hit the same stream; vary content, size, lossiness.
@@ -160,6 +188,13 @@ int main(int argc, char** argv) {
          dtse::persist::serialize(make_seed_model(variant)),
          dtse::persist::kAppHeaderBytes);
   }
+
+  // Reuse-simulation ladders: a capacity-1 rung, a working set between two
+  // capacities, and the full 8-rung, 2048-word range.
+  write_file(reuse_dir / "seed0.bin", make_reuse_input({1, 2, 4, 64}, 70, 600, 1));
+  write_file(reuse_dir / "seed1.bin", make_reuse_input({3, 17, 200}, 120, 1500, 2));
+  write_file(reuse_dir / "seed2.bin",
+             make_reuse_input({1, 8, 40, 128, 300, 700, 1500, 2048}, 3000, 5000, 3));
 
   std::cout << "corpus written under " << out << '\n';
   return 0;

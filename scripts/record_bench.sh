@@ -23,7 +23,7 @@ cmake --build "$BUILD_DIR" -j --target perf_microbench
 # what-if query hot path (budget distribution and annealing moves) must be
 # present too.
 for bench in BM_MotionEstimate \
-             BM_RecorderReuseWindow BM_ProfiledEncode \
+             BM_RecorderReuseWindow BM_RecorderCoAccess BM_ProfiledEncode \
              BM_ExploreMotion BM_ExploreMultiWorkload \
              BM_HyperspecEncode BM_ProfiledFeedback256 \
              BM_PersistRoundTrip BM_ProfileCacheHit \

@@ -1,6 +1,7 @@
 #include "trace/recorder.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <functional>
 
@@ -23,9 +24,6 @@ constexpr std::uint64_t mix_index(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// Lowest set bit: the span of a Fenwick tree node.
-constexpr std::size_t lowbit(std::size_t i) { return i & (~i + 1); }
-
 }  // namespace
 
 // --- ReuseSim ----------------------------------------------------------------
@@ -41,44 +39,53 @@ void ReuseSim::init(std::vector<std::uint64_t> capacities) {
   DTSE_CHECK(capacities_.front() > 0 && tracked < (std::uint64_t{1} << 30),
              "reuse window capacity out of range");
   reads_by_rung_.assign(capacities_.size() + 1, 0);
+  bounds_.assign(capacities_.size(), 0);
   // Flat map sized at twice the tracked indices (load factor <= 0.5).
   std::uint64_t map_size = 2;
   while (map_size < 2 * tracked) map_size <<= 1;
   map_mask_ = map_size - 1;
   map_keys_.assign(map_size, kEmptyKey);
   map_vals_.assign(map_size, 0);
-  slot_keys_.assign(2 * tracked, kEmptyKey);
-  fenwick_.assign(2 * tracked + 1, 0);
+  slot_keys_.assign(2 * tracked, 0);
+  live_bits_.assign((2 * tracked + 63) / 64, 0);
 }
 
 void ReuseSim::touch(std::uint64_t index) {
   if (next_slot_ == slot_keys_.size()) compact();
+  const std::uint32_t slot = next_slot_++;
+  slot_keys_[slot] = index;
+  live_bits_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+  // Each window keeps the `c_r` highest live slots; the new slot joins all of
+  // them, so a full window that also keeps the read's previous slot loses
+  // nothing, and every other full window drops its boundary slot.
   std::size_t rung = capacities_.size();  // untracked: misses every window
+  std::size_t advance = full_;
   if (auto* found = map_find(index)) {
     const std::uint32_t last = *found;
-    const std::uint64_t distance = live_ - live_through(last);
-    // Tracked indices sit at distance < capacities_.back(), so this stops.
+    *found = slot;
+    live_bits_[last >> 6] &= ~(std::uint64_t{1} << (last & 63));
+    // Not-full windows have boundary 0, and the largest window holds every
+    // tracked slot, so this stops.
     rung = 0;
-    while (capacities_[rung] <= distance) ++rung;
-    slot_keys_[last] = kEmptyKey;
-    fenwick_add(last, -1);
-    *found = next_slot_;
+    while (last < bounds_[rung]) ++rung;
+    // Windows whose boundary was `last` lost exactly that slot.
+    advance = rung;
+    while (advance < full_ && bounds_[advance] == last) ++advance;
+  } else if (live_ == capacities_.back()) {
+    // Evict the least recently read tracked index: the largest window's
+    // boundary slot.
+    const std::uint32_t oldest = bounds_.back();
+    map_erase(slot_keys_[oldest]);
+    live_bits_[oldest >> 6] &= ~(std::uint64_t{1} << (oldest & 63));
+    map_insert(index, slot);
   } else {
-    if (live_ == capacities_.back()) {
-      // Evict the least recently read tracked index.
-      while (slot_keys_[oldest_] == kEmptyKey) ++oldest_;
-      map_erase(slot_keys_[oldest_]);
-      slot_keys_[oldest_] = kEmptyKey;
-      fenwick_add(oldest_, -1);
-    } else {
-      ++live_;
-    }
-    map_insert(index, next_slot_);
+    ++live_;
+    map_insert(index, slot);
+    // A window that just filled holds every live slot.
+    if (live_ == capacities_[full_]) bounds_[full_++] = live_from(0);
   }
+  for (std::size_t r = 0; r < advance; ++r) bounds_[r] = live_from(bounds_[r] + 1);
   ++reads_by_rung_[rung];
-  slot_keys_[next_slot_] = index;
-  fenwick_add(next_slot_, 1);
-  ++next_slot_;
 }
 
 std::uint64_t ReuseSim::misses(std::size_t window) const {
@@ -92,37 +99,35 @@ std::uint64_t ReuseSim::misses(std::size_t window) const {
 
 void ReuseSim::compact() {
   std::uint32_t kept = 0;
-  for (std::uint32_t slot = oldest_; slot < next_slot_; ++slot) {
-    const std::uint64_t key = slot_keys_[slot];
-    if (key == kEmptyKey) continue;
-    slot_keys_[kept] = key;
-    *map_find(key) = kept;
-    ++kept;
+  for (std::size_t word = 0; word < live_bits_.size(); ++word) {
+    for (std::uint64_t bits = live_bits_[word]; bits != 0; bits &= bits - 1) {
+      const std::uint64_t key = slot_keys_[word * 64 + std::countr_zero(bits)];
+      slot_keys_[kept] = key;
+      *map_find(key) = kept;
+      ++kept;
+    }
   }
   DTSE_DCHECK(kept == live_, "reuse slots out of sync with the index map");
-  std::fill(slot_keys_.begin() + kept, slot_keys_.end(), kEmptyKey);
-  // Linear rebuild: node i covers slots [i - lowbit(i), i), of which the
-  // ones below `kept` are live.
-  for (std::size_t i = 1; i < fenwick_.size(); ++i) {
-    const std::size_t first = i - lowbit(i);
-    fenwick_[i] = first < kept
-                      ? static_cast<std::uint32_t>(std::min<std::size_t>(i, kept) - first)
-                      : 0;
+  std::fill(live_bits_.begin(), live_bits_.end(), 0);
+  std::fill_n(live_bits_.begin(), kept / 64, ~std::uint64_t{0});
+  if (kept % 64 != 0) live_bits_[kept / 64] = (std::uint64_t{1} << (kept % 64)) - 1;
+  // Live slots are now [0, kept), so a full window's `c_r` highest start at
+  // kept - c_r.
+  for (std::size_t r = 0; r < full_; ++r) {
+    bounds_[r] = kept - static_cast<std::uint32_t>(capacities_[r]);
   }
   next_slot_ = kept;
-  oldest_ = 0;
 }
 
-void ReuseSim::fenwick_add(std::uint32_t slot, int delta) {
-  for (std::size_t i = slot + 1; i < fenwick_.size(); i += lowbit(i)) {
-    fenwick_[i] += static_cast<std::uint32_t>(delta);
+std::uint32_t ReuseSim::live_from(std::uint32_t slot) const {
+  std::size_t word = slot >> 6;
+  std::uint64_t bits = live_bits_[word] & (~std::uint64_t{0} << (slot & 63));
+  while (bits == 0) {
+    ++word;
+    DTSE_DCHECK(word < live_bits_.size(), "no live reuse slot after the boundary");
+    bits = live_bits_[word];
   }
-}
-
-std::uint32_t ReuseSim::live_through(std::uint32_t slot) const {
-  std::uint32_t sum = 0;
-  for (std::size_t i = slot + 1; i > 0; i -= lowbit(i)) sum += fenwick_[i];
-  return sum;
+  return static_cast<std::uint32_t>(word * 64 + std::countr_zero(bits));
 }
 
 std::uint32_t* ReuseSim::map_find(std::uint64_t key) {
@@ -280,19 +285,35 @@ void Recorder::aggregate_iteration() {
     ++agg.count;
   }
 
-  // Same-index co-accesses of the same kind between different arrays.
-  for (std::size_t i = 0; i < pending_.size(); ++i) {
-    for (std::size_t j = i + 1; j < pending_.size(); ++j) {
-      const auto& a = pending_[i];
-      const auto& b = pending_[j];
-      if (a.index != b.index || ((a.slot ^ b.slot) & 1u) != 0) continue;
-      const ArrayId array_a = array_of(a.slot);
-      const ArrayId array_b = array_of(b.slot);
-      if (array_a == array_b) continue;
-      const std::size_t kind = a.slot & 1u;
-      const std::size_t lo = std::min(array_a, array_b);
-      const std::size_t hi = std::max(array_a, array_b);
-      ++body.co_access[(kind * n + lo) * n + hi];
+  // Same-index co-accesses of the same kind between different arrays.  Each
+  // event is chained to the previous one with its (index, kind) key and pairs
+  // with every earlier event on that chain, so only same-key events compare.
+  constexpr std::uint32_t kNoEvent = ~std::uint32_t{0};
+  DTSE_DCHECK(pending_.size() < kNoEvent, "iteration too large");
+  // Fibonacci hashing: the key's top bits pick a bucket in a power-of-two
+  // table at least twice the iteration's event count.
+  std::size_t table_size = 16;
+  while (table_size < 2 * pending_.size()) table_size <<= 1;
+  const std::size_t mask = table_size - 1;
+  const int shift = 64 - std::countr_zero(table_size);
+  co_heads_.assign(table_size, kNoEvent);
+  co_chain_.resize(pending_.size());
+  for (std::uint32_t i = 0; i < pending_.size(); ++i) {
+    const auto& event = pending_[i];
+    const std::uint32_t kind = event.slot & 1u;
+    std::size_t bucket = (((event.index << 1) | kind) * 0x9E3779B97F4A7C15ULL) >> shift;
+    while (co_heads_[bucket] != kNoEvent) {
+      const auto& head = pending_[co_heads_[bucket]];
+      if (head.index == event.index && (head.slot & 1u) == kind) break;
+      bucket = (bucket + 1) & mask;
+    }
+    co_chain_[i] = co_heads_[bucket];
+    co_heads_[bucket] = i;
+    const ArrayId array = array_of(event.slot);
+    for (std::uint32_t j = co_chain_[i]; j != kNoEvent; j = co_chain_[j]) {
+      const ArrayId other = array_of(pending_[j].slot);
+      if (other == array) continue;
+      ++body.co_access[(kind * n + std::min(array, other)) * n + std::max(array, other)];
     }
   }
 

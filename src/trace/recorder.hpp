@@ -19,17 +19,21 @@
 // per array, not one per window.  LRU is a stack algorithm (Mattson et al.,
 // IBM Sys. J. 1970): a read whose LRU stack distance — the number of
 // distinct indices read since its previous read — is d hits in exactly the
-// windows of capacity > d.  `ReuseSim` computes that distance with a
-// Fenwick tree over access slots (Bennett–Kruskal) and keeps only the
-// array's largest window worth of indices, so one lookup yields the exact
-// LRU miss count of every window and memory is bounded by the largest
+// windows of capacity > d.  `ReuseSim` never computes d: it keeps, per
+// window, the boundary slot below which a previous read falls out of that
+// window, so a read costs O(1) plus one step per window it misses.  It keeps
+// only the array's largest window worth of indices, so one lookup yields the
+// exact LRU miss count of every window and memory is bounded by the largest
 // window, never by the array size.
 //
 // All aggregation state is flat and slot-indexed: a *slot* is
 // `array * 2 + kind`, so per-(array, kind) statistics live in plain vectors
 // and co-access counts in a dense matrix — no tree lookups on the per-access
-// or per-iteration paths.  `record_slot` is the inlined fast path used by
-// `InstrumentedArray`, which pre-resolves its slots at registration time.
+// or per-iteration paths.  Co-accesses are counted by chaining each
+// iteration's events by (index, kind) in a small hash table, so an iteration
+// costs O(events + same-key pairs), not O(events²).  `record_slot` is the
+// inlined fast path used by `InstrumentedArray`, which pre-resolves its slots
+// at registration time.
 //
 // `build()` converts everything into an ir::Application.  Profiling runs on
 // a scaled-down input can be extrapolated with the `scale` parameter, which
@@ -53,15 +57,19 @@ namespace dtse::trace {
 using ArrayId = std::uint32_t;
 
 /// Exact LRU simulation of one array at a ladder of window capacities, in
-/// one stack-distance pass per read (see the header comment).
+/// one pass per read (see the header comment).
 ///
 /// Only the `C` most recently read distinct indices are tracked, where `C`
 /// is the largest capacity: an index outside them has a stack distance of at
 /// least `C` and misses every window.  Tracked indices map (open addressing)
-/// to the *slot* of their latest read; slots are handed out in read order
-/// and a Fenwick tree over 2·C slots marks the live ones, so a read's stack
-/// distance is the number of live slots after its previous slot.  When the
-/// slots run out, the live ones are compacted to the front.
+/// to the *slot* of their latest read; slots are handed out in read order,
+/// a bitset over 2·C slots marks the live ones, and when the slots run out
+/// the live ones are compacted to the front.  Window `r` of capacity `c_r`
+/// is *full* once `c_r` indices are tracked; its boundary is then the lowest
+/// of the `c_r` highest live slots.  A read whose previous slot lies below a
+/// full window's boundary misses that window, and each boundary only moves
+/// up, to the next live slot, so a read costs O(1) amortized plus one
+/// next-live step per window it misses or whose boundary it was.
 class ReuseSim {
  public:
   /// `capacities` must be strictly increasing; empty disables the simulator.
@@ -77,9 +85,8 @@ class ReuseSim {
 
  private:
   void compact();
-  void fenwick_add(std::uint32_t slot, int delta);
-  /// Live slots among [0, slot].
-  [[nodiscard]] std::uint32_t live_through(std::uint32_t slot) const;
+  /// Lowest live slot at or after `slot`; one must exist.
+  [[nodiscard]] std::uint32_t live_from(std::uint32_t slot) const;
 
   [[nodiscard]] std::uint32_t* map_find(std::uint64_t key);
   void map_insert(std::uint64_t key, std::uint32_t value);
@@ -88,17 +95,19 @@ class ReuseSim {
   std::vector<std::uint64_t> capacities_;  ///< ascending
   /// `reads_by_rung_[m]`: reads that missed exactly the `m` smallest windows.
   std::vector<std::uint64_t> reads_by_rung_;
+  /// Per window: lowest slot it still holds (0 while not full).
+  std::vector<std::uint32_t> bounds_;
+  std::size_t full_ = 0;  ///< windows [0, full_) are full
 
   static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
   std::vector<std::uint64_t> map_keys_;   ///< kEmptyKey = free entry
   std::vector<std::uint32_t> map_vals_;   ///< slot of the key's latest read
   std::uint64_t map_mask_ = 0;
 
-  std::vector<std::uint64_t> slot_keys_;  ///< index read in each slot; kEmptyKey = dead
-  std::vector<std::uint32_t> fenwick_;    ///< 1-based, over slot liveness
+  std::vector<std::uint64_t> slot_keys_;  ///< index read in each live slot
+  std::vector<std::uint64_t> live_bits_;  ///< bit s set = slot s is live
   std::uint32_t next_slot_ = 0;
-  std::uint32_t oldest_ = 0;  ///< no live slot lies before this one
-  std::uint32_t live_ = 0;    ///< tracked indices, <= capacities_.back()
+  std::uint32_t live_ = 0;  ///< tracked indices, <= capacities_.back()
 };
 
 class Recorder {
@@ -219,6 +228,10 @@ class Recorder {
   std::map<std::string, std::size_t, std::less<>> body_index_;
   long current_body_ = -1;
   std::vector<PendingEvent> pending_;
+  /// Co-access scratch, reused across iterations: hash table of the latest
+  /// pending event per (index, kind) key, and each event's previous one.
+  std::vector<std::uint32_t> co_heads_;
+  std::vector<std::uint32_t> co_chain_;
   std::uint64_t total_events_ = 0;
 };
 

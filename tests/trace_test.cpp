@@ -2,10 +2,13 @@
 // LRU reuse simulation, and IR extraction.
 #include <gtest/gtest.h>
 
-#include <list>
-#include <unordered_map>
+#include <algorithm>
+#include <map>
+#include <string>
 #include <vector>
 
+#include "oracles/co_access.hpp"
+#include "oracles/reference_lru.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 #include "trace/instrumented_array.hpp"
@@ -82,6 +85,76 @@ TEST(Recorder, CoAccessDetection) {
   EXPECT_EQ(acc_a.kind, ir::AccessKind::kRead);
   EXPECT_EQ(acc_b.kind, ir::AccessKind::kRead);
   EXPECT_NE(acc_a.group, acc_b.group);
+}
+
+TEST(Recorder, CoAccessMatchesPairwiseOracle) {
+  using oracle::CoAccessKey;
+  Recorder rec("app");
+  std::vector<ArrayId> arrays;
+  for (int i = 0; i < 4; ++i) {
+    arrays.push_back(rec.register_array("a" + std::to_string(i), 64, 8));
+  }
+  const std::vector<std::string> bodies{"first", "second"};
+  std::vector<std::map<CoAccessKey, std::uint64_t>> expected(bodies.size());
+  std::vector<std::uint64_t> iterations(bodies.size(), 0);
+  const auto run = [&](std::size_t body, const std::vector<oracle::Event>& events) {
+    Iteration scope(rec, bodies[body]);
+    for (const auto& e : events) rec.record(e.array, e.index, e.kind);
+    oracle::count_co_accesses(events, expected[body]);
+    ++iterations[body];
+  };
+
+  // Duplicate same-array same-index reads pair twice with a third array's
+  // read; a read and a write at one index never pair.
+  run(0, {{0, 5, ir::AccessKind::kRead},
+          {0, 5, ir::AccessKind::kRead},
+          {1, 5, ir::AccessKind::kRead},
+          {2, 5, ir::AccessKind::kWrite},
+          {3, 5, ir::AccessKind::kWrite}});
+  run(0, {});
+  run(1, {{2, 9, ir::AccessKind::kWrite}});
+
+  support::Rng rng(17);
+  const auto random_iteration = [&](std::size_t events) {
+    std::vector<oracle::Event> out;
+    for (std::size_t i = 0; i < events; ++i) {
+      out.push_back({arrays[rng.below(arrays.size())], rng.below(6),
+                     rng.below(3) == 0 ? ir::AccessKind::kWrite : ir::AccessKind::kRead});
+    }
+    return out;
+  };
+  // Empty, single-event, typical and wider-than-64 iterations (the key table
+  // starts at 16 buckets and must grow).
+  for (int i = 0; i < 300; ++i) {
+    std::size_t size = rng.below(30);
+    if (i % 10 < 2) size = i % 10;
+    if (i % 10 == 2) size = 65 + rng.below(60);
+    run(rng.below(2), random_iteration(size));
+    // An array registered after both bodies were first seen: the dense
+    // co-access matrices must be remapped, keeping their counts.
+    if (i == 150) arrays.push_back(rec.register_array("late", 64, 8));
+  }
+
+  const auto app = rec.build();
+  ASSERT_EQ(app.body_count(), bodies.size());
+  for (std::size_t b = 0; b < bodies.size(); ++b) {
+    const auto& body = app.body(ir::LoopBodyId(static_cast<std::uint32_t>(b)));
+    std::map<CoAccessKey, double> actual;
+    for (const auto& co : body.co_accesses) {
+      const auto& first = body.accesses[co.access_a];
+      const auto& second = body.accesses[co.access_b];
+      ASSERT_EQ(first.kind, second.kind);
+      ASSERT_LT(first.group.value(), second.group.value());
+      actual[{first.kind, first.group.value(), second.group.value()}] =
+          co.pairs_per_iteration;
+    }
+    ASSERT_EQ(actual.size(), expected[b].size()) << bodies[b];
+    for (const auto& [key, pairs] : expected[b]) {
+      ASSERT_TRUE(actual.count(key)) << bodies[b];
+      const double iters = static_cast<double>(iterations[b]);
+      EXPECT_EQ(actual[key], static_cast<double>(pairs) / iters) << bodies[b];
+    }
+  }
 }
 
 TEST(Recorder, DifferentKindsDoNotCoAccess) {
@@ -259,39 +332,9 @@ TEST(InstrumentedArray2D, RowMajorIndexing) {
 }
 
 // --- reuse simulation against an independent LRU oracle ---------------------
+// (tests/oracles/reference_lru.hpp)
 
-/// Textbook LRU cache of one capacity: a recency list plus a hash index.
-/// Deliberately shares nothing with `ReuseSim` (no stack distances, no
-/// Fenwick tree, no slot compaction), so a bug there cannot hide here.
-class ReferenceLru {
- public:
-  explicit ReferenceLru(std::uint64_t capacity) : capacity_(capacity) {}
-
-  void touch(std::uint64_t index) {
-    const auto it = where_.find(index);
-    if (it != where_.end()) {
-      order_.erase(it->second);
-      order_.push_front(index);
-      it->second = order_.begin();
-      return;
-    }
-    ++misses_;
-    order_.push_front(index);
-    where_[index] = order_.begin();
-    if (order_.size() > capacity_) {
-      where_.erase(order_.back());
-      order_.pop_back();
-    }
-  }
-
-  [[nodiscard]] std::uint64_t misses() const { return misses_; }
-
- private:
-  std::uint64_t capacity_;
-  std::uint64_t misses_ = 0;
-  std::list<std::uint64_t> order_;  ///< front = most recent
-  std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator> where_;
-};
+using oracle::ReferenceLru;
 
 /// Replays `trace` as reads of one array through a `Recorder` and returns
 /// the per-window miss counts of the built reuse profile.
@@ -371,6 +414,86 @@ TEST(ReuseSim, MatchesReferenceLruAtEveryWindow) {
       EXPECT_DOUBLE_EQ(misses[i], static_cast<double>(oracle.misses()))
           << c.name << ", window " << distinct[i];
     }
+  }
+}
+
+/// Runs `trace` through one `ReuseSim` over `capacities` and checks every
+/// window's misses against its own `ReferenceLru`.
+void expect_matches_reference_lru(const std::vector<std::uint64_t>& capacities,
+                                  const std::vector<std::uint64_t>& trace,
+                                  const std::string& name) {
+  ReuseSim sim;
+  sim.init(capacities);
+  for (const auto index : trace) sim.touch(index);
+  for (std::size_t w = 0; w < capacities.size(); ++w) {
+    ReferenceLru oracle(capacities[w]);
+    for (const auto index : trace) oracle.touch(index);
+    EXPECT_EQ(sim.misses(w), oracle.misses()) << name << ", window " << capacities[w];
+  }
+}
+
+TEST(ReuseSim, MatchesReferenceLruOnBoundaryEdgeCases) {
+  const std::vector<std::uint64_t> ladder{1, 2, 4, 8, 32};
+  support::Rng rng(21);
+  // Back-to-back repeats (distance 0): the read's previous slot is the
+  // boundary of every full window, which must move past it.
+  {
+    std::vector<std::uint64_t> trace;
+    for (int i = 0; i < 400; ++i) {
+      const std::uint64_t index = rng.below(48);
+      for (std::uint64_t r = 0; r <= rng.below(4); ++r) trace.push_back(index);
+    }
+    expect_matches_reference_lru(ladder, trace, "repeats");
+  }
+  // A working set that grows by one index per read, with revisits, so the
+  // windows fill one after another while reads keep hitting.
+  {
+    std::vector<std::uint64_t> trace;
+    for (std::uint64_t k = 0; k < 3 * ladder.back(); ++k) {
+      trace.push_back(k);
+      trace.push_back(rng.below(k + 1));
+      trace.push_back(k - rng.below(k + 1) / 4);
+    }
+    expect_matches_reference_lru(ladder, trace, "growing");
+  }
+  // Capacity-1 windows at the bottom of short ladders, and alone.
+  for (const auto& small : {std::vector<std::uint64_t>{1},
+                            std::vector<std::uint64_t>{1, 3},
+                            std::vector<std::uint64_t>{1, 2, 5}}) {
+    std::vector<std::uint64_t> trace;
+    for (int i = 0; i < 200; ++i) {
+      trace.push_back(rng.below(4) == 0 && !trace.empty() ? trace.back() : rng.below(8));
+    }
+    expect_matches_reference_lru(small, trace, "capacity-1 ladder");
+  }
+  // A working set between two capacities and a trace far longer than twice
+  // the largest: slots compact while only the small windows are full.
+  {
+    const std::vector<std::uint64_t> wide{2, 8, 64, 512};
+    std::vector<std::uint64_t> trace;
+    for (int i = 0; i < 5'000; ++i) {
+      trace.push_back(i % 5 == 0 ? rng.below(30) : static_cast<std::uint64_t>(i % 30));
+    }
+    expect_matches_reference_lru(wide, trace, "between capacities");
+  }
+  // Seeded random ladders of 1-8 capacities up to 2048, each over a trace
+  // longer than twice its largest capacity.
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    support::Rng ladder_rng(100 + seed);
+    std::vector<std::uint64_t> capacities;
+    const std::uint64_t count = 1 + ladder_rng.below(8);
+    while (capacities.size() < count) {
+      const std::uint64_t c = 1 + ladder_rng.below(2048);
+      if (std::find(capacities.begin(), capacities.end(), c) == capacities.end()) {
+        capacities.push_back(c);
+      }
+    }
+    std::sort(capacities.begin(), capacities.end());
+    const std::uint64_t span = 1 + ladder_rng.below(2 * capacities.back() + 16);
+    const auto trace = mixed_trace(span, seed);
+    ASSERT_GT(trace.size(), 2 * capacities.back());
+    expect_matches_reference_lru(capacities, trace,
+                                 "random ladder " + std::to_string(seed));
   }
 }
 
