@@ -11,10 +11,10 @@
 
 int main(int argc, char** argv) {
   using namespace dtse;
-  const auto options = bench::case_options_from_args(argc, argv);
+  const auto options = bench::profile_options_from_args(argc, argv);
   bench::print_header("Ablation: MACP and conflict penalty sensitivity", options);
 
-  const auto profiled = core::profile_btpc_demonstrator(options);
+  const auto profiled = workloads::BtpcWorkload{}.profile(options);
   core::Explorer explorer{memlib::MemoryLibrary{}};
 
   const auto macp = explorer.analyze_critical_path(profiled);
@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
                                            : "loop transformations REQUIRED")
             << "\n\n";
 
-  const auto best = core::btpc_best_variant(profiled);
+  const auto best = workloads::btpc_best_variant(profiled);
   support::Table table({"penalties", "area [mm2]", "on-chip [mW]", "off-chip [mW]",
                         "conflict edges"});
   for (const bool naive : {false, true}) {

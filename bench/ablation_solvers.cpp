@@ -11,11 +11,11 @@
 
 int main(int argc, char** argv) {
   using namespace dtse;
-  const auto options = bench::case_options_from_args(argc, argv);
+  const auto options = bench::profile_options_from_args(argc, argv);
   bench::print_header("Ablation: assignment solver comparison", options);
 
-  const auto profiled = core::profile_btpc_demonstrator(options);
-  const auto best = core::btpc_best_variant(profiled);
+  const auto profiled = workloads::BtpcWorkload{}.profile(options);
+  const auto best = workloads::btpc_best_variant(profiled);
   const auto scbd = scbd::distribute_budget(best, {});
 
   memlib::MemoryLibrary library;

@@ -10,22 +10,26 @@
 #include <iostream>
 #include <string>
 
-#include "core/btpc_case_study.hpp"
 #include "core/explorer.hpp"
 #include "support/table.hpp"
+#include "workloads/btpc_workload.hpp"
 
 namespace dtse::bench {
 
-inline core::BtpcCaseOptions case_options_from_args(int argc, char** argv) {
-  core::BtpcCaseOptions options;
-  options.profile_width = 256;
-  options.profile_height = 256;
+/// Profiling options from the optional frame-size argument: 256 when absent,
+/// otherwise an integer in [64, 16384].  Anything else prints a usage line
+/// and exits 1.
+inline workloads::WorkloadOptions profile_options_from_args(int argc, char** argv) {
+  workloads::WorkloadOptions options;
+  options.profile_size = 256;
   if (argc > 1) {
-    const int size = std::atoi(argv[1]);
-    if (size >= 64) {
-      options.profile_width = size;
-      options.profile_height = size;
+    char* end = nullptr;
+    const long size = std::strtol(argv[1], &end, 10);
+    if (argc > 2 || end == argv[1] || *end != '\0' || size < 64 || size > 16384) {
+      std::cerr << "usage: " << argv[0] << " [frame-size in 64..16384]\n";
+      std::exit(1);
     }
+    options.profile_size = static_cast<int>(size);
   }
   return options;
 }
@@ -52,10 +56,11 @@ inline void add_comparison_row(support::Table& table, const std::string& label,
                  Table::num(paper.offchip_mw)});
 }
 
-inline void print_header(const char* what, const core::BtpcCaseOptions& options) {
+inline void print_header(const char* what, const workloads::WorkloadOptions& options) {
+  constexpr int kDesign = workloads::BtpcWorkload::kDesignSize;
   std::cout << "=== " << what << " ===\n"
-            << "profile frame " << options.profile_width << "x" << options.profile_height
-            << ", design point " << options.design_width << "x" << options.design_height
+            << "profile frame " << options.profile_size << "x" << options.profile_size
+            << ", design point " << kDesign << "x" << kDesign
             << "; absolute paper numbers are NOT expected to match (different\n"
             << "technology models), the ordering and rough ratios are.\n\n";
 }

@@ -7,12 +7,11 @@
 
 #include "alloc/assignment_problem.hpp"
 #include "alloc/solvers.hpp"
-#include "btpc/bitstream.hpp"
 #include "btpc/codec.hpp"
-#include "core/btpc_case_study.hpp"
-#include "entropy/adaptive_huffman.hpp"
-#include "entropy/entropy_coder.hpp"
 #include "core/explorer.hpp"
+#include "entropy/adaptive_huffman.hpp"
+#include "entropy/bitstream.hpp"
+#include "entropy/entropy_coder.hpp"
 #include "graph/conflict_graph.hpp"
 #include "hyperspec/codec.hpp"
 #include "motion/estimator.hpp"
@@ -25,6 +24,7 @@
 #include "support/rng.hpp"
 #include "trace/instrumented_array.hpp"
 #include "trace/recorder.hpp"
+#include "workloads/btpc_workload.hpp"
 #include "workloads/hyperspec_workload.hpp"
 #include "workloads/motion_workload.hpp"
 #include "workloads/profile_store.hpp"
@@ -35,12 +35,8 @@ namespace {
 using namespace dtse;
 
 const ir::Application& demo_app() {
-  static const ir::Application app = [] {
-    core::BtpcCaseOptions options;
-    options.profile_width = 128;
-    options.profile_height = 128;
-    return core::profile_btpc_demonstrator(options);
-  }();
+  static const ir::Application app =
+      workloads::BtpcWorkload{}.profile({.profile_size = 128});
   return app;
 }
 
@@ -64,7 +60,7 @@ void BM_DecodeLossless(benchmark::State& state) {
   const auto encoded = encoder.encode(image, {});
   btpc::Decoder decoder;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(decoder.decode(encoded));
+    benchmark::DoNotOptimize(decoder.try_decode(encoded));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(size) * size);
 }
@@ -418,7 +414,7 @@ BENCHMARK(BM_UninstrumentedArrayAccess);
 
 void BM_BitWriterThroughput(benchmark::State& state) {
   for (auto _ : state) {
-    btpc::BitWriter writer;
+    entropy::BitWriter writer;
     for (std::uint32_t i = 0; i < 4096; ++i) writer.put(i & 0x1FFu, 9);
     benchmark::DoNotOptimize(writer.finish());
   }
@@ -427,11 +423,11 @@ void BM_BitWriterThroughput(benchmark::State& state) {
 BENCHMARK(BM_BitWriterThroughput);
 
 void BM_BitReaderThroughput(benchmark::State& state) {
-  btpc::BitWriter writer;
+  entropy::BitWriter writer;
   for (std::uint32_t i = 0; i < 4096; ++i) writer.put(i & 0x1FFu, 9);
   const auto words = writer.finish();
   for (auto _ : state) {
-    btpc::BitReader reader(words);
+    entropy::BitReader reader(words);
     std::uint32_t acc = 0;
     for (std::uint32_t i = 0; i < 4096; ++i) acc ^= reader.get(9);
     benchmark::DoNotOptimize(acc);
@@ -444,7 +440,7 @@ BENCHMARK(BM_BitReaderThroughput);
 // cached table (one lazy tree sweep per model change).
 void BM_HuffmanCodeLength(benchmark::State& state) {
   entropy::AdaptiveHuffmanBank bank;
-  btpc::BitWriter writer;
+  entropy::BitWriter writer;
   for (int i = 0; i < 5000; ++i) {
     bank.encode(i % entropy::AdaptiveHuffmanBank::kCoders, (i * 7) % 64, writer);
   }
@@ -687,12 +683,10 @@ BENCHMARK(BM_ProfileCacheHit)->Unit(benchmark::kMicrosecond);
 // The acceptance-criterion macro run: profile a 256x256 BTPC encode and feed
 // the model through one full evaluation.
 void BM_ProfiledFeedback256(benchmark::State& state) {
-  core::BtpcCaseOptions options;
-  options.profile_width = 256;
-  options.profile_height = 256;
+  const workloads::BtpcWorkload btpc;
   core::Explorer explorer{memlib::MemoryLibrary{}};
   for (auto _ : state) {
-    const auto app = core::profile_btpc_demonstrator(options);
+    const auto app = btpc.profile({.profile_size = 256});
     benchmark::DoNotOptimize(explorer.evaluate(app));
   }
 }

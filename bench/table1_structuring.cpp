@@ -8,13 +8,13 @@
 
 int main(int argc, char** argv) {
   using namespace dtse;
-  const auto options = bench::case_options_from_args(argc, argv);
+  const auto options = bench::profile_options_from_args(argc, argv);
   bench::print_header("Table 1: basic group structuring", options);
 
-  const auto profiled = core::profile_btpc_demonstrator(options);
+  const auto profiled = workloads::BtpcWorkload{}.profile(options);
   core::Explorer explorer{memlib::MemoryLibrary{}};
   const auto variants =
-      explorer.explore_variants(core::btpc_structuring_variants(profiled), {});
+      explorer.explore_variants(workloads::btpc_structuring_variants(profiled), {});
 
   static constexpr bench::PaperRow kPaper[] = {
       {"No structuring", 85.0, 47.3, 208.0},

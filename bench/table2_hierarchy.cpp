@@ -10,16 +10,16 @@
 
 int main(int argc, char** argv) {
   using namespace dtse;
-  const auto options = bench::case_options_from_args(argc, argv);
+  const auto options = bench::profile_options_from_args(argc, argv);
   bench::print_header("Table 2 / Figure 3: memory hierarchy decision for image", options);
 
-  const auto profiled = core::profile_btpc_demonstrator(options);
-  const auto structuring = core::btpc_structuring_variants(profiled);
+  const auto profiled = workloads::BtpcWorkload{}.profile(options);
+  const auto structuring = workloads::btpc_structuring_variants(profiled);
   const auto& merged = structuring.back().second;
 
   core::Explorer explorer{memlib::MemoryLibrary{}};
   const auto variants =
-      explorer.explore_variants(core::btpc_hierarchy_variants(merged), {});
+      explorer.explore_variants(workloads::btpc_hierarchy_variants(merged), {});
 
   static constexpr bench::PaperRow kPaper[] = {
       {"No hierarchy", 65.4, 39.4, 130.2},

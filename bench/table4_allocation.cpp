@@ -11,11 +11,11 @@
 
 int main(int argc, char** argv) {
   using namespace dtse;
-  const auto options = bench::case_options_from_args(argc, argv);
+  const auto options = bench::profile_options_from_args(argc, argv);
   bench::print_header("Table 4: memory allocation exploration", options);
 
-  const auto profiled = core::profile_btpc_demonstrator(options);
-  const auto best = core::btpc_best_variant(profiled);
+  const auto profiled = workloads::BtpcWorkload{}.profile(options);
+  const auto best = workloads::btpc_best_variant(profiled);
 
   core::Explorer explorer{memlib::MemoryLibrary{}};
   const auto variants = explorer.explore_allocation_counts(best, {4, 5, 8, 10, 14}, {});

@@ -3,7 +3,7 @@
 // Exercises the full untrusted-input surface: container parse
 // (`try_deserialize`) followed by entropy decode (`try_decode`).  The
 // contract under test is the robustness trichotomy (see
-// src/testing/fault_injection.hpp): any input must produce a payload or a
+// tests/harness/fault_injection.hpp): any input must produce a payload or a
 // clean Status — never a throw, crash, hang or sanitizer report.
 //
 // Built with clang this is a real libFuzzer binary (-fsanitize=fuzzer).

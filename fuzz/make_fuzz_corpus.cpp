@@ -18,12 +18,12 @@
 
 #include "btpc/codec.hpp"
 #include "entropy/entropy_coder.hpp"
+#include "harness/fault_injection.hpp"
 #include "hyperspec/codec.hpp"
 #include "ir/application.hpp"
 #include "persist/app_container.hpp"
 #include "support/image.hpp"
 #include "support/rng.hpp"
-#include "testing/fault_injection.hpp"
 
 namespace {
 

@@ -13,6 +13,8 @@
 namespace dtse::btpc {
 
 using entropy::AdaptiveHuffmanBank;
+using entropy::BitReader;
+using entropy::BitWriter;
 using entropy::fold_residual;
 using entropy::unfold_residual;
 
@@ -35,7 +37,7 @@ constexpr int kResEgPrefix = 10;
 
 int clamp_sample(int v) { return std::clamp(v, 0, 255); }
 
-/// Strip height for the tiled traversal: a strip's image (2 B), pyr (1 B)
+/// Strip height of the fused traversal: a strip's image (2 B), pyr (1 B)
 /// and ridge (1 B) rows should together sit inside ~256 KiB so the encode
 /// half of a fused strip finds the predict half's writes still resident.
 int effective_tile_rows(const CodecOptions& options, int width, int height) {
@@ -316,22 +318,18 @@ EncodedImage Encoder::encode(const support::Image& image, const CodecOptions& op
       level_offsets_.write(li % level_offsets_.size(),
                            static_cast<std::uint32_t>(writer.bits_written() >> 4));
     }
-    if (options.traversal == Traversal::kLevelOrder) {
-      predict_pass(levels[li], options, 0, height_);
-      encode_pass(levels[li], options.backend, writer, 0, height_);
-    } else {
-      // Strip fusion: a point's encode only needs its own predict (pyr,
-      // ridge, and the escape FIFO, which both halves walk in the same
-      // raster order), and a point's predict only reads values fixed before
-      // its strip begins — parents on coarser lattices plus, in lossy mode,
-      // causal same-level context at lower raster positions.  Interleaving
-      // whole strips therefore reproduces the level-order bitstream exactly
-      // while the strip's planes stay cache-resident between the halves.
-      for (int y0 = 0; y0 < height_; y0 += tile_rows) {
-        const int y1 = std::min(y0 + tile_rows, height_);
-        predict_pass(levels[li], options, y0, y1);
-        encode_pass(levels[li], options.backend, writer, y0, y1);
-      }
+    // Strip fusion: a point's encode only needs its own predict (pyr, ridge,
+    // and the escape FIFO, which both halves walk in the same raster order),
+    // and a point's predict only reads values fixed before its strip begins
+    // — parents on coarser lattices plus, in lossy mode, causal same-level
+    // context at lower raster positions.  Interleaving whole strips
+    // therefore reproduces the level-order bitstream (one strip spanning the
+    // frame) exactly while the strip's planes stay cache-resident between
+    // the halves.
+    for (int y0 = 0; y0 < height_; y0 += tile_rows) {
+      const int y1 = std::min(y0 + tile_rows, height_);
+      predict_pass(levels[li], options, y0, y1);
+      encode_pass(levels[li], options.backend, writer, y0, y1);
     }
   }
   DTSE_ASSERT(escape_values_.empty(), "escape value stream out of balance");
@@ -469,12 +467,6 @@ support::Result<support::Image> Decoder::try_decode(const EncodedImage& encoded)
   return image;
 }
 
-support::Image Decoder::decode(const EncodedImage& encoded) {
-  auto result = try_decode(encoded);
-  DTSE_CHECK(result.ok(), "decode of a malformed stream: " + result.status().to_string());
-  return result.take();
-}
-
 std::vector<std::uint8_t> serialize(const EncodedImage& encoded) {
   // A Huffman stream keeps the legacy "BTPC" framing byte for byte; the
   // roster backends travel in the "BTP2" extension, which inserts one
@@ -542,12 +534,6 @@ support::Result<EncodedImage> try_deserialize(const std::vector<std::uint8_t>& b
   encoded.stream.reserve(words);
   for (std::size_t i = 0; i < words; ++i) encoded.stream.push_back(in.u16());
   return encoded;
-}
-
-EncodedImage deserialize(const std::vector<std::uint8_t>& bytes) {
-  auto result = try_deserialize(bytes);
-  DTSE_CHECK(result.ok(), "malformed BTPC container: " + result.status().to_string());
-  return result.take();
 }
 
 ir::Application profile_btpc(const support::Image& image, int declared_width,

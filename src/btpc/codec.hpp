@@ -21,9 +21,9 @@
 #include <optional>
 #include <vector>
 
-#include "btpc/bitstream.hpp"
 #include "btpc/pyramid.hpp"
 #include "entropy/adaptive_huffman.hpp"
+#include "entropy/bitstream.hpp"
 #include "entropy/entropy_coder.hpp"
 #include "support/image.hpp"
 #include "support/status.hpp"
@@ -32,25 +32,15 @@
 
 namespace dtse::btpc {
 
-/// How the encoder walks each pyramid level.
-enum class Traversal : std::uint8_t {
-  /// Reference order: one predict pass over the whole level, then one encode
-  /// pass over the whole level.  At 512+ frames the second pass re-reads the
-  /// pyr/ridge planes from cold memory.
-  kLevelOrder,
-  /// Strip-fused order: predict then encode over cache-sized row strips of
-  /// the level.  Enumerates the same points in the same per-pass order, so
-  /// the bitstream (and the access profile) is byte-identical to kLevelOrder;
-  /// only the memory-system behaviour changes.
-  kTiled,
-};
-
 struct CodecOptions {
   bool lossy = false;
   int quantizer_delta = 4;  ///< residual quantization step in lossy mode
-  Traversal traversal = Traversal::kTiled;
-  /// Strip height in image rows for Traversal::kTiled (0 = pick from the
-  /// frame width so a strip's image/pyr/ridge rows fit in ~256 KiB).
+  /// The encoder predicts then encodes each pyramid level over row strips
+  /// of this height (0 = pick from the frame width so a strip's
+  /// image/pyr/ridge rows fit in ~256 KiB).  Any height yields the same
+  /// bitstream and access profile; `tile_rows >= height` is level order
+  /// (one predict pass, then one encode pass over the whole level), the
+  /// reference the strip fusion is tested against.
   int tile_rows = 0;
   /// Entropy backend the residual symbols travel through.  kHuffman is the
   /// paper demonstrator (and the only format the legacy "BTPC" container
@@ -111,8 +101,8 @@ class Encoder {
   /// Finalizes one predicted point from its folded residual and class:
   /// escape bookkeeping, pyr/ridge stores, symbol histogram.
   void finalize_point(Point p, int folded, int pixel_class);
-  void encode_pass(const LevelSpec& level, entropy::Backend backend, BitWriter& writer,
-                   int y_begin, int y_end);
+  void encode_pass(const LevelSpec& level, entropy::Backend backend,
+                   entropy::BitWriter& writer, int y_begin, int y_end);
 
   trace::Recorder* recorder_ = nullptr;
   int width_;
@@ -159,10 +149,6 @@ class Decoder {
   /// of throwing on any data error.  Crash-free, hang-free and leak-free on
   /// arbitrary bytes; work is bounded by the validated geometry.
   [[nodiscard]] support::Result<support::Image> try_decode(const EncodedImage& encoded);
-
-  /// Trusted-stream wrapper: `try_decode` that throws `ContractError` on a
-  /// data error.  Only for self-produced streams (tests, benches, examples).
-  [[nodiscard]] support::Image decode(const EncodedImage& encoded);
 };
 
 /// Serialization of the header + stream into bytes (for files).
@@ -171,8 +157,6 @@ class Decoder {
 /// declared-vs-actual length) returning a `Status` on any mismatch.
 [[nodiscard]] support::Result<EncodedImage> try_deserialize(
     const std::vector<std::uint8_t>& bytes);
-/// Trusted-bytes wrapper over `try_deserialize`; throws on a data error.
-[[nodiscard]] EncodedImage deserialize(const std::vector<std::uint8_t>& bytes);
 
 /// Convenience: profile one full encode of `image` and return the pruned
 /// application model, declared at `declared_width/height` and extrapolated

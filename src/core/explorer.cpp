@@ -236,12 +236,6 @@ std::vector<BudgetPoint> Explorer::explore_cycle_budgets(
   return points;
 }
 
-Evaluation Explorer::evaluate_shared(
-    const std::vector<std::pair<std::string, const ir::Application*>>& apps,
-    const ExplorerOptions& options) const {
-  return evaluate(merge_applications(apps, "shared"), options);
-}
-
 std::string SharedEvaluation::to_string() const {
   std::ostringstream os;
   os << "shared: " << merged.to_string();

@@ -154,17 +154,14 @@ class Explorer {
       const ExplorerOptions& options = {}) const;
 
   /// Feedback for one shared memory organization serving several workloads
-  /// at once (evaluates the merged model, see `merge_applications`).
-  [[nodiscard]] Evaluation evaluate_shared(
-      const std::vector<std::pair<std::string, const ir::Application*>>& apps,
-      const ExplorerOptions& options = {}) const;
-
-  /// `evaluate_shared` plus the answer to "who pays for the sharing": the
+  /// at once, plus the answer to "who pays for the sharing": the merged
+  /// model (`merge_applications(apps, "shared")`) is evaluated, then the
   /// *same* merged assignment is re-priced with member sets restricted to
   /// each workload prefix, yielding one `WorkloadShare` per input (in input
   /// order).  Deterministic, and the merged result is bit-identical to
-  /// `evaluate_shared` — attribution never perturbs the evaluation it
-  /// explains (see `SharedEvaluation` for the reconciliation contract).
+  /// `evaluate(merge_applications(apps, "shared"))` — attribution never
+  /// perturbs the evaluation it explains (see `SharedEvaluation` for the
+  /// reconciliation contract).
   [[nodiscard]] SharedEvaluation evaluate_shared_per_workload(
       const std::vector<std::pair<std::string, const ir::Application*>>& apps,
       const ExplorerOptions& options = {}) const;

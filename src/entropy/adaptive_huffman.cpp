@@ -72,7 +72,7 @@ void AdaptiveHuffmanBank::prime_slice(int coder) {
   parent_.write(base + kRootLocal, kNoNode);
 }
 
-void AdaptiveHuffmanBank::encode(int coder, int symbol, btpc::BitWriter& writer) {
+void AdaptiveHuffmanBank::encode(int coder, int symbol, BitWriter& writer) {
   DTSE_CHECK(coder >= 0 && coder < kCoders, "coder index out of range");
   DTSE_CHECK(symbol >= 0 && symbol < kSymbols, "symbol out of range");
   const std::size_t base = static_cast<std::size_t>(coder) * kNodesPerCoder;
@@ -94,7 +94,7 @@ void AdaptiveHuffmanBank::encode(int coder, int symbol, btpc::BitWriter& writer)
   update(coder, symbol);
 }
 
-int AdaptiveHuffmanBank::decode(int coder, btpc::BitReader& reader) {
+int AdaptiveHuffmanBank::decode(int coder, BitReader& reader) {
   DTSE_CHECK(coder >= 0 && coder < kCoders, "coder index out of range");
   const std::size_t base = static_cast<std::size_t>(coder) * kNodesPerCoder;
   std::uint32_t node = kRootLocal;

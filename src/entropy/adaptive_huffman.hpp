@@ -23,7 +23,7 @@
 #include <array>
 #include <cstdint>
 
-#include "btpc/bitstream.hpp"
+#include "entropy/bitstream.hpp"
 #include "trace/instrumented_array.hpp"
 
 namespace dtse::entropy {
@@ -50,10 +50,10 @@ class AdaptiveHuffmanBank {
   void reset();
 
   /// Encodes `symbol` with coder `coder` and updates the model.
-  void encode(int coder, int symbol, btpc::BitWriter& writer);
+  void encode(int coder, int symbol, BitWriter& writer);
 
   /// Decodes one symbol with coder `coder` and updates the model.
-  [[nodiscard]] int decode(int coder, btpc::BitReader& reader);
+  [[nodiscard]] int decode(int coder, BitReader& reader);
 
   /// Code length (bits) `symbol` would currently cost — rate estimation.
   /// Served from a per-coder cached table that is rebuilt lazily (one

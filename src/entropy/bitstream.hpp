@@ -1,4 +1,5 @@
-// Bit-level I/O for the BTPC codec.
+// Bit-level I/O shared by every codec (BTPC, the hyperspectral coder and
+// the entropy-coder roster).
 //
 // Both ends run on 64-bit accumulators: the writer batches incoming codes
 // into a 64-bit register and emits 16-bit stream words in bulk once enough
@@ -14,12 +15,13 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "support/check.hpp"
 #include "trace/instrumented_array.hpp"
 
-namespace dtse::btpc {
+namespace dtse::entropy {
 
 class BitWriter {
  public:
@@ -63,7 +65,14 @@ class BitWriter {
   }
 
   /// Pads to a 16-bit boundary and returns the stream.
-  [[nodiscard]] std::vector<std::uint16_t> finish();
+  [[nodiscard]] std::vector<std::uint16_t> finish() {
+    if (filled_ > 0) {
+      accumulator_ <<= (16 - filled_);
+      filled_ = 0;
+      emit_word(static_cast<std::uint16_t>(accumulator_));
+    }
+    return std::move(words_);
+  }
 
   [[nodiscard]] std::uint64_t bits_written() const { return bits_written_; }
 
@@ -155,4 +164,4 @@ class BitReader {
   bool overrun_ = false;
 };
 
-}  // namespace dtse::btpc
+}  // namespace dtse::entropy

@@ -33,7 +33,7 @@ void check_values(std::span<const std::uint32_t> values, int value_bits) {
 
 /// Shared decode epilogue: a dry soft reader means the stream ended before
 /// the batch did.
-[[nodiscard]] support::Status finish(const btpc::BitReader& reader) {
+[[nodiscard]] support::Status finish(const BitReader& reader) {
   if (reader.overrun()) {
     return support::Status::error(support::StatusCode::kTruncated,
                                   "bitstream exhausted mid-batch", reader.bits_read());
@@ -47,7 +47,7 @@ class HuffmanBatchCoder final : public EntropyCoder {
 
   [[nodiscard]] Backend backend() const override { return Backend::kHuffman; }
 
-  void encode(std::span<const std::uint32_t> values, btpc::BitWriter& writer) override {
+  void encode(std::span<const std::uint32_t> values, BitWriter& writer) override {
     check_values(values, options_.value_bits);
     AdaptiveHuffmanBank bank;
     for (const auto v : values) {
@@ -60,7 +60,7 @@ class HuffmanBatchCoder final : public EntropyCoder {
     }
   }
 
-  [[nodiscard]] support::Status decode(std::size_t count, btpc::BitReader& reader,
+  [[nodiscard]] support::Status decode(std::size_t count, BitReader& reader,
                                        std::vector<std::uint32_t>& out) override {
     out.clear();
     out.reserve(count);
@@ -84,7 +84,7 @@ class RiceBatchCoder final : public EntropyCoder {
 
   [[nodiscard]] Backend backend() const override { return Backend::kRice; }
 
-  void encode(std::span<const std::uint32_t> values, btpc::BitWriter& writer) override {
+  void encode(std::span<const std::uint32_t> values, BitWriter& writer) override {
     check_values(values, options_.value_bits);
     std::uint32_t accum = kRiceInitCount * kRiceInitMean;
     std::uint32_t count = kRiceInitCount;
@@ -95,7 +95,7 @@ class RiceBatchCoder final : public EntropyCoder {
     }
   }
 
-  [[nodiscard]] support::Status decode(std::size_t count, btpc::BitReader& reader,
+  [[nodiscard]] support::Status decode(std::size_t count, BitReader& reader,
                                        std::vector<std::uint32_t>& out) override {
     out.clear();
     out.reserve(count);
@@ -129,7 +129,7 @@ class ExpGolombBatchCoder final : public EntropyCoder {
 
   [[nodiscard]] Backend backend() const override { return Backend::kExpGolomb; }
 
-  void encode(std::span<const std::uint32_t> values, btpc::BitWriter& writer) override {
+  void encode(std::span<const std::uint32_t> values, BitWriter& writer) override {
     check_values(values, options_.value_bits);
     std::uint32_t accum = kRiceInitCount * kRiceInitMean;
     std::uint32_t count = kRiceInitCount;
@@ -139,7 +139,7 @@ class ExpGolombBatchCoder final : public EntropyCoder {
     }
   }
 
-  [[nodiscard]] support::Status decode(std::size_t count, btpc::BitReader& reader,
+  [[nodiscard]] support::Status decode(std::size_t count, BitReader& reader,
                                        std::vector<std::uint32_t>& out) override {
     out.clear();
     out.reserve(count);
@@ -171,7 +171,7 @@ class RansBatchCoder final : public EntropyCoder {
 
   [[nodiscard]] Backend backend() const override { return Backend::kRans; }
 
-  void encode(std::span<const std::uint32_t> values, btpc::BitWriter& writer) override {
+  void encode(std::span<const std::uint32_t> values, BitWriter& writer) override {
     check_values(values, options_.value_bits);
     if (values.empty()) return;
     const auto symbols = rans_expand(values);
@@ -187,7 +187,7 @@ class RansBatchCoder final : public EntropyCoder {
     rans_flush(state, emitted, writer);
   }
 
-  [[nodiscard]] support::Status decode(std::size_t count, btpc::BitReader& reader,
+  [[nodiscard]] support::Status decode(std::size_t count, BitReader& reader,
                                        std::vector<std::uint32_t>& out) override {
     out.clear();
     if (count == 0) return support::Status{};
@@ -254,7 +254,7 @@ EncodedBatch encode_batch(Backend backend, std::span<const std::uint32_t> values
                           const CoderOptions& options) {
   DTSE_CHECK(values.size() <= kMaxBatchValues, "batch exceeds the value cap");
   auto coder = make_coder(backend, options);
-  btpc::BitWriter writer;
+  BitWriter writer;
   coder->encode(values, writer);
   EncodedBatch batch;
   batch.backend = backend;
@@ -307,7 +307,7 @@ support::Result<std::vector<std::uint32_t>> try_decode_batch(const EncodedBatch&
   options.unary_limit = batch.unary_limit;
   options.rescale_limit = batch.rescale_limit;
   auto coder = make_coder(batch.backend, options);
-  btpc::BitReader reader(batch.stream);
+  BitReader reader(batch.stream);
   std::vector<std::uint32_t> values;
   if (auto status = coder->decode(batch.count, reader, values); !status.ok()) {
     return status;

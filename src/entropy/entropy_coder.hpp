@@ -7,10 +7,10 @@
 // frequency/cumulative tables.  This subsystem gives them one roof — a
 // `Backend` enum the codecs and workloads select by, free-function coding
 // primitives the instrumented kernels call directly (so their state arrays
-// enter the access profile), and a batch `EntropyCoder` interface over the
-// shared `btpc::BitWriter`/`BitReader` substrate for the roster-level
-// surfaces: cross-backend property tests, fault-injection campaigns, fuzz
-// targets and benches.
+// enter the access profile), the `BitWriter`/`BitReader` substrate every
+// codec writes through (entropy/bitstream.hpp), and a batch `EntropyCoder`
+// interface over it for the roster-level surfaces: cross-backend property
+// tests, fault-injection campaigns, fuzz targets and benches.
 //
 // The batch orientation of `EntropyCoder` is deliberate: rANS encodes in
 // reverse (the encoder must see the last value first), so a
@@ -25,7 +25,7 @@
 #include <string_view>
 #include <vector>
 
-#include "btpc/bitstream.hpp"
+#include "entropy/bitstream.hpp"
 #include "support/status.hpp"
 
 namespace dtse::entropy {
@@ -74,13 +74,13 @@ class EntropyCoder {
 
   /// Appends the whole batch to `writer`.  Contract: every value fits
   /// `CoderOptions::value_bits` (checked).
-  virtual void encode(std::span<const std::uint32_t> values, btpc::BitWriter& writer) = 0;
+  virtual void encode(std::span<const std::uint32_t> values, BitWriter& writer) = 0;
 
   /// Decodes exactly `count` values into `out` (replacing its contents).
   /// Hardened for untrusted bits: never throws on data, output is bounded
   /// by `count`, truncation and table corruption come back as a non-ok
   /// `Status` per the robustness trichotomy.
-  [[nodiscard]] virtual support::Status decode(std::size_t count, btpc::BitReader& reader,
+  [[nodiscard]] virtual support::Status decode(std::size_t count, BitReader& reader,
                                                std::vector<std::uint32_t>& out) = 0;
 };
 

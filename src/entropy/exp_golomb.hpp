@@ -17,7 +17,7 @@
 #include <bit>
 #include <cstdint>
 
-#include "btpc/bitstream.hpp"
+#include "entropy/bitstream.hpp"
 #include "support/check.hpp"
 
 namespace dtse::entropy {
@@ -29,7 +29,7 @@ inline constexpr std::uint64_t kEgInvalid = ~std::uint64_t{0};
 /// Emits `value` at order `k`.  Contract: `value < 2^21` and `k <= 16` so
 /// every field fits one BitWriter `put` (prefix <= 21 zeros, x in <= 22
 /// bits); both codecs stay far inside that (B <= 16).
-inline void eg_encode(btpc::BitWriter& writer, std::uint32_t value, int k) {
+inline void eg_encode(BitWriter& writer, std::uint32_t value, int k) {
   DTSE_DCHECK(k >= 0 && k <= 16, "exp-golomb order out of range");
   DTSE_DCHECK(value < (1u << 21), "exp-golomb value too wide");
   const std::uint32_t x = (value >> k) + 1;
@@ -44,8 +44,7 @@ inline void eg_encode(btpc::BitWriter& writer, std::uint32_t value, int k) {
 /// hostile bits or a dry soft reader — returns `kEgInvalid` after bounded
 /// work instead of shifting past 64 bits.  The result can exceed the
 /// caller's value bound on corrupt input; callers tripwire on that.
-[[nodiscard]] inline std::uint64_t eg_decode(btpc::BitReader& reader, int k,
-                                             int max_prefix) {
+[[nodiscard]] inline std::uint64_t eg_decode(BitReader& reader, int k, int max_prefix) {
   DTSE_DCHECK(k >= 0 && k <= 16 && max_prefix >= 0 && max_prefix <= 24,
               "exp-golomb decode parameters out of range");
   int b = 0;

@@ -13,7 +13,7 @@
 
 #include <cstdint>
 
-#include "btpc/bitstream.hpp"
+#include "entropy/bitstream.hpp"
 
 namespace dtse::entropy {
 
@@ -44,8 +44,8 @@ inline void rice_update(std::uint32_t& accum, std::uint32_t& count, std::uint32_
 /// Emits `value` at parameter `k`.  Contract: the caller guarantees `value`
 /// fits `raw_bits` (<= 24) — for a mapped residual that is the dynamic
 /// range, see the mapping bound in hyperspec/codec.cpp.
-inline void rice_encode(btpc::BitWriter& writer, std::uint32_t value, int k,
-                        int unary_limit, int raw_bits) {
+inline void rice_encode(BitWriter& writer, std::uint32_t value, int k, int unary_limit,
+                        int raw_bits) {
   const std::uint32_t quotient = value >> k;
   if (quotient < static_cast<std::uint32_t>(unary_limit)) {
     writer.put(0, static_cast<int>(quotient));
@@ -61,8 +61,8 @@ inline void rice_encode(btpc::BitWriter& writer, std::uint32_t value, int k,
 /// Decodes one value at parameter `k`.  The unary scan is bounded by
 /// `unary_limit`, so a hostile all-zeros stream cannot stall the loop; a
 /// dry soft reader feeds zeros until the bounded walk finishes.
-[[nodiscard]] inline std::uint32_t rice_decode(btpc::BitReader& reader, int k,
-                                               int unary_limit, int raw_bits) {
+[[nodiscard]] inline std::uint32_t rice_decode(BitReader& reader, int k, int unary_limit,
+                                               int raw_bits) {
   int quotient = 0;
   while (quotient < unary_limit && reader.get_bit() == 0) ++quotient;
   if (quotient == unary_limit) return reader.get(raw_bits);

@@ -79,13 +79,13 @@ RansTable rans_build_table(std::span<const std::uint32_t, kRansSymbols> counts) 
   return table;
 }
 
-void rans_write_table(const RansTable& table, btpc::BitWriter& writer) {
+void rans_write_table(const RansTable& table, BitWriter& writer) {
   for (int s = 0; s < kRansSymbols; ++s) {
     writer.put(table.freq[static_cast<std::size_t>(s)], kRansFreqBits);
   }
 }
 
-support::Status rans_read_table(btpc::BitReader& reader, RansTable& table) {
+support::Status rans_read_table(BitReader& reader, RansTable& table) {
   std::uint32_t sum = 0;
   for (int s = 0; s < kRansSymbols; ++s) {
     const auto f = reader.get(kRansFreqBits);
@@ -128,7 +128,7 @@ RansDecoder::RansDecoder(const RansTable& table) : table_(&table) {
   DTSE_ASSERT(slot == kRansScale, "rANS slot table does not cover the scale");
 }
 
-support::Status RansDecoder::init(btpc::BitReader& reader) {
+support::Status RansDecoder::init(BitReader& reader) {
   const auto high = reader.get(16);
   const auto low = reader.get(16);
   state_ = (static_cast<std::uint64_t>(high) << 16) | low;
@@ -147,7 +147,7 @@ support::Status RansDecoder::init(btpc::BitReader& reader) {
   return support::Status{};
 }
 
-int RansDecoder::decode_symbol(btpc::BitReader& reader) {
+int RansDecoder::decode_symbol(BitReader& reader) {
   const auto slot = static_cast<std::uint32_t>(state_ & (kRansScale - 1));
   const int symbol = slot_symbol_[slot];
   state_ = static_cast<std::uint64_t>(table_->freq[static_cast<std::size_t>(symbol)]) *
@@ -164,7 +164,7 @@ int RansDecoder::decode_symbol(btpc::BitReader& reader) {
   return symbol;
 }
 
-std::uint32_t RansDecoder::decode_value(btpc::BitReader& reader) {
+std::uint32_t RansDecoder::decode_value(BitReader& reader) {
   const int symbol = decode_symbol(reader);
   if (symbol != kRansEscape) return static_cast<std::uint32_t>(symbol);
   const auto low = static_cast<std::uint32_t>(decode_symbol(reader));

@@ -22,7 +22,7 @@
 #include <span>
 #include <vector>
 
-#include "btpc/bitstream.hpp"
+#include "entropy/bitstream.hpp"
 #include "support/check.hpp"
 #include "support/status.hpp"
 
@@ -54,11 +54,11 @@ struct RansTable {
 [[nodiscard]] RansTable rans_build_table(std::span<const std::uint32_t, kRansSymbols> counts);
 
 /// Writes the 256 x 13-bit frequency fields of `table` through `writer`.
-void rans_write_table(const RansTable& table, btpc::BitWriter& writer);
+void rans_write_table(const RansTable& table, BitWriter& writer);
 
 /// Reads and validates a frequency table: the 256 fields must sum to
 /// exactly `kRansScale` or the block is corrupt (`kCorrupt`).
-[[nodiscard]] support::Status rans_read_table(btpc::BitReader& reader, RansTable& table);
+[[nodiscard]] support::Status rans_read_table(BitReader& reader, RansTable& table);
 
 /// Encodes ONE symbol with frequency `freq` and cumulative base `cum`.
 /// Symbols must be fed in reverse sequence order; renormalization words
@@ -83,7 +83,7 @@ inline void rans_encode_step(std::uint64_t& state, std::uint32_t freq, std::uint
 /// reverse emission order, so the decoder (which is a LIFO mirror of the
 /// encoder) reads the stream strictly forward.
 inline void rans_flush(std::uint64_t state, const std::vector<std::uint16_t>& emitted,
-                       btpc::BitWriter& writer) {
+                       BitWriter& writer) {
   writer.put(static_cast<std::uint32_t>(state >> 16), 16);
   writer.put(static_cast<std::uint32_t>(state & 0xFFFFu), 16);
   for (auto it = emitted.rbegin(); it != emitted.rend(); ++it) {
@@ -99,14 +99,14 @@ class RansDecoder {
  public:
   explicit RansDecoder(const RansTable& table);
 
-  [[nodiscard]] support::Status init(btpc::BitReader& reader);
+  [[nodiscard]] support::Status init(BitReader& reader);
 
   /// Decodes one byte symbol and renormalizes.
-  [[nodiscard]] int decode_symbol(btpc::BitReader& reader);
+  [[nodiscard]] int decode_symbol(BitReader& reader);
 
   /// Decodes one residual value (undoing the escape expansion).  Corrupt
   /// input can return up to 2^16 - 1; callers tripwire on their own bound.
-  [[nodiscard]] std::uint32_t decode_value(btpc::BitReader& reader);
+  [[nodiscard]] std::uint32_t decode_value(BitReader& reader);
 
  private:
   const RansTable* table_;

@@ -260,7 +260,8 @@ void Encoder::predict_band(int z, int maxval) {
   }
 }
 
-void Encoder::encode_band(int z, btpc::BitWriter& writer, const HsCodecOptions& options) {
+void Encoder::encode_band(int z, entropy::BitWriter& writer,
+                          const HsCodecOptions& options) {
   const int width = shape_.width;
   const int max_k = options.dynamic_range_bits;
   const bool exp_golomb = options.backend == entropy::Backend::kExpGolomb;
@@ -285,7 +286,7 @@ void Encoder::encode_band(int z, btpc::BitWriter& writer, const HsCodecOptions& 
   }
 }
 
-void Encoder::encode_band_rans(int z, btpc::BitWriter& writer) {
+void Encoder::encode_band_rans(int z, entropy::BitWriter& writer) {
   const std::size_t plane = static_cast<std::size_t>(shape_.plane_samples());
   (void)z;  // the residual plane already holds band z; rANS keeps no per-band state
 
@@ -385,7 +386,7 @@ EncodedCube Encoder::encode(const Cube& cube, const HsCodecOptions& options) {
   // access profile, like the BTPC frame load).
   cube_.raw() = cube.samples();
 
-  btpc::BitWriter writer;
+  entropy::BitWriter writer;
   writer.attach(&bit_accum_, &out_buf_);
 
   const bool rans = options.backend == entropy::Backend::kRans;
@@ -484,7 +485,7 @@ support::Result<Cube> Decoder::try_decode(const EncodedCube& encoded) {
   const int eg_prefix = options.dynamic_range_bits + 1;
 
   Cube cube(encoded.shape);
-  btpc::BitReader reader(encoded.stream);
+  entropy::BitReader reader(encoded.stream);
   std::vector<std::uint32_t> accum(static_cast<std::size_t>(encoded.shape.bands));
   std::vector<std::uint32_t> count(static_cast<std::size_t>(encoded.shape.bands));
 
@@ -558,12 +559,6 @@ support::Result<Cube> Decoder::try_decode(const EncodedCube& encoded) {
                                   "bitstream exhausted mid-decode", reader.bits_read());
   }
   return cube;
-}
-
-Cube Decoder::decode(const EncodedCube& encoded) {
-  auto result = try_decode(encoded);
-  DTSE_CHECK(result.ok(), "hyperspec decode failed: " + result.status().to_string());
-  return result.take();
 }
 
 namespace {
@@ -652,12 +647,6 @@ support::Result<EncodedCube> try_deserialize(const std::vector<std::uint8_t>& by
   encoded.stream.reserve(declared_words);
   for (std::size_t i = 0; i < declared_words; ++i) encoded.stream.push_back(in.u16());
   return encoded;
-}
-
-EncodedCube deserialize(const std::vector<std::uint8_t>& bytes) {
-  auto result = try_deserialize(bytes);
-  DTSE_CHECK(result.ok(), "hyperspec deserialize failed: " + result.status().to_string());
-  return result.take();
 }
 
 ir::Application profile_hyperspec(const Cube& cube, CubeShape declared,

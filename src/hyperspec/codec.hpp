@@ -9,7 +9,7 @@
 // spatial predictor.  Mapped prediction residuals are entropy-coded with a
 // sample-adaptive Golomb-Rice coder (per-band accumulator/counter pair
 // selecting the Rice parameter k, unary-limited with a raw escape), writing
-// through the shared `btpc::BitWriter`/`BitReader` bitstream substrate.
+// through the shared `entropy::BitWriter`/`BitReader` bitstream substrate.
 //
 // The access-pattern family is deliberately different from BTPC's quincunx
 // pyramid: band-interleaved 3-D reads (up to nine cube reads per sample,
@@ -21,14 +21,14 @@
 // Like the BTPC encoder, all background-memory accesses go through
 // `trace::InstrumentedArray`; constructed with a `trace::Recorder` a real
 // compression run produces the profiled application model as a side effect.
-// Compression is bit-exactly reversible: `Decoder::decode` reproduces the
+// Compression is bit-exactly reversible: `Decoder::try_decode` reproduces the
 // input cube sample for sample.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "btpc/bitstream.hpp"
+#include "entropy/bitstream.hpp"
 #include "entropy/entropy_coder.hpp"
 #include "entropy/rans.hpp"
 #include "ir/application.hpp"
@@ -166,8 +166,8 @@ class Encoder {
           const HsCodecOptions& options, bool);
 
   void predict_band(int z, int maxval);
-  void encode_band(int z, btpc::BitWriter& writer, const HsCodecOptions& options);
-  void encode_band_rans(int z, btpc::BitWriter& writer);
+  void encode_band(int z, entropy::BitWriter& writer, const HsCodecOptions& options);
+  void encode_band_rans(int z, entropy::BitWriter& writer);
 
   [[nodiscard]] int cube_sample(int z, int y, int x) {
     return cube_.read(
@@ -209,9 +209,6 @@ class Decoder {
   /// leak-free on arbitrary bytes; the unary loop is bounded by
   /// `unary_limit` and total work by the validated geometry.
   [[nodiscard]] support::Result<Cube> try_decode(const EncodedCube& encoded);
-
-  /// Trusted-stream wrapper over `try_decode`; throws on a data error.
-  [[nodiscard]] Cube decode(const EncodedCube& encoded);
 };
 
 /// Serialization of the header + stream into bytes (the "HSC1" container).
@@ -219,8 +216,6 @@ class Decoder {
 /// Hardened container parse for untrusted bytes; `Status` on any mismatch.
 [[nodiscard]] support::Result<EncodedCube> try_deserialize(
     const std::vector<std::uint8_t>& bytes);
-/// Trusted-bytes wrapper over `try_deserialize`; throws on a data error.
-[[nodiscard]] EncodedCube deserialize(const std::vector<std::uint8_t>& bytes);
 
 /// Convenience: profile one full encode of `cube` and return the pruned
 /// application model, declared at `declared` geometry and extrapolated by

@@ -4,7 +4,7 @@
 //
 // `ByteWriter` appends fixed-width big-endian fields; `ByteReader` is the
 // hardened mirror with the same soft-exhaustion contract as
-// `btpc::BitReader`: reading past the end returns zeros, consumes nothing
+// `entropy::BitReader`: reading past the end returns zeros, consumes nothing
 // and latches a sticky `overrun()` flag — so parse loops stay branch-light
 // and one truncation check at each structural boundary converts exhaustion
 // into a clean `Status`.  Doubles travel as IEEE-754 bit patterns

@@ -1,5 +1,13 @@
-// The paper's BTPC demonstrator packaged as a registered workload.
+// The paper's BTPC demonstrator packaged as a registered workload, plus the
+// case study of Sections 3-4 the examples and table benches run on it:
+//   Table 1: structuring variants on ridge/pyr,
+//   Table 2: memory hierarchy variants on the image array (Figure 3),
+//   Tables 3-4: the cycle budget and allocation sweeps on the best variant.
 #pragma once
+
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "btpc/codec.hpp"
 #include "workloads/workload.hpp"
@@ -8,8 +16,13 @@ namespace dtse::workloads {
 
 class BtpcWorkload final : public Workload {
  public:
-  /// `codec` exposes the traversal knobs of the profiled encode (tiled vs
-  /// level-order, tile height, lossy quantizer).
+  /// Declared design point: the paper's 1024x1024 frame.
+  static constexpr int kDesignSize = 1024;
+
+  /// `codec` sets the profiled encode's codec options (strip height, lossy
+  /// quantizer, entropy backend).  The strip height changes neither the
+  /// bitstream nor the profile, only the profiling run's own cache
+  /// behaviour; `WorkloadOptions::entropy_backend` overrides the backend.
   explicit BtpcWorkload(btpc::CodecOptions codec = {}) : codec_(codec) {}
 
   [[nodiscard]] std::string_view name() const override { return "btpc"; }
@@ -18,6 +31,9 @@ class BtpcWorkload final : public Workload {
            "the paper's demonstrator; 1024x1024 declared design point";
   }
 
+  /// Runs the instrumented encoder on a synthetic compound frame of edge
+  /// `profile_size` (default 512) and returns the pruned model declared at
+  /// kDesignSize x kDesignSize.
   [[nodiscard]] ir::Application profile(const WorkloadOptions& options = {}) const override;
   [[nodiscard]] VerifyReport verify(const WorkloadOptions& options = {}) const override;
 
@@ -28,5 +44,18 @@ class BtpcWorkload final : public Workload {
  private:
   btpc::CodecOptions codec_;
 };
+
+/// Table 1 variants: no structuring / ridge compacted / ridge+pyr merged.
+[[nodiscard]] std::vector<std::pair<std::string, ir::Application>>
+btpc_structuring_variants(const ir::Application& profiled);
+
+/// Table 2 variants on top of the merged model: the four hierarchy options
+/// of Figure 3 for the image array (12-register ylocal, 5K yhier).
+[[nodiscard]] std::vector<std::pair<std::string, ir::Application>>
+btpc_hierarchy_variants(const ir::Application& merged);
+
+/// The winning variant after structuring + hierarchy (merged, layer 0) —
+/// the input to the Table 3 and Table 4 sweeps.
+[[nodiscard]] ir::Application btpc_best_variant(const ir::Application& profiled);
 
 }  // namespace dtse::workloads

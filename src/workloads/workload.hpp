@@ -72,7 +72,7 @@ struct WorkloadOptions {
   /// options.  The codec contracts still apply: btpc rejects kRans and
   /// hyperspec rejects kHuffman, so sweep drivers pick from each workload's
   /// supported set.  Workloads without an entropy stage ignore the field.
-  std::optional<entropy::Backend> entropy_backend;
+  std::optional<entropy::Backend> entropy_backend{};
 };
 
 /// The workload contract.  Implementations must be deterministic: for a

@@ -2,23 +2,23 @@
 // Uses a small profiled frame so the whole methodology runs in seconds.
 #include <gtest/gtest.h>
 
-#include "core/btpc_case_study.hpp"
 #include "core/explorer.hpp"
 #include "structuring/structuring.hpp"
 #include "support/cancellation.hpp"
 #include "support/check.hpp"
+#include "workloads/btpc_workload.hpp"
 
 namespace dtse::core {
 namespace {
 
+using workloads::btpc_best_variant;
+using workloads::btpc_hierarchy_variants;
+using workloads::btpc_structuring_variants;
+
 /// Shared small profile (profiling dominates test time).
 const ir::Application& small_profile() {
-  static const ir::Application app = [] {
-    BtpcCaseOptions options;
-    options.profile_width = 96;
-    options.profile_height = 96;
-    return profile_btpc_demonstrator(options);
-  }();
+  static const ir::Application app =
+      workloads::BtpcWorkload{}.profile({.profile_size = 96});
   return app;
 }
 

@@ -16,8 +16,8 @@
 #include <string>
 #include <vector>
 
-#include "btpc/bitstream.hpp"
 #include "btpc/codec.hpp"
+#include "entropy/bitstream.hpp"
 #include "entropy/entropy_coder.hpp"
 #include "entropy/exp_golomb.hpp"
 #include "entropy/golomb_rice.hpp"
@@ -446,10 +446,10 @@ TEST(CodecContainers, DecodersRejectForeignBackends) {
 
 TEST(ExpGolombPrimitives, RoundTripsAcrossOrders) {
   for (int k = 0; k <= 8; ++k) {
-    btpc::BitWriter writer;
+    entropy::BitWriter writer;
     for (std::uint32_t v = 0; v <= 200; ++v) eg_encode(writer, v, k);
     const auto stream = writer.finish();
-    btpc::BitReader reader(stream);
+    entropy::BitReader reader(stream);
     for (std::uint32_t v = 0; v <= 200; ++v) {
       ASSERT_EQ(eg_decode(reader, k, 16), v) << "k=" << k;
     }
@@ -459,7 +459,7 @@ TEST(ExpGolombPrimitives, RoundTripsAcrossOrders) {
 
 TEST(ExpGolombPrimitives, BoundedPrefixScanReturnsInvalid) {
   const std::vector<std::uint16_t> empty;
-  btpc::BitReader reader(empty);
+  entropy::BitReader reader(empty);
   EXPECT_EQ(eg_decode(reader, 0, 5), kEgInvalid);
   EXPECT_TRUE(reader.overrun());
 }
@@ -491,7 +491,7 @@ TEST(RansPrimitives, StepFlushDecodeRoundTrip) {
   for (const auto s : symbols) ++counts[s];
   const auto table = rans_build_table(counts);
 
-  btpc::BitWriter writer;
+  entropy::BitWriter writer;
   rans_write_table(table, writer);
   std::uint64_t state = kRansL;
   std::vector<std::uint16_t> emitted;
@@ -501,7 +501,7 @@ TEST(RansPrimitives, StepFlushDecodeRoundTrip) {
   rans_flush(state, emitted, writer);
   const auto stream = writer.finish();
 
-  btpc::BitReader reader(stream);
+  entropy::BitReader reader(stream);
   RansTable parsed;
   ASSERT_TRUE(rans_read_table(reader, parsed).ok());
   RansDecoder decoder(parsed);
@@ -513,10 +513,10 @@ TEST(RansPrimitives, StepFlushDecodeRoundTrip) {
 }
 
 TEST(RansPrimitives, ReadTableRejectsABadChecksum) {
-  btpc::BitWriter writer;
+  entropy::BitWriter writer;
   for (int s = 0; s < kRansSymbols; ++s) writer.put(0, kRansFreqBits);
   const auto stream = writer.finish();
-  btpc::BitReader reader(stream);
+  entropy::BitReader reader(stream);
   RansTable table;
   EXPECT_EQ(rans_read_table(reader, table).code(), StatusCode::kCorrupt);
 }

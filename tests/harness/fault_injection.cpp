@@ -1,4 +1,4 @@
-#include "testing/fault_injection.hpp"
+#include "harness/fault_injection.hpp"
 
 #include <algorithm>
 

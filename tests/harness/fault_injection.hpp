@@ -16,6 +16,9 @@
 // and classify every outcome; a single `kViolation` fails the campaign.
 // The same probes back the libFuzzer targets in fuzz/ — the campaigns here
 // are the always-on, fixed-cost slice of that search space.
+//
+// Test-side code: it builds as the `dtse_test_harness` target, which only
+// fault_injection_test and make_fuzz_corpus link; libdtse carries none of it.
 #pragma once
 
 #include <cstdint>

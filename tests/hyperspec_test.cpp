@@ -19,7 +19,7 @@ TEST(HyperspecCodec, RoundTripIsBitExactOnOddDims) {
     const auto cube = make_synthetic_cube(shape, seed);
     Encoder encoder(shape);
     const auto encoded = encoder.encode(cube, {});
-    EXPECT_EQ(Decoder{}.decode(encoded), cube) << "seed " << seed;
+    EXPECT_EQ(Decoder{}.try_decode(encoded).take(), cube) << "seed " << seed;
     EXPECT_LT(encoded.bits_per_sample(), 12.0) << "smooth cube must compress";
   }
 }
@@ -29,7 +29,7 @@ TEST(HyperspecCodec, RoundTripOnDegenerateShapes) {
        {CubeShape{1, 1, 1}, CubeShape{1, 1, 9}, CubeShape{5, 9, 1}, CubeShape{2, 2, 2}}) {
     const auto cube = make_synthetic_cube(shape, 99);
     Encoder encoder(shape);
-    EXPECT_EQ(Decoder{}.decode(encoder.encode(cube, {})), cube)
+    EXPECT_EQ(Decoder{}.try_decode(encoder.encode(cube, {})).take(), cube)
         << shape.bands << "x" << shape.height << "x" << shape.width;
   }
 }
@@ -43,7 +43,7 @@ TEST(HyperspecCodec, NoiseCubeExercisesEscapesAndStillRoundTrips) {
   }
   Encoder encoder(shape);
   const auto encoded = encoder.encode(noisy, {});
-  EXPECT_EQ(Decoder{}.decode(encoded), noisy);
+  EXPECT_EQ(Decoder{}.try_decode(encoded).take(), noisy);
   // Uniform noise is incompressible: the escape path must be in heavy use
   // (bits/sample well above the 12-bit entropy is fine, above raw+2 is not).
   EXPECT_GT(encoded.bits_per_sample(), 12.0);
@@ -57,7 +57,8 @@ TEST(HyperspecCodec, RoundTripAtOtherDynamicRanges) {
     const CubeShape shape{4, 19, 23};
     const auto cube = make_synthetic_cube(shape, 5, bits);
     Encoder encoder(shape);
-    EXPECT_EQ(Decoder{}.decode(encoder.encode(cube, options)), cube) << bits << " bits";
+    EXPECT_EQ(Decoder{}.try_decode(encoder.encode(cube, options)).take(), cube)
+        << bits << " bits";
   }
 }
 

@@ -2,24 +2,23 @@
 // a freshly profiled demonstrator, i.e. the *shape* of Tables 1-4.
 #include <gtest/gtest.h>
 
-#include "core/btpc_case_study.hpp"
 #include "core/explorer.hpp"
 #include "hierarchy/hierarchy.hpp"
+#include "workloads/btpc_workload.hpp"
 
 namespace dtse::core {
 namespace {
+
+using workloads::btpc_best_variant;
+using workloads::btpc_hierarchy_variants;
+using workloads::btpc_structuring_variants;
 
 struct Pipeline {
   ir::Application profiled;
   Explorer explorer{memlib::MemoryLibrary{}};
   ExplorerOptions options;
 
-  Pipeline() {
-    BtpcCaseOptions case_options;
-    case_options.profile_width = 256;
-    case_options.profile_height = 256;
-    profiled = profile_btpc_demonstrator(case_options);
-  }
+  Pipeline() { profiled = workloads::BtpcWorkload{}.profile({.profile_size = 256}); }
 };
 
 const Pipeline& pipeline() {

@@ -142,17 +142,34 @@ TEST(Workloads, ReuseCurvesNeverIncreaseWithCapacity) {
 }
 
 TEST(Workloads, BtpcCodecKnobsAreTraversalInvariant) {
-  // BtpcCaseOptions no longer hard-codes CodecOptions: an odd tile height
-  // must yield the same profile (tiling is bit- and profile-invariant).
+  // The workload's codec options reach the profiled encode: an odd tile
+  // height and level order (one strip spanning the frame) must yield the
+  // same profile (tiling is bit- and profile-invariant).
   btpc::CodecOptions tiled;
   tiled.tile_rows = 17;
   btpc::CodecOptions level_order;
-  level_order.traversal = btpc::Traversal::kLevelOrder;
+  level_order.tile_rows = small_options().profile_size;  // one strip = level order
   const auto base = BtpcWorkload{}.profile(small_options());
   const auto odd_tiles = BtpcWorkload{tiled}.profile(small_options());
   const auto reference = BtpcWorkload{level_order}.profile(small_options());
   EXPECT_EQ(base.to_string(), odd_tiles.to_string());
   EXPECT_EQ(base.to_string(), reference.to_string());
+}
+
+TEST(Workloads, BtpcVerifyRunsTheSelectedBackend) {
+  // verify() round-trips the codec profile() runs: the entropy-backend
+  // override reaches both, so a backend the BTPC stream cannot carry is
+  // rejected by both instead of verify silently checking Huffman.
+  const BtpcWorkload btpc;
+  for (const auto backend : {entropy::Backend::kRice, entropy::Backend::kExpGolomb}) {
+    auto options = small_options();
+    options.entropy_backend = backend;
+    EXPECT_TRUE(btpc.verify(options).passed) << to_string(backend);
+  }
+  auto rans = small_options();
+  rans.entropy_backend = entropy::Backend::kRans;
+  EXPECT_THROW((void)btpc.profile(rans), support::ContractError);
+  EXPECT_THROW((void)btpc.verify(rans), support::ContractError);
 }
 
 // Registry round trips of the two workloads this roster extension added:
@@ -267,12 +284,12 @@ TEST(MultiWorkload, SharedSweepProducesAParetoFront) {
   // The shared organization serves the union of both access patterns: it
   // cannot be cheaper than either workload alone.
   const auto solo = explorer.evaluate(hyper);
-  const auto shared = explorer.evaluate_shared(apps);
+  const auto shared = explorer.evaluate(core::merge_applications(apps, "shared"));
   EXPECT_GE(shared.summary.onchip_area_mm2 + 1e-9, solo.summary.onchip_area_mm2);
   EXPECT_GE(shared.summary.offchip_power_mw + 1e-9, solo.summary.offchip_power_mw);
 
   // Deterministic: the same merge evaluates to the same triple.
-  const auto again = explorer.evaluate_shared(apps);
+  const auto again = explorer.evaluate(core::merge_applications(apps, "shared"));
   EXPECT_DOUBLE_EQ(shared.summary.onchip_area_mm2, again.summary.onchip_area_mm2);
   EXPECT_DOUBLE_EQ(shared.summary.onchip_power_mw, again.summary.onchip_power_mw);
   EXPECT_DOUBLE_EQ(shared.summary.offchip_power_mw, again.summary.offchip_power_mw);
@@ -280,7 +297,7 @@ TEST(MultiWorkload, SharedSweepProducesAParetoFront) {
 
 // The tentpole reconciliation property: for random allocation counts over
 // all four registered workloads, summing the per-workload marginal triples
-// in order reproduces the merged `evaluate_shared` triple *bit-exactly* —
+// in order reproduces the merged shared evaluation's triple *bit-exactly* —
 // attribution neither loses nor invents cost, and it never perturbs the
 // evaluation it explains.
 TEST(MultiWorkload, PerWorkloadBreakdownReconcilesBitExactly) {
@@ -310,7 +327,8 @@ TEST(MultiWorkload, PerWorkloadBreakdownReconcilesBitExactly) {
     ASSERT_EQ(shared.per_workload.size(), apps.size());
 
     // (1) The merged part is bit-identical to the plain shared evaluation.
-    const auto plain = explorer.evaluate_shared(apps, options);
+    const auto plain =
+        explorer.evaluate(core::merge_applications(apps, "shared"), options);
     EXPECT_EQ(shared.merged.summary.onchip_area_mm2, plain.summary.onchip_area_mm2);
     EXPECT_EQ(shared.merged.summary.onchip_power_mw, plain.summary.onchip_power_mw);
     EXPECT_EQ(shared.merged.summary.offchip_power_mw, plain.summary.offchip_power_mw);
