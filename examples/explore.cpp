@@ -1,51 +1,31 @@
-// Multi-workload system exploration — the generalized successor of the
-// original explore_btpc reproduction.
+// Multi-workload system exploration: renders one `workloads::explore` run
+// (src/workloads/explore.hpp) over the named workloads (default: all).
+// --cache-dir DIR and --checkpoint FILE report to stderr only, so stdout
+// stays byte-identical between cold and warm runs.  --trace-out FILE writes
+// the Chrome trace, --report-out FILE the versioned run report.
 //
-// Selects workloads from the registry by name (default: all of them) and
-// walks each through the methodology: golden kernel check, instrumented
-// profiling, MACP analysis, the workload's tuned variant, a storage cycle
-// budget sweep and the memory allocation sweep with its Pareto view.  With
-// two or more workloads it then prices one *shared* memory organization
-// against all of them at once (the merged model) and prints the
-// multi-workload Pareto front — the paper's "global" exploration extended
-// past a single demonstrator.
-//
-// With --cache-dir DIR profiled models are served from (and persisted to)
-// an integrity-checked on-disk cache: the second identical run skips the
-// trace simulations entirely and produces byte-identical exploration output.
-// Cache statistics go to stderr so stdout stays diffable across runs.
-//
-// Telemetry rides along without touching stdout: --trace-out FILE dumps the
-// run's Chrome trace (load it in chrome://tracing or Perfetto) and
-// --report-out FILE writes the versioned machine-readable run report —
-// roster, sweep points, Pareto front, solver convergence, cache stats and
-// the metrics snapshot.
-//
-// Usage: explore [--size N] [--cache-dir DIR] [--trace-out FILE]
-//                [--report-out FILE] [workload ...]
+// Usage: explore [--size N] [--cache-dir DIR] [--checkpoint FILE]
+//                [--trace-out FILE] [--report-out FILE] [workload ...]
 //        explore --list
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
-#include <vector>
+#include <system_error>
 
-#include "core/explorer.hpp"
 #include "core/pareto.hpp"
-#include "entropy/entropy_coder.hpp"
 #include "obs/run_report.hpp"
 #include "obs/telemetry.hpp"
-#include "persist/profile_cache.hpp"
 #include "support/table.hpp"
-#include "workloads/profile_store.hpp"
-#include "workloads/workload.hpp"
+#include "workloads/explore.hpp"
 
 namespace {
 
 using dtse::support::Table;
+namespace dw = dtse::workloads;
 
 Table cost_table(const std::string& label_header) {
   return Table({label_header, "on-chip area [mm2]", "on-chip power [mW]",
@@ -59,8 +39,8 @@ void add_cost_row(Table& table, const std::string& label,
                  Table::num(summary.offchip_power_mw)});
 }
 
-/// Sweep-point row: a point that errored or timed out still gets a row — a
-/// degraded sweep reports every point instead of dying on the first bad one.
+/// A point that errored or timed out still gets a row: a degraded sweep
+/// reports every point instead of dying on the first bad one.
 void add_eval_row(Table& table, const std::string& label,
                   const dtse::core::Evaluation& eval) {
   if (!eval.error.empty()) {
@@ -76,277 +56,166 @@ void print_usage() {
                "               [--report-out FILE] [workload ...]\n"
                "       explore --list\n"
                "registered workloads:\n";
-  for (const auto name : dtse::workloads::workload_names()) {
-    std::cout << "  " << name << ": "
-              << dtse::workloads::find_workload(name)->description() << '\n';
+  for (const auto name : dw::workload_names()) {
+    std::cout << "  " << name << ": " << dw::find_workload(name)->description() << '\n';
   }
 }
-
-}  // namespace
-
-namespace {
-
-int run(int argc, char** argv);
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << "explore: fatal: " << e.what() << '\n';
-    return 1;
-  }
-}
-
-namespace {
 
 int run(int argc, char** argv) {
-  dtse::workloads::WorkloadOptions workload_options;
-  std::vector<const dtse::workloads::Workload*> selected;
+  dw::ExploreConfig config;
   std::optional<dtse::persist::ProfileCache> cache;
   std::string trace_out;
   std::string report_out;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--list") == 0 || std::strcmp(argv[i], "--help") == 0) {
+    const std::string arg = argv[i];
+    if (arg == "--list" || arg == "--help") {
       print_usage();
       return 0;
     }
-    if (std::strcmp(argv[i], "--size") == 0) {
-      if (i + 1 >= argc) {
-        std::cerr << "--size requires a value\n";
-        return 1;
-      }
-      const int size = std::atoi(argv[++i]);
-      if (size < 32) {  // tiny or garbage sizes profile nothing meaningful
-        std::cerr << "--size must be at least 32 (got '" << argv[i] << "')\n";
-        return 1;
-      }
-      workload_options.profile_size = size;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--cache-dir") == 0) {
-      if (i + 1 >= argc) {
-        std::cerr << "--cache-dir requires a directory\n";
-        return 1;
-      }
-      cache.emplace(argv[++i]);
-      continue;
-    }
-    if (std::strcmp(argv[i], "--trace-out") == 0) {
-      if (i + 1 >= argc) {
-        std::cerr << "--trace-out requires a file path\n";
-        return 1;
-      }
-      trace_out = argv[++i];
-      continue;
-    }
-    if (std::strcmp(argv[i], "--report-out") == 0) {
-      if (i + 1 >= argc) {
-        std::cerr << "--report-out requires a file path\n";
-        return 1;
-      }
-      report_out = argv[++i];
-      continue;
-    }
-    const auto* workload = dtse::workloads::find_workload(argv[i]);
-    if (workload == nullptr) {
-      std::cerr << "unknown workload '" << argv[i] << "'\n";
-      print_usage();
+    const bool takes_value = arg == "--size" || arg == "--cache-dir" ||
+                             arg == "--checkpoint" || arg == "--trace-out" ||
+                             arg == "--report-out";
+    if (takes_value && i + 1 >= argc) {
+      std::cerr << arg << " requires a value\n";
       return 1;
     }
-    if (std::find(selected.begin(), selected.end(), workload) == selected.end()) {
-      selected.push_back(workload);
+    if (arg == "--size") {
+      // The whole token must be a number in range: "64x" is a typo, and an
+      // overlong digit string must not wrap.
+      const char* text = argv[++i];
+      const char* end = text + std::strlen(text);
+      int size = 0;
+      const auto [ptr, ec] = std::from_chars(text, end, size);
+      if (ec != std::errc{} || ptr != end || size < 32 || size > 16384) {
+        std::cerr << "--size must be an integer in 32..16384 (got '" << text << "')\n";
+        return 1;
+      }
+      config.workload_options.profile_size = size;
+    } else if (arg == "--cache-dir") {
+      config.profile_cache = &cache.emplace(argv[++i]);
+    } else if (arg == "--checkpoint") {
+      config.checkpoint_path = argv[++i];
+    } else if (arg == "--trace-out") {
+      trace_out = argv[++i];
+    } else if (arg == "--report-out") {
+      report_out = argv[++i];
+    } else if (const auto* workload = dw::find_workload(arg); workload == nullptr) {
+      std::cerr << "unknown workload '" << arg << "'\n";
+      print_usage();
+      return 1;
+    } else if (std::ranges::find(config.workloads, workload) == config.workloads.end()) {
+      config.workloads.push_back(workload);
     }
   }
-  if (selected.empty()) {
-    for (const auto name : dtse::workloads::workload_names()) {
-      selected.push_back(dtse::workloads::find_workload(name));
+  if (config.workloads.empty()) {
+    for (const auto name : dw::workload_names()) {
+      config.workloads.push_back(dw::find_workload(name));
     }
   }
 
-  dtse::core::Explorer explorer{dtse::memlib::MemoryLibrary{}};
-  dtse::core::ExplorerOptions options;
-  const std::vector<int> counts = {4, 5, 8, 10, 14};
+  const dtse::core::Explorer explorer{dtse::memlib::MemoryLibrary{}};
+  const dtse::core::ExplorerOptions options;
+  const auto result = dw::explore(explorer, config, options);
 
-  // The run report rides along the whole run; populating it is pure
-  // bookkeeping (no clocks, no solver effects), so counters and stdout stay
-  // identical whether or not --report-out was given.
+  // Populating the report is pure bookkeeping: stdout is the same with or
+  // without --report-out.
   dtse::obs::RunReport report;
-
-  // Tuned per-workload models, kept alive for the shared sweep below.
-  std::vector<std::pair<std::string, dtse::ir::Application>> tuned;
-
-  bool all_golden = true;
-  for (const auto* workload : selected) {
-    std::cout << "==== Workload '" << workload->name() << "' ====\n"
-              << workload->description() << "\n\n";
-
-    // A workload whose kernel is broken must not feed the exploration — but
-    // it also must not take the other workloads down with it: failures are
-    // reported with their stage and the loop moves on.
-    const auto golden = workload->verify(workload_options);
-    std::cout << "Golden kernel check: " << golden.to_string() << '\n';
-    report.workloads.push_back(
-        {std::string(workload->name()), golden.passed, golden.to_string()});
-    if (!golden.passed) {
-      all_golden = false;
-      std::cout << "skipping '" << workload->name() << "': broken kernel\n\n";
+  for (std::size_t i = 0; i < result.workloads.size(); ++i) {
+    const auto& [staged, macp, budgets, allocations] = result.workloads[i];
+    const auto& name = staged.label;
+    std::cout << "==== Workload '" << name << "' ====\n"
+              << config.workloads[i]->description() << "\n\nGolden kernel check: "
+              << staged.golden.to_string() << '\n';
+    report.workloads.push_back({name, staged.golden.passed, staged.golden.to_string()});
+    if (staged.failure) {
+      std::cout << staged.failure->to_string() << "\n\n";
       continue;
     }
-
-    dtse::ir::Application profiled("unprofiled");
-    try {
-      profiled = dtse::workloads::profile_cached(*workload, workload_options,
-                                                 cache ? &*cache : nullptr);
-    } catch (const std::exception& e) {
-      all_golden = false;
-      std::cout << "skipping '" << workload->name() << "': profiling failed: " << e.what()
-                << "\n\n";
-      continue;
-    }
-    std::cout << profiled.to_string() << '\n';
-
-    const auto macp = explorer.analyze_critical_path(profiled, options);
-    std::cout << "Memory access critical path:\n" << macp.to_string()
-              << "real-time budget " << options.real_time_budget_cycles << " cycles -> "
-              << (macp.feasible_within(
-                      static_cast<double>(options.real_time_budget_cycles))
+    const auto budget = options.real_time_budget_cycles;
+    std::cout << staged.profiled.to_string() << "\nMemory access critical path:\n"
+              << macp.to_string() << "real-time budget " << budget << " cycles -> "
+              << (macp.feasible_within(static_cast<double>(budget))
                       ? "feasible\n\n"
                       : "INFEASIBLE, loop transformations required\n\n");
-
-    const auto best = workload->tuned_variant(profiled);
-
-    std::cout << "Storage cycle budget sweep:\n";
-    const std::uint64_t full = options.real_time_budget_cycles;
-    const auto budget_points = explorer.explore_cycle_budgets(
-        best, {full, full * 75 / 100, full * 58 / 100}, options);
-    Table budget_table({"Extra cycles for data-path", "on-chip area [mm2]",
-                        "on-chip power [mW]", "off-chip power [mW]"});
-    for (const auto& point : budget_points) {
-      budget_table.add_row({std::to_string(point.spare_cycles) + " (" +
-                                Table::num(point.spare_percent, 1) + "%)",
-                            Table::num(point.eval.summary.onchip_area_mm2),
-                            Table::num(point.eval.summary.onchip_power_mw),
-                            Table::num(point.eval.summary.offchip_power_mw)});
-      report.add_point("cycle_budget/" + std::string(workload->name()),
-                       std::to_string(point.requested_budget), point.eval);
+    auto budget_table = cost_table("Extra cycles for data-path");
+    for (const auto& point : budgets) {
+      add_cost_row(budget_table,
+                   std::to_string(point.spare_cycles) + " (" +
+                       Table::num(point.spare_percent, 1) + "%)",
+                   point.eval.summary, true);
+      report.add_point("cycle_budget/" + name, std::to_string(point.requested_budget),
+                       point.eval);
     }
-    std::cout << budget_table.to_string() << '\n';
-
-    std::cout << "Memory allocation sweep:\n";
-    const auto allocations = explorer.explore_allocation_counts(best, counts, options);
     auto alloc_table = cost_table("Version");
     for (const auto& variant : allocations) {
       add_eval_row(alloc_table, variant.label, variant.eval);
-      report.add_point("alloc/" + std::string(workload->name()), variant);
+      report.add_point("alloc/" + name, variant);
     }
-    std::cout << alloc_table.to_string() << '\n'
+    std::cout << "Storage cycle budget sweep:\n" << budget_table.to_string()
+              << "\nMemory allocation sweep:\n" << alloc_table.to_string() << '\n'
               << dtse::core::pareto_report(allocations) << '\n';
-
-    tuned.emplace_back(std::string(workload->name()), best);
   }
 
-  // Entropy-coder roster sweep: re-profile the codec workloads with each
-  // alternative backend.  Swapping the coder swaps the on-chip state arrays
-  // the model prices (Huffman tree bank vs Rice accumulators vs rANS
-  // tables), so every backend is a distinct tuned point — and joins the
-  // shared sweep below on equal footing with the defaults.
-  struct BackendSweep {
-    const char* workload;
-    std::vector<dtse::entropy::Backend> backends;
-  };
-  const std::vector<BackendSweep> roster = {
-      {"btpc", {dtse::entropy::Backend::kRice, dtse::entropy::Backend::kExpGolomb}},
-      {"hyperspec",
-       {dtse::entropy::Backend::kExpGolomb, dtse::entropy::Backend::kRans}},
-  };
-  for (const auto& sweep : roster) {
-    const auto* workload = dtse::workloads::find_workload(sweep.workload);
-    const bool in_run = std::any_of(
-        tuned.begin(), tuned.end(),
-        [&](const auto& entry) { return entry.first == sweep.workload; });
-    if (workload == nullptr || !in_run) continue;
-
-    std::cout << "==== Entropy-coder roster for '" << sweep.workload << "' ====\n";
+  for (std::size_t i = 0; i < result.roster.size();) {
+    const auto& workload = result.roster[i].workload;
+    std::cout << "==== Entropy-coder roster for '" << workload << "' ====\n";
     auto roster_table = cost_table("Backend variant");
-    for (const auto backend : sweep.backends) {
-      auto variant_options = workload_options;
-      variant_options.entropy_backend = backend;
-      const std::string label =
-          std::string(sweep.workload) + "[" + std::string(to_string(backend)) + "]";
-
-      const auto golden = workload->verify(variant_options);
-      if (!golden.passed) {
-        all_golden = false;
-        std::cout << label << ": broken kernel (" << golden.to_string() << ")\n";
+    for (; i < result.roster.size() && result.roster[i].workload == workload; ++i) {
+      const auto& [_, staged, eval] = result.roster[i];
+      if (staged.failure) {
+        std::cout << staged.failure->to_string() << '\n';
         continue;
       }
-      try {
-        const auto best = workload->tuned_variant(dtse::workloads::profile_cached(
-            *workload, variant_options, cache ? &*cache : nullptr));
-        const auto eval = explorer.evaluate(best, options);
-        add_cost_row(roster_table, label, eval.summary, eval.feasible);
-        report.add_point("roster/" + std::string(sweep.workload), label, eval);
-        tuned.emplace_back(label, best);
-      } catch (const std::exception& e) {
-        all_golden = false;
-        std::cout << label << ": profiling failed: " << e.what() << '\n';
-      }
+      add_cost_row(roster_table, staged.label, eval.summary, eval.feasible);
+      report.add_point("roster/" + workload, staged.label, eval);
     }
     std::cout << roster_table.to_string() << '\n';
   }
 
-  if (tuned.size() > 1) {
+  if (!result.shared_labels.empty()) {
     std::cout << "==== Shared memory organization across ";
-    for (std::size_t i = 0; i < tuned.size(); ++i) {
-      std::cout << (i > 0 ? " + " : "") << tuned[i].first;
+    for (std::size_t i = 0; i < result.shared_labels.size(); ++i) {
+      std::cout << (i > 0 ? " + " : "") << result.shared_labels[i];
     }
     std::cout << " ====\n";
-
-    std::vector<std::pair<std::string, const dtse::ir::Application*>> apps;
-    for (const auto& [label, app] : tuned) apps.emplace_back(label, &app);
-
-    const auto shared =
-        explorer.explore_shared_allocation_counts(apps, {4, 6, 8, 10, 12, 14}, options);
     auto shared_table = cost_table("Shared organization");
-    for (const auto& variant : shared) {
+    for (const auto& variant : result.shared) {
       add_eval_row(shared_table, variant.label, variant.eval);
       report.add_point("shared", variant);
       report.add_convergence("shared/" + variant.label, variant.eval);
     }
-    for (const auto index : dtse::core::pareto_front(shared)) {
-      report.pareto_front.push_back(shared[index].label);
+    for (const auto index : dtse::core::pareto_front(result.shared)) {
+      report.pareto_front.push_back(result.shared[index].label);
     }
-    std::cout << shared_table.to_string() << '\n'
-              << "Multi-workload Pareto front:\n"
-              << dtse::core::pareto_report(shared) << '\n';
-
-    // Who pays for the sharing: the same merged assignment re-priced per
-    // workload prefix; the marginal rows sum bit-exactly to the merged triple.
-    const auto final_eval = explorer.evaluate_shared_per_workload(apps, options);
-    report.add_point("shared", "final", final_eval.merged);
-    report.add_convergence("shared/final", final_eval.merged);
-    std::cout << "Shared organization summary: " << final_eval.merged.to_string()
-              << "\n\nPer-workload attribution (registration order):\n";
+    std::cout << shared_table.to_string() << "\nMulti-workload Pareto front:\n"
+              << dtse::core::pareto_report(result.shared) << '\n';
+  }
+  if (const auto& attribution = result.attribution) {
+    // The best row's merged assignment re-priced per workload prefix; the
+    // marginals sum bit-exactly to its triple.
+    const auto& merged = attribution->merged;
+    report.add_point("shared", "final", merged);
+    report.add_convergence("shared/final", merged);
     auto share_table = cost_table("Workload (marginal)");
-    for (const auto& share : final_eval.per_workload) {
+    for (const auto& share : attribution->per_workload) {
       add_cost_row(share_table, share.label, share.marginal, true);
     }
-    add_cost_row(share_table, "= merged total", final_eval.merged.summary,
-                 final_eval.merged.feasible);
-    std::cout << share_table.to_string() << '\n';
+    add_cost_row(share_table, "= merged total", merged.summary, merged.feasible);
+    std::cout << "Shared organization summary: " << merged.to_string()
+              << "\n\nPer-workload attribution (registration order):\n"
+              << share_table.to_string() << '\n';
   }
+
   auto& registry = dtse::obs::TelemetryRegistry::global();
   report.metrics = registry.snapshot();
   report.cache = dtse::obs::cache_stats_from(report.metrics);
   if (cache) {
-    // stderr, so stdout is byte-identical between a cold and a warm run —
-    // CI diffs the two to prove cache hits change nothing.  The stats come
-    // from the telemetry registry (the cache mirrors every event into it),
-    // the same source the run report's "cache" section uses.
     std::cerr << "profile cache (" << cache->directory()
               << "): " << report.cache.to_string() << '\n';
+  }
+  if (!config.checkpoint_path.empty() && !result.shared.empty()) {
+    std::cerr << "shared sweep: " << result.resumed << " of " << result.shared.size()
+              << " rows resumed\n";
   }
   if (!trace_out.empty()) {
     std::ofstream out(trace_out);
@@ -364,7 +233,16 @@ int run(int argc, char** argv) {
     }
     report.write_json(out);
   }
-  return all_golden ? 0 : 1;
+  return result.failures().empty() ? 0 : 1;
 }
 
 }  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "explore: fatal: " << e.what() << '\n';
+    return 1;
+  }
+}

@@ -104,8 +104,8 @@ AllocationResult MemoryAllocator::allocate(const ir::Application& app,
     for (int n = problem.min_memories(); n <= options.max_onchip_memories; ++n) {
       auto candidate = solve_assignment(problem, n, options.solver);
       nodes += candidate.nodes_explored;
-      if (candidate.feasible &&
-          (!best.feasible || candidate.scalar_cost < best.scalar_cost)) {
+      if (outranks(candidate.feasible, candidate.scalar_cost, best.feasible,
+                   best.scalar_cost)) {
         best_n = n;
         best = std::move(candidate);
       }

@@ -56,6 +56,15 @@ struct AllocationResult {
   [[nodiscard]] std::string to_string(const ir::Application& app) const;
 };
 
+/// The ranking `allocate` applies across memory counts when
+/// `onchip_memories == 0`: a feasible candidate beats an infeasible
+/// incumbent, and among feasible candidates only a strictly lower scalar cost
+/// wins, so the earliest of equal candidates stays.
+[[nodiscard]] constexpr bool outranks(bool feasible, double scalar_cost,
+                                      bool incumbent_feasible, double incumbent_cost) {
+  return feasible && (!incumbent_feasible || scalar_cost < incumbent_cost);
+}
+
 class MemoryAllocator {
  public:
   explicit MemoryAllocator(memlib::MemoryLibrary library) : library_(std::move(library)) {}

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <sstream>
 
 #include "obs/telemetry.hpp"
@@ -69,20 +68,16 @@ memlib::CostSummary price_prefix(const alloc::AssignmentProblem& problem,
   return priced;
 }
 
-/// The delta with `running + delta == target` *bit-exactly*.  Plain
-/// subtraction can round such that the sum misses the target by an ulp; the
-/// nudge loop walks the representables until the reconstruction is exact, so
-/// marginal terms accumulate back to the merged triple with zero drift.
-double exact_increment(double target, double running) {
-  double delta = target - running;
-  for (int i = 0; i < 64 && running + delta != target; ++i) {
-    delta = std::nextafter(delta, running + delta < target
-                                      ? std::numeric_limits<double>::infinity()
-                                      : -std::numeric_limits<double>::infinity());
-  }
-  DTSE_CHECK(running + delta == target,
-             "per-workload marginal cost failed to reconcile");
-  return delta;
+/// `value` rounded to a multiple of the ulp of `total`.  Differences of such
+/// multiples, and their running sums, are exact while they stay below twice
+/// `total` — so marginals taken between snapped prefix prices add back to
+/// the merged triple with zero drift.  (Plain differences cannot promise
+/// that: when the running sum sits half an ulp off the target's grid, round
+/// half to even leaves an odd target unreachable by any increment.)
+double snap_to_ulp_of(double value, double total) {
+  if (total == 0.0) return value;
+  const double grid = std::ldexp(1.0, std::ilogb(total) - 52);
+  return std::nearbyint(value / grid) * grid;
 }
 
 }  // namespace
@@ -250,6 +245,16 @@ std::string SharedEvaluation::to_string() const {
 SharedEvaluation Explorer::evaluate_shared_per_workload(
     const std::vector<std::pair<std::string, const ir::Application*>>& apps,
     const ExplorerOptions& options) const {
+  return attribute(apps, evaluate(merge_applications(apps, "shared"), options), options);
+}
+
+SharedEvaluation Explorer::attribute(
+    const std::vector<std::pair<std::string, const ir::Application*>>& apps,
+    Evaluation merged_eval, const ExplorerOptions& options) const {
+  obs::Span span(&obs::TelemetryRegistry::global(), "explore.shared_attribution",
+                 "explore");
+  span.arg("workloads", static_cast<double>(apps.size()));
+
   const auto merged = merge_applications(apps, "shared");
   // merge_applications appends each workload's groups as one consecutive id
   // block, so prefix i of the workload list owns group ids [0, boundary[i]).
@@ -262,11 +267,7 @@ SharedEvaluation Explorer::evaluate_shared_per_workload(
   }
 
   SharedEvaluation result;
-  result.merged = evaluate(merged, options);
-
-  obs::Span span(&obs::TelemetryRegistry::global(), "explore.shared_attribution",
-                 "explore");
-  span.arg("workloads", static_cast<double>(apps.size()));
+  result.merged = std::move(merged_eval);
 
   // The same assignment problem the allocator priced the winning assignment
   // on: same on-chip partition, same conflict graph, same frame cycles
@@ -281,13 +282,14 @@ SharedEvaluation Explorer::evaluate_shared_per_workload(
     WorkloadShare share;
     share.label = apps[i].first;
     share.cumulative = price_prefix(problem, result.merged.allocation, boundaries[i]);
-    share.marginal.onchip_area_mm2 =
-        exact_increment(share.cumulative.onchip_area_mm2, running.onchip_area_mm2);
-    share.marginal.onchip_power_mw =
-        exact_increment(share.cumulative.onchip_power_mw, running.onchip_power_mw);
-    share.marginal.offchip_power_mw =
-        exact_increment(share.cumulative.offchip_power_mw, running.offchip_power_mw);
-    running += share.marginal;
+    for (const auto field : {&memlib::CostSummary::onchip_area_mm2,
+                             &memlib::CostSummary::onchip_power_mw,
+                             &memlib::CostSummary::offchip_power_mw}) {
+      const double snapped =
+          snap_to_ulp_of(share.cumulative.*field, result.merged.summary.*field);
+      share.marginal.*field = snapped - running.*field;
+      running.*field += share.marginal.*field;
+    }
     result.per_workload.push_back(std::move(share));
   }
 

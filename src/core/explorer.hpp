@@ -153,18 +153,23 @@ class Explorer {
       const ir::Application& app, const std::vector<int>& counts,
       const ExplorerOptions& options = {}) const;
 
-  /// Feedback for one shared memory organization serving several workloads
-  /// at once, plus the answer to "who pays for the sharing": the merged
-  /// model (`merge_applications(apps, "shared")`) is evaluated, then the
-  /// *same* merged assignment is re-priced with member sets restricted to
-  /// each workload prefix, yielding one `WorkloadShare` per input (in input
-  /// order).  Deterministic, and the merged result is bit-identical to
-  /// `evaluate(merge_applications(apps, "shared"))` — attribution never
-  /// perturbs the evaluation it explains (see `SharedEvaluation` for the
-  /// reconciliation contract).
+  /// One shared memory organization serving several workloads at once, and
+  /// who pays for the sharing: `attribute` of `evaluate(merge_applications(
+  /// apps, "shared"), options)`.
   [[nodiscard]] SharedEvaluation evaluate_shared_per_workload(
       const std::vector<std::pair<std::string, const ir::Application*>>& apps,
       const ExplorerOptions& options = {}) const;
+
+  /// Prices an existing evaluation of `merge_applications(apps, "shared")`
+  /// per workload: the *same* merged assignment is re-priced with member
+  /// sets restricted to each workload prefix, yielding one `WorkloadShare`
+  /// per input (in input order).  `merged_eval` must come from `evaluate`
+  /// on that merged model under `options` (any memory count); it is returned
+  /// untouched as `merged` — attribution never perturbs the evaluation it
+  /// explains (see `SharedEvaluation` for the reconciliation contract).
+  [[nodiscard]] SharedEvaluation attribute(
+      const std::vector<std::pair<std::string, const ir::Application*>>& apps,
+      Evaluation merged_eval, const ExplorerOptions& options = {}) const;
 
   /// Multi-workload allocation sweep: the memory-count trade-off of the
   /// shared organization.  The returned variants carry the merged model, so

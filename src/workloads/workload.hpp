@@ -33,7 +33,7 @@ namespace dtse::workloads {
 /// Structured verdict of a workload's golden check.  A failing report names
 /// the stage that failed and what it saw, so a multi-workload driver can
 /// print *why* a workload was dropped instead of a bare `false` — and keep
-/// sweeping the survivors (see shared_sweep.hpp).
+/// sweeping the survivors (see explore.hpp).
 struct [[nodiscard]] VerifyReport {
   bool passed = true;
   /// Which stage failed (e.g. "encode", "round-trip", "reference-compare");

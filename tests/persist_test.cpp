@@ -25,7 +25,7 @@
 #include "support/check.hpp"
 #include "support/status.hpp"
 #include "workloads/profile_store.hpp"
-#include "workloads/shared_sweep.hpp"
+#include "workloads/explore.hpp"
 #include "workloads/workload.hpp"
 
 namespace dtse::persist {
@@ -606,52 +606,53 @@ workloads::WorkloadOptions sweep_options() {
   return options;
 }
 
+/// The shared model of a one-workload roster: line_buffer's tuned variant
+/// under its label, as the pipeline merges it.
+ir::Application line_buffer_merged() {
+  const auto* workload = workloads::find_workload("line_buffer");
+  const auto tuned = workload->tuned_variant(workload->profile(sweep_options()));
+  return core::merge_applications({{"line_buffer", &tuned}}, "shared");
+}
+
 TEST(ResumableSweep, ResumesCompletedRowsAndExtendsTheCountList) {
   const auto dir = scratch_dir("resume");
   fs::create_directories(dir);
   const core::Explorer explorer{memlib::MemoryLibrary{}};
-  const std::vector<const workloads::Workload*> roster = {
-      workloads::find_workload("line_buffer")};
+  const auto merged = line_buffer_merged();
+  const auto path = (dir / "sweep.swp1").string();
 
-  workloads::SweepPersistence persistence;
-  persistence.checkpoint_path = (dir / "sweep.swp1").string();
-
-  const auto first = workloads::run_shared_sweep(roster, sweep_options(), explorer,
-                                                 {4, 6}, {}, persistence);
-  ASSERT_EQ(first.variants.size(), 2u);
-  EXPECT_EQ(first.resumed, 0u);
-  EXPECT_TRUE(fs::exists(persistence.checkpoint_path));
+  std::size_t resumed = 0;
+  const auto first = workloads::checkpointed_allocation_counts(explorer, merged, {4, 6},
+                                                               {}, path, resumed);
+  ASSERT_EQ(first.size(), 2u);
+  EXPECT_EQ(resumed, 0u);
+  EXPECT_TRUE(fs::exists(path));
 
   // Second run adds a count: the two finished rows resume (bit-identical
   // cost triples), only the new count is evaluated.
-  const auto second = workloads::run_shared_sweep(roster, sweep_options(), explorer,
-                                                  {4, 6, 8}, {}, persistence);
-  ASSERT_EQ(second.variants.size(), 3u);
-  EXPECT_EQ(second.resumed, 2u);
+  const auto second = workloads::checkpointed_allocation_counts(
+      explorer, merged, {4, 6, 8}, {}, path, resumed);
+  ASSERT_EQ(second.size(), 3u);
+  EXPECT_EQ(resumed, 2u);
   for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(second.variants[i].label, first.variants[i].label);
-    EXPECT_EQ(second.variants[i].eval.feasible, first.variants[i].eval.feasible);
-    EXPECT_EQ(second.variants[i].eval.spare_cycles,
-              first.variants[i].eval.spare_cycles);
-    EXPECT_EQ(second.variants[i].eval.summary.onchip_area_mm2,
-              first.variants[i].eval.summary.onchip_area_mm2);
-    EXPECT_EQ(second.variants[i].eval.summary.onchip_power_mw,
-              first.variants[i].eval.summary.onchip_power_mw);
-    EXPECT_EQ(second.variants[i].eval.summary.offchip_power_mw,
-              first.variants[i].eval.summary.offchip_power_mw);
+    EXPECT_EQ(second[i].label, first[i].label);
+    EXPECT_EQ(second[i].eval.feasible, first[i].eval.feasible);
+    EXPECT_EQ(second[i].eval.spare_cycles, first[i].eval.spare_cycles);
+    const auto& a = first[i].eval.summary;
+    const auto& b = second[i].eval.summary;
+    EXPECT_EQ(b.onchip_area_mm2, a.onchip_area_mm2);
+    EXPECT_EQ(b.onchip_power_mw, a.onchip_power_mw);
+    EXPECT_EQ(b.offchip_power_mw, a.offchip_power_mw);
   }
-  EXPECT_EQ(second.variants[2].label, "8 on-chip memories");
+  EXPECT_EQ(second[2].label, "8 on-chip memories");
 }
 
 TEST(ResumableSweep, CancelledRowsAreNotCheckpointedAndRecompute) {
   const auto dir = scratch_dir("cancelled");
   fs::create_directories(dir);
   const core::Explorer explorer{memlib::MemoryLibrary{}};
-  const std::vector<const workloads::Workload*> roster = {
-      workloads::find_workload("line_buffer")};
-
-  workloads::SweepPersistence persistence;
-  persistence.checkpoint_path = (dir / "sweep.swp1").string();
+  const auto merged = line_buffer_merged();
+  const auto path = (dir / "sweep.swp1").string();
 
   // A pre-cancelled token models a run killed before its rows completed:
   // every point degrades (timed_out) and nothing may become durable.
@@ -659,95 +660,76 @@ TEST(ResumableSweep, CancelledRowsAreNotCheckpointedAndRecompute) {
   killed.cancel();
   core::ExplorerOptions cancelled_options;
   cancelled_options.cancel = &killed;
-  const auto aborted = workloads::run_shared_sweep(roster, sweep_options(), explorer,
-                                                   {4}, cancelled_options, persistence);
-  ASSERT_EQ(aborted.variants.size(), 1u);
-  EXPECT_TRUE(aborted.variants[0].eval.timed_out ||
-              !aborted.variants[0].eval.error.empty());
-  EXPECT_EQ(aborted.resumed, 0u);
+  std::size_t resumed = 0;
+  const auto aborted = workloads::checkpointed_allocation_counts(
+      explorer, merged, {4}, cancelled_options, path, resumed);
+  ASSERT_EQ(aborted.size(), 1u);
+  EXPECT_TRUE(aborted[0].eval.timed_out || !aborted[0].eval.error.empty());
+  EXPECT_EQ(resumed, 0u);
 
   // The relaunched run finds no resumable row and computes it cleanly.
-  const auto relaunched = workloads::run_shared_sweep(roster, sweep_options(), explorer,
-                                                      {4}, {}, persistence);
-  ASSERT_EQ(relaunched.variants.size(), 1u);
-  EXPECT_EQ(relaunched.resumed, 0u);
-  EXPECT_TRUE(relaunched.variants[0].eval.error.empty());
+  const auto relaunched =
+      workloads::checkpointed_allocation_counts(explorer, merged, {4}, {}, path, resumed);
+  ASSERT_EQ(relaunched.size(), 1u);
+  EXPECT_EQ(resumed, 0u);
+  EXPECT_TRUE(relaunched[0].eval.error.empty());
 
   // And now the row is durable: a third run resumes it.
-  const auto resumed = workloads::run_shared_sweep(roster, sweep_options(), explorer,
-                                                   {4}, {}, persistence);
-  EXPECT_EQ(resumed.resumed, 1u);
+  (void)workloads::checkpointed_allocation_counts(explorer, merged, {4}, {}, path,
+                                                  resumed);
+  EXPECT_EQ(resumed, 1u);
 }
 
 TEST(ResumableSweep, FingerprintBindsTheCheckpointToTheRecipe) {
   const auto dir = scratch_dir("fingerprint");
   fs::create_directories(dir);
   const core::Explorer explorer{memlib::MemoryLibrary{}};
-  const std::vector<const workloads::Workload*> roster = {
-      workloads::find_workload("line_buffer")};
+  const auto merged = line_buffer_merged();
+  const auto path = (dir / "sweep.swp1").string();
+  const auto resumed_rows = [&](const core::ExplorerOptions& options) {
+    std::size_t resumed = 0;
+    (void)workloads::checkpointed_allocation_counts(explorer, merged, {4}, options, path,
+                                                    resumed);
+    return resumed;
+  };
+  EXPECT_EQ(resumed_rows({}), 0u);
 
-  workloads::SweepPersistence persistence;
-  persistence.checkpoint_path = (dir / "sweep.swp1").string();
-  const auto first = workloads::run_shared_sweep(roster, sweep_options(), explorer,
-                                                 {4}, {}, persistence);
-  EXPECT_EQ(first.resumed, 0u);
-
-  // Same roster, different cycle budget: the checkpoint must not resume.
+  // Same model, different cycle budget: the checkpoint must not resume.
   // Its completed row then overwrites the file — one checkpoint holds one
   // recipe — so the original recipe starts fresh too before becoming
   // resumable again.
   core::ExplorerOptions tighter;
   tighter.storage_budget_cycles = 10'000'000;
-  const auto other = workloads::run_shared_sweep(roster, sweep_options(), explorer,
-                                                 {4}, tighter, persistence);
-  EXPECT_EQ(other.resumed, 0u);
-  const auto tighter_again = workloads::run_shared_sweep(roster, sweep_options(),
-                                                         explorer, {4}, tighter,
-                                                         persistence);
-  EXPECT_EQ(tighter_again.resumed, 1u);
-
-  const auto back = workloads::run_shared_sweep(roster, sweep_options(), explorer,
-                                                {4}, {}, persistence);
-  EXPECT_EQ(back.resumed, 0u);
-  const auto back_again = workloads::run_shared_sweep(roster, sweep_options(),
-                                                      explorer, {4}, {}, persistence);
-  EXPECT_EQ(back_again.resumed, 1u);
+  EXPECT_EQ(resumed_rows(tighter), 0u);
+  EXPECT_EQ(resumed_rows(tighter), 1u);
+  EXPECT_EQ(resumed_rows({}), 0u);
+  EXPECT_EQ(resumed_rows({}), 1u);
 }
 
 TEST(ResumableSweep, ProfileCachePluggedIntoStagingServesTheSecondRun) {
   const auto dir = scratch_dir("staging_cache");
   const core::Explorer explorer{memlib::MemoryLibrary{}};
-  const std::vector<const workloads::Workload*> roster = {
-      workloads::find_workload("line_buffer")};
-
   ProfileCache cache((dir / "profiles").string());
-  workloads::SweepPersistence persistence;
-  persistence.profile_cache = &cache;
+  workloads::ExploreConfig config;
+  config.workloads = {workloads::find_workload("line_buffer")};
+  config.workload_options = sweep_options();
+  config.profile_cache = &cache;
 
-  const auto first = workloads::run_shared_sweep(roster, sweep_options(), explorer,
-                                                 {4}, {}, persistence);
+  const auto first = workloads::explore(explorer, config);
   EXPECT_EQ(cache.stats().stores, 1u);
   EXPECT_EQ(cache.stats().hits, 0u);
 
-  const auto second = workloads::run_shared_sweep(roster, sweep_options(), explorer,
-                                                  {4}, {}, persistence);
+  const auto second = workloads::explore(explorer, config);
   EXPECT_EQ(cache.stats().hits, 1u);
-  ASSERT_EQ(first.variants.size(), second.variants.size());
-  EXPECT_EQ(second.variants[0].eval.summary.onchip_area_mm2,
-            first.variants[0].eval.summary.onchip_area_mm2);
-  EXPECT_EQ(second.variants[0].eval.summary.onchip_power_mw,
-            first.variants[0].eval.summary.onchip_power_mw);
-  EXPECT_EQ(second.variants[0].eval.summary.offchip_power_mw,
-            first.variants[0].eval.summary.offchip_power_mw);
-}
-
-TEST(ResumableSweep, FingerprintIsDeterministic) {
-  const auto app = rich_model();
-  EXPECT_EQ(workloads::sweep_fingerprint(app, {}), workloads::sweep_fingerprint(app, {}));
-  core::ExplorerOptions tighter;
-  tighter.storage_budget_cycles = 1'000'000;
-  EXPECT_NE(workloads::sweep_fingerprint(app, tighter),
-            workloads::sweep_fingerprint(app, {}));
+  const auto& a = first.workloads[0].allocations;
+  const auto& b = second.workloads[0].allocations;
+  ASSERT_EQ(a.size(), b.size());
+  ASSERT_FALSE(a.empty());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(b[i].eval.summary.onchip_area_mm2, a[i].eval.summary.onchip_area_mm2);
+    EXPECT_EQ(b[i].eval.summary.onchip_power_mw, a[i].eval.summary.onchip_power_mw);
+    EXPECT_EQ(b[i].eval.summary.offchip_power_mw, a[i].eval.summary.offchip_power_mw);
+  }
 }
 
 }  // namespace

@@ -3,6 +3,11 @@
 // error, and a merged (shared-organization) model must price correctly.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/explorer.hpp"
 #include "core/pareto.hpp"
 #include "persist/app_container.hpp"
@@ -10,10 +15,10 @@
 #include "support/check.hpp"
 #include "support/rng.hpp"
 #include "workloads/btpc_workload.hpp"
+#include "workloads/explore.hpp"
 #include "workloads/hyperspec_workload.hpp"
 #include "workloads/line_buffer_workload.hpp"
 #include "workloads/motion_workload.hpp"
-#include "workloads/shared_sweep.hpp"
 #include "workloads/workload.hpp"
 
 namespace dtse::workloads {
@@ -373,8 +378,9 @@ TEST(VerifyReport, CarriesStageAndDetail) {
   EXPECT_EQ(bad.to_string(), "failed at round-trip: pixel 7 differs");
 }
 
-// Degradation doubles for the shared sweep: one workload whose golden check
-// fails, one whose profiling throws.  Neither may take the sweep down.
+// Degradation doubles for the pipeline: one workload per staging step that
+// can fail — a failing golden check, and a throwing verify, profile and
+// tuned_variant.  None of them may take the run down.
 class FailingVerifyWorkload final : public Workload {
  public:
   [[nodiscard]] std::string_view name() const override { return "failing-verify"; }
@@ -384,6 +390,19 @@ class FailingVerifyWorkload final : public Workload {
   }
   [[nodiscard]] VerifyReport verify(const WorkloadOptions&) const override {
     return VerifyReport::fail("round-trip", "deliberately broken kernel");
+  }
+};
+
+class ThrowingVerifyWorkload final : public Workload {
+ public:
+  [[nodiscard]] std::string_view name() const override { return "throwing-verify"; }
+  [[nodiscard]] std::string_view description() const override { return "test double"; }
+  [[nodiscard]] ir::Application profile(const WorkloadOptions&) const override {
+    return ir::Application("never-profiled");
+  }
+  [[nodiscard]] VerifyReport verify(const WorkloadOptions&) const override {
+    DTSE_CHECK(false, "golden check explodes");
+    return VerifyReport::pass();
   }
 };
 
@@ -400,47 +419,243 @@ class ThrowingProfileWorkload final : public Workload {
   }
 };
 
-TEST(SharedSweep, OnePoisonedWorkloadDoesNotAbortTheSweep) {
+/// Profiles like line_buffer, then throws while tuning.
+class ThrowingTuneWorkload final : public Workload {
+ public:
+  [[nodiscard]] std::string_view name() const override { return "throwing-tune"; }
+  [[nodiscard]] std::string_view description() const override { return "test double"; }
+  [[nodiscard]] ir::Application profile(const WorkloadOptions& options) const override {
+    return find_workload("line_buffer")->profile(options);
+  }
+  [[nodiscard]] VerifyReport verify(const WorkloadOptions&) const override {
+    return VerifyReport::pass();
+  }
+  [[nodiscard]] ir::Application tuned_variant(const ir::Application&) const override {
+    DTSE_CHECK(false, "tuning explodes");
+    return ir::Application("unreachable");
+  }
+};
+
+ExploreConfig small_config(std::vector<const Workload*> workloads) {
+  ExploreConfig config;
+  config.workloads = std::move(workloads);
+  config.workload_options = small_options();
+  return config;
+}
+
+TEST(Pipeline, OnePoisonedWorkloadDoesNotAbortTheRun) {
   const auto explorer = make_explorer();
   const FailingVerifyWorkload failing;
   const ThrowingProfileWorkload throwing;
-  const std::vector<const Workload*> roster = {
-      find_workload("hyperspec"), &failing, &throwing, find_workload("line_buffer"),
-      nullptr};
+  // motion rather than a codec workload: a codec workload brings its
+  // roster backends along as co-resident tenants, and those make every
+  // shared row infeasible (ROADMAP item 1).
+  const auto result = explore(
+      explorer, small_config({find_workload("motion"), &failing, &throwing,
+                              find_workload("line_buffer"), nullptr}));
 
-  const auto result =
-      run_shared_sweep(roster, small_options(), explorer, {6, 10});
+  const std::vector<std::string> survivors = {"motion", "line_buffer"};
+  EXPECT_EQ(result.shared_labels, survivors);
+  const auto failures = result.failures();
+  ASSERT_EQ(failures.size(), 3u);
+  EXPECT_EQ(failures[0].name, "failing-verify");
+  EXPECT_EQ(failures[0].stage, "verify");
+  EXPECT_NE(failures[0].detail.find("deliberately broken"), std::string::npos);
+  EXPECT_EQ(failures[1].name, "throwing-profile");
+  EXPECT_EQ(failures[1].stage, "profile");
+  EXPECT_NE(failures[1].detail.find("profiling explodes"), std::string::npos);
+  EXPECT_EQ(failures[2].stage, "lookup");
+  EXPECT_FALSE(result.workloads[1].staged.golden.passed);
+  EXPECT_TRUE(result.workloads[2].staged.golden.passed);
 
-  ASSERT_EQ(result.survivors.size(), 2u);
-  EXPECT_EQ(result.survivors[0], "hyperspec");
-  EXPECT_EQ(result.survivors[1], "line_buffer");
-  ASSERT_EQ(result.failures.size(), 3u);
-  EXPECT_FALSE(result.complete());
-  EXPECT_EQ(result.failures[0].name, "failing-verify");
-  EXPECT_EQ(result.failures[0].stage, "verify");
-  EXPECT_NE(result.failures[0].detail.find("deliberately broken"), std::string::npos);
-  EXPECT_EQ(result.failures[1].name, "throwing-profile");
-  EXPECT_EQ(result.failures[1].stage, "profile");
-  EXPECT_NE(result.failures[1].detail.find("profiling explodes"), std::string::npos);
-  EXPECT_EQ(result.failures[2].stage, "lookup");
-
-  // The sweep over the survivors still completed and is usable.
-  ASSERT_EQ(result.variants.size(), 2u);
+  // The survivors' sweeps still completed and are usable.
+  EXPECT_FALSE(result.workloads[0].allocations.empty());
+  EXPECT_TRUE(result.workloads[1].allocations.empty());
+  ASSERT_FALSE(result.shared.empty());
   bool any_feasible = false;
-  for (const auto& variant : result.variants) any_feasible |= variant.eval.feasible;
+  for (const auto& variant : result.shared) any_feasible |= variant.eval.feasible;
   EXPECT_TRUE(any_feasible);
+  EXPECT_TRUE(result.attribution.has_value());
 
-  // A healthy roster reports complete() with no failures.
-  const auto healthy = run_shared_sweep({find_workload("hyperspec")}, small_options(),
-                                        explorer, {8});
-  EXPECT_TRUE(healthy.complete());
-  ASSERT_EQ(healthy.survivors.size(), 1u);
+  // A healthy roster reports no failures; one model is not shared.
+  const auto healthy = explore(explorer, small_config({find_workload("line_buffer")}));
+  EXPECT_TRUE(healthy.failures().empty());
+  EXPECT_TRUE(healthy.shared_labels.empty());
+  EXPECT_TRUE(healthy.shared.empty());
+  EXPECT_FALSE(healthy.attribution.has_value());
 
-  // All-poisoned rosters are the only fatal case.
-  EXPECT_THROW((void)run_shared_sweep({&failing}, small_options(), explorer, {8}),
-               support::ContractError);
-  EXPECT_THROW((void)run_shared_sweep({}, small_options(), explorer, {8}),
-               support::ContractError);
+  // An all-poisoned roster reports its failures and sweeps nothing; only an
+  // empty roster is a contract violation.
+  const auto poisoned = explore(explorer, small_config({&failing, &throwing}));
+  EXPECT_EQ(poisoned.failures().size(), 2u);
+  EXPECT_TRUE(poisoned.shared.empty());
+  EXPECT_THROW((void)explore(explorer, small_config({})), support::ContractError);
+}
+
+TEST(Pipeline, ThrowingVerifyAndTuneAreQuarantinedAtTheirStage) {
+  const auto explorer = make_explorer();
+  const ThrowingVerifyWorkload throwing_verify;
+  const ThrowingTuneWorkload throwing_tune;
+  const auto result = explore(
+      explorer, small_config({&throwing_verify, find_workload("motion"), &throwing_tune,
+                              find_workload("line_buffer")}));
+
+  const auto failures = result.failures();
+  ASSERT_EQ(failures.size(), 2u);
+  EXPECT_EQ(failures[0].name, "throwing-verify");
+  EXPECT_EQ(failures[0].stage, "verify");
+  EXPECT_NE(failures[0].detail.find("golden check explodes"), std::string::npos);
+  EXPECT_FALSE(result.workloads[0].staged.golden.passed);
+  EXPECT_EQ(failures[1].name, "throwing-tune");
+  EXPECT_EQ(failures[1].stage, "tuned_variant");
+  EXPECT_NE(failures[1].detail.find("tuning explodes"), std::string::npos);
+  EXPECT_TRUE(result.workloads[2].staged.golden.passed);
+
+  const std::vector<std::string> survivors = {"motion", "line_buffer"};
+  EXPECT_EQ(result.shared_labels, survivors);
+  EXPECT_TRUE(result.attribution.has_value());
+}
+
+void expect_same_chains(const std::vector<alloc::ChainStats>& a,
+                        const std::vector<alloc::ChainStats>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t c = 0; c < a.size(); ++c) {
+    EXPECT_EQ(a[c].moves, b[c].moves);
+    EXPECT_EQ(a[c].accepted, b[c].accepted);
+    EXPECT_EQ(a[c].reheats, b[c].reheats);
+    EXPECT_EQ(a[c].start_cost, b[c].start_cost);
+    EXPECT_EQ(a[c].best_cost, b[c].best_cost);
+    ASSERT_EQ(a[c].convergence.size(), b[c].convergence.size());
+    for (std::size_t i = 0; i < a[c].convergence.size(); ++i) {
+      EXPECT_EQ(a[c].convergence[i].iteration, b[c].convergence[i].iteration);
+      EXPECT_EQ(a[c].convergence[i].current_cost, b[c].convergence[i].current_cost);
+      EXPECT_EQ(a[c].convergence[i].best_cost, b[c].convergence[i].best_cost);
+    }
+  }
+}
+
+void expect_same_summary(const memlib::CostSummary& a, const memlib::CostSummary& b) {
+  EXPECT_EQ(a.onchip_area_mm2, b.onchip_area_mm2);
+  EXPECT_EQ(a.onchip_power_mw, b.onchip_power_mw);
+  EXPECT_EQ(a.offchip_power_mw, b.offchip_power_mw);
+}
+
+void expect_same_row(const core::Variant& a, const core::Variant& b) {
+  EXPECT_EQ(a.label, b.label);
+  EXPECT_EQ(a.eval.feasible, b.eval.feasible);
+  EXPECT_EQ(a.eval.spare_cycles, b.eval.spare_cycles);
+  expect_same_summary(a.eval.summary, b.eval.summary);
+}
+
+void expect_same_attribution(const core::SharedEvaluation& a,
+                             const core::SharedEvaluation& b) {
+  EXPECT_EQ(a.merged.feasible, b.merged.feasible);
+  EXPECT_EQ(a.merged.spare_cycles, b.merged.spare_cycles);
+  expect_same_summary(a.merged.summary, b.merged.summary);
+  expect_same_chains(a.merged.allocation.sa_chains, b.merged.allocation.sa_chains);
+  ASSERT_EQ(a.per_workload.size(), b.per_workload.size());
+  for (std::size_t i = 0; i < a.per_workload.size(); ++i) {
+    EXPECT_EQ(a.per_workload[i].label, b.per_workload[i].label);
+    expect_same_summary(a.per_workload[i].cumulative, b.per_workload[i].cumulative);
+    expect_same_summary(a.per_workload[i].marginal, b.per_workload[i].marginal);
+  }
+}
+
+// The attribution prices the best row the shared sweep printed — the row
+// `MemoryAllocator::allocate`'s auto-count ranking prefers — instead of
+// re-solving the merged model.
+TEST(Pipeline, AttributionPricesTheBestSharedRow) {
+  const auto explorer = make_explorer();
+  const auto result = explore(
+      explorer, small_config({find_workload("hyperspec"), find_workload("line_buffer"),
+                              find_workload("motion")}));
+  ASSERT_TRUE(result.attribution.has_value());
+  ASSERT_LT(result.best, result.shared.size());
+  const auto& best = result.shared[result.best].eval;
+  const auto& attribution = *result.attribution;
+
+  // The merged triple and convergence are the chosen row's, bit for bit.
+  EXPECT_EQ(attribution.merged.feasible, best.feasible);
+  EXPECT_EQ(attribution.merged.spare_cycles, best.spare_cycles);
+  expect_same_summary(attribution.merged.summary, best.summary);
+  expect_same_chains(attribution.merged.allocation.sa_chains, best.allocation.sa_chains);
+
+  // No swept row outranks it, and no earlier row ties it.
+  const memlib::CostWeights weights;
+  const auto rank = [&weights](const core::Variant& row) {
+    const auto& s = row.eval.summary;
+    const memlib::CostTerm onchip{s.onchip_area_mm2, s.onchip_power_mw};
+    return std::pair{s.onchip_area_mm2 > 0.0, weights.scalarize(onchip)};
+  };
+  const auto [best_priced, best_cost] = rank(result.shared[result.best]);
+  for (std::size_t i = 0; i < result.shared.size(); ++i) {
+    const auto [priced, cost] = rank(result.shared[i]);
+    EXPECT_FALSE(alloc::outranks(priced, cost, best_priced, best_cost)) << i;
+    if (i < result.best) {
+      EXPECT_TRUE(alloc::outranks(best_priced, best_cost, priced, cost)) << i;
+    }
+  }
+
+  // The marginals reconcile with the merged triple.
+  memlib::CostSummary sum;
+  for (const auto& share : attribution.per_workload) sum += share.marginal;
+  expect_same_summary(sum, attribution.merged.summary);
+  ASSERT_EQ(attribution.per_workload.size(), result.shared_labels.size());
+
+  // And the whole attribution equals the library's shared evaluation at the
+  // chosen count.
+  std::vector<std::pair<std::string, const ir::Application*>> apps;
+  for (const auto& entry : result.workloads) {
+    apps.emplace_back(entry.staged.label, &entry.staged.tuned);
+  }
+  for (const auto& entry : result.roster) {
+    apps.emplace_back(entry.staged.label, &entry.staged.tuned);
+  }
+  core::ExplorerOptions at_count;
+  at_count.allocation.onchip_memories =
+      std::stoi(result.shared[result.best].label);  // "<n> on-chip memories"
+  expect_same_attribution(attribution,
+                          explorer.evaluate_shared_per_workload(apps, at_count));
+}
+
+// hyperspec + line_buffer with hyperspec's roster at size 64 prices an
+// on-chip power prefix that no increment over the previous prefix reaches
+// bit-exactly (round half to even); the attribution must still reconcile.
+TEST(Pipeline, AttributionReconcilesWhereAPlainDifferenceCannot) {
+  const auto explorer = make_explorer();
+  const auto result = explore(
+      explorer, small_config({find_workload("hyperspec"), find_workload("line_buffer")}));
+  ASSERT_TRUE(result.attribution.has_value());
+  memlib::CostSummary sum;
+  for (const auto& share : result.attribution->per_workload) sum += share.marginal;
+  expect_same_summary(sum, result.attribution->merged.summary);
+}
+
+TEST(Pipeline, CheckpointResumeIsBitIdentical) {
+  const auto dir = std::filesystem::path(::testing::TempDir()) / "workloads_test_resume";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const auto explorer = make_explorer();
+  auto config = small_config({find_workload("line_buffer"), find_workload("motion")});
+  const auto plain = explore(explorer, config);
+
+  config.checkpoint_path = (dir / "sweep.swp1").string();
+  const auto first = explore(explorer, config);
+  const auto resumed = explore(explorer, config);
+  std::filesystem::remove_all(dir);
+
+  EXPECT_EQ(first.resumed, 0u);
+  EXPECT_EQ(resumed.resumed, resumed.shared.size());
+  ASSERT_FALSE(plain.shared.empty());
+  for (const auto* run : {&first, &resumed}) {
+    ASSERT_EQ(run->shared.size(), plain.shared.size());
+    for (std::size_t i = 0; i < plain.shared.size(); ++i) {
+      expect_same_row(run->shared[i], plain.shared[i]);
+    }
+    EXPECT_EQ(run->best, plain.best);
+    ASSERT_TRUE(run->attribution.has_value());
+    expect_same_attribution(*run->attribution, *plain.attribution);
+  }
 }
 
 }  // namespace
