@@ -231,6 +231,42 @@ void BM_AnnealingLargeMembersFullRecost(benchmark::State& state) {
 BENCHMARK(BM_AnnealingLargeMembersFullRecost)->Arg(32)->Arg(64)->Arg(128)
     ->Unit(benchmark::kMillisecond);
 
+// The annealing solve of one what-if query on the shared organization: the
+// default merged model of the four registered workloads (tuned, default
+// profile geometry), its conflicts at the full 20 Mcycle budget, 8 on-chip
+// memories and the default solver options (4 chains, 500k-move budget).
+// This is the instance behind the slow feedback queries; final_cost pins the
+// trajectory, so the nightly compare gate catches any drift on it.
+void BM_AnnealingSharedModel(benchmark::State& state) {
+  static const auto merged = [] {
+    std::vector<std::pair<std::string, ir::Application>> tuned;
+    for (const auto name : workloads::workload_names()) {
+      const auto* workload = workloads::find_workload(name);
+      tuned.emplace_back(std::string(name), workload->tuned_variant(workload->profile({})));
+    }
+    std::vector<std::pair<std::string, const ir::Application*>> apps;
+    for (const auto& [label, app] : tuned) apps.emplace_back(label, &app);
+    return core::merge_applications(apps, "shared");
+  }();
+  const auto scbd_result = scbd::distribute_budget(merged, {});
+  memlib::MemoryLibrary library;
+  alloc::MemoryAllocator allocator{library};
+  const auto [onchip, offchip] = allocator.partition_groups(merged, {});
+  const alloc::AssignmentProblem problem(merged, onchip, scbd_result.conflicts, library,
+                                         20'000'000);
+  const alloc::SolverOptions options;
+  std::uint64_t moves = 0;
+  double final_cost = 0.0;
+  for (auto _ : state) {
+    const auto solution = alloc::solve_assignment(problem, 8, options);
+    moves += solution.nodes_explored;
+    final_cost = solution.scalar_cost;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(moves));
+  state.counters["final_cost"] = final_cost;
+}
+BENCHMARK(BM_AnnealingSharedModel)->Unit(benchmark::kMillisecond);
+
 void BM_FullFeedbackEvaluation(benchmark::State& state) {
   const auto& app = demo_app();
   core::Explorer explorer{memlib::MemoryLibrary{}};

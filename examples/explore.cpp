@@ -52,8 +52,8 @@ void add_eval_row(Table& table, const std::string& label,
 }
 
 void print_usage() {
-  std::cout << "usage: explore [--size N] [--cache-dir DIR] [--trace-out FILE]\n"
-               "               [--report-out FILE] [workload ...]\n"
+  std::cout << "usage: explore [--size N] [--cache-dir DIR] [--checkpoint FILE]\n"
+               "               [--trace-out FILE] [--report-out FILE] [workload ...]\n"
                "       explore --list\n"
                "registered workloads:\n";
   for (const auto name : dw::workload_names()) {

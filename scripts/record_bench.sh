@@ -21,7 +21,8 @@ cmake --build "$BUILD_DIR" -j --target perf_microbench
 # silently dropped them (filtered run, renamed bench) would let the nightly
 # compare gate pass on an empty intersection.  The profiling hot path and the
 # what-if query hot path (budget distribution and annealing moves) must be
-# present too.
+# present too, with the annealing solve of the shared model those queries
+# spend most of their time in.
 for bench in BM_MotionEstimate \
              BM_RecorderReuseWindow BM_RecorderCoAccess BM_ProfiledEncode \
              BM_ExploreMotion BM_ExploreMultiWorkload \
@@ -30,7 +31,8 @@ for bench in BM_MotionEstimate \
              BM_BitWriterThroughput BM_BitReaderThroughput \
              BM_EncodeLossless \
              BM_EntropyHuffman BM_EntropyRice BM_EntropyExpGolomb BM_EntropyRans \
-             BM_TelemetryOverhead BM_ScbdDistribution BM_AnnealingIncremental; do
+             BM_TelemetryOverhead BM_ScbdDistribution BM_AnnealingIncremental \
+             BM_AnnealingSharedModel; do
   if ! grep -q "\"$bench" "$OUT"; then
     echo "error: $OUT is missing $bench — incomplete trajectory point" >&2
     exit 1

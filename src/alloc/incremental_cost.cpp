@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 
 #include "support/check.hpp"
 
@@ -13,125 +14,158 @@ constexpr std::uint64_t bit_of(std::size_t group) {
   return std::uint64_t{1} << (group % 64);
 }
 
+static_assert(std::has_single_bit(AssignmentState::kMemoSlots), "memo slots: a power of two");
+constexpr int kMemoShift = 64 - std::countr_zero(AssignmentState::kMemoSlots);
+
+/// Slack per rounding: 2^-50 = 8u (u = 2^-53, a double's unit roundoff).
+/// gamma_k = k*u / (1 - k*u) <= 2*k*u while k*u <= 1/2; the further factor 4
+/// covers the roundings of `magnitude_` and of the slack itself.
+constexpr double kSlackUnit = 0x1p-50;
+/// Roundings per term outside the N-term sums (see `price`).
+constexpr double kSlackOps = 8.0;
+
 }  // namespace
 
 AssignmentState::AssignmentState(const AssignmentProblem& problem, int memory_count,
                                  const memlib::CostWeights& weights)
-    : problem_(&problem), weights_(weights), memory_count_(memory_count) {
+    : problem_(&problem),
+      weights_(weights),
+      memory_count_(memory_count),
+      words_(problem.conflict_words()) {
   DTSE_CHECK(memory_count >= 1, "need at least one memory");
+  figures_.resize(problem.group_count());
+  for (std::size_t i = 0; i < figures_.size(); ++i) {
+    figures_[i] = {problem.group_aggregates(i), problem.self_conflicting(i)};
+  }
+  scratch_.assign(words_, 0);
+  memo_.assign(kMemoSlots * (words_ + 2), 0);
 }
 
-double AssignmentState::scalar_from_terms() const {
-  // Sum in memory-index order, skipping empty memories — the exact loop
-  // `AssignmentProblem::evaluate` runs, so the floating-point result matches
-  // a from-scratch evaluation bit-for-bit.
+memlib::CostSummary AssignmentState::summed_terms(bool moved, double* magnitude) const {
+  // Skipping empty memories, exactly as `AssignmentProblem::evaluate` does,
+  // so the floating-point result matches a from-scratch evaluation.
   memlib::CostSummary summary;
-  for (const auto& mem : memories_) {
-    if (mem.members == 0) continue;
-    summary.onchip_area_mm2 += mem.term.area_mm2;
-    summary.onchip_power_mw += mem.term.power_mw;
+  memlib::CostTerm absolute;
+  for (int m = 0; m < memory_count_; ++m) {
+    const auto& mem = memories_[static_cast<std::size_t>(m)];
+    std::size_t members = mem.members;
+    memlib::CostTerm term = mem.term;
+    if (moved && m == pending_.from) {
+      --members;
+      term = pending_.from_term;
+    } else if (moved && m == pending_.to) {
+      ++members;
+      term = pending_.to_term;
+    }
+    if (members == 0) continue;
+    summary.onchip_area_mm2 += term.area_mm2;
+    summary.onchip_power_mw += term.power_mw;
+    absolute += {std::abs(term.area_mm2), std::abs(term.power_mw)};
   }
-  return weights_.scalarize(summary);
-}
-
-memlib::CostTerm AssignmentState::onchip_total() const {
-  memlib::CostTerm total;
-  for (const auto& mem : memories_) {
-    if (mem.members > 0) total += mem.term;
+  if (magnitude != nullptr) {
+    *magnitude = std::abs(weights_.area_weight) * absolute.area_mm2 +
+                 std::abs(weights_.power_weight) * absolute.power_mw;
   }
-  return total;
+  return summary;
 }
 
 bool AssignmentState::reset(const std::vector<int>& assignment) {
   DTSE_CHECK(assignment.size() == problem_->group_count(), "one entry per group");
   assignment_ = assignment;
-  last_.active = false;
+  pending_.active = false;
 
-  const std::size_t words = problem_->conflict_words();
-  scratch_.assign(words, 0);
   memories_.assign(static_cast<std::size_t>(memory_count_), {});
-  for (auto& mem : memories_) mem.bits.assign(words, 0);
+  bits_.assign(memories_.size() * words_, 0);
   std::vector<std::vector<std::size_t>> members(memories_.size());
   for (std::size_t i = 0; i < assignment_.size(); ++i) {
     DTSE_CHECK(assignment_[i] >= 0 && assignment_[i] < memory_count_,
                "assignment entry out of range");
     members[static_cast<std::size_t>(assignment_[i])].push_back(i);
   }
-  for (std::size_t m = 0; m < memories_.size(); ++m) {
+  for (int m = 0; m < memory_count_; ++m) {
     // The feasibility gate stays with the exact reference computation; the
     // maintained counts only ever describe sets that passed it.
-    if (problem_->simultaneous_accesses(members[m]) > 2) return false;
-    auto& mem = memories_[m];
-    for (const auto group : members[m]) {
-      add_member(mem, group, neighbours_in(mem, group));
-      widen(mem, problem_->group_aggregates(group).width_bits);
+    const auto& set = members[static_cast<std::size_t>(m)];
+    if (problem_->simultaneous_accesses(set) > 2) return false;
+    auto& mem = memories_[static_cast<std::size_t>(m)];
+    for (const auto group : set) {
+      bits(m)[group / 64] |= bit_of(group);
+      account(mem, bits(m), group, true);
     }
     if (mem.members > 0) mem.term = problem_->aggregate_cost_term(mem.sum, mem.ports());
   }
-  scalar_ = scalar_from_terms();
+  onchip_ = summed_terms(false, &magnitude_);
+  scalar_ = weights_.scalarize(onchip_);
   return true;
 }
 
-void AssignmentState::add_member(MemoryState& mem, std::size_t group, std::uint64_t degree) {
-  const auto& g = problem_->group_aggregates(group);
-  mem.bits[group / 64] |= bit_of(group);
-  ++mem.members;
-  mem.sum.words += g.words;
-  mem.sum.reads += g.reads;
-  mem.sum.writes += g.writes;
-  mem.pair_conflicts += degree;
-  mem.self_conflicts += problem_->self_conflicting(group) ? 1 : 0;
-}
-
-void AssignmentState::remove_member(MemoryState& mem, std::size_t group,
-                                    std::uint64_t degree) {
-  const auto& g = problem_->group_aggregates(group);
-  mem.bits[group / 64] &= ~bit_of(group);
-  --mem.members;
-  mem.sum.words -= g.words;
-  mem.sum.reads -= g.reads;
-  mem.sum.writes -= g.writes;
-  mem.pair_conflicts -= degree;
-  mem.self_conflicts -= problem_->self_conflicting(group) ? 1 : 0;
-}
-
-void AssignmentState::widen(MemoryState& mem, int width) {
-  if (width > mem.sum.width_bits) {
-    mem.sum.width_bits = width;
-    mem.width_holders = 1;
-  } else if (width == mem.sum.width_bits) {
-    ++mem.width_holders;
-  }
-}
-
-void AssignmentState::narrow(MemoryState& mem, int width) {
-  if (width != mem.sum.width_bits || --mem.width_holders > 0) return;
-  // The last widest member left: rescan the remaining members.
-  mem.sum.width_bits = 0;
-  for (std::size_t w = 0; w < mem.bits.size(); ++w) {
-    for (std::uint64_t scan = mem.bits[w]; scan != 0; scan &= scan - 1) {
-      const auto m = w * 64 + static_cast<std::size_t>(std::countr_zero(scan));
-      widen(mem, problem_->group_aggregates(m).width_bits);
-    }
-  }
-}
-
-std::uint64_t AssignmentState::neighbours_in(const MemoryState& mem, std::size_t group) {
+std::uint64_t AssignmentState::degree_in(const std::uint64_t* members, std::size_t group) const {
+  // The group's conflict row has no self bit, so whether `members` holds the
+  // group does not change its degree.
   const std::uint64_t* row = problem_->conflict_row(group);
   std::uint64_t degree = 0;
-  for (std::size_t w = 0; w < scratch_.size(); ++w) {
-    scratch_[w] = row[w] & mem.bits[w];
-    degree += std::popcount(scratch_[w]);
-  }
+  for (std::size_t w = 0; w < words_; ++w) degree += std::popcount(row[w] & members[w]);
   return degree;
 }
 
-bool AssignmentState::scratch_insertion_infeasible(std::uint64_t degree,
-                                                  std::size_t group) const {
-  if (degree == 0) return false;  // no new pairs: port needs cannot grow past 2
-  if (problem_->self_conflicting(group)) return true;
+int AssignmentState::widest(const std::uint64_t* members, std::size_t* holders) const {
+  int width = 0;
+  std::size_t count = 0;
+  for (std::size_t w = 0; w < words_; ++w) {
+    for (std::uint64_t scan = members[w]; scan != 0; scan &= scan - 1) {
+      const int member = figures_[w * 64 + static_cast<std::size_t>(std::countr_zero(scan))]
+                             .sum.width_bits;
+      if (member > width) count = 0;
+      width = std::max(width, member);
+      if (member == width) ++count;
+    }
+  }
+  if (holders != nullptr) *holders = count;
+  return width;
+}
+
+void AssignmentState::account(MemoryState& mem, const std::uint64_t* members,
+                              std::size_t group, bool joining) const {
+  const std::uint64_t degree = degree_in(members, group);
+  const auto& g = figures_[group];
+  const std::uint64_t self = g.self_conflicting ? 1 : 0;
+  const int width = g.sum.width_bits;
+  if (joining) {
+    ++mem.members;
+    mem.sum.words += g.sum.words;
+    mem.sum.reads += g.sum.reads;
+    mem.sum.writes += g.sum.writes;
+    mem.pair_conflicts += degree;
+    mem.self_conflicts += self;
+    if (width > mem.sum.width_bits) mem.width_holders = 0;
+    mem.sum.width_bits = std::max(mem.sum.width_bits, width);
+    if (width == mem.sum.width_bits) ++mem.width_holders;
+    return;
+  }
+  --mem.members;
+  mem.sum.words -= g.sum.words;
+  mem.sum.reads -= g.sum.reads;
+  mem.sum.writes -= g.sum.writes;
+  mem.pair_conflicts -= degree;
+  mem.self_conflicts -= self;
+  // The last widest member left: rescan the remaining members.
+  if (width == mem.sum.width_bits && --mem.width_holders == 0) {
+    mem.sum.width_bits = widest(members, &mem.width_holders);
+  }
+}
+
+bool AssignmentState::insertion_infeasible(int m, std::size_t group) {
+  const std::uint64_t* row = problem_->conflict_row(group);
+  const std::uint64_t* members = bits(m);
+  std::uint64_t any = 0;
+  for (std::size_t w = 0; w < words_; ++w) {
+    scratch_[w] = row[w] & members[w];
+    any |= scratch_[w];
+  }
+  if (any == 0) return false;  // no new pairs: port needs cannot grow past 2
+  if (figures_[group].self_conflicting) return true;
   const std::uint64_t* self_bits = problem_->self_conflict_bits();
-  for (std::size_t w = 0; w < scratch_.size(); ++w) {
+  for (std::size_t w = 0; w < words_; ++w) {
     if ((scratch_[w] & self_bits[w]) != 0) return true;
     std::uint64_t scan = scratch_[w];
     while (scan != 0) {
@@ -139,7 +173,7 @@ bool AssignmentState::scratch_insertion_infeasible(std::uint64_t degree,
       scan &= scan - 1;
       // Triangle: a neighbour of the group that conflicts with another one.
       const std::uint64_t* row_v = problem_->conflict_row(v);
-      for (std::size_t w2 = 0; w2 < scratch_.size(); ++w2) {
+      for (std::size_t w2 = 0; w2 < words_; ++w2) {
         if ((row_v[w2] & scratch_[w2]) != 0) return true;
       }
     }
@@ -147,63 +181,113 @@ bool AssignmentState::scratch_insertion_infeasible(std::uint64_t degree,
   return false;
 }
 
-std::optional<double> AssignmentState::apply(std::size_t group, int new_m) {
-  DTSE_DCHECK(group < assignment_.size(), "group index out of range");
-  DTSE_DCHECK(new_m >= 0 && new_m < memory_count_, "memory index out of range");
-  const int old_m = assignment_[group];
-  DTSE_DCHECK(new_m != old_m, "move must change the memory");
-
-  auto& src = memories_[static_cast<std::size_t>(old_m)];
-  auto& dst = memories_[static_cast<std::size_t>(new_m)];
-  const std::uint64_t degree_dst = neighbours_in(dst, group);
-  if (scratch_insertion_infeasible(degree_dst, group)) {
-    last_.active = false;  // a failed move leaves nothing to revert
-    return std::nullopt;
+memlib::CostTerm AssignmentState::moved_term(int m, std::size_t group, bool joining) {
+  // The key is the exact member set after the move; it is never empty (an
+  // emptied memory has no term), so an all-zero slot is an empty one.
+  const std::uint64_t* members = bits(m);
+  const std::size_t flip_word = group / 64;
+  const auto key = [&](std::size_t w) {
+    return members[w] ^ (w == flip_word ? bit_of(group) : 0);
+  };
+  std::uint64_t hash = 0;
+  for (std::size_t w = 0; w < words_; ++w) hash = (hash ^ key(w)) * 0x9E3779B97F4A7C15ULL;
+  std::uint64_t* slot = memo_.data() + (hash >> kMemoShift) * (words_ + 2);
+  std::size_t same = 0;
+  while (same < words_ && slot[same] == key(same)) ++same;
+  if (same == words_) {
+    return {std::bit_cast<double>(slot[words_]), std::bit_cast<double>(slot[words_ + 1])};
   }
-  const std::uint64_t degree_src = neighbours_in(src, group);
-
-  last_ = {.group = group,
-           .from = old_m,
-           .to = new_m,
-           .from_term = src.term,
-           .to_term = dst.term,
-           .from_width = src.sum.width_bits,
-           .from_holders = src.width_holders,
-           .to_width = dst.sum.width_bits,
-           .to_holders = dst.width_holders,
-           .degree_from = degree_src,
-           .degree_to = degree_dst,
-           .scalar = scalar_,
-           .active = true};
-  const int width = problem_->group_aggregates(group).width_bits;
-  add_member(dst, group, degree_dst);
-  widen(dst, width);
-  remove_member(src, group, degree_src);
-  narrow(src, width);
-  src.term = src.members > 0 ? problem_->aggregate_cost_term(src.sum, src.ports())
-                             : memlib::CostTerm{};
-  dst.term = problem_->aggregate_cost_term(dst.sum, dst.ports());
-  assignment_[group] = new_m;
-  scalar_ = scalar_from_terms();
-  return scalar_;
+  // Miss: the slot takes the new key, and the model prices the moved set
+  // from the memory's aggregate (the width is rescanned only when the last
+  // widest member leaves).  A joining group's conflict row has no self bit,
+  // so any overlap with the key is a conflict with another member.
+  for (std::size_t w = 0; w < words_; ++w) slot[w] = key(w);
+  const auto& mem = memories_[static_cast<std::size_t>(m)];
+  const auto& g = figures_[group];
+  auto sum = mem.sum;
+  bool dual = false;
+  if (joining) {
+    sum.words += g.sum.words;
+    sum.reads += g.sum.reads;
+    sum.writes += g.sum.writes;
+    sum.width_bits = std::max(sum.width_bits, g.sum.width_bits);
+    const std::uint64_t* row = problem_->conflict_row(group);
+    std::uint64_t any = 0;
+    for (std::size_t w = 0; w < words_; ++w) any |= row[w] & slot[w];
+    dual = mem.pair_conflicts > 0 || mem.self_conflicts > 0 || g.self_conflicting || any != 0;
+  } else {
+    sum.words -= g.sum.words;
+    sum.reads -= g.sum.reads;
+    sum.writes -= g.sum.writes;
+    if (g.sum.width_bits == sum.width_bits && mem.width_holders == 1) {
+      sum.width_bits = widest(slot, nullptr);
+    }
+    dual = mem.pair_conflicts > degree_in(slot, group) ||
+           mem.self_conflicts > (g.self_conflicting ? 1u : 0u);
+  }
+  const auto term = problem_->aggregate_cost_term(sum, dual ? 2 : 1);
+  slot[words_] = std::bit_cast<std::uint64_t>(term.area_mm2);
+  slot[words_ + 1] = std::bit_cast<std::uint64_t>(term.power_mw);
+  return term;
 }
 
-void AssignmentState::revert() {
-  DTSE_CHECK(last_.active, "no move to revert");
-  last_.active = false;
-  assignment_[last_.group] = last_.from;
-  scalar_ = last_.scalar;
+std::optional<AssignmentState::Quote> AssignmentState::price(std::size_t group, int to) {
+  DTSE_DCHECK(group < assignment_.size(), "group index out of range");
+  DTSE_DCHECK(to >= 0 && to < memory_count_, "memory index out of range");
+  const int from = assignment_[group];
+  DTSE_DCHECK(to != from, "move must change the memory");
+  pending_.active = false;
+  if (insertion_infeasible(to, group)) return std::nullopt;
 
-  auto& src = memories_[static_cast<std::size_t>(last_.from)];
-  auto& dst = memories_[static_cast<std::size_t>(last_.to)];
-  remove_member(dst, last_.group, last_.degree_to);
-  add_member(src, last_.group, last_.degree_from);
-  src.sum.width_bits = last_.from_width;
-  src.width_holders = last_.from_holders;
-  dst.sum.width_bits = last_.to_width;
-  dst.width_holders = last_.to_holders;
-  src.term = last_.from_term;
-  dst.term = last_.to_term;
+  const auto& src = memories_[static_cast<std::size_t>(from)];
+  const auto& dst = memories_[static_cast<std::size_t>(to)];
+  const auto from_term = src.members == 1 ? memlib::CostTerm{} : moved_term(from, group, false);
+  const auto to_term = moved_term(to, group, true);
+  pending_ = {group, from, to, from_term, to_term, true};
+
+  // Slack derivation.  Let S be the exact cost (N terms summed in index
+  // order, then scalarized) and M = |wa|*Σ|area| + |wp|*Σ|power| over its
+  // terms; S' and M' likewise after the move.  Summation gives each term at
+  // most N-1 roundings and scalarizing two more, so |S - S*| <= gamma_{N+1}
+  // * M against the real value S*, and the same for S'.  In real arithmetic
+  // the untouched terms cancel: S'* - S* is the real value of `delta`
+  // below, computed with 4 roundings per term (gamma_4 over magnitudes
+  // summing to at most M + M').  `estimate - scalar_cost()` and rounding
+  // S' - S add 3, one more is spare: kSlackOps = 8.  So the rounded exact
+  // delta is within gamma_{N+8} * (M + M') of `estimate - scalar_cost()`,
+  // with M + M' <= 2M + |new terms|.  |weights| make it hold for any
+  // `CostWeights`.
+  const double wa = weights_.area_weight;
+  const double wp = weights_.power_weight;
+  const double delta =
+      wa * ((from_term.area_mm2 - src.term.area_mm2) + (to_term.area_mm2 - dst.term.area_mm2)) +
+      wp * ((from_term.power_mw - src.term.power_mw) + (to_term.power_mw - dst.term.power_mw));
+  const double fresh =
+      std::abs(wa) * (std::abs(from_term.area_mm2) + std::abs(to_term.area_mm2)) +
+      std::abs(wp) * (std::abs(from_term.power_mw) + std::abs(to_term.power_mw));
+  const double slack = kSlackUnit * (static_cast<double>(memory_count_) + kSlackOps) *
+                       (2.0 * magnitude_ + fresh);
+  return Quote{scalar_ + delta, slack};
+}
+
+double AssignmentState::exact_price() const {
+  DTSE_CHECK(pending_.active, "no priced move");
+  return weights_.scalarize(summed_terms(true, nullptr));
+}
+
+void AssignmentState::commit() {
+  DTSE_CHECK(pending_.active, "no priced move to commit");
+  onchip_ = summed_terms(true, &magnitude_);
+  scalar_ = weights_.scalarize(onchip_);
+  pending_.active = false;
+  const std::size_t group = pending_.group;
+  bits(pending_.to)[group / 64] |= bit_of(group);
+  account(memories_[static_cast<std::size_t>(pending_.to)], bits(pending_.to), group, true);
+  bits(pending_.from)[group / 64] &= ~bit_of(group);
+  account(memories_[static_cast<std::size_t>(pending_.from)], bits(pending_.from), group, false);
+  memories_[static_cast<std::size_t>(pending_.from)].term = pending_.from_term;
+  memories_[static_cast<std::size_t>(pending_.to)].term = pending_.to_term;
+  assignment_[group] = pending_.to;
 }
 
 }  // namespace dtse::alloc

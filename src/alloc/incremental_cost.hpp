@@ -1,29 +1,26 @@
 // Incremental cost engine for the signal-to-memory assignment search.
 //
-// A simulated-annealing move reassigns ONE group, so only the source and
-// destination memories change; every other memory keeps its area and power.
-// `AssignmentState` caches one `memlib::CostTerm` per memory plus, per
-// memory, a member bitset, conflict/port counts (conflicting pairs and
-// self-conflicting members) and the member aggregate the cost models read:
-// member count, summed words/reads/writes, and the max width with the number
-// of members at that width.  A live memory is feasible, so it holds no
-// conflict triangle and no conflicting pair with a self-conflicting
-// endpoint; its port count is then fully determined by the two counts
-// (any pair or self-conflict => dual-port).  Feasibility and count deltas
-// come from bitset intersections with the moved group's adjacency row,
-// instead of the O(members^2)-and-worse clique scan of
-// `simultaneous_accesses`, and the aggregate updates in O(1): the max width
-// is rescanned from the bitset only when its last holder leaves.
+// An annealing move reassigns ONE group, so only its source and destination
+// memories change.  `AssignmentState` keeps per memory a member bitset, the
+// conflict counts that fix its port count (a live memory is feasible, so any
+// conflicting pair or self-conflicting member means dual-port), the member
+// aggregate the cost models read (count, summed words/reads/writes, max
+// width and its holders) and its `memlib::CostTerm`.  Moves are priced, then
+// committed.  `price` changes nothing: it checks the destination's
+// feasibility on the bitsets, looks both memories' new member sets up in a
+// direct-mapped memo (member bitset -> term, every word compared, so it
+// works at any group count; only a miss runs the cost models) and returns
+// the estimate `scalar_cost() + Δterms` with a rigorous error bound.  A
+// rejected move costs a few bitset operations and, on memo hits, no model
+// call.
 //
-// Correctness anchor: after any move sequence, `scalar_cost()` equals a
-// from-scratch `CostWeights::scalarize(problem.evaluate(assignment))`
-// bit-for-bit.  This holds because the maintained port decision provably
-// matches `simultaneous_accesses` on feasible sets, the aggregate sums are
-// exact integer arithmetic (so they equal `build_memory`'s sums in any
-// order), the touched memories are priced through the same
-// `aggregate_cost_term` model calls, and the per-memory terms are summed in
-// memory-index order, mirroring `evaluate`.  The tests check this against a
-// test-side from-scratch oracle and pinned evaluation goldens.
+// Correctness anchor: after every `commit`, `scalar_cost()` equals
+// `CostWeights::scalarize(problem.evaluate(assignment))` bit for bit.  The
+// port decision matches `simultaneous_accesses` on feasible sets, the sums
+// are exact integers, a term is a pure function of its member set computed
+// by the same `aggregate_cost_term` calls (so a memo hit cannot go stale),
+// and `commit` sums the terms in memory-index order as `evaluate` does.
+// Tests check this against a from-scratch oracle and pinned goldens.
 #pragma once
 
 #include <cstdint>
@@ -35,10 +32,21 @@
 
 namespace dtse::alloc {
 
-/// A complete assignment with incrementally maintained cost, supporting
-/// single-group moves with O(1)-memory undo.
+/// A complete assignment with incrementally maintained cost, moved by
+/// pricing a single-group move and committing it.
 class AssignmentState {
  public:
+  /// Slots of the direct-mapped memo: 96 KB per state up to 64 groups (24
+  /// bytes a slot).  It answers about 4 in 5 lookups on the shared model.
+  static constexpr std::size_t kMemoSlots = 4096;
+
+  /// The price of a move: `exact_price() - scalar_cost()` lies within
+  /// `slack` of `estimate - scalar_cost()` (derivation in `price`).
+  struct Quote {
+    double estimate = 0.0;
+    double slack = 0.0;
+  };
+
   AssignmentState(const AssignmentProblem& problem, int memory_count,
                   const memlib::CostWeights& weights);
 
@@ -55,20 +63,24 @@ class AssignmentState {
 
   /// On-chip cost aggregate of the current assignment (off-chip channels do
   /// not participate in assignment moves).
-  [[nodiscard]] memlib::CostTerm onchip_total() const;
+  [[nodiscard]] memlib::CostTerm onchip_total() const {
+    return {onchip_.onchip_area_mm2, onchip_.onchip_power_mw};
+  }
 
-  /// Moves `group` to memory `new_m` (must differ from its current memory)
-  /// and returns the new scalar cost, or nullopt when the move would need a
-  /// tri-ported memory — the state is then unchanged.  A successful move can
-  /// be undone with `revert()`.
-  [[nodiscard]] std::optional<double> apply(std::size_t group, int new_m);
+  /// Prices moving `group` to another memory `to` and keeps the move
+  /// pending until the next `price`, `reset` or `commit`; the state is
+  /// unchanged.  nullopt when the move would need a tri-ported memory.
+  [[nodiscard]] std::optional<Quote> price(std::size_t group, int to);
 
-  /// Undoes the most recent successful `apply`.
-  void revert();
+  /// Exact cost of the pending move: the index-order sum `commit` stores.
+  [[nodiscard]] double exact_price() const;
+
+  /// Applies the pending move; `scalar_cost()` becomes its exact cost.
+  void commit();
 
  private:
+  /// A memory's member aggregate; its member bitset lives in `bits_`.
   struct MemoryState {
-    std::vector<std::uint64_t> bits;   ///< member bitset
     std::size_t members = 0;
     AssignmentProblem::GroupAggregates sum;  ///< width_bits: the widest member's
     std::size_t width_holders = 0;     ///< members at that width
@@ -82,56 +94,67 @@ class AssignmentState {
       return pair_conflicts > 0 || self_conflicts > 0 ? 2 : 1;
     }
   };
-  struct LastMove {
+  /// Per-group figures copied from the problem: no checked accessor per move.
+  struct GroupFigures {
+    AssignmentProblem::GroupAggregates sum;
+    bool self_conflicting = false;
+  };
+  /// The priced, not yet committed move and the terms it leaves behind.
+  struct Pending {
     std::size_t group = 0;
     int from = -1;
     int to = -1;
     memlib::CostTerm from_term;
     memlib::CostTerm to_term;
-    int from_width = 0;             ///< source width state before the move
-    std::size_t from_holders = 0;
-    int to_width = 0;               ///< and the destination's
-    std::size_t to_holders = 0;
-    std::uint64_t degree_from = 0;  ///< group's conflict degree in the source
-    std::uint64_t degree_to = 0;    ///< and in the destination
-    double scalar = 0.0;
     bool active = false;
   };
 
-  /// Adds `group` to `mem`'s bitset, conflict counts and summed figures
-  /// (`degree`: its conflict neighbours there); the width is left to `widen`.
-  void add_member(MemoryState& mem, std::size_t group, std::uint64_t degree);
-  /// The inverse of `add_member`; the width is left to `narrow`.
-  void remove_member(MemoryState& mem, std::size_t group, std::uint64_t degree);
-  /// Accounts a member of `width` bits joining `mem`.
-  static void widen(MemoryState& mem, int width);
-  /// Accounts a member of `width` bits having left `mem`; rescans the
-  /// remaining members when it was the last one at the max width.
-  void narrow(MemoryState& mem, int width);
+  [[nodiscard]] std::uint64_t* bits(int m) {
+    return bits_.data() + static_cast<std::size_t>(m) * words_;
+  }
 
-  /// Scalar of the cached per-memory terms, summed in memory-index order to
-  /// mirror `AssignmentProblem::evaluate` exactly.
-  [[nodiscard]] double scalar_from_terms() const;
+  /// Accounts `group` having joined (`joining`) or left `mem`, whose member
+  /// bitset after the change is `members`: counts, sums and the max width,
+  /// rescanned from `members` when the last widest member left.
+  void account(MemoryState& mem, const std::uint64_t* members, std::size_t group,
+               bool joining) const;
+  /// `group`'s conflict neighbours among `members`.
+  [[nodiscard]] std::uint64_t degree_in(const std::uint64_t* members, std::size_t group) const;
+  /// The max width over `members`; `holders`, when given, receives how many
+  /// members have it.
+  int widest(const std::uint64_t* members, std::size_t* holders) const;
 
-  /// `group`'s conflict neighbours inside `mem`, written into `scratch_`
-  /// (returns the popcount).
-  std::uint64_t neighbours_in(const MemoryState& mem, std::size_t group);
+  /// Term of memory `m`'s member set with `group` added (`joining`) or
+  /// removed: a memo hit, or the model calls on a miss.
+  memlib::CostTerm moved_term(int m, std::size_t group, bool joining);
 
-  /// True when adding `group` to the memory whose neighbour set sits in
-  /// `scratch_` (with popcount `degree`) would need a third port: the group
-  /// is self-conflicting and meets any conflict, conflicts with a
+  /// True when adding `group` to memory `m` would need a third port: the
+  /// group is self-conflicting and meets any conflict, conflicts with a
   /// self-conflicting member, or closes a conflict triangle.
-  [[nodiscard]] bool scratch_insertion_infeasible(std::uint64_t degree,
-                                                 std::size_t group) const;
+  [[nodiscard]] bool insertion_infeasible(int m, std::size_t group);
+
+  /// The per-memory terms summed in memory-index order, as
+  /// `AssignmentProblem::evaluate` sums them, with the pending move's terms
+  /// when `moved`.  `magnitude`, when given, receives |area_weight| *
+  /// Σ|area| + |power_weight| * Σ|power| over the same terms.
+  [[nodiscard]] memlib::CostSummary summed_terms(bool moved, double* magnitude) const;
 
   const AssignmentProblem* problem_;
   memlib::CostWeights weights_;
   int memory_count_;
+  std::size_t words_;                   ///< bitset words per member set
+  std::vector<GroupFigures> figures_;
   std::vector<int> assignment_;
   std::vector<MemoryState> memories_;
+  std::vector<std::uint64_t> bits_;     ///< memory m's member bitset at m * words_
   std::vector<std::uint64_t> scratch_;  ///< one bitset row, reused per move
+  /// kMemoSlots slots of `words_ + 2` words: the member-set key (all zero =
+  /// an empty slot), then the term's area and power bits.
+  std::vector<std::uint64_t> memo_;
+  memlib::CostSummary onchip_;
   double scalar_ = 0.0;
-  LastMove last_;
+  double magnitude_ = 0.0;  ///< `summed_terms`' magnitude: the scale of the slack
+  Pending pending_;
 };
 
 }  // namespace dtse::alloc

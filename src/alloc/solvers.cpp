@@ -43,17 +43,16 @@ std::vector<std::size_t> search_order(const AssignmentProblem& problem) {
 std::vector<double> ideal_power(const AssignmentProblem& problem) {
   std::vector<double> result(problem.group_count());
   for (std::size_t i = 0; i < problem.group_count(); ++i) {
-    const auto mem = problem.build_memory({i});
-    DTSE_ASSERT(mem.has_value(), "single group memory is always feasible");
-    result[i] = mem->power_mw;
+    const auto term = problem.cost_of_members({i});
+    DTSE_ASSERT(term.has_value(), "single group memory is always feasible");
+    result[i] = term->power_mw;
   }
   return result;
 }
 
 struct SearchState {
   std::vector<std::vector<std::size_t>> members;   ///< per memory
-  std::vector<double> memory_area;                 ///< per memory, mm^2
-  std::vector<double> memory_power;                ///< per memory, mW
+  std::vector<memlib::CostTerm> terms;             ///< per memory
   double area = 0.0;
   double power = 0.0;
 };
@@ -76,8 +75,7 @@ class BranchAndBound {
 
   AssignmentSolution run() {
     state_.members.assign(static_cast<std::size_t>(memory_count_), {});
-    state_.memory_area.assign(static_cast<std::size_t>(memory_count_), 0.0);
-    state_.memory_power.assign(static_cast<std::size_t>(memory_count_), 0.0);
+    state_.terms.assign(static_cast<std::size_t>(memory_count_), {});
     best_.scalar_cost = std::numeric_limits<double>::max();
     best_.feasible = false;
     assignment_.assign(problem_.group_count(), -1);
@@ -97,7 +95,7 @@ class BranchAndBound {
  private:
   void recurse(std::size_t depth, int used_memories) {
     ++nodes_;
-    // Coarse-stride cancellation poll: cheap against the build_memory work a
+    // Coarse-stride cancellation poll: cheap against the pricing work a
     // node does, fine-grained enough to stop within a few thousand nodes.
     if (cancelled_ ||
         (options_.cancel != nullptr && (nodes_ & 0x3FFu) == 0 &&
@@ -132,23 +130,21 @@ class BranchAndBound {
     for (int m = 0; m < try_limit; ++m) {
       auto& members = state_.members[static_cast<std::size_t>(m)];
       members.push_back(group);
-      const auto mem = problem_.build_memory(members);
-      if (mem) {
-        const double old_area = state_.memory_area[static_cast<std::size_t>(m)];
-        const double old_power = state_.memory_power[static_cast<std::size_t>(m)];
-        state_.memory_area[static_cast<std::size_t>(m)] = mem->cost.area_mm2;
-        state_.memory_power[static_cast<std::size_t>(m)] = mem->power_mw;
-        state_.area += mem->cost.area_mm2 - old_area;
-        state_.power += mem->power_mw - old_power;
+      const auto term = problem_.cost_of_members(members);
+      if (term) {
+        auto& slot = state_.terms[static_cast<std::size_t>(m)];
+        const memlib::CostTerm old = slot;
+        slot = *term;
+        state_.area += term->area_mm2 - old.area_mm2;
+        state_.power += term->power_mw - old.power_mw;
         assignment_[group] = m;
 
         recurse(depth + 1, std::max(used_memories, m + 1));
 
         assignment_[group] = -1;
-        state_.area -= mem->cost.area_mm2 - old_area;
-        state_.power -= mem->power_mw - old_power;
-        state_.memory_area[static_cast<std::size_t>(m)] = old_area;
-        state_.memory_power[static_cast<std::size_t>(m)] = old_power;
+        state_.area -= term->area_mm2 - old.area_mm2;
+        state_.power -= term->power_mw - old.power_mw;
+        slot = old;
       }
       members.pop_back();
     }
@@ -174,8 +170,7 @@ AssignmentSolution solve_greedy(const AssignmentProblem& problem, int memory_cou
   AssignmentSolution solution;
   solution.assignment.assign(problem.group_count(), -1);
   std::vector<std::vector<std::size_t>> members(static_cast<std::size_t>(memory_count));
-  std::vector<double> mem_area(static_cast<std::size_t>(memory_count), 0.0);
-  std::vector<double> mem_power(static_cast<std::size_t>(memory_count), 0.0);
+  std::vector<memlib::CostTerm> terms(static_cast<std::size_t>(memory_count));
   int used = 0;
   std::uint64_t evaluations = 0;
 
@@ -189,26 +184,22 @@ AssignmentSolution solve_greedy(const AssignmentProblem& problem, int memory_cou
     }
     int best_m = -1;
     double best_delta = std::numeric_limits<double>::max();
-    double best_area = 0.0;
-    double best_power = 0.0;
+    memlib::CostTerm best_term;
     const int try_limit = std::min(memory_count, used + 1);
     for (int m = 0; m < try_limit; ++m) {
       auto& mm = members[static_cast<std::size_t>(m)];
       mm.push_back(group);
-      const auto mem = problem.build_memory(mm);
+      const auto term = problem.cost_of_members(mm);
       ++evaluations;
       mm.pop_back();
-      if (!mem) continue;
-      const double delta =
-          options.weights.area_weight *
-              (mem->cost.area_mm2 - mem_area[static_cast<std::size_t>(m)]) +
-          options.weights.power_weight *
-              (mem->power_mw - mem_power[static_cast<std::size_t>(m)]);
+      if (!term) continue;
+      const auto& old = terms[static_cast<std::size_t>(m)];
+      const double delta = options.weights.area_weight * (term->area_mm2 - old.area_mm2) +
+                           options.weights.power_weight * (term->power_mw - old.power_mw);
       if (delta < best_delta) {
         best_delta = delta;
         best_m = m;
-        best_area = mem->cost.area_mm2;
-        best_power = mem->power_mw;
+        best_term = *term;
       }
     }
     if (best_m < 0) {
@@ -217,8 +208,7 @@ AssignmentSolution solve_greedy(const AssignmentProblem& problem, int memory_cou
       return solution;  // no feasible placement with this memory count
     }
     members[static_cast<std::size_t>(best_m)].push_back(group);
-    mem_area[static_cast<std::size_t>(best_m)] = best_area;
-    mem_power[static_cast<std::size_t>(best_m)] = best_power;
+    terms[static_cast<std::size_t>(best_m)] = best_term;
     solution.assignment[group] = best_m;
     used = std::max(used, best_m + 1);
   }
@@ -237,14 +227,16 @@ AssignmentSolution solve_greedy(const AssignmentProblem& problem, int memory_cou
 
 /// One independent annealing chain.  The chain owns its RNG streams (derived
 /// from the options seed and the chain index), derives its start per
-/// `SolverOptions::sa_start`, and evaluates moves through the incremental
-/// cost engine — a move re-costs only the two memories it touches.
+/// `SolverOptions::sa_start`, and prices moves through the incremental cost
+/// engine — a move is priced from the memo'd terms of the two memories it
+/// touches and decided by `metropolis_accept`; only accepted moves commit.
 /// `stats` carries the chain's convergence telemetry (totals plus the
 /// iteration-stride-sampled series — deterministic, no wall-clock anywhere).
 struct ChainOutcome {
   std::vector<int> best_assignment;
   double best_cost = std::numeric_limits<double>::max();
   ChainStats stats;
+  std::uint64_t exact_prices = 0;  ///< moves whose decision needed the exact sum
 };
 
 /// Diversifies `state` away from the greedy start it was reset with.  Start
@@ -276,7 +268,10 @@ void diversify_start(AssignmentState& state, const AssignmentProblem& problem,
     const auto group = static_cast<std::size_t>(rng.below(n));
     const int new_m = static_cast<int>(rng.below(static_cast<std::uint64_t>(memory_count)));
     if (new_m == state.assignment()[group]) continue;
-    if (state.apply(group, new_m)) ++applied;
+    if (state.price(group, new_m)) {
+      state.commit();
+      ++applied;
+    }
   }
 }
 
@@ -305,6 +300,7 @@ ChainOutcome anneal_chain(const AssignmentProblem& problem, int memory_count,
   // so the series is a pure function of (seed, chain, iterations) — never of
   // wall-clock or scheduling.
   const int stride = std::max(1, iterations / 64);
+  int next_sample = 0;
   const auto sample = [&](int it) {
     out.stats.convergence.push_back({it, temperature, current, out.best_cost,
                                      out.stats.accepted, out.stats.reheats});
@@ -328,25 +324,29 @@ ChainOutcome anneal_chain(const AssignmentProblem& problem, int memory_count,
       stagnant = 0;
       ++out.stats.reheats;
     }
-    if (it % stride == 0) sample(it);
+    if (it == next_sample) {  // it % stride == 0, without a division per move
+      sample(it);
+      next_sample += stride;
+    }
     completed = it + 1;
     ++stagnant;
     const auto group = static_cast<std::size_t>(rng.below(problem.group_count()));
     const int new_m = static_cast<int>(rng.below(static_cast<std::uint64_t>(memory_count)));
     if (new_m == state.assignment()[group]) continue;
     ++out.stats.moves;
-    const auto cost = state.apply(group, new_m);
-    if (!cost) continue;  // needs a third port; state unchanged
-    const double delta = *cost - current;
-    const bool accept =
-        delta <= 0.0 || rng.uniform() < std::exp(-delta / std::max(temperature, 1e-9));
-    if (!accept) {
-      state.revert();
-      continue;
-    }
+    const auto quote = state.price(group, new_m);
+    if (!quote) continue;  // needs a third port
+    const bool accept = metropolis_accept(
+        quote->estimate - current, quote->slack, temperature, [&] { return rng.uniform(); },
+        [&] {
+          ++out.exact_prices;
+          return state.exact_price() - current;
+        });
+    if (!accept) continue;  // an uncommitted price leaves the state as it was
+    state.commit();
     ++out.stats.accepted;
     stagnant = 0;
-    current = *cost;
+    current = state.scalar_cost();
     if (current < out.best_cost) {
       out.best_cost = current;
       out.best_assignment = state.assignment();
@@ -400,12 +400,14 @@ AssignmentSolution solve_annealing(const AssignmentProblem& problem, int memory_
   std::uint64_t moves = 0;
   std::uint64_t accepted = 0;
   std::uint64_t reheats = 0;
+  std::uint64_t exact_prices = 0;
   const ChainOutcome* winner = nullptr;
   double winning_cost = start.scalar_cost;
   for (const auto& outcome : outcomes) {
     moves += outcome.stats.moves;
     accepted += outcome.stats.accepted;
     reheats += outcome.stats.reheats;
+    exact_prices += outcome.exact_prices;
     if (outcome.best_cost < winning_cost) {
       winning_cost = outcome.best_cost;
       winner = &outcome;
@@ -429,6 +431,7 @@ AssignmentSolution solve_annealing(const AssignmentProblem& problem, int memory_
   registry.counter("solver.sa.moves").add(moves);
   registry.counter("solver.sa.accepted").add(accepted);
   registry.counter("solver.sa.reheats").add(reheats);
+  registry.counter("solver.sa.exact_prices").add(exact_prices);
   for (const auto& chain : best.chains) {
     registry.histogram("solver.sa.chain_accepted").observe(chain.accepted);
   }

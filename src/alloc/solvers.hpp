@@ -13,6 +13,8 @@
 // benchmark comparing solver quality.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -136,6 +138,35 @@ struct AssignmentSolution {
 /// percent of the starting cost, so early moves can escape the greedy basin
 /// without degenerating into a random walk.  Exposed for tests.
 [[nodiscard]] double sa_start_temperature(double start_cost, const SolverOptions& options);
+
+/// The annealing acceptance rule `delta <= 0 || u < exp(-delta / max(T, 1e-9))`,
+/// decided from `estimate` where it can be (the exact delta lies within
+/// `slack` of it).  Takes the plain rule's decision on every input, calls
+/// `draw_uniform()` exactly when the exact delta is > 0, and calls
+/// `exact_delta()` only when the estimate cannot decide: |estimate| > slack
+/// fixes the sign, and for x = -delta / T the bracket 1 + x <= e^x <=
+/// 1 / (1 - x) over the delta interval, with a relative margin of 1e-12
+/// (covering its own roundings and any libm exp error below 5e-13), settles
+/// u unless u falls inside it.
+template <typename DrawUniform, typename ExactDelta>
+[[nodiscard]] bool metropolis_accept(double estimate, double slack, double temperature,
+                                     DrawUniform&& draw_uniform, ExactDelta&& exact_delta) {
+  constexpr double kMargin = 1e-12;
+  const double t = std::max(temperature, 1e-9);
+  if (estimate <= -slack) return true;  // exact delta <= 0: accepted, u not drawn
+  if (estimate > slack) {               // exact delta > 0: u is drawn
+    const double u = draw_uniform();
+    const double inverse_t = 1.0 / t;
+    const double lo = (estimate - slack) * inverse_t * (1.0 - kMargin);  // |x| in [lo, hi]
+    const double hi = (estimate + slack) * inverse_t * (1.0 + kMargin);
+    const bool below = u < (1.0 - hi) * (1.0 - kMargin);      // u < 1 + x <= e^x
+    const bool above = u * (1.0 + lo) >= 1.0 + kMargin;       // u >= 1 / (1 - x) >= e^x
+    if (below || above) return below;
+    return u < std::exp(-exact_delta() / t);
+  }
+  const double delta = exact_delta();
+  return delta <= 0.0 || draw_uniform() < std::exp(-delta / t);
+}
 
 /// Solves the assignment into exactly `memory_count` memories (empty
 /// memories are allowed and simply not built).

@@ -5,9 +5,12 @@
 // from-scratch side is the test-side oracle in oracles/full_recost.hpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <optional>
+#include <set>
 
 #include "alloc/incremental_cost.hpp"
 #include "alloc/solvers.hpp"
@@ -101,8 +104,8 @@ TEST(AssignmentState, ResetDetectsInfeasibleAssignment) {
   EXPECT_TRUE(state.reset({0, 0, 1}));
 }
 
-/// Drives `state` and the oracle through the same move and checks that both
-/// price it identically, bit for bit, and agree with a from-scratch evaluate.
+/// Checks that `state` and the oracle hold the same assignment and price it
+/// identically, bit for bit, and agree with a from-scratch evaluate.
 void expect_same_costs(const AssignmentState& state, const oracle::FullRecostState& full,
                        const AssignmentProblem& problem, int memories,
                        const memlib::CostWeights& weights) {
@@ -115,22 +118,32 @@ void expect_same_costs(const AssignmentState& state, const oracle::FullRecostSta
   EXPECT_EQ(state.onchip_total().power_mw, summary->onchip_power_mw);
 }
 
-void apply_both(AssignmentState& state, oracle::FullRecostState& full, std::size_t group,
+/// Prices one move on both states and checks that they agree on its
+/// feasibility and exact cost, and that the quote's slack covers the exact
+/// delta.  Returns whether the move is feasible; nothing is committed.
+bool price_both(AssignmentState& state, oracle::FullRecostState& full, std::size_t group,
                 int new_m) {
-  const auto fast = state.apply(group, new_m);
-  const auto slow = full.apply(group, new_m);
-  ASSERT_TRUE(fast.has_value() && slow.has_value());
-  EXPECT_EQ(*fast, *slow);
+  const auto quote = state.price(group, new_m);
+  const auto full_quote = full.price(group, new_m);
+  EXPECT_EQ(quote.has_value(), full_quote.has_value());
+  if (!quote || !full_quote) return false;
+  const double exact = state.exact_price();
+  EXPECT_EQ(exact, full.exact_price());
+  EXPECT_LE(std::abs((quote->estimate - state.scalar_cost()) - (exact - state.scalar_cost())),
+            quote->slack);
+  return true;
 }
 
-void revert_both(AssignmentState& state, oracle::FullRecostState& full) {
-  state.revert();
-  full.revert();
+void move_both(AssignmentState& state, oracle::FullRecostState& full, std::size_t group,
+               int new_m) {
+  ASSERT_TRUE(price_both(state, full, group, new_m));
+  state.commit();
+  full.commit();
 }
 
 // The memory width is the max over its members.  When the only member at
-// that width leaves, the state must find the next-widest member; a revert
-// must restore the old width.  Fixture widths cycle 4, 8, 12, 16.
+// that width leaves, the state must find the next-widest member; moving it
+// back must restore the old width.  Fixture widths cycle 4, 8, 12, 16.
 TEST(AssignmentState, OnlyWidestMemberLeavingShrinksTheWidth) {
   constexpr int kMemories = 3;
   Fixture fix(6);
@@ -144,30 +157,32 @@ TEST(AssignmentState, OnlyWidestMemberLeavingShrinksTheWidth) {
   ASSERT_TRUE(full.reset(start));
   expect_same_costs(state, full, problem, kMemories, weights);
 
-  apply_both(state, full, 3, 2);  // memory 0 narrows to 8 bits
+  ASSERT_TRUE(price_both(state, full, 3, 2));  // priced narrowing, not committed
   expect_same_costs(state, full, problem, kMemories, weights);
-  revert_both(state, full);       // and widens back to 16
+  move_both(state, full, 3, 2);  // memory 0 narrows to 8 bits
+  expect_same_costs(state, full, problem, kMemories, weights);
+  move_both(state, full, 3, 0);  // and widens back to 16
   expect_same_costs(state, full, problem, kMemories, weights);
   EXPECT_EQ(state.assignment(), start);
 
-  apply_both(state, full, 3, 1);  // memory 1 widens from 12 to 16 bits
+  move_both(state, full, 3, 1);  // memory 1 widens from 12 to 16 bits
   expect_same_costs(state, full, problem, kMemories, weights);
-  apply_both(state, full, 2, 0);  // memory 1's 12-bit member leaves a 16-bit holder
+  move_both(state, full, 2, 0);  // memory 1's 12-bit member leaves a 16-bit holder
   expect_same_costs(state, full, problem, kMemories, weights);
-  apply_both(state, full, 3, 0);  // memory 1 drops back to its 4-bit member
+  move_both(state, full, 3, 0);  // memory 1 drops back to its 4-bit member
   expect_same_costs(state, full, problem, kMemories, weights);
-  revert_both(state, full);
+  move_both(state, full, 3, 1);
   expect_same_costs(state, full, problem, kMemories, weights);
 
   // Emptying a memory, then refilling it, starts its width from scratch.
-  apply_both(state, full, 5, 0);
+  move_both(state, full, 5, 0);
   expect_same_costs(state, full, problem, kMemories, weights);
-  apply_both(state, full, 1, 2);
+  move_both(state, full, 1, 2);
   expect_same_costs(state, full, problem, kMemories, weights);
 }
 
 // Two members tie at the max width: the first to leave must not narrow the
-// memory, the second must; reverts step back through both states.
+// memory, the second must; moving them back steps through both states.
 TEST(AssignmentState, TiedWidestMembersLeaveOneAtATime) {
   constexpr int kMemories = 3;
   Fixture fix(8);
@@ -181,26 +196,125 @@ TEST(AssignmentState, TiedWidestMembersLeaveOneAtATime) {
   ASSERT_TRUE(full.reset(start));
   expect_same_costs(state, full, problem, kMemories, weights);
 
-  apply_both(state, full, 3, 1);  // one 16-bit holder left: width stays 16
+  move_both(state, full, 3, 1);  // one 16-bit holder left: width stays 16
   expect_same_costs(state, full, problem, kMemories, weights);
-  apply_both(state, full, 7, 2);  // none left: width falls to 4
+  move_both(state, full, 7, 2);  // none left: width falls to 4
   expect_same_costs(state, full, problem, kMemories, weights);
-  revert_both(state, full);       // group 7 returns: 16 again
+  move_both(state, full, 7, 0);  // group 7 returns: 16 again
   expect_same_costs(state, full, problem, kMemories, weights);
-  apply_both(state, full, 7, 1);  // memory 1 now ties 16-bit groups 3 and 7
+  move_both(state, full, 7, 1);  // memory 1 now ties 16-bit groups 3 and 7
   expect_same_costs(state, full, problem, kMemories, weights);
-  revert_both(state, full);
+  move_both(state, full, 7, 0);
   expect_same_costs(state, full, problem, kMemories, weights);
-  apply_both(state, full, 3, 0);  // group 3 rejoins the tie in memory 0
+  move_both(state, full, 3, 0);  // group 3 rejoins the tie in memory 0
   expect_same_costs(state, full, problem, kMemories, weights);
-  revert_both(state, full);
+  move_both(state, full, 3, 1);
   expect_same_costs(state, full, problem, kMemories, weights);
 }
 
-// The correctness anchor: over 10k random moves (applied, reverted, accepted
-// in random mixture) the incremental cost stays within 1e-9 of a
-// from-scratch scalarization — and the full-recost oracle agrees move by
-// move, including on which moves are infeasible.
+// A price is a pure query: any run of uncommitted prices leaves the
+// assignment, the cost and the price of any later move exactly as they were.
+TEST(AssignmentState, PriceLeavesStateUntouched) {
+  constexpr int kMemories = 4;
+  Fixture fix(12, 2.0);
+  fix.add_conflict_pattern();
+  const auto problem = fix.problem();
+  AssignmentState state(problem, kMemories, {});
+  ASSERT_TRUE(state.reset(greedy_start(problem, kMemories)));
+
+  support::Rng rng(23);
+  const auto random_move = [&] {
+    while (true) {
+      const auto group = static_cast<std::size_t>(rng.below(problem.group_count()));
+      const int to = static_cast<int>(rng.below(kMemories));
+      if (to != state.assignment()[group]) return std::pair{group, to};
+    }
+  };
+  int probed = 0;
+  for (int round = 0; round < 200; ++round) {
+    const auto assignment = state.assignment();
+    const double cost = state.scalar_cost();
+    const auto [group, to] = random_move();
+    const auto probe = state.price(group, to);
+    const double probe_exact = probe ? state.exact_price() : 0.0;
+    for (int i = 0; i < 50; ++i) {
+      const auto [g, m] = random_move();
+      (void)state.price(g, m);
+    }
+    ASSERT_EQ(state.assignment(), assignment) << "round " << round;
+    ASSERT_EQ(state.scalar_cost(), cost) << "round " << round;
+    const auto again = state.price(group, to);
+    ASSERT_EQ(again.has_value(), probe.has_value()) << "round " << round;
+    if (probe) {
+      ++probed;
+      EXPECT_EQ(again->estimate, probe->estimate) << "round " << round;
+      EXPECT_EQ(again->slack, probe->slack) << "round " << round;
+      EXPECT_EQ(state.exact_price(), probe_exact) << "round " << round;
+      state.commit();  // move on, so the rounds visit different states
+    }
+  }
+  ASSERT_GT(probed, 50);
+}
+
+using MemberSet = std::vector<std::uint64_t>;
+
+/// Member bitset of memory `m` in `assignment` with `group` moved to `to`.
+MemberSet moved_members(const std::vector<int>& assignment, std::size_t group, int to, int m) {
+  MemberSet bits((assignment.size() + 63) / 64, 0);
+  for (std::size_t i = 0; i < assignment.size(); ++i) {
+    if ((i == group ? to : assignment[i]) == m) bits[i / 64] |= std::uint64_t{1} << (i % 64);
+  }
+  return bits;
+}
+
+struct MoveCounts {
+  int feasible = 0;
+  int infeasible = 0;
+};
+
+/// Drives both states through `moves` random moves, pricing each on both and
+/// committing a random 70% of the feasible ones.  `priced_sets`, when given,
+/// collects every non-empty member set priced.
+MoveCounts random_differential(AssignmentState& incremental, oracle::FullRecostState& full,
+                               const AssignmentProblem& problem, int memories,
+                               std::uint64_t seed, int moves,
+                               std::set<MemberSet>* priced_sets = nullptr) {
+  support::Rng rng(seed);
+  MoveCounts counts;
+  for (int move = 0; move < moves; ++move) {
+    const auto group = static_cast<std::size_t>(rng.below(problem.group_count()));
+    const int new_m = static_cast<int>(rng.below(static_cast<std::uint64_t>(memories)));
+    const int from = incremental.assignment()[group];
+    if (new_m == from) continue;
+    if (!price_both(incremental, full, group, new_m)) {
+      ++counts.infeasible;
+      continue;
+    }
+    ++counts.feasible;
+    if (priced_sets != nullptr) {
+      const auto& assignment = incremental.assignment();
+      priced_sets->insert(moved_members(assignment, group, new_m, new_m));
+      auto source = moved_members(assignment, group, new_m, from);
+      if (std::ranges::any_of(source, [](std::uint64_t w) { return w != 0; })) {
+        priced_sets->insert(std::move(source));
+      }
+    }
+    if (rng.uniform() < 0.7) {
+      incremental.commit();
+      full.commit();
+      EXPECT_EQ(incremental.scalar_cost(), full.scalar_cost()) << "move " << move;
+      EXPECT_EQ(incremental.assignment(), full.assignment()) << "move " << move;
+    }
+    if (::testing::Test::HasFailure()) return counts;
+  }
+  return counts;
+}
+
+// The correctness anchor: over 10k random moves (priced, committed or left
+// uncommitted in random mixture) every exact price matches a from-scratch
+// scalarization bit for bit, every quote's slack covers the exact delta, and
+// the full-recost oracle agrees move by move, including on which moves are
+// infeasible.
 TEST(AssignmentState, IncrementalMatchesFullRecostOver10kRandomMoves) {
   constexpr int kMemories = 4;
   Fixture fix(12, 2.0);
@@ -213,34 +327,25 @@ TEST(AssignmentState, IncrementalMatchesFullRecostOver10kRandomMoves) {
   oracle::FullRecostState full(problem, kMemories, weights);
   ASSERT_TRUE(incremental.reset(start));
   ASSERT_TRUE(full.reset(start));
+  const auto counts = random_differential(incremental, full, problem, kMemories, 7, 10'000);
+  ASSERT_GT(counts.feasible, 1'000) << "conflict pattern starves the move generator";
+  expect_same_costs(incremental, full, problem, kMemories, weights);
+}
 
-  support::Rng rng(7);
-  int applied = 0;
-  for (int move = 0; move < 10'000; ++move) {
-    const auto group = static_cast<std::size_t>(rng.below(problem.group_count()));
-    const int new_m = static_cast<int>(rng.below(kMemories));
-    if (new_m == incremental.assignment()[group]) continue;
-
-    const auto inc_cost = incremental.apply(group, new_m);
-    const auto full_cost = full.apply(group, new_m);
-    ASSERT_EQ(inc_cost.has_value(), full_cost.has_value()) << "move " << move;
-    if (!inc_cost) continue;
-    ++applied;
-    ASSERT_NEAR(*inc_cost, *full_cost, 1e-9) << "move " << move;
-    EXPECT_EQ(incremental.assignment(), full.assignment());
-
-    if (rng.uniform() < 0.3) {  // reject a fraction, exercising revert()
-      incremental.revert();
-      full.revert();
-      ASSERT_NEAR(incremental.scalar_cost(), full.scalar_cost(), 1e-9) << "move " << move;
+/// A fixture with `groups` groups and a sparse conflict pattern (plus one
+/// self-conflict), so that memories of dozens of members stay feasible.
+Fixture sparse_fixture(int groups, int modulus) {
+  Fixture fix(groups, 2.0);
+  for (int i = 0; i < groups; ++i) {
+    for (int j = i + 1; j < groups; ++j) {
+      if ((i * 7 + j * 3) % modulus == 0) {
+        fix.conflicts.add_conflict(fix.groups[static_cast<std::size_t>(i)],
+                                   fix.groups[static_cast<std::size_t>(j)], 1.0 + j);
+      }
     }
   }
-  ASSERT_GT(applied, 1'000) << "conflict pattern starves the move generator";
-
-  // Final from-scratch anchor on the surviving assignment.
-  const auto summary = problem.evaluate(incremental.assignment(), kMemories);
-  ASSERT_TRUE(summary.has_value());
-  EXPECT_NEAR(incremental.scalar_cost(), weights.scalarize(*summary), 1e-9);
+  fix.conflicts.add_conflict(fix.groups[1], fix.groups[1], 2.0);
+  return fix;
 }
 
 // The O(members) count-maintenance path at the member-set sizes it exists
@@ -250,19 +355,9 @@ TEST(AssignmentState, IncrementalMatchesFullRecostOver10kRandomMoves) {
 // must agree move by move — including on which moves are infeasible.
 TEST(AssignmentState, IncrementalMatchesFullRecostWithLargeMemberSets) {
   constexpr int kMemories = 3;
-  constexpr int kGroups = 96;
-  Fixture fix(kGroups, 2.0);
   // Sparser pattern than add_conflict_pattern: at 32 members per memory a
   // dense graph would make every move infeasible and starve the test.
-  for (int i = 0; i < kGroups; ++i) {
-    for (int j = i + 1; j < kGroups; ++j) {
-      if ((i * 7 + j * 3) % 41 == 0) {
-        fix.conflicts.add_conflict(fix.groups[static_cast<std::size_t>(i)],
-                                   fix.groups[static_cast<std::size_t>(j)], 1.0 + j);
-      }
-    }
-  }
-  fix.conflicts.add_conflict(fix.groups[1], fix.groups[1], 2.0);
+  const Fixture fix = sparse_fixture(96, 41);
   const auto problem = fix.problem();
   const memlib::CostWeights weights;
   const auto start = greedy_start(problem, kMemories);
@@ -271,36 +366,35 @@ TEST(AssignmentState, IncrementalMatchesFullRecostWithLargeMemberSets) {
   oracle::FullRecostState full(problem, kMemories, weights);
   ASSERT_TRUE(incremental.reset(start));
   ASSERT_TRUE(full.reset(start));
+  const auto counts = random_differential(incremental, full, problem, kMemories, 13, 10'000);
+  ASSERT_GT(counts.feasible, 1'000) << "conflict pattern starves the move generator";
+  ASSERT_GT(counts.infeasible, 10) << "pattern never exercises the infeasibility path";
+  expect_same_costs(incremental, full, problem, kMemories, weights);
+}
 
-  support::Rng rng(13);
-  int applied = 0;
-  int rejected = 0;
-  for (int move = 0; move < 10'000; ++move) {
-    const auto group = static_cast<std::size_t>(rng.below(problem.group_count()));
-    const int new_m = static_cast<int>(rng.below(kMemories));
-    if (new_m == incremental.assignment()[group]) continue;
+// Past 64 groups a memo key spans several bitset words, and a random walk
+// over 150 groups in 6 memories prices far more distinct member sets than
+// the memo has slots, so slots are overwritten and keys that share a slot
+// (or agree in all but one word) are told apart.  Every price must still
+// match the oracle bit for bit.
+TEST(AssignmentState, MultiWordMemoKeysMatchFullRecost) {
+  constexpr int kMemories = 6;
+  constexpr int kGroups = 150;
+  const Fixture fix = sparse_fixture(kGroups, 53);
+  const auto problem = fix.problem();
+  ASSERT_EQ(problem.conflict_words(), 3u);
+  const memlib::CostWeights weights{.area_weight = 0.5, .power_weight = 3.0};
+  const auto start = greedy_start(problem, kMemories);
 
-    const auto inc_cost = incremental.apply(group, new_m);
-    const auto full_cost = full.apply(group, new_m);
-    ASSERT_EQ(inc_cost.has_value(), full_cost.has_value()) << "move " << move;
-    if (!inc_cost) {
-      ++rejected;
-      continue;
-    }
-    ++applied;
-    ASSERT_NEAR(*inc_cost, *full_cost, 1e-9) << "move " << move;
-    if (rng.uniform() < 0.3) {
-      incremental.revert();
-      full.revert();
-      ASSERT_NEAR(incremental.scalar_cost(), full.scalar_cost(), 1e-9) << "move " << move;
-    }
-  }
-  ASSERT_GT(applied, 1'000) << "conflict pattern starves the move generator";
-  ASSERT_GT(rejected, 10) << "pattern never exercises the infeasibility path";
-
-  const auto summary = problem.evaluate(incremental.assignment(), kMemories);
-  ASSERT_TRUE(summary.has_value());
-  EXPECT_NEAR(incremental.scalar_cost(), weights.scalarize(*summary), 1e-9);
+  AssignmentState incremental(problem, kMemories, weights);
+  oracle::FullRecostState full(problem, kMemories, weights);
+  ASSERT_TRUE(incremental.reset(start));
+  ASSERT_TRUE(full.reset(start));
+  std::set<MemberSet> priced_sets;
+  random_differential(incremental, full, problem, kMemories, 29, 4'000, &priced_sets);
+  // More distinct keys than slots: by pigeonhole some slot was re-keyed.
+  ASSERT_GT(priced_sets.size(), AssignmentState::kMemoSlots);
+  expect_same_costs(incremental, full, problem, kMemories, weights);
 }
 
 TEST(Solvers, StartTemperatureIsAFractionOfStartCostWithFloor) {
@@ -319,6 +413,114 @@ TEST(Solvers, StartTemperatureIsAFractionOfStartCostWithFloor) {
   // must not start frozen.
   options.sa_iterations = 1'000'000;
   EXPECT_DOUBLE_EQ(sa_start_temperature(100.0, options), 8.0 * 0.02 * 100.0);
+}
+
+/// One acceptance decision and whether it drew u.
+struct Decision {
+  bool accept = false;
+  int draws = 0;
+  friend bool operator==(const Decision&, const Decision&) = default;
+};
+
+/// The plain rule the solver's decision must reproduce.
+Decision plain_rule(double delta, double temperature, double u) {
+  if (delta <= 0.0) return {true, 0};
+  return {u < std::exp(-delta / std::max(temperature, 1e-9)), 1};
+}
+
+Decision filtered_rule(double estimate, double slack, double temperature, double delta,
+                       double u) {
+  Decision decision;
+  decision.accept = metropolis_accept(
+      estimate, slack, temperature,
+      [&] {
+        ++decision.draws;
+        return u;
+      },
+      [&] { return delta; });
+  return decision;
+}
+
+/// Checks the decision for the exact `delta` from the estimate `delta + off`
+/// at every slack from |off| up (the contract: |delta - estimate| <= slack).
+void expect_same_decision(double delta, double off, double temperature, double u) {
+  const double estimate = delta + off;
+  // Round the slack up so it covers the real distance even when the
+  // subtraction below rounds down.
+  const double gap = std::nextafter(std::abs(estimate - delta),
+                                    std::numeric_limits<double>::infinity());
+  const Decision expected = plain_rule(delta, temperature, u);
+  for (const double slack : {gap, 2 * gap, gap + 1e-12 * std::abs(delta)}) {
+    ASSERT_EQ(filtered_rule(estimate, slack, temperature, delta, u), expected)
+        << std::hexfloat << "delta " << delta << " estimate " << estimate << " slack "
+        << slack << " T " << temperature << " u " << u;
+  }
+}
+
+// `metropolis_accept` decides from an estimate where it can and must take
+// the plain rule's decision everywhere, drawing u on exactly the same inputs.
+TEST(Solvers, MetropolisDecisionMatchesPlainRule) {
+  const double below_one = std::nextafter(1.0, 0.0);
+  // u one ulp either side of exp(x), over the whole range of x.
+  for (const double temperature : {1e-9, 1e-3, 1.0, 37.5, 1e6}) {
+    for (const double x : {-1e-300, -1e-12, -1e-6, -0.01, -0.5, -1.0, -1.5, -2.0, -20.0,
+                           -700.0, -744.0, -746.0, -800.0}) {
+      const double delta = -x * temperature;
+      const double e = std::exp(-delta / std::max(temperature, 1e-9));
+      for (const double u : {std::nextafter(e, 0.0), e, std::nextafter(e, 1.0), 0.0,
+                             std::numeric_limits<double>::denorm_min(), below_one}) {
+        if (u >= 1.0) continue;
+        for (const double off : {0.0, 1e-15 * delta, -1e-15 * delta, 1e-9 * delta}) {
+          expect_same_decision(delta, off, temperature, u);
+        }
+      }
+    }
+  }
+  // Exact delta 0 with estimates at ±slack, and ±denormal deltas estimated
+  // as 0 (the slack then covers them exactly).
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  for (const double slack : {0.0, tiny, 1e-300, 1e-12, 1.0}) {
+    for (const double u : {0.0, 0.5, below_one}) {
+      for (const double delta : {0.0, -0.0}) {
+        for (const double estimate : {slack, -slack, 0.0}) {
+          EXPECT_EQ(filtered_rule(estimate, slack, 1.0, delta, u), plain_rule(delta, 1.0, u))
+              << "delta " << delta << " estimate " << estimate << " slack " << slack;
+        }
+      }
+      if (slack < tiny) continue;
+      for (const double delta : {tiny, -tiny}) {
+        EXPECT_EQ(filtered_rule(0.0, slack, 1.0, delta, u), plain_rule(delta, 1.0, u))
+            << "delta " << delta << " slack " << slack;
+      }
+    }
+  }
+  // The 1e-9 floor: a zero, negative or tiny temperature prices like 1e-9.
+  for (const double temperature : {0.0, -1.0, 1e-12, 1e-9, std::nextafter(1e-9, 1.0)}) {
+    for (const double delta : {1e-12, 5e-10, 1e-9, 3e-9, 1e-6}) {
+      for (const double u : {0.0, 0.3, 0.36787944117144233, 0.9}) {
+        expect_same_decision(delta, 0.0, temperature, u);
+        expect_same_decision(delta, 1e-3 * delta, temperature, u);
+      }
+    }
+  }
+  // Seeded random cases: log-uniform deltas and temperatures, estimates
+  // anywhere within the slack, u uniform or placed near exp(x).
+  support::Rng rng(2024);
+  for (int i = 0; i < 1'000'000; ++i) {
+    const double magnitude = std::pow(10.0, rng.uniform(-12.0, 6.0));
+    const double delta = rng.below(8) == 0 ? 0.0 : (rng.below(3) == 0 ? -1 : 1) * magnitude;
+    const double temperature = rng.below(16) == 0 ? 1e-9 * rng.uniform()
+                                                  : std::pow(10.0, rng.uniform(-9.0, 6.0));
+    const double relative = std::pow(10.0, rng.uniform(-16.0, -1.0));
+    const double off = rng.uniform(-1.0, 1.0) * relative * std::max(magnitude, 1e-12);
+    double u = rng.uniform();
+    if (rng.below(2) == 0) {
+      const double e = std::exp(-delta / std::max(temperature, 1e-9));
+      u = std::min(below_one, std::max(0.0, e * (1.0 + rng.uniform(-1e-9, 1e-9))));
+    }
+    expect_same_decision(delta, off, temperature, u);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
 
 TEST(Solvers, MultiChainIsDeterministicAcrossParallelism) {
@@ -383,6 +585,31 @@ TEST(Solvers, GreedyChainReplayMatchesSolver) {
   const auto fast = oracle::anneal_greedy_chain<AssignmentState>(problem, 4, options);
   const auto full = oracle::anneal_greedy_chain<oracle::FullRecostState>(problem, 4, options);
   ASSERT_TRUE(solution.feasible);
+  for (const auto* run : {&fast, &full}) {
+    EXPECT_EQ(run->best_assignment, solution.assignment);
+    EXPECT_EQ(run->best_cost, solution.scalar_cost);
+    EXPECT_EQ(run->moves, solution.nodes_explored);
+    EXPECT_EQ(run->accepted, solution.accepted_moves);
+  }
+}
+
+// The same replay past 64 groups (three-word memo keys, memo collisions):
+// the solver's chain, decided by `metropolis_accept` on memo'd quotes,
+// follows the plain rule on full recosts move for move.
+TEST(Solvers, ChainReplayMatchesSolverPast64Groups) {
+  const Fixture fix = sparse_fixture(150, 53);
+  const auto problem = fix.problem();
+  SolverOptions options;
+  options.solver = Solver::kSimulatedAnnealing;
+  options.sa_iterations = 3000;
+  options.sa_chains = 1;
+  options.seed = 31;
+
+  const auto solution = solve_assignment(problem, 6, options);
+  const auto fast = oracle::anneal_greedy_chain<AssignmentState>(problem, 6, options);
+  const auto full = oracle::anneal_greedy_chain<oracle::FullRecostState>(problem, 6, options);
+  ASSERT_TRUE(solution.feasible);
+  EXPECT_GT(solution.accepted_moves, 100u);
   for (const auto* run : {&fast, &full}) {
     EXPECT_EQ(run->best_assignment, solution.assignment);
     EXPECT_EQ(run->best_cost, solution.scalar_cost);

@@ -1,16 +1,20 @@
 // From-scratch reference for the incremental assignment-cost engine.
 //
-// `FullRecostState` has the move interface of `alloc::AssignmentState` but
-// prices every move by scalarizing a complete `AssignmentProblem::evaluate`,
-// the definition the incremental engine must reproduce bit-for-bit.  The
-// differential tests drive both states through the same move sequence, and
-// the `*FullRecost` microbenchmarks time annealing on it to show what the
-// incremental engine saves.
+// `FullRecostState` has the price/commit interface of
+// `alloc::AssignmentState` but prices every move by scalarizing a complete
+// `AssignmentProblem::evaluate` of the moved assignment, the definition the
+// incremental engine must reproduce bit-for-bit.  Its quotes are exact
+// (slack 0).  The differential tests drive both states through the same
+// move sequence, and the `*FullRecost` microbenchmarks time annealing on it
+// to show what the incremental engine saves.
 //
 // `anneal_greedy_chain` replays the solver's first annealing chain (greedy
-// start, same RNG stream, schedule and acceptance rule) on either state, so
-// the reference can run the solver's exact trajectory without the library
-// carrying a second cost path.  A test pins the replay against
+// start, same RNG stream and schedule) on either state with the plain
+// acceptance rule `delta <= 0 || u < exp(-delta / max(T, 1e-9))` on the
+// exact delta of every move — the definition `alloc::metropolis_accept`
+// must decide identically, drawing u on the same moves.  So the reference
+// runs the solver's exact trajectory without the library carrying a second
+// cost path or decision rule.  A test pins the replay against
 // `solve_assignment` with one chain.
 #pragma once
 
@@ -21,6 +25,7 @@
 #include <vector>
 
 #include "alloc/assignment_problem.hpp"
+#include "alloc/incremental_cost.hpp"
 #include "alloc/solvers.hpp"
 #include "memlib/memory_cost.hpp"
 #include "support/check.hpp"
@@ -46,28 +51,30 @@ class FullRecostState {
   [[nodiscard]] const std::vector<int>& assignment() const { return assignment_; }
   [[nodiscard]] double scalar_cost() const { return scalar_; }
 
-  [[nodiscard]] std::optional<double> apply(std::size_t group, int new_m) {
-    const int old_m = assignment_[group];
-    assignment_[group] = new_m;
+  [[nodiscard]] std::optional<AssignmentState::Quote> price(std::size_t group, int to) {
+    active_ = false;
+    const int from = assignment_[group];
+    assignment_[group] = to;
     const auto summary = problem_->evaluate(assignment_, memory_count_);
-    if (!summary) {
-      assignment_[group] = old_m;
-      active_ = false;
-      return std::nullopt;
-    }
-    last_group_ = group;
-    last_from_ = old_m;
-    last_scalar_ = scalar_;
+    assignment_[group] = from;  // a price leaves the state untouched
+    if (!summary) return std::nullopt;
+    pending_group_ = group;
+    pending_to_ = to;
+    pending_scalar_ = weights_.scalarize(*summary);
     active_ = true;
-    scalar_ = weights_.scalarize(*summary);
-    return scalar_;
+    return AssignmentState::Quote{pending_scalar_, 0.0};
   }
 
-  void revert() {
-    DTSE_CHECK(active_, "no move to revert");
+  [[nodiscard]] double exact_price() const {
+    DTSE_CHECK(active_, "no priced move");
+    return pending_scalar_;
+  }
+
+  void commit() {
+    DTSE_CHECK(active_, "no priced move to commit");
     active_ = false;
-    assignment_[last_group_] = last_from_;
-    scalar_ = last_scalar_;
+    assignment_[pending_group_] = pending_to_;
+    scalar_ = pending_scalar_;
   }
 
  private:
@@ -76,9 +83,9 @@ class FullRecostState {
   int memory_count_;
   std::vector<int> assignment_;
   double scalar_ = 0.0;
-  std::size_t last_group_ = 0;
-  int last_from_ = -1;
-  double last_scalar_ = 0.0;
+  std::size_t pending_group_ = 0;
+  int pending_to_ = -1;
+  double pending_scalar_ = 0.0;
   bool active_ = false;
 };
 
@@ -116,17 +123,14 @@ ChainRun anneal_greedy_chain(const AssignmentProblem& problem, int memory_count,
     const int new_m = static_cast<int>(rng.below(static_cast<std::uint64_t>(memory_count)));
     if (new_m == state.assignment()[group]) continue;
     ++run.moves;
-    const auto cost = state.apply(group, new_m);
-    if (!cost) continue;
-    const double delta = *cost - current;
+    if (!state.price(group, new_m)) continue;
+    const double delta = state.exact_price() - current;
     const bool accept =
         delta <= 0.0 || rng.uniform() < std::exp(-delta / std::max(temperature, 1e-9));
-    if (!accept) {
-      state.revert();
-      continue;
-    }
+    if (!accept) continue;
+    state.commit();
     ++run.accepted;
-    current = *cost;
+    current = state.scalar_cost();
     if (current < run.best_cost) {
       run.best_cost = current;
       run.best_assignment = state.assignment();
