@@ -278,38 +278,30 @@ BENCHMARK(BM_FullFeedbackEvaluation);
 
 // --- trace layer -------------------------------------------------------------
 
-// The recorder fast path: instrumented reads/writes inside Iteration scopes,
-// including the per-iteration flat aggregation at scope exit.
 // Telemetry overhead guard: one instrumented scope — a trace-only span, a
 // 64-add counter burst and a histogram sample — through the real registry
-// (Arg 1) versus the obs::noop stubs (Arg 0).  The noop lane compiles to the
-// exact codegen a -DDTSE_OBS_OFF build gets, so the pair quantifies what the
-// instrumentation costs inside one binary; record_bench.sh asserts the
-// benchmark stays in every trajectory point.
-template <typename Registry, typename SpanType>
-void telemetry_overhead_loop(benchmark::State& state, Registry& registry) {
-  for (auto _ : state) {
-    SpanType span(&registry, "bench.span", "bench", /*aggregate=*/false);
-    auto& counter = registry.counter("bench.counter");
-    for (int i = 0; i < 64; ++i) counter.add(1);
-    registry.histogram("bench.hist").observe(64);
-    benchmark::DoNotOptimize(&counter);
+// (Arg 1) versus the same loop with the telemetry calls left out (Arg 0), so
+// the pair quantifies what the instrumentation costs; record_bench.sh
+// asserts the benchmark stays in every trajectory point.
+void BM_TelemetryOverhead(benchmark::State& state) {
+  obs::TelemetryRegistry registry;  // fresh instance: bounded event buffer
+  if (state.range(0) == 1) {
+    for (auto _ : state) {
+      obs::Span span(&registry, "bench.span", "bench", /*aggregate=*/false);
+      auto& counter = registry.counter("bench.counter");
+      for (int i = 0; i < 64; ++i) counter.add(1);
+      registry.histogram("bench.hist").observe(64);
+      benchmark::DoNotOptimize(&counter);
+    }
+  } else {
+    for (auto _ : state) benchmark::DoNotOptimize(&registry);
   }
   state.SetItemsProcessed(state.iterations() * 64);
 }
-
-void BM_TelemetryOverhead(benchmark::State& state) {
-  if (state.range(0) == 1) {
-    obs::TelemetryRegistry registry;  // fresh instance: bounded event buffer
-    telemetry_overhead_loop<obs::TelemetryRegistry, obs::Span>(state, registry);
-  } else {
-    auto& registry = obs::noop::TelemetryRegistry::global();
-    telemetry_overhead_loop<obs::noop::TelemetryRegistry, obs::noop::Span>(state,
-                                                                           registry);
-  }
-}
 BENCHMARK(BM_TelemetryOverhead)->Arg(0)->Arg(1);
 
+// The recorder fast path: instrumented reads/writes inside Iteration scopes,
+// including the per-iteration flat aggregation at scope exit.
 void BM_RecorderRecordThroughput(benchmark::State& state) {
   trace::Recorder recorder("bench");
   trace::InstrumentedArray<std::uint32_t> a(recorder, "a", 4096, 16);

@@ -116,7 +116,6 @@ AllocationResult MemoryAllocator::allocate(const ir::Application& app,
   result.requested_memories = best_n;
   result.search_nodes = best.nodes_explored;
   result.accepted_moves = best.accepted_moves;
-  result.reheats = best.reheats;
   result.sa_chains = std::move(best.chains);
   result.feasible = best.feasible &&
                     std::all_of(result.offchip.begin(), result.offchip.end(),
@@ -138,18 +137,6 @@ AllocationResult MemoryAllocator::allocate(const ir::Application& app,
     result.onchip.push_back(std::move(*mem));
   }
   return result;
-}
-
-std::vector<AllocationResult> MemoryAllocator::sweep_allocations(
-    const ir::Application& app, const graph::ConflictGraph& conflicts,
-    const std::vector<int>& counts, AllocationOptions options) const {
-  std::vector<AllocationResult> results;
-  results.reserve(counts.size());
-  for (const auto n : counts) {
-    options.onchip_memories = n;
-    results.push_back(allocate(app, conflicts, options));
-  }
-  return results;
 }
 
 std::string AllocationResult::to_string(const ir::Application& app) const {

@@ -4,9 +4,9 @@
 // groups into DRAM channels honouring their conflicts, runs the
 // signal-to-memory assignment for the on-chip set, and reports the cost
 // triple (on-chip area, on-chip power, off-chip power) the paper's tables
-// use.  `sweep_allocations` regenerates Table 4 by varying the number of
-// on-chip memories; `allocate` with `onchip_memories == 0` picks the best
-// count automatically.
+// use.  `allocate` prices one on-chip memory count, or with
+// `onchip_memories == 0` picks the best count automatically; the Table 4
+// memory-count sweep is `core::Explorer::explore_allocation_counts`.
 #pragma once
 
 #include <cstdint>
@@ -48,7 +48,6 @@ struct AllocationResult {
   int requested_memories = 0;   ///< the N that was asked for
   std::uint64_t search_nodes = 0;
   std::uint64_t accepted_moves = 0;  ///< SA only: kept moves across all chains
-  std::uint64_t reheats = 0;         ///< SA only: temperature resets across chains
   /// SA only: the winning solve's per-chain convergence telemetry (empty for
   /// B&B/greedy solves); flows into the obs/ run report.
   std::vector<ChainStats> sa_chains;
@@ -76,11 +75,6 @@ class MemoryAllocator {
   [[nodiscard]] AllocationResult allocate(const ir::Application& app,
                                           const graph::ConflictGraph& conflicts,
                                           const AllocationOptions& options = {}) const;
-
-  /// Allocation for every memory count in `counts` (Table 4).
-  [[nodiscard]] std::vector<AllocationResult> sweep_allocations(
-      const ir::Application& app, const graph::ConflictGraph& conflicts,
-      const std::vector<int>& counts, AllocationOptions options = {}) const;
 
   /// Splits group ids into (on-chip, off-chip) by threshold and forced
   /// location.  Exposed for tests and reporting.

@@ -15,6 +15,10 @@ namespace dtse::alloc {
 
 namespace {
 
+/// `Solver::kAuto` runs branch-and-bound up to this many groups, annealing
+/// beyond.
+constexpr std::size_t kBranchAndBoundGroupLimit = 17;
+
 /// Groups ordered for the constructive searches: high conflict degree and
 /// large footprint first — the classic "most constrained first" rule.
 std::vector<std::size_t> search_order(const AssignmentProblem& problem) {
@@ -226,8 +230,8 @@ AssignmentSolution solve_greedy(const AssignmentProblem& problem, int memory_cou
 }
 
 /// One independent annealing chain.  The chain owns its RNG streams (derived
-/// from the options seed and the chain index), derives its start per
-/// `SolverOptions::sa_start`, and prices moves through the incremental cost
+/// from the options seed and the chain index), diversifies its start unless
+/// it is chain 0, and prices moves through the incremental cost
 /// engine — a move is priced from the memo'd terms of the two memories it
 /// touches and decided by `metropolis_accept`; only accepted moves commit.
 /// `stats` carries the chain's convergence telemetry (totals plus the
@@ -239,29 +243,14 @@ struct ChainOutcome {
   std::uint64_t exact_prices = 0;  ///< moves whose decision needed the exact sum
 };
 
-/// Diversifies `state` away from the greedy start it was reset with.  Start
-/// derivation draws from `rng` only (its own stream), so a chain's start is a
-/// pure function of (seed, chain) no matter how chains are scheduled.
+/// Diversifies `state` away from the greedy start it was reset with: a burst
+/// of random feasible moves, kept regardless of cost — enough kicks to leave
+/// the greedy basin while staying feasible by construction.  Draws from `rng`
+/// only (its own stream), so a chain's start is a pure function of (seed,
+/// chain) no matter how chains are scheduled.
 void diversify_start(AssignmentState& state, const AssignmentProblem& problem,
-                     int memory_count, const SolverOptions& options,
-                     const std::vector<int>& greedy, support::Rng& rng) {
+                     int memory_count, support::Rng& rng) {
   const std::size_t n = problem.group_count();
-  if (options.sa_start == SaStart::kRandomFeasible) {
-    std::vector<int> candidate(n);
-    for (int attempt = 0; attempt < 32; ++attempt) {
-      for (auto& entry : candidate) {
-        entry = static_cast<int>(rng.below(static_cast<std::uint64_t>(memory_count)));
-      }
-      if (state.reset(candidate)) return;
-    }
-    // Dense conflicts can make random draws hopeless; restore the greedy
-    // start (a failed reset leaves the state unusable) and perturb instead.
-    const bool ok = state.reset(greedy);
-    DTSE_ASSERT(ok, "greedy start must stay feasible");
-  }
-  // kPerturbedGreedy (and the kRandomFeasible fallback): a burst of random
-  // feasible moves, kept regardless of cost — enough kicks to leave the
-  // greedy basin while staying feasible by construction.
   const std::size_t kicks = std::max<std::size_t>(2, n / 3);
   std::size_t applied = 0;
   for (std::size_t tries = 0; tries < 8 * kicks && applied < kicks; ++tries) {
@@ -281,9 +270,9 @@ ChainOutcome anneal_chain(const AssignmentProblem& problem, int memory_count,
   AssignmentState state(problem, memory_count, options.weights);
   const bool ok = state.reset(start);
   DTSE_ASSERT(ok, "annealing start assignment must be feasible");
-  if (chain > 0 && options.sa_start != SaStart::kGreedy) {
+  if (chain > 0) {
     support::Rng start_rng(options.seed ^ 0xD1B54A32D192ED03ULL * (chain + 1));
-    diversify_start(state, problem, memory_count, options, start, start_rng);
+    diversify_start(state, problem, memory_count, start_rng);
   }
 
   ChainOutcome out;
@@ -293,7 +282,7 @@ ChainOutcome anneal_chain(const AssignmentProblem& problem, int memory_count,
   out.stats.start_cost = current;
 
   support::Rng rng(options.seed + 0x9E3779B97F4A7C15ULL * (chain + 1));
-  double temperature = sa_start_temperature(current, options);
+  double temperature = sa_start_temperature(current);
   const double decay = std::pow(1e-3, 1.0 / static_cast<double>(std::max(1, iterations)));
 
   // Convergence sampling: a fixed iteration stride (~64 samples per chain),
@@ -303,15 +292,9 @@ ChainOutcome anneal_chain(const AssignmentProblem& problem, int memory_count,
   int next_sample = 0;
   const auto sample = [&](int it) {
     out.stats.convergence.push_back({it, temperature, current, out.best_cost,
-                                     out.stats.accepted, out.stats.reheats});
+                                     out.stats.accepted});
   };
 
-  // Reheating schedule: `stagnant` counts consecutive iterations without an
-  // accepted move (rejected, infeasible and no-op proposals alike); reaching
-  // the threshold resets the temperature from the *current* cost, so the
-  // chain resumes exploring instead of freezing in place.
-  const int reheat_after = options.sa_reheat_stagnation;
-  int stagnant = 0;
   int completed = 0;
   for (int it = 0; it < iterations; ++it, temperature *= decay) {
     // Poll every 512 moves: the chain stops with its best-so-far, which can
@@ -319,17 +302,11 @@ ChainOutcome anneal_chain(const AssignmentProblem& problem, int memory_count,
     if (options.cancel != nullptr && (it & 0x1FF) == 0 && options.cancel->cancelled()) {
       break;
     }
-    if (reheat_after > 0 && stagnant >= reheat_after) {
-      temperature = sa_start_temperature(current, options);
-      stagnant = 0;
-      ++out.stats.reheats;
-    }
     if (it == next_sample) {  // it % stride == 0, without a division per move
       sample(it);
       next_sample += stride;
     }
     completed = it + 1;
-    ++stagnant;
     const auto group = static_cast<std::size_t>(rng.below(problem.group_count()));
     const int new_m = static_cast<int>(rng.below(static_cast<std::uint64_t>(memory_count)));
     if (new_m == state.assignment()[group]) continue;
@@ -345,7 +322,6 @@ ChainOutcome anneal_chain(const AssignmentProblem& problem, int memory_count,
     if (!accept) continue;  // an uncommitted price leaves the state as it was
     state.commit();
     ++out.stats.accepted;
-    stagnant = 0;
     current = state.scalar_cost();
     if (current < out.best_cost) {
       out.best_cost = current;
@@ -377,12 +353,12 @@ AssignmentSolution solve_annealing(const AssignmentProblem& problem, int memory_
     return start;  // no move can change anything
   }
 
-  // Multi-chain restarts: independent chains with distinct RNG streams,
-  // started per `sa_start` (chain 0 from the greedy solution, the others
-  // diversified).  Each chain writes its own slot, and the
-  // winner is picked by a serial scan with strict improvement (ties resolve
-  // to the lowest chain index), so the result is deterministic for a fixed
-  // (seed, sa_chains) no matter how the chains are scheduled.
+  // Multi-chain restarts: independent chains with distinct RNG streams
+  // (chain 0 from the greedy solution, the others diversified).  Each chain
+  // writes its own slot, and the winner is picked by a serial scan with
+  // strict improvement (ties resolve to the lowest chain index), so the
+  // result is deterministic for a fixed (seed, sa_chains) no matter how the
+  // chains are scheduled.
   // The move budget is a total: more chains means more restarts, not more
   // work.  Chains beyond one per budgeted move would each be forced to a
   // minimum length and overshoot the budget, so they are dropped.  Every
@@ -399,14 +375,12 @@ AssignmentSolution solve_annealing(const AssignmentProblem& problem, int memory_
   AssignmentSolution best = start;
   std::uint64_t moves = 0;
   std::uint64_t accepted = 0;
-  std::uint64_t reheats = 0;
   std::uint64_t exact_prices = 0;
   const ChainOutcome* winner = nullptr;
   double winning_cost = start.scalar_cost;
   for (const auto& outcome : outcomes) {
     moves += outcome.stats.moves;
     accepted += outcome.stats.accepted;
-    reheats += outcome.stats.reheats;
     exact_prices += outcome.exact_prices;
     if (outcome.best_cost < winning_cost) {
       winning_cost = outcome.best_cost;
@@ -422,7 +396,6 @@ AssignmentSolution solve_annealing(const AssignmentProblem& problem, int memory_
   }
   best.nodes_explored = moves;
   best.accepted_moves = accepted;
-  best.reheats = reheats;
   best.chains.reserve(chains);
   for (auto& outcome : outcomes) best.chains.push_back(std::move(outcome.stats));
 
@@ -430,7 +403,6 @@ AssignmentSolution solve_annealing(const AssignmentProblem& problem, int memory_
   registry.counter("solver.sa.runs").add(1);
   registry.counter("solver.sa.moves").add(moves);
   registry.counter("solver.sa.accepted").add(accepted);
-  registry.counter("solver.sa.reheats").add(reheats);
   registry.counter("solver.sa.exact_prices").add(exact_prices);
   for (const auto& chain : best.chains) {
     registry.histogram("solver.sa.chain_accepted").observe(chain.accepted);
@@ -440,11 +412,9 @@ AssignmentSolution solve_annealing(const AssignmentProblem& problem, int memory_
 
 }  // namespace
 
-double sa_start_temperature(double start_cost, const SolverOptions& options) {
+double sa_start_temperature(double start_cost) {
   // A few percent of the starting cost, decayed geometrically by the chain.
-  // (An earlier revision also divided by sa_iterations, which froze long
-  // chains from the first move; that dead formula is gone.)
-  return options.sa_initial_temperature * 0.02 * std::max(start_cost, 1.0);
+  return 4.0 * 0.02 * std::max(start_cost, 1.0);
 }
 
 AssignmentSolution solve_assignment(const AssignmentProblem& problem, int memory_count,
@@ -458,7 +428,7 @@ AssignmentSolution solve_assignment(const AssignmentProblem& problem, int memory
 
   Solver solver = options.solver;
   if (solver == Solver::kAuto) {
-    solver = problem.group_count() <= static_cast<std::size_t>(options.bb_group_limit)
+    solver = problem.group_count() <= kBranchAndBoundGroupLimit
                  ? Solver::kBranchAndBound
                  : Solver::kSimulatedAnnealing;
   }

@@ -12,18 +12,6 @@ namespace dtse::core {
 
 namespace {
 
-/// When a sweep actually runs on multiple workers (more than one point AND
-/// more than one worker requested), run each point's annealing chains
-/// serially: the solver is deterministic regardless of `sa_parallelism`, so
-/// this only prevents thread oversubscription (sweep workers x chain
-/// workers) without changing any result.
-ExplorerOptions without_nested_parallelism(ExplorerOptions options, std::size_t points) {
-  if (points > 1 && support::effective_parallelism(options.parallelism) > 1) {
-    options.allocation.solver.sa_parallelism = 1;
-  }
-  return options;
-}
-
 /// Prices the merged allocation with every memory's member set restricted to
 /// the first `prefix_groups` merged basic groups (a registration-order
 /// prefix of the workloads — merge_applications numbers groups per-workload
@@ -163,19 +151,34 @@ Evaluation Explorer::evaluate(const ir::Application& app,
 
 namespace {
 
-/// Shared degradation wrapper of the sweep bodies: a throwing point becomes
-/// a reported, infeasible `Evaluation` (never a dead sweep), and a point cut
-/// short by the deadline/cancellation token is flagged `timed_out`.
-template <typename Fn>
-void guarded_sweep_point(Evaluation& eval, const support::CancellationToken& token,
-                         Fn&& fn) {
-  try {
-    fn();
-  } catch (const std::exception& e) {
-    eval = Evaluation{};
-    eval.error = e.what();
-    eval.timed_out = token.cancelled();
+/// The scaffolding every explore_* sweep shares.  Evaluates `points` points,
+/// `evaluate_point(i, options)` each under a span named `span_name(i)`, on
+/// `options.parallelism` workers, and returns them in index order.  Every
+/// evaluation is a pure function of its inputs, so the result is
+/// bit-identical to a serial run.  When the sweep really runs on several
+/// workers, each point's annealing chains run serially: the solver's result
+/// does not depend on `sa_parallelism`, so this only prevents
+/// oversubscription (sweep workers x chain workers).  A throwing point
+/// becomes an infeasible evaluation carrying the message, flagged
+/// `timed_out` when `options.cancel` has fired, never a dead sweep.
+template <typename SpanName, typename EvaluatePoint>
+std::vector<Evaluation> run_sweep(std::size_t points, const ExplorerOptions& options,
+                                  SpanName&& span_name, EvaluatePoint&& evaluate_point) {
+  auto point_options = options;
+  if (points > 1 && support::effective_parallelism(options.parallelism) > 1) {
+    point_options.allocation.solver.sa_parallelism = 1;
   }
+  std::vector<Evaluation> evals(points);
+  support::parallel_for(points, options.parallelism, [&](std::size_t i) {
+    obs::Span span(&obs::TelemetryRegistry::global(), span_name(i), "explore");
+    try {
+      evals[i] = evaluate_point(i, point_options);
+    } catch (const std::exception& e) {
+      evals[i].error = e.what();
+      evals[i].timed_out = options.cancel != nullptr && options.cancel->cancelled();
+    }
+  });
+  return evals;
 }
 
 }  // namespace
@@ -188,46 +191,41 @@ graph::MacpReport Explorer::analyze_critical_path(const ir::Application& app,
 std::vector<Variant> Explorer::explore_variants(
     std::vector<std::pair<std::string, ir::Application>> variants,
     const ExplorerOptions& options) const {
-  std::vector<Variant> result(variants.size());
-  support::CancellationToken deadline(options.cancel);
-  if (options.time_budget_ms > 0) deadline.set_deadline_after_ms(options.time_budget_ms);
-  auto eval_options = without_nested_parallelism(options, variants.size());
-  eval_options.cancel = &deadline;
-  support::parallel_for(variants.size(), options.parallelism, [&](std::size_t i) {
-    auto& [label, app] = variants[i];
-    result[i].label = std::move(label);
-    obs::Span span(&obs::TelemetryRegistry::global(),
-                   "explore.variant/" + result[i].label, "explore");
-    guarded_sweep_point(result[i].eval, deadline,
-                        [&] { result[i].eval = evaluate(app, eval_options); });
-    result[i].app = std::move(app);
-  });
+  auto evals = run_sweep(
+      variants.size(), options,
+      [&](std::size_t i) { return "explore.variant/" + variants[i].first; },
+      [&](std::size_t i, const ExplorerOptions& point_options) {
+        return evaluate(variants[i].second, point_options);
+      });
+  std::vector<Variant> result;
+  result.reserve(variants.size());
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    result.push_back(
+        {std::move(variants[i].first), std::move(variants[i].second), std::move(evals[i])});
+  }
   return result;
 }
 
 std::vector<BudgetPoint> Explorer::explore_cycle_budgets(
     const ir::Application& app, const std::vector<std::uint64_t>& budgets,
     const ExplorerOptions& options) const {
+  auto evals = run_sweep(
+      budgets.size(), options,
+      [&](std::size_t i) { return "explore.cycle_budget/" + std::to_string(budgets[i]); },
+      [&](std::size_t i, ExplorerOptions point_options) {
+        point_options.storage_budget_cycles = budgets[i];
+        return evaluate(app, point_options);
+      });
   std::vector<BudgetPoint> points(budgets.size());
-  support::CancellationToken deadline(options.cancel);
-  if (options.time_budget_ms > 0) deadline.set_deadline_after_ms(options.time_budget_ms);
-  auto eval_options = without_nested_parallelism(options, budgets.size());
-  eval_options.cancel = &deadline;
-  support::parallel_for(budgets.size(), options.parallelism, [&](std::size_t i) {
-    auto point_options = eval_options;
-    point_options.storage_budget_cycles = budgets[i];
-    BudgetPoint point;
+  for (std::size_t i = 0; i < budgets.size(); ++i) {
+    auto& point = points[i];
     point.requested_budget = budgets[i];
-    obs::Span span(&obs::TelemetryRegistry::global(),
-                   "explore.cycle_budget/" + std::to_string(budgets[i]), "explore");
-    guarded_sweep_point(point.eval, deadline,
-                        [&] { point.eval = evaluate(app, point_options); });
-    point.used_cycles = point.eval.scbd.used_cycles;
-    point.spare_cycles = point.eval.spare_cycles;
+    point.used_cycles = evals[i].scbd.used_cycles;
+    point.spare_cycles = evals[i].spare_cycles;
     point.spare_percent = 100.0 * static_cast<double>(point.spare_cycles) /
                           static_cast<double>(options.real_time_budget_cycles);
-    points[i] = std::move(point);
-  });
+    point.eval = std::move(evals[i]);
+  }
   return points;
 }
 
@@ -311,22 +309,20 @@ std::vector<Variant> Explorer::explore_shared_allocation_counts(
 std::vector<Variant> Explorer::explore_allocation_counts(
     const ir::Application& app, const std::vector<int>& counts,
     const ExplorerOptions& options) const {
-  std::vector<Variant> result(counts.size());
-  support::CancellationToken deadline(options.cancel);
-  if (options.time_budget_ms > 0) deadline.set_deadline_after_ms(options.time_budget_ms);
-  auto eval_options = without_nested_parallelism(options, counts.size());
-  eval_options.cancel = &deadline;
-  support::parallel_for(counts.size(), options.parallelism, [&](std::size_t i) {
-    auto count_options = eval_options;
-    count_options.allocation.onchip_memories = counts[i];
-    result[i].label = std::to_string(counts[i]) + " on-chip memories";
-    obs::Span span(&obs::TelemetryRegistry::global(),
-                   "explore.alloc/" + app.name() + "/" + std::to_string(counts[i]),
-                   "explore");
-    guarded_sweep_point(result[i].eval, deadline,
-                        [&] { result[i].eval = evaluate(app, count_options); });
-    result[i].app = app;
-  });
+  auto evals = run_sweep(
+      counts.size(), options,
+      [&](std::size_t i) {
+        return "explore.alloc/" + app.name() + "/" + std::to_string(counts[i]);
+      },
+      [&](std::size_t i, ExplorerOptions point_options) {
+        point_options.allocation.onchip_memories = counts[i];
+        return evaluate(app, point_options);
+      });
+  std::vector<Variant> result;
+  result.reserve(counts.size());
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    result.push_back({std::to_string(counts[i]) + " on-chip memories", app, std::move(evals[i])});
+  }
   return result;
 }
 

@@ -41,13 +41,9 @@ struct ExplorerOptions {
   /// concurrently and land in index order — results are bit-identical to a
   /// serial run.  0 = hardware concurrency, 1 = serial.
   unsigned parallelism = 0;
-  /// Wall-clock budget for one explore_* sweep in milliseconds (0 = none).
-  /// When it expires, in-flight solver runs stop at their best-so-far and
-  /// remaining points come back marked `timed_out` — the sweep always
-  /// completes and reports rather than running away or aborting.
-  std::uint64_t time_budget_ms = 0;
-  /// External cancellation (not owned; may be null).  Chained under the
-  /// sweep's own deadline token, so either source stops the sweep.
+  /// Cancellation (not owned; may be null).  When it fires, in-flight solver
+  /// runs stop at their best-so-far and the remaining points come back
+  /// marked `timed_out`: a sweep always completes and reports every point.
   const support::CancellationToken* cancel = nullptr;
   scbd::ScbdOptions scbd;
   alloc::AllocationOptions allocation;
@@ -62,8 +58,8 @@ struct Evaluation {
   bool feasible = false;
   /// Sweep degradation report: when a sweep point threw, its message lands
   /// here (feasible stays false) instead of aborting the whole sweep; when
-  /// the sweep's time budget / cancellation fired during this point,
-  /// `timed_out` is set and the costs are the solver's best-so-far.
+  /// `ExplorerOptions::cancel` fired during this point, `timed_out` is set
+  /// and the costs are the solver's best-so-far.
   std::string error;
   bool timed_out = false;
 

@@ -68,8 +68,6 @@ void write_chains(JsonWriter& json, const std::vector<alloc::ChainStats>& chains
     json.value(chain.moves);
     json.key("accepted");
     json.value(chain.accepted);
-    json.key("reheats");
-    json.value(chain.reheats);
     json.key("start_cost");
     json.value(chain.start_cost);
     json.key("best_cost");
@@ -88,8 +86,6 @@ void write_chains(JsonWriter& json, const std::vector<alloc::ChainStats>& chains
       json.value(sample.best_cost);
       json.key("accepted");
       json.value(sample.accepted);
-      json.key("reheats");
-      json.value(sample.reheats);
       json.end_object();
     }
     json.end_array();

@@ -165,16 +165,6 @@ std::int64_t now_us() {
       .count();
 }
 
-namespace noop {
-
-void TelemetryRegistry::write_chrome_trace(std::ostream& os) const {
-  write_trace_events(os, {});
-}
-
-}  // namespace noop
-
-#ifndef DTSE_OBS_OFF
-
 Counter& TelemetryRegistry::counter(std::string_view name) {
   const std::lock_guard<std::mutex> lock(metrics_mutex_);
   auto it = counters_.find(name);
@@ -272,7 +262,5 @@ TelemetryRegistry& TelemetryRegistry::global() {
   static TelemetryRegistry instance;
   return instance;
 }
-
-#endif  // DTSE_OBS_OFF
 
 }  // namespace dtse::obs

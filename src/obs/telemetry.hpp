@@ -26,12 +26,6 @@
 //   * Exporters — `write_chrome_trace` (loadable in chrome://tracing /
 //     Perfetto) and `MetricsSnapshot` (sorted flat snapshot with a JSON
 //     form), both built on obs/json.hpp.
-//
-// Compile-out: defining DTSE_OBS_OFF aliases the whole API to the
-// `obs::noop` stubs below — every call inlines to nothing and exporters
-// write empty-but-valid JSON.  The stubs are also available unconditionally
-// under `obs::noop` so `BM_TelemetryOverhead` can race the instrumented
-// path against the exact compiled-out codegen inside one binary.
 #pragma once
 
 #include <atomic>
@@ -108,74 +102,6 @@ struct TraceEvent {
 
 /// Microseconds since the process telemetry epoch (first call).  Monotonic.
 [[nodiscard]] std::int64_t now_us();
-
-namespace noop {
-
-/// The DTSE_OBS_OFF stubs: same shape as the real API, every member an
-/// empty inline — the codegen a compiled-out build gets.
-class Counter {
- public:
-  void add(std::uint64_t = 1) {}
-  [[nodiscard]] std::uint64_t value() const { return 0; }
-};
-
-class Gauge {
- public:
-  void set(std::int64_t) {}
-  [[nodiscard]] std::int64_t value() const { return 0; }
-};
-
-class Histogram {
- public:
-  void observe(std::uint64_t) {}
-  [[nodiscard]] std::uint64_t count() const { return 0; }
-  [[nodiscard]] std::uint64_t sum() const { return 0; }
-  [[nodiscard]] std::uint64_t min() const { return 0; }
-  [[nodiscard]] std::uint64_t max() const { return 0; }
-  [[nodiscard]] std::uint64_t bucket(int) const { return 0; }
-};
-
-class TelemetryRegistry;
-
-class Span {
- public:
-  Span(TelemetryRegistry*, std::string_view, std::string_view, bool = true) {}
-  void arg(std::string_view, double) {}
-  void finish() {}
-};
-
-class TelemetryRegistry {
- public:
-  Counter& counter(std::string_view) { return counter_; }
-  Gauge& gauge(std::string_view) { return gauge_; }
-  Histogram& histogram(std::string_view) { return histogram_; }
-  void reset() {}
-  [[nodiscard]] std::size_t event_count() const { return 0; }
-  [[nodiscard]] std::vector<TraceEvent> trace_events() const { return {}; }
-  [[nodiscard]] MetricsSnapshot snapshot() const { return {}; }
-  void write_chrome_trace(std::ostream& os) const;
-  static TelemetryRegistry& global() {
-    static TelemetryRegistry instance;
-    return instance;
-  }
-
- private:
-  Counter counter_;
-  Gauge gauge_;
-  Histogram histogram_;
-};
-
-}  // namespace noop
-
-#ifdef DTSE_OBS_OFF
-
-using Counter = noop::Counter;
-using Gauge = noop::Gauge;
-using Histogram = noop::Histogram;
-using Span = noop::Span;
-using TelemetryRegistry = noop::TelemetryRegistry;
-
-#else
 
 /// Monotonic event count.  Thread-safe, order-independent: any interleaving
 /// of `add` calls yields the same total, so parallel sweeps stay
@@ -363,7 +289,5 @@ class Span {
   std::int64_t start_us_ = 0;
   bool aggregate_;
 };
-
-#endif  // DTSE_OBS_OFF
 
 }  // namespace dtse::obs

@@ -2,14 +2,14 @@
 //
 // A shared allocation-count sweep is a list of independent evaluations, each
 // potentially minutes of solver time.  `SweepCheckpoint` persists the rows
-// that finished cleanly so a killed, crashed or time-budget-cancelled run
-// resumes where it left off instead of re-pricing everything.
+// that finished cleanly so a killed, crashed or cancelled run resumes where
+// it left off instead of re-pricing everything.
 //
 // The checkpoint binds to its sweep through `fingerprint`, a content hash of
-// the merged application model and the cycle budgets (computed by the sweep
-// driver).  Changing the workload roster, profiling options or budgets
-// changes the fingerprint, and a stale checkpoint is quarantined rather than
-// resumed from.  The allocation-count list is deliberately *not* part of the
+// the merged application model, the cycle budgets and the pricing options
+// (computed by the sweep driver).  Changing the workload roster, profiling
+// options, budgets or pricing options changes the fingerprint, and a stale
+// checkpoint is quarantined rather than resumed from.  The allocation-count list is deliberately *not* part of the
 // fingerprint: resuming the same sweep with extra counts is the core
 // use-case, and the saved rows stay valid row-by-row.
 //

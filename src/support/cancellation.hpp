@@ -1,59 +1,34 @@
 // Cooperative cancellation for long-running exploration work.
 //
-// A `CancellationToken` is a thread-safe "please stop" flag with an optional
-// wall-clock deadline and an optional parent: `cancelled()` is true once the
-// token was cancelled explicitly, its deadline passed, or any ancestor says
-// so.  Solvers poll it at a coarse stride (every few hundred moves / nodes),
-// so a fired token degrades a sweep point to its best-so-far answer instead
-// of wedging the sweep — the graceful-degradation substrate the explorer's
-// per-sweep `time_budget_ms` stands on.
+// A `CancellationToken` is a thread-safe "please stop" flag: `cancelled()`
+// is true once any thread called `cancel()`.  Solvers poll it at a coarse
+// stride (every few hundred moves / nodes), so a fired token degrades a
+// sweep point to its best-so-far answer instead of wedging the sweep; the
+// explorer's sweeps take the token as `ExplorerOptions::cancel`.
 //
-// Cancellation is inherently wall-clock-driven and therefore the one
-// sanctioned source of nondeterminism in the oracle: a timed-out point is
-// *reported* as timed out (never silently mispriced), and with no deadline
-// and no cancel() the solvers behave exactly as before.
+// Whoever fires the token decides when, so cancellation is the one
+// sanctioned source of nondeterminism in the oracle: a point cut short is
+// *reported* as timed out (never silently mispriced), and a token that never
+// fires leaves the solvers' results exactly as without one.
 #pragma once
 
 #include <atomic>
-#include <chrono>
-#include <cstdint>
 
 namespace dtse::support {
 
 class CancellationToken {
  public:
   CancellationToken() = default;
-  /// Chains onto `parent`: this token also reports cancelled when the parent
-  /// does.  The parent must outlive this token.
-  explicit CancellationToken(const CancellationToken* parent) : parent_(parent) {}
-
   CancellationToken(const CancellationToken&) = delete;
   CancellationToken& operator=(const CancellationToken&) = delete;
 
   /// Requests cancellation (idempotent, callable from any thread).
   void cancel() { cancelled_.store(true, std::memory_order_relaxed); }
 
-  /// Arms a wall-clock deadline `budget_ms` milliseconds from now.  A zero
-  /// budget cancels immediately; calling again re-arms from now.
-  void set_deadline_after_ms(std::uint64_t budget_ms) {
-    deadline_ = std::chrono::steady_clock::now() + std::chrono::milliseconds(budget_ms);
-    has_deadline_.store(true, std::memory_order_release);
-  }
-
-  [[nodiscard]] bool cancelled() const {
-    if (cancelled_.load(std::memory_order_relaxed)) return true;
-    if (has_deadline_.load(std::memory_order_acquire) &&
-        std::chrono::steady_clock::now() >= deadline_) {
-      return true;
-    }
-    return parent_ != nullptr && parent_->cancelled();
-  }
+  [[nodiscard]] bool cancelled() const { return cancelled_.load(std::memory_order_relaxed); }
 
  private:
-  const CancellationToken* parent_ = nullptr;
   std::atomic<bool> cancelled_{false};
-  std::atomic<bool> has_deadline_{false};
-  std::chrono::steady_clock::time_point deadline_{};
 };
 
 }  // namespace dtse::support

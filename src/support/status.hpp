@@ -33,7 +33,7 @@ enum class StatusCode : std::uint8_t {
   kTruncated,        ///< stream ended before the payload did
   kCorrupt,          ///< payload decodes to an impossible value
   kResourceLimit,    ///< input requests more than the decoder will allocate
-  kCancelled,        ///< cooperative cancellation / time budget fired
+  kCancelled,        ///< cooperative cancellation fired
   kFailed,           ///< other failure (e.g. a wrapped exception)
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <string_view>
 #include <utility>
@@ -97,14 +98,36 @@ std::size_t best_row(const std::vector<core::Variant>& rows,
 }
 
 /// Content hash binding a checkpoint to its recipe: the serialized merged
-/// model plus the cycle budgets.
+/// model, the cycle budgets and every option `Explorer::evaluate` reads at a
+/// fixed memory count (see `checkpointed_allocation_counts`).
 std::uint64_t sweep_fingerprint(const ir::Application& merged,
                                 const core::ExplorerOptions& options) {
   const auto bytes = persist::serialize(merged);
   persist::Fnv1a hash;
   hash.update(bytes.data(), bytes.size());
+  const auto update_double = [&hash](double v) {
+    hash.update_u64(std::bit_cast<std::uint64_t>(v));
+  };
   hash.update_u64(options.real_time_budget_cycles);
   hash.update_u64(options.storage_budget_cycles);
+  const auto& latency = options.scbd.latency;
+  update_double(latency.onchip_cycles);
+  update_double(latency.offchip_cycles);
+  hash.update_u64(latency.offchip_threshold_words);
+  const auto& penalties = options.scbd.penalties;
+  for (const double penalty : {penalties.onchip_pair, penalties.mixed_pair,
+                               penalties.offchip_pair, penalties.onchip_self,
+                               penalties.offchip_self}) {
+    update_double(penalty);
+  }
+  hash.update_u64(options.allocation.offchip_threshold_words);
+  const auto& solver = options.allocation.solver;
+  hash.update_u64(static_cast<std::uint64_t>(solver.solver));
+  update_double(solver.weights.area_weight);
+  update_double(solver.weights.power_weight);
+  hash.update_u64(solver.seed);
+  hash.update_u64(static_cast<std::uint64_t>(solver.sa_iterations));
+  hash.update_u64(static_cast<std::uint64_t>(solver.sa_chains));
   return hash.digest();
 }
 

@@ -98,8 +98,13 @@ struct Exploration {
 /// of `merged` serially, restoring the rows the checkpoint holds (adding
 /// their number to `resumed`) and committing each cleanly completed new row
 /// before the next starts.  Errored or timed-out rows are never committed.
-/// The checkpoint binds to the merged model and the cycle budgets by
-/// content hash, not to the count list, so a resumed sweep may add counts.
+/// The checkpoint binds by content hash to the merged model, the cycle
+/// budgets and every option that prices a row at a fixed count: scbd
+/// latency and penalties, the off-chip threshold, and the solver, its
+/// weights, seed, annealing budget and chain count.  Worker counts and the
+/// cancellation token never change a row and stay out, and so does the
+/// explorer's technology library: resuming under another library is not
+/// detected.  The count list is not hashed, so a resumed sweep may add counts.
 [[nodiscard]] std::vector<core::Variant> checkpointed_allocation_counts(
     const core::Explorer& explorer, const ir::Application& merged,
     const std::vector<int>& counts, const core::ExplorerOptions& options,

@@ -227,56 +227,6 @@ TEST(Solvers, AnnealingIsDeterministicUnderSeed) {
   EXPECT_DOUBLE_EQ(a.scalar_cost, b.scalar_cost);
 }
 
-TEST(Solvers, ReheatingIsOffByDefaultAndDeterministic) {
-  Fixture fix(9);
-  for (int i = 0; i < 4; ++i) {
-    fix.conflicts.add_conflict(fix.groups[i], fix.groups[i + 1], 1.0);
-  }
-  const auto problem = fix.problem();
-  SolverOptions options;
-  options.solver = Solver::kSimulatedAnnealing;
-  options.sa_iterations = 4000;
-  options.seed = 7;
-  ASSERT_EQ(options.sa_reheat_stagnation, 0) << "reheating must default off";
-  const auto baseline = solve_assignment(problem, 4, options);
-
-  options.sa_reheat_stagnation = 50;
-  const auto reheated_a = solve_assignment(problem, 4, options);
-  const auto reheated_b = solve_assignment(problem, 4, options);
-  ASSERT_TRUE(baseline.feasible && reheated_a.feasible);
-  // Deterministic per (seed, chains) with reheating on.
-  EXPECT_EQ(reheated_a.assignment, reheated_b.assignment);
-  EXPECT_DOUBLE_EQ(reheated_a.scalar_cost, reheated_b.scalar_cost);
-  EXPECT_EQ(reheated_a.accepted_moves, reheated_b.accepted_moves);
-}
-
-TEST(Solvers, ReheatingUnfreezesAStagnantChain) {
-  Fixture fix(10);
-  for (int i = 0; i < 6; ++i) {
-    fix.conflicts.add_conflict(fix.groups[i], fix.groups[(i + 3) % 10], 1.0);
-  }
-  const auto problem = fix.problem();
-  SolverOptions options;
-  options.solver = Solver::kSimulatedAnnealing;
-  options.sa_chains = 1;
-  options.sa_iterations = 20000;
-  // With the geometric decay the late schedule is effectively frozen (only
-  // strict improvements pass, and those dry up), so the stagnation counter
-  // must fire and restore acceptance activity.
-  const auto frozen = solve_assignment(problem, 4, options);
-
-  options.sa_reheat_stagnation = 200;
-  const auto reheated = solve_assignment(problem, 4, options);
-  ASSERT_TRUE(frozen.feasible && reheated.feasible);
-  EXPECT_GT(reheated.accepted_moves, frozen.accepted_moves);
-  // Best-of still includes the greedy start, so quality never regresses
-  // below it (the chains themselves may diverge either way).
-  SolverOptions greedy_options = options;
-  greedy_options.solver = Solver::kGreedy;
-  const auto greedy = solve_assignment(problem, 4, greedy_options);
-  EXPECT_LE(reheated.scalar_cost, greedy.scalar_cost + 1e-9);
-}
-
 TEST(Solvers, ChainStatsAreConsistentWithSolutionTotals) {
   Fixture fix(8);
   const auto problem = fix.problem();
@@ -291,16 +241,13 @@ TEST(Solvers, ChainStatsAreConsistentWithSolutionTotals) {
 
   std::uint64_t moves = 0;
   std::uint64_t accepted = 0;
-  std::uint64_t reheats = 0;
   for (const auto& chain : solution.chains) {
     moves += chain.moves;
     accepted += chain.accepted;
-    reheats += chain.reheats;
     ASSERT_FALSE(chain.convergence.empty());
     // The closing sample carries the chain's final cumulative totals.
     const auto& last = chain.convergence.back();
     EXPECT_EQ(last.accepted, chain.accepted);
-    EXPECT_EQ(last.reheats, chain.reheats);
     EXPECT_DOUBLE_EQ(last.best_cost, chain.best_cost);
     EXPECT_LE(chain.best_cost, chain.start_cost + 1e-9);
     // best_cost is non-increasing along the series.
@@ -312,25 +259,6 @@ TEST(Solvers, ChainStatsAreConsistentWithSolutionTotals) {
   }
   EXPECT_EQ(solution.nodes_explored, moves);
   EXPECT_EQ(solution.accepted_moves, accepted);
-  EXPECT_EQ(solution.reheats, reheats);
-}
-
-TEST(Solvers, ReheatCountsSurfaceInSolutionAndChains) {
-  Fixture fix(10);
-  for (int i = 0; i < 6; ++i) {
-    fix.conflicts.add_conflict(fix.groups[i], fix.groups[(i + 3) % 10], 1.0);
-  }
-  const auto problem = fix.problem();
-  SolverOptions options;
-  options.solver = Solver::kSimulatedAnnealing;
-  options.sa_chains = 1;
-  options.sa_iterations = 20000;
-  options.sa_reheat_stagnation = 200;
-  const auto solution = solve_assignment(problem, 4, options);
-  ASSERT_TRUE(solution.feasible);
-  ASSERT_EQ(solution.chains.size(), 1u);
-  EXPECT_GT(solution.reheats, 0u);
-  EXPECT_EQ(solution.reheats, solution.chains[0].reheats);
 }
 
 TEST(Solvers, BranchAndBoundAndGreedyCarryNoChains) {
@@ -460,7 +388,12 @@ TEST(Allocator, AutoCountSearchNodesSumEveryCount) {
 TEST(Allocator, SweepCoversRequestedCounts) {
   Fixture fix(6);
   MemoryAllocator allocator{fix.library};
-  const auto results = allocator.sweep_allocations(fix.app, fix.conflicts, {2, 4, 6}, {});
+  std::vector<AllocationResult> results;
+  for (const int n : {2, 4, 6}) {
+    AllocationOptions options;
+    options.onchip_memories = n;
+    results.push_back(allocator.allocate(fix.app, fix.conflicts, options));
+  }
   ASSERT_EQ(results.size(), 3u);
   EXPECT_EQ(results[0].requested_memories, 2);
   EXPECT_EQ(results[2].requested_memories, 6);

@@ -2,6 +2,8 @@
 // Uses a small profiled frame so the whole methodology runs in seconds.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "core/explorer.hpp"
 #include "structuring/structuring.hpp"
 #include "support/cancellation.hpp"
@@ -130,35 +132,62 @@ TEST(Explorer, SweepSurvivesAThrowingPointAndReportsIt) {
   EXPECT_TRUE(points[2].eval.feasible);
 }
 
+template <typename Row>
+std::vector<Evaluation> evaluations_of(std::vector<Row> rows) {
+  std::vector<Evaluation> evals;
+  for (auto& row : rows) evals.push_back(std::move(row.eval));
+  return evals;
+}
+
 TEST(Explorer, PreCancelledSweepCompletesWithTimedOutPoints) {
-  // A cancelled/expired budget must degrade, not abort: every point still
-  // gets a row, flagged timed_out, with the solvers' best-effort answer.
+  // A fired token must degrade, not abort: every point of every sweep kind
+  // still gets a row, flagged timed_out, with the solvers' best-effort answer.
+  // The second cycle budget exceeds the real-time budget, so that point
+  // throws; it is flagged as well.
   const auto explorer = make_explorer();
+  using Sweep = std::function<std::vector<Evaluation>(const ExplorerOptions&)>;
+  const std::vector<std::pair<std::string, Sweep>> sweeps = {
+      {"variants",
+       [&](const ExplorerOptions& options) {
+         return evaluations_of(explorer.explore_variants(
+             {{"a", small_profile()}, {"b", small_profile()}}, options));
+       }},
+      {"cycle budgets",
+       [&](const ExplorerOptions& options) {
+         return evaluations_of(explorer.explore_cycle_budgets(
+             small_profile(), {20'000'000, 20'000'001}, options));
+       }},
+      {"allocation counts",
+       [&](const ExplorerOptions& options) {
+         return evaluations_of(
+             explorer.explore_allocation_counts(small_profile(), {5, 8}, options));
+       }},
+  };
   support::CancellationToken cancelled;
   cancelled.cancel();
-  ExplorerOptions options;
-  options.cancel = &cancelled;
-  const auto variants =
-      explorer.explore_allocation_counts(small_profile(), {5, 8}, options);
-  ASSERT_EQ(variants.size(), 2u);
-  for (const auto& variant : variants) {
-    EXPECT_TRUE(variant.eval.timed_out) << variant.label;
-    EXPECT_NE(variant.eval.to_string().find("[TIMED OUT]"), std::string::npos);
-  }
+  const support::CancellationToken unfired;
+  for (const auto& [name, sweep] : sweeps) {
+    ExplorerOptions options;
+    options.cancel = &cancelled;
+    const auto timed_out = sweep(options);
+    ASSERT_EQ(timed_out.size(), 2u) << name;
+    for (const auto& eval : timed_out) {
+      EXPECT_TRUE(eval.timed_out) << name;
+      EXPECT_NE(eval.to_string().find("[TIMED OUT]"), std::string::npos) << name;
+    }
 
-  // An un-fired deadline leaves the sweep bit-identical to no budget at all.
-  ExplorerOptions roomy;
-  roomy.time_budget_ms = 3'600'000;
-  const auto with_budget =
-      explorer.explore_allocation_counts(small_profile(), {5, 8}, roomy);
-  const auto without = explorer.explore_allocation_counts(small_profile(), {5, 8});
-  ASSERT_EQ(with_budget.size(), without.size());
-  for (std::size_t i = 0; i < without.size(); ++i) {
-    EXPECT_FALSE(with_budget[i].eval.timed_out);
-    EXPECT_EQ(with_budget[i].eval.summary.onchip_area_mm2,
-              without[i].eval.summary.onchip_area_mm2);
-    EXPECT_EQ(with_budget[i].eval.summary.onchip_power_mw,
-              without[i].eval.summary.onchip_power_mw);
+    // An un-fired token leaves the sweep bit-identical to no token at all.
+    options.cancel = &unfired;
+    const auto with_token = sweep(options);
+    const auto without = sweep({});
+    ASSERT_EQ(with_token.size(), without.size()) << name;
+    for (std::size_t i = 0; i < without.size(); ++i) {
+      EXPECT_FALSE(with_token[i].timed_out) << name;
+      EXPECT_EQ(with_token[i].summary.onchip_area_mm2, without[i].summary.onchip_area_mm2)
+          << name;
+      EXPECT_EQ(with_token[i].summary.onchip_power_mw, without[i].summary.onchip_power_mw)
+          << name;
+    }
   }
 }
 

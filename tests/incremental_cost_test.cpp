@@ -398,21 +398,11 @@ TEST(AssignmentState, MultiWordMemoKeysMatchFullRecost) {
 }
 
 TEST(Solvers, StartTemperatureIsAFractionOfStartCostWithFloor) {
-  SolverOptions options;
-  options.sa_initial_temperature = 4.0;
   // Proportional to the starting cost...
-  EXPECT_DOUBLE_EQ(sa_start_temperature(100.0, options), 4.0 * 0.02 * 100.0);
-  EXPECT_DOUBLE_EQ(sa_start_temperature(200.0, options),
-                   2.0 * sa_start_temperature(100.0, options));
-  // ...floored at cost 1 so near-zero starts still move...
-  EXPECT_DOUBLE_EQ(sa_start_temperature(0.25, options), 4.0 * 0.02);
-  // ...and linear in the temperature knob.
-  options.sa_initial_temperature = 8.0;
-  EXPECT_DOUBLE_EQ(sa_start_temperature(100.0, options), 8.0 * 0.02 * 100.0);
-  // Notably NOT divided by sa_iterations (the old dead formula): long chains
-  // must not start frozen.
-  options.sa_iterations = 1'000'000;
-  EXPECT_DOUBLE_EQ(sa_start_temperature(100.0, options), 8.0 * 0.02 * 100.0);
+  EXPECT_DOUBLE_EQ(sa_start_temperature(100.0), 4.0 * 0.02 * 100.0);
+  EXPECT_DOUBLE_EQ(sa_start_temperature(200.0), 2.0 * sa_start_temperature(100.0));
+  // ...and floored at cost 1 so near-zero starts still move.
+  EXPECT_DOUBLE_EQ(sa_start_temperature(0.25), 4.0 * 0.02);
 }
 
 /// One acceptance decision and whether it drew u.
@@ -627,29 +617,25 @@ TEST(Solvers, DiversifiedStartsAreDeterministicAndNeverLoseToGreedy) {
   const auto greedy = solve_assignment(problem, 4, greedy_options);
   ASSERT_TRUE(greedy.feasible);
 
-  for (const auto start : {SaStart::kGreedy, SaStart::kPerturbedGreedy,
-                           SaStart::kRandomFeasible}) {
-    SolverOptions options;
-    options.solver = Solver::kSimulatedAnnealing;
-    options.sa_iterations = 4000;
-    options.sa_chains = 4;
-    options.seed = 17;
-    options.sa_start = start;
-    const auto a = solve_assignment(problem, 4, options);
-    const auto b = solve_assignment(problem, 4, options);
-    ASSERT_TRUE(a.feasible) << to_string(start);
-    // Deterministic per (seed, chain) configuration...
-    EXPECT_EQ(a.assignment, b.assignment) << to_string(start);
-    EXPECT_DOUBLE_EQ(a.scalar_cost, b.scalar_cost) << to_string(start);
-    // ...at any parallelism...
-    options.sa_parallelism = 4;
-    const auto parallel = solve_assignment(problem, 4, options);
-    EXPECT_EQ(parallel.assignment, a.assignment) << to_string(start);
-    // ...and chain 0's pure greedy start keeps the best-of from regressing.
-    EXPECT_LE(a.scalar_cost, greedy.scalar_cost + 1e-9) << to_string(start);
-    const auto check = problem.evaluate(a.assignment, 4);
-    ASSERT_TRUE(check.has_value()) << to_string(start);
-  }
+  SolverOptions options;
+  options.solver = Solver::kSimulatedAnnealing;
+  options.sa_iterations = 4000;
+  options.sa_chains = 4;
+  options.seed = 17;
+  const auto a = solve_assignment(problem, 4, options);
+  const auto b = solve_assignment(problem, 4, options);
+  ASSERT_TRUE(a.feasible);
+  // Deterministic per (seed, chain) configuration...
+  EXPECT_EQ(a.assignment, b.assignment);
+  EXPECT_DOUBLE_EQ(a.scalar_cost, b.scalar_cost);
+  // ...at any parallelism...
+  options.sa_parallelism = 4;
+  const auto parallel = solve_assignment(problem, 4, options);
+  EXPECT_EQ(parallel.assignment, a.assignment);
+  // ...and chain 0's pure greedy start keeps the best-of from regressing.
+  EXPECT_LE(a.scalar_cost, greedy.scalar_cost + 1e-9);
+  const auto check = problem.evaluate(a.assignment, 4);
+  ASSERT_TRUE(check.has_value());
 }
 
 TEST(Solvers, ChainsSplitTheTotalMoveBudget) {

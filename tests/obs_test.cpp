@@ -183,24 +183,8 @@ TEST(Exporters, SnapshotJsonHasAllSections) {
   }
 }
 
-TEST(Noop, MirrorsTheApiAndWritesEmptyValidExports) {
-  // The DTSE_OBS_OFF stubs must stay call-compatible (this is what the
-  // compiled-out build and BM_TelemetryOverhead's baseline lane run).
-  auto& registry = noop::TelemetryRegistry::global();
-  registry.counter("c").add(5);
-  EXPECT_EQ(registry.counter("c").value(), 0u);
-  {
-    noop::Span span(&registry, "s", "test");
-    span.arg("x", 1.0);
-  }
-  EXPECT_EQ(registry.event_count(), 0u);
-  std::ostringstream os;
-  registry.write_chrome_trace(os);
-  EXPECT_NE(os.str().find("\"traceEvents\":["), std::string::npos);
-}
-
 /// A small annealing problem exercising the instrumented solver path.
-alloc::AssignmentSolution solve_sample(unsigned parallelism, int reheat = 0) {
+alloc::AssignmentSolution solve_sample(unsigned parallelism) {
   ir::Application app("obs-sample");
   ir::LoopBody body;
   body.name = "loop";
@@ -223,7 +207,6 @@ alloc::AssignmentSolution solve_sample(unsigned parallelism, int reheat = 0) {
   options.sa_iterations = 4000;
   options.sa_chains = 4;
   options.sa_parallelism = parallelism;
-  options.sa_reheat_stagnation = reheat;
   return alloc::solve_assignment(problem, 3, options);
 }
 
@@ -264,7 +247,6 @@ TEST(Determinism, ConvergenceSeriesIdenticalAcrossParallelism) {
     const auto& b = parallel.chains[c];
     EXPECT_EQ(a.moves, b.moves);
     EXPECT_EQ(a.accepted, b.accepted);
-    EXPECT_EQ(a.reheats, b.reheats);
     EXPECT_EQ(a.start_cost, b.start_cost);
     EXPECT_EQ(a.best_cost, b.best_cost);
     ASSERT_EQ(a.convergence.size(), b.convergence.size());

@@ -96,8 +96,8 @@ struct ChainRun {
   std::uint64_t accepted = 0;
 };
 
-/// The solver's chain 0 over `options.sa_iterations` moves (no reheating,
-/// no cancellation), priced by `State`.
+/// The solver's chain 0 over `options.sa_iterations` moves (no
+/// cancellation), priced by `State`.
 template <typename State>
 ChainRun anneal_greedy_chain(const AssignmentProblem& problem, int memory_count,
                              const SolverOptions& options) {
@@ -116,7 +116,7 @@ ChainRun anneal_greedy_chain(const AssignmentProblem& problem, int memory_count,
 
   const int iterations = options.sa_iterations;
   support::Rng rng(options.seed + 0x9E3779B97F4A7C15ULL);
-  double temperature = sa_start_temperature(current, options);
+  double temperature = sa_start_temperature(current);
   const double decay = std::pow(1e-3, 1.0 / static_cast<double>(std::max(1, iterations)));
   for (int it = 0; it < iterations; ++it, temperature *= decay) {
     const auto group = static_cast<std::size_t>(rng.below(problem.group_count()));

@@ -704,6 +704,27 @@ TEST(ResumableSweep, FingerprintBindsTheCheckpointToTheRecipe) {
   EXPECT_EQ(resumed_rows(tighter), 1u);
   EXPECT_EQ(resumed_rows({}), 0u);
   EXPECT_EQ(resumed_rows({}), 1u);
+
+  // So must every other option that prices a row: a checkpoint of the
+  // default recipe never resumes under another seed, weighting or off-chip
+  // threshold.  Each probe leaves its own row behind, so the default recipe
+  // is re-established (and resumes) before the next one.
+  core::ExplorerOptions reseeded;
+  reseeded.allocation.solver.seed = 2;
+  core::ExplorerOptions reweighted;
+  reweighted.allocation.solver.weights.power_weight = 1.0;
+  core::ExplorerOptions rethresholded;
+  rethresholded.allocation.offchip_threshold_words = 16 * 1024;
+  for (const auto* changed : {&reseeded, &reweighted, &rethresholded}) {
+    EXPECT_EQ(resumed_rows(*changed), 0u);
+    EXPECT_EQ(resumed_rows({}), 0u);
+    EXPECT_EQ(resumed_rows({}), 1u);
+  }
+
+  // Worker counts never change a row, so the checkpoint still resumes.
+  core::ExplorerOptions chain_workers;
+  chain_workers.allocation.solver.sa_parallelism = 4;
+  EXPECT_EQ(resumed_rows(chain_workers), 1u);
 }
 
 TEST(ResumableSweep, ProfileCachePluggedIntoStagingServesTheSecondRun) {

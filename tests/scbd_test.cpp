@@ -332,9 +332,6 @@ TEST(BodyScheduler, CurveCostMatchesFullBalancingAtEveryBudget) {
 }
 
 TEST(BodyScheduler, DistributionBuildsOneContextPerBody) {
-#ifdef DTSE_OBS_OFF
-  GTEST_SKIP() << "counters compile out";
-#endif
   auto& counter = obs::TelemetryRegistry::global().counter("scbd.body_schedulers");
   for (const auto& app : default_models()) {
     const auto before = counter.value();

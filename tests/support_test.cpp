@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <set>
 #include <stdexcept>
+#include <thread>
 
 #include "support/cancellation.hpp"
 #include "support/check.hpp"
@@ -293,33 +294,13 @@ TEST(Result, ValueAndStatusArms) {
   EXPECT_THROW((void)Result<int>(Status{}), ContractError);
 }
 
-TEST(Cancellation, FlagDeadlineAndParentChain) {
+TEST(Cancellation, FlagStaysSetOnceAnyThreadCancels) {
   CancellationToken token;
   EXPECT_FALSE(token.cancelled());
-  token.cancel();
+  std::thread([&token] { token.cancel(); }).join();
   EXPECT_TRUE(token.cancelled());
-
-  CancellationToken immediate;
-  immediate.set_deadline_after_ms(0);
-  EXPECT_TRUE(immediate.cancelled());
-
-  CancellationToken far_out;
-  far_out.set_deadline_after_ms(60'000);
-  EXPECT_FALSE(far_out.cancelled());
-
-  // A child observes its parent's cancellation, but not vice versa.
-  CancellationToken parent;
-  CancellationToken child(&parent);
-  EXPECT_FALSE(child.cancelled());
-  parent.cancel();
-  EXPECT_TRUE(child.cancelled());
-  EXPECT_TRUE(parent.cancelled());
-
-  CancellationToken quiet_parent;
-  CancellationToken loud_child(&quiet_parent);
-  loud_child.cancel();
-  EXPECT_TRUE(loud_child.cancelled());
-  EXPECT_FALSE(quiet_parent.cancelled());
+  token.cancel();  // idempotent
+  EXPECT_TRUE(token.cancelled());
 }
 
 TEST(Parallel, CollectDrainsAllIndicesAndReportsEveryFailure) {

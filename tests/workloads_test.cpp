@@ -522,7 +522,6 @@ void expect_same_chains(const std::vector<alloc::ChainStats>& a,
   for (std::size_t c = 0; c < a.size(); ++c) {
     EXPECT_EQ(a[c].moves, b[c].moves);
     EXPECT_EQ(a[c].accepted, b[c].accepted);
-    EXPECT_EQ(a[c].reheats, b[c].reheats);
     EXPECT_EQ(a[c].start_cost, b[c].start_cost);
     EXPECT_EQ(a[c].best_cost, b[c].best_cost);
     ASSERT_EQ(a[c].convergence.size(), b[c].convergence.size());
