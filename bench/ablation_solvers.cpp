@@ -19,8 +19,7 @@ int main(int argc, char** argv) {
   const auto scbd = scbd::distribute_budget(best, {});
 
   memlib::MemoryLibrary library;
-  alloc::MemoryAllocator allocator{library};
-  const auto [onchip, offchip] = allocator.partition_groups(best, {});
+  const auto [onchip, offchip] = alloc::MemoryAllocator::partition_groups(best);
   const alloc::AssignmentProblem problem(best, onchip, scbd.conflicts, library,
                                          20'000'000);
   std::cout << "on-chip groups: " << onchip.size()

@@ -91,8 +91,7 @@ void BM_AssignmentBranchAndBound(benchmark::State& state) {
   const auto& app = demo_app();
   const auto scbd_result = scbd::distribute_budget(app, {});
   memlib::MemoryLibrary library;
-  alloc::MemoryAllocator allocator{library};
-  const auto [onchip, offchip] = allocator.partition_groups(app, {});
+  const auto [onchip, offchip] = alloc::MemoryAllocator::partition_groups(app);
   const alloc::AssignmentProblem problem(app, onchip, scbd_result.conflicts, library,
                                          20'000'000);
   alloc::SolverOptions options;
@@ -134,8 +133,7 @@ void annealing_moves(benchmark::State& state, bool incremental) {
   const auto& app = demo_app();
   const auto scbd_result = scbd::distribute_budget(app, {});
   memlib::MemoryLibrary library;
-  alloc::MemoryAllocator allocator{library};
-  const auto [onchip, offchip] = allocator.partition_groups(app, {});
+  const auto [onchip, offchip] = alloc::MemoryAllocator::partition_groups(app);
   const alloc::AssignmentProblem problem(app, onchip, scbd_result.conflicts, library,
                                          20'000'000);
   alloc::SolverOptions options;
@@ -250,8 +248,7 @@ void BM_AnnealingSharedModel(benchmark::State& state) {
   }();
   const auto scbd_result = scbd::distribute_budget(merged, {});
   memlib::MemoryLibrary library;
-  alloc::MemoryAllocator allocator{library};
-  const auto [onchip, offchip] = allocator.partition_groups(merged, {});
+  const auto [onchip, offchip] = alloc::MemoryAllocator::partition_groups(merged);
   const alloc::AssignmentProblem problem(merged, onchip, scbd_result.conflicts, library,
                                          20'000'000);
   const alloc::SolverOptions options;

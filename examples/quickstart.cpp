@@ -47,7 +47,6 @@ int main() {
   core::ExplorerOptions options;
   options.real_time_budget_cycles = 1'000'000;  // ~10 frames/s at 10 MHz
   options.storage_budget_cycles = 600'000;
-  options.scbd.latency.offchip_threshold_words = 32 * 1024;
 
   const auto baseline = explorer.evaluate(app, options);
   std::cout << "baseline:  " << baseline.to_string() << '\n';

@@ -5,6 +5,7 @@
 #include <numeric>
 #include <sstream>
 
+#include "graph/macp.hpp"
 #include "support/check.hpp"
 
 namespace dtse::alloc {
@@ -32,16 +33,11 @@ double page_hit_fraction(const ir::Application& app, ir::BasicGroupId id) {
 }  // namespace
 
 std::pair<std::vector<ir::BasicGroupId>, std::vector<ir::BasicGroupId>>
-MemoryAllocator::partition_groups(const ir::Application& app,
-                                  const AllocationOptions& options) const {
+MemoryAllocator::partition_groups(const ir::Application& app) {
   std::vector<ir::BasicGroupId> onchip;
   std::vector<ir::BasicGroupId> offchip;
   for (const auto id : app.group_ids()) {
-    const auto& group = app.group(id);
-    bool off = group.words >= options.offchip_threshold_words;
-    if (group.forced_location == memlib::Location::kOnChip) off = false;
-    if (group.forced_location == memlib::Location::kOffChip) off = true;
-    (off ? offchip : onchip).push_back(id);
+    (graph::presumed_offchip(app.group(id)) ? offchip : onchip).push_back(id);
   }
   return {std::move(onchip), std::move(offchip)};
 }
@@ -80,7 +76,7 @@ AllocationResult MemoryAllocator::allocate(const ir::Application& app,
                                            const graph::ConflictGraph& conflicts,
                                            const AllocationOptions& options) const {
   DTSE_CHECK(options.frame_cycles > 0, "frame cycle count must be positive");
-  auto [onchip_groups, offchip_groups] = partition_groups(app, options);
+  auto [onchip_groups, offchip_groups] = partition_groups(app);
 
   AllocationResult result;
   result.offchip = build_offchip(app, offchip_groups, conflicts, options);

@@ -1,6 +1,7 @@
 // Memory allocation driver — the outer loop of Section 4.6.
 //
-// Splits the basic groups into on-chip and off-chip sets, packs the off-chip
+// Splits the basic groups into on-chip and off-chip sets (by the one
+// placement rule, `graph::presumed_offchip`), packs the off-chip
 // groups into DRAM channels honouring their conflicts, runs the
 // signal-to-memory assignment for the on-chip set, and reports the cost
 // triple (on-chip area, on-chip power, off-chip power) the paper's tables
@@ -35,7 +36,6 @@ struct OffchipChannel {
 struct AllocationOptions {
   int onchip_memories = 0;      ///< exact count; 0 = pick the cheapest
   int max_onchip_memories = 14;
-  std::uint64_t offchip_threshold_words = 64 * 1024;
   std::uint64_t frame_cycles = 20'000'000;  ///< storage cycles actually used
   SolverOptions solver;
 };
@@ -76,10 +76,11 @@ class MemoryAllocator {
                                           const graph::ConflictGraph& conflicts,
                                           const AllocationOptions& options = {}) const;
 
-  /// Splits group ids into (on-chip, off-chip) by threshold and forced
-  /// location.  Exposed for tests and reporting.
-  [[nodiscard]] std::pair<std::vector<ir::BasicGroupId>, std::vector<ir::BasicGroupId>>
-  partition_groups(const ir::Application& app, const AllocationOptions& options) const;
+  /// Splits group ids into (on-chip, off-chip) by `graph::presumed_offchip`.
+  /// Exposed for tests and reporting.
+  [[nodiscard]] static std::pair<std::vector<ir::BasicGroupId>,
+                                 std::vector<ir::BasicGroupId>>
+  partition_groups(const ir::Application& app);
 
  private:
   [[nodiscard]] std::vector<OffchipChannel> build_offchip(

@@ -27,9 +27,7 @@ AssignmentProblem::AssignmentProblem(const ir::Application& app,
       self_bits_[i / 64] |= std::uint64_t{1} << (i % 64);
     }
     for (std::size_t j = i + 1; j < n; ++j) {
-      const bool c = conflicts.conflicts(groups_[i], groups_[j]) &&
-                     conflicts.conflict_weight(groups_[i], groups_[j]) > 0.0;
-      if (c) {
+      if (conflicts.conflict_weight(groups_[i], groups_[j]) > 0.0) {
         conflict_bits_[i * conflict_words_ + j / 64] |= std::uint64_t{1} << (j % 64);
         conflict_bits_[j * conflict_words_ + i / 64] |= std::uint64_t{1} << (i % 64);
       }

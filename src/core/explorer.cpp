@@ -184,8 +184,8 @@ std::vector<Evaluation> run_sweep(std::size_t points, const ExplorerOptions& opt
 }  // namespace
 
 graph::MacpReport Explorer::analyze_critical_path(const ir::Application& app,
-                                                  const ExplorerOptions& options) const {
-  return graph::analyze_macp(app, options.scbd.latency);
+                                                  const ExplorerOptions&) const {
+  return graph::analyze_macp(app);
 }
 
 std::vector<Variant> Explorer::explore_variants(
@@ -270,7 +270,7 @@ SharedEvaluation Explorer::attribute(
   // The same assignment problem the allocator priced the winning assignment
   // on: same on-chip partition, same conflict graph, same frame cycles
   // (evaluate() charges power over the real-time frame period).
-  const auto partition = allocator_.partition_groups(merged, options.allocation);
+  const auto partition = alloc::MemoryAllocator::partition_groups(merged);
   const alloc::AssignmentProblem problem(merged, partition.first,
                                          result.merged.scbd.conflicts, library_,
                                          options.real_time_budget_cycles);

@@ -130,7 +130,8 @@ class Explorer {
                                     const ExplorerOptions& options = {}) const;
 
   /// MACP analysis (Section 4.2) — run before anything else to check the
-  /// real-time constraint is reachable at all.
+  /// real-time constraint is reachable at all.  The access latencies are
+  /// fixed, so no option changes the report.
   [[nodiscard]] graph::MacpReport analyze_critical_path(
       const ir::Application& app, const ExplorerOptions& options = {}) const;
 

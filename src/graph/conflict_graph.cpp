@@ -22,19 +22,11 @@ void ConflictGraph::ensure_capacity(std::size_t nodes) {
   // in one at a time from the scheduler.
   const std::size_t grown = std::max(nodes, capacity_ * 2);
   std::vector<std::int32_t> slot(grown * grown, -1);
-  const std::size_t words = (grown + 63) / 64;
-  std::vector<std::uint64_t> adjacency(grown * words, 0);
   for (std::size_t i = 0; i < edges_.size(); ++i) {
-    const auto lo = edges_[i].a.index();
-    const auto hi = edges_[i].b.index();
-    slot[lo * grown + hi] = static_cast<std::int32_t>(i);
-    adjacency[lo * words + hi / 64] |= std::uint64_t{1} << (hi % 64);
-    adjacency[hi * words + lo / 64] |= std::uint64_t{1} << (lo % 64);
+    slot[edges_[i].a.index() * grown + edges_[i].b.index()] = static_cast<std::int32_t>(i);
   }
   slot_ = std::move(slot);
-  adjacency_ = std::move(adjacency);
   capacity_ = grown;
-  words_per_row_ = words;
 }
 
 void ConflictGraph::add_conflict(ir::BasicGroupId a, ir::BasicGroupId b, double weight) {
@@ -44,15 +36,13 @@ void ConflictGraph::add_conflict(ir::BasicGroupId a, ir::BasicGroupId b, double 
   auto hi = b.index();
   if (hi < lo) std::swap(lo, hi);
   ensure_capacity(hi + 1);
-  auto& slot = slot_[lo * capacity_ + hi];
-  if (slot < 0) {
-    slot = static_cast<std::int32_t>(edges_.size());
+  auto& index = slot_[lo * capacity_ + hi];
+  if (index < 0) {
+    index = static_cast<std::int32_t>(edges_.size());
     edges_.push_back({ir::BasicGroupId(static_cast<std::uint32_t>(lo)),
                       ir::BasicGroupId(static_cast<std::uint32_t>(hi)), 0.0});
-    adjacency_[lo * words_per_row_ + hi / 64] |= std::uint64_t{1} << (hi % 64);
-    adjacency_[hi * words_per_row_ + lo / 64] |= std::uint64_t{1} << (lo % 64);
   }
-  edges_[static_cast<std::size_t>(slot)].weight += weight;
+  edges_[static_cast<std::size_t>(index)].weight += weight;
 }
 
 void ConflictGraph::merge(const ConflictGraph& other) {

@@ -11,12 +11,14 @@
 // heuristics.  This mirrors the conflict-graph output of flow-graph
 // balancing in [Wuytack et al., 1999] / [Slock et al., 1997].
 //
-// Storage layout: a flat edge store plus a dense slot matrix and per-node
-// adjacency bitsets, so `conflicts()` / `conflict_weight()` — the inner-loop
-// queries of the branch-and-bound assignment solver — are O(1).  The ordered
-// std::map semantics the first implementation had survive only where they
-// are observable: `edges()` and `to_string()` present edges sorted by
-// (a, b), independent of insertion order.
+// Storage layout: a flat edge store plus one dense (lo, hi) slot matrix that
+// answers both `conflicts()` and `conflict_weight()` in O(1).  The
+// assignment solvers never query it in their inner loops: the
+// `AssignmentProblem` constructor copies the positive-weight conflicts into
+// its own bitsets once.  The ordered std::map semantics the first
+// implementation had survive only where they are observable: `edges()` and
+// `to_string()` present edges sorted by (a, b), independent of insertion
+// order.
 #pragma once
 
 #include <cstdint>
@@ -43,21 +45,14 @@ class ConflictGraph {
   /// Merges all conflicts of `other` into this graph.
   void merge(const ConflictGraph& other);
 
+  /// True when an edge (a, b) was ever added, even with zero weight.
   [[nodiscard]] bool conflicts(ir::BasicGroupId a, ir::BasicGroupId b) const {
-    auto lo = a.index();
-    auto hi = b.index();
-    if (hi < lo) std::swap(lo, hi);
-    return hi < capacity_ && (adjacency_[lo * words_per_row_ + hi / 64] >>
-                              (hi % 64)) & 1u;
+    return slot(a, b) >= 0;
   }
 
   [[nodiscard]] double conflict_weight(ir::BasicGroupId a, ir::BasicGroupId b) const {
-    auto lo = a.index();
-    auto hi = b.index();
-    if (hi < lo) std::swap(lo, hi);
-    if (hi >= capacity_) return 0.0;
-    const auto slot = slot_[lo * capacity_ + hi];
-    return slot < 0 ? 0.0 : edges_[static_cast<std::size_t>(slot)].weight;
+    const auto index = slot(a, b);
+    return index < 0 ? 0.0 : edges_[static_cast<std::size_t>(index)].weight;
   }
 
   [[nodiscard]] bool has_self_conflict(ir::BasicGroupId a) const {
@@ -81,14 +76,20 @@ class ConflictGraph {
   [[nodiscard]] std::string to_string() const;
 
  private:
-  /// Grows the slot matrix and adjacency bitsets to cover node ids < `nodes`.
+  /// Grows the slot matrix to cover node ids < `nodes`.
   void ensure_capacity(std::size_t nodes);
+
+  /// Edge index of (a, b) in either order, or -1 when there is none.
+  [[nodiscard]] std::int32_t slot(ir::BasicGroupId a, ir::BasicGroupId b) const {
+    auto lo = a.index();
+    auto hi = b.index();
+    if (hi < lo) std::swap(lo, hi);
+    return hi < capacity_ ? slot_[lo * capacity_ + hi] : -1;
+  }
 
   std::vector<Edge> edges_;            ///< insertion order; queries index into it
   std::vector<std::int32_t> slot_;     ///< capacity_^2 dense (lo, hi) -> edge index
-  std::vector<std::uint64_t> adjacency_;  ///< capacity_ rows of words_per_row_ words
   std::size_t capacity_ = 0;
-  std::size_t words_per_row_ = 0;
 };
 
 }  // namespace dtse::graph

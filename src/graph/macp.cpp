@@ -8,17 +8,12 @@
 
 namespace dtse::graph {
 
-double LatencyModel::latency(const ir::BasicGroup& group) const {
-  return presumed_offchip(group) ? offchip_cycles : onchip_cycles;
+bool presumed_offchip(const ir::BasicGroup& group) {
+  if (group.forced_location) return *group.forced_location == memlib::Location::kOffChip;
+  return group.words >= kOffchipThresholdWords;
 }
 
-bool LatencyModel::presumed_offchip(const ir::BasicGroup& group) const {
-  if (group.forced_location == memlib::Location::kOnChip) return false;
-  if (group.forced_location == memlib::Location::kOffChip) return true;
-  return group.words >= offchip_threshold_words;
-}
-
-MacpReport analyze_macp(const ir::Application& app, const LatencyModel& latency) {
+MacpReport analyze_macp(const ir::Application& app) {
   MacpReport report;
   double best_total = -1.0;
 
@@ -35,9 +30,9 @@ MacpReport analyze_macp(const ir::Application& app, const LatencyModel& latency)
       const auto& access = body.accesses[i];
       // Latency weighted by expected execution count: a conditional access
       // contributes proportionally to how often it happens.
-      weight[i] = latency.latency(app.group(access.group)) *
-                  std::min(access.per_iteration, 1.0);
-      serial += latency.latency(app.group(access.group)) * access.per_iteration;
+      const double latency = access_latency(app.group(access.group));
+      weight[i] = latency * std::min(access.per_iteration, 1.0);
+      serial += latency * access.per_iteration;
     }
 
     const auto path = dag.longest_path(weight);

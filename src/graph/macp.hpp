@@ -7,6 +7,11 @@
 // application-level MACP.  Comparing the MACP against the storage cycle
 // budget tells the designer whether global loop/data-flow transformations
 // are required before physical memory management can succeed.
+//
+// Before an allocation exists, every access is priced by where its group is
+// presumed to live.  This header owns that placement rule and its threshold;
+// budget distribution and the allocator's on/off-chip split use the same
+// rule, so the whole pricing recipe agrees on which groups are off-chip.
 #pragma once
 
 #include <cstdint>
@@ -17,20 +22,24 @@
 
 namespace dtse::graph {
 
-/// Latency assumptions used before the actual allocation exists.  Large
-/// groups are assumed to end up off-chip (slower); the threshold matches the
-/// one used by the allocation front-end.
-struct LatencyModel {
-  double onchip_cycles = 1.0;
-  double offchip_cycles = 2.0;
-  std::uint64_t offchip_threshold_words = 64 * 1024;
+/// Groups of at least this many words are presumed to live off-chip.  The
+/// one placement threshold of the pricing recipe: MACP latencies, the
+/// scheduler's conflict penalties and the allocator's on/off-chip split all
+/// read it through `presumed_offchip`.
+inline constexpr std::uint64_t kOffchipThresholdWords = 64 * 1024;
 
-  [[nodiscard]] double latency(const ir::BasicGroup& group) const;
+/// Access latencies, in cycles, assumed before the actual allocation exists.
+inline constexpr double kOnchipAccessCycles = 1.0;
+inline constexpr double kOffchipAccessCycles = 2.0;
 
-  /// True when the group is expected to end up in off-chip memory (used by
-  /// passes that run before the actual allocation exists).
-  [[nodiscard]] bool presumed_offchip(const ir::BasicGroup& group) const;
-};
+/// The on/off-chip placement rule: a forced location wins, otherwise a
+/// group of at least `kOffchipThresholdWords` words goes off-chip.
+[[nodiscard]] bool presumed_offchip(const ir::BasicGroup& group);
+
+/// Latency of one access to `group` under the placement rule.
+[[nodiscard]] inline double access_latency(const ir::BasicGroup& group) {
+  return presumed_offchip(group) ? kOffchipAccessCycles : kOnchipAccessCycles;
+}
 
 /// Critical path of one loop body.
 struct BodyCriticalPath {
@@ -61,9 +70,8 @@ struct MacpReport {
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Computes the MACP of `app` under `latency`.  Throws ContractError if any
-/// loop body has cyclic dependencies.
-[[nodiscard]] MacpReport analyze_macp(const ir::Application& app,
-                                      const LatencyModel& latency = {});
+/// Computes the MACP of `app` under `access_latency`.  Throws ContractError
+/// if any loop body has cyclic dependencies.
+[[nodiscard]] MacpReport analyze_macp(const ir::Application& app);
 
 }  // namespace dtse::graph

@@ -10,13 +10,13 @@ namespace dtse::memlib {
 
 namespace {
 
-/// Default part catalogue.  Values follow the shape of late-90s EDO DRAM
-/// data sheets: wider buses and bigger dies cost more energy per access and
-/// more standby power; page-mode (EDO burst) accesses are ~2.5x cheaper.
-std::vector<DramPart> default_catalogue() {
+/// The part catalogue.  Values follow the shape of late-90s EDO DRAM data
+/// sheets: wider buses and bigger dies cost more energy per access and more
+/// standby power; page-mode (EDO burst) accesses are ~2.5x cheaper.
+const std::vector<DramPart>& catalogue() {
   // Energy grows only mildly with die capacity (bank segmentation), so one
   // right-sized part beats a stack of smaller ones once standby is counted.
-  return {
+  static const std::vector<DramPart> parts = {
       {"EDO-256Kx8", 256u * 1024u, 8, 21.0, 8.0, 4.5, 50.0},
       {"EDO-512Kx8", 512u * 1024u, 8, 21.5, 8.2, 5.0, 50.0},
       {"EDO-1Mx8", 1024u * 1024u, 8, 22.0, 8.5, 5.5, 55.0},
@@ -26,18 +26,10 @@ std::vector<DramPart> default_catalogue() {
       {"EDO-1Mx16", 1024u * 1024u, 16, 27.0, 11.0, 7.5, 60.0},
       {"EDO-4Mx16", 4096u * 1024u, 16, 30.0, 12.5, 11.0, 65.0},
   };
+  return parts;
 }
 
 }  // namespace
-
-DramModel::DramModel() : catalogue_(default_catalogue()) {}
-
-DramModel::DramModel(std::vector<DramPart> catalogue) : catalogue_(std::move(catalogue)) {
-  DTSE_CHECK(!catalogue_.empty(), "DRAM catalogue must not be empty");
-  for (const auto& part : catalogue_) {
-    DTSE_CHECK(part.words > 0 && part.width_bits > 0, "malformed DRAM part");
-  }
-}
 
 double DramModel::effective_access_energy_nj(const DramPart& part, double page_hit_fraction) {
   return part.access_energy_nj * (1.0 - page_hit_fraction) +
@@ -55,7 +47,7 @@ DramSelection DramModel::select(std::uint64_t words, int width_bits, PortCount p
   DramSelection best;
   double best_power = std::numeric_limits<double>::max();
 
-  for (const auto& part : catalogue_) {
+  for (const auto& part : catalogue()) {
     // Parts are combined in width (side by side on the bus) and in depth
     // (address ranges); all width-parallel parts fire on every access.
     const int width_parts =

@@ -36,13 +36,10 @@ struct DramSelection {
   bool feasible = false;
 };
 
-/// Off-chip memory model with an EDO-DRAM-like part catalogue.
+/// Off-chip memory model over a fixed EDO-DRAM-like part catalogue (8- and
+/// 16-bit parts, 256Kw..4Mw).
 class DramModel {
  public:
-  /// Builds the default catalogue (8- and 16-bit parts, 256Kw..4Mw).
-  DramModel();
-  explicit DramModel(std::vector<DramPart> catalogue);
-
   /// Selects the cheapest (by power at the given access rate) combination of
   /// catalogue parts providing `words` x `width_bits` with `ports` ports.
   /// `accesses_per_second` is used to weigh dynamic vs standby power, and
@@ -54,11 +51,6 @@ class DramModel {
   /// Average energy for one access given the page-hit ratio.
   [[nodiscard]] static double effective_access_energy_nj(const DramPart& part,
                                                          double page_hit_fraction);
-
-  [[nodiscard]] const std::vector<DramPart>& catalogue() const { return catalogue_; }
-
- private:
-  std::vector<DramPart> catalogue_;
 };
 
 }  // namespace dtse::memlib

@@ -3,6 +3,8 @@
 // Bundles the on-chip SRAM generator model and the off-chip DRAM catalogue
 // behind one interface, together with the system timing context needed to
 // convert per-frame energies into the power figures reported in the paper.
+// The library is fixed: every model, part and clock constant is part of the
+// one pricing recipe, so a default-constructed library is the only one.
 #pragma once
 
 #include <cstdint>
@@ -15,9 +17,9 @@ namespace dtse::memlib {
 
 /// System timing context.  The BTPC design goal is 1 Mpixel/s on a 1024x1024
 /// image, and the storage cycle budget derived from it is ~20M cycles per
-/// frame, which corresponds to a 20 MHz memory system clock.
+/// frame, which corresponds to a fixed 20 MHz memory system clock.
 struct ClockSpec {
-  double frequency_mhz = 20.0;
+  static constexpr double frequency_mhz = 20.0;
 
   [[nodiscard]] double cycle_ns() const { return 1000.0 / frequency_mhz; }
 
@@ -31,8 +33,6 @@ struct ClockSpec {
 class MemoryLibrary {
  public:
   MemoryLibrary() = default;
-  MemoryLibrary(SramModel sram, DramModel dram, ClockSpec clock)
-      : sram_(std::move(sram)), dram_(std::move(dram)), clock_(clock) {}
 
   [[nodiscard]] const SramModel& sram() const { return sram_; }
   [[nodiscard]] const DramModel& dram() const { return dram_; }

@@ -14,7 +14,9 @@
 //  * a memory is as wide as the widest signal stored in it, narrower
 //    signals waste the upper bits (bitwidth waste — Tables 1 and 4).
 //
-// All constants are explicit and documented; see Params.
+// The technology constants are fixed and documented in sram_model.cpp; they
+// are calibrated for a 0.7um-class process so the BTPC demonstrator lands in
+// the paper's magnitude range.
 #pragma once
 
 #include <cstdint>
@@ -23,46 +25,13 @@
 
 namespace dtse::memlib {
 
-/// Analytic model of a generated on-chip SRAM block.
+/// Analytic model of a generated on-chip SRAM block.  Stateless: the
+/// technology constants live in sram_model.cpp.
 class SramModel {
  public:
-  /// Tunable technology constants (defaults calibrated for a 0.7um-class
-  /// process so the BTPC demonstrator lands in the paper's magnitude range).
-  /// Defaults are calibrated so the BTPC demonstrator's on-chip organization
-  /// lands in the paper's magnitude range (tens of mm^2, tens of mW at a
-  /// 0.7um-class process; module-generator area includes intra-module
-  /// routing, which is why the effective per-bit figure is large).
-  struct Params {
-    double cell_area_um2_per_bit = 300.0;  ///< 6T cell + intra-module routing
-    double periphery_area_mm2 = 1.8;       ///< decoder/sense-amp/control per instance
-    double periphery_area_per_bit_mm2 = 0.012;  ///< column periphery per data bit
-    double dual_port_area_factor = 1.9;    ///< 8T cell + duplicated periphery
-
-    double energy_base_nj = 0.45;          ///< clocking/control per access
-    double energy_per_sqrt_bit_nj = 0.004; ///< bitline/wordline term ~ sqrt(capacity)
-    double energy_width_factor_nj = 0.02;  ///< per data bit driven
-    double write_energy_factor = 1.12;     ///< writes drive full-swing bitlines
-    double dual_port_energy_factor = 1.8;  ///< 8T cells, longer lines
-
-    double leakage_uw_per_kbit = 1.2;      ///< standby power per kbit
-    double access_time_base_ns = 4.0;      ///< decoder + sense
-    double access_time_per_sqrt_bit_ns = 0.045;
-
-    std::uint64_t max_words = 1u << 20;    ///< largest block the generator offers
-    int max_width_bits = 64;
-  };
-
-  SramModel() = default;
-  explicit SramModel(const Params& params) : params_(params) {}
-
   /// Cost of one generated SRAM block.  `words` and `width_bits` must be
   /// positive and within generator limits.
   [[nodiscard]] MemoryCost cost(std::uint64_t words, int width_bits, PortCount ports) const;
-
-  [[nodiscard]] const Params& params() const { return params_; }
-
- private:
-  Params params_;
 };
 
 }  // namespace dtse::memlib

@@ -6,12 +6,13 @@
 // it left off instead of re-pricing everything.
 //
 // The checkpoint binds to its sweep through `fingerprint`, a content hash of
-// the merged application model, the cycle budgets and the pricing options
-// (computed by the sweep driver).  Changing the workload roster, profiling
-// options, budgets or pricing options changes the fingerprint, and a stale
-// checkpoint is quarantined rather than resumed from.  The allocation-count list is deliberately *not* part of the
-// fingerprint: resuming the same sweep with extra counts is the core
-// use-case, and the saved rows stay valid row-by-row.
+// the merged application model, the cycle budgets and the solver options
+// (computed by the sweep driver); the rest of the pricing recipe is fixed.
+// Changing the workload roster, profiling options, budgets or solver
+// options changes the fingerprint, and a stale checkpoint is quarantined
+// rather than resumed from.  The allocation-count list is deliberately
+// *not* part of the fingerprint: resuming the same sweep with extra counts
+// is the core use-case, and the saved rows stay valid row-by-row.
 //
 // Hardening: same rules as APP1 (fixed big-endian layout, version gate, caps
 // before allocation, declared-vs-actual length reconciliation, payload

@@ -54,7 +54,7 @@ ScbdResult distribute_budget(const ir::Application& app, const ScbdOptions& opti
   schedulers.reserve(body_ids.size());
   curves.reserve(body_ids.size());
   for (const auto id : body_ids) {
-    schedulers.emplace_back(app, id, options.latency, options.penalties);
+    schedulers.emplace_back(app, id);
     curves.push_back(build_curve(schedulers.back()));
   }
 

@@ -20,15 +20,12 @@
 #include <vector>
 
 #include "graph/conflict_graph.hpp"
-#include "graph/macp.hpp"
 #include "scbd/flow_graph_balancing.hpp"
 
 namespace dtse::scbd {
 
 struct ScbdOptions {
   std::uint64_t global_budget_cycles = 20'000'000;  ///< per frame
-  graph::LatencyModel latency;
-  ConflictPenalties penalties;
 };
 
 /// Budget decision and schedule for one loop body.

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "graph/macp.hpp"
 #include "obs/telemetry.hpp"
 #include "support/check.hpp"
 
@@ -20,6 +21,16 @@ struct Unit {
 };
 
 constexpr std::size_t kMaxUnitsPerAccess = 64;
+
+/// Penalties steering the scheduler away from expensive conflicts.  The
+/// values express how costly it is for the *memory architecture* to serve
+/// two accesses in parallel; the physical allocation later prices the
+/// surviving conflicts exactly.
+constexpr double kOnchipPairPenalty = 1.0;   ///< two on-chip groups in parallel
+constexpr double kMixedPairPenalty = 1.2;    ///< on-chip with off-chip
+constexpr double kOffchipPairPenalty = 12.0; ///< two off-chip groups: two DRAM buses
+constexpr double kOnchipSelfPenalty = 8.0;   ///< dual-port on-chip memory
+constexpr double kOffchipSelfPenalty = 60.0; ///< dual-port off-chip memory (Table 2!)
 
 std::vector<Unit> expand_units(const ir::LoopBody& body) {
   std::vector<Unit> units;
@@ -63,10 +74,7 @@ std::uint64_t critical_path(const std::vector<double>& start,
 
 }  // namespace
 
-BodyScheduler::BodyScheduler(const ir::Application& app, ir::LoopBodyId body_id,
-                             const graph::LatencyModel& latency,
-                             const ConflictPenalties& penalties)
-    : penalties_(penalties) {
+BodyScheduler::BodyScheduler(const ir::Application& app, ir::LoopBodyId body_id) {
   // One per scheduling context built: `distribute_budget` adds one per body.
   obs::TelemetryRegistry::global().counter("scbd.body_schedulers").add(1);
   const auto& body = app.body(body_id);
@@ -77,7 +85,6 @@ BodyScheduler::BodyScheduler(const ir::Application& app, ir::LoopBodyId body_id,
   group_.resize(n);
   offchip_.resize(n);
   latency_.resize(n);
-  std::vector<double> default_latency(n);
   for (std::size_t u = 0; u < n; ++u) {
     const auto id = body.accesses[units[u].access].group;
     const auto it = std::find(group_ids_.begin(), group_ids_.end(), id);
@@ -85,9 +92,8 @@ BodyScheduler::BodyScheduler(const ir::Application& app, ir::LoopBodyId body_id,
     if (it == group_ids_.end()) group_ids_.push_back(id);
     const auto& group = app.group(id);
     weight_[u] = units[u].weight;
-    offchip_[u] = latency.presumed_offchip(group);
-    latency_[u] = latency.latency(group);
-    default_latency[u] = graph::LatencyModel{}.latency(group);
+    offchip_[u] = graph::presumed_offchip(group);
+    latency_[u] = graph::access_latency(group);
   }
   if (n == 0) return;
 
@@ -98,8 +104,7 @@ BodyScheduler::BodyScheduler(const ir::Application& app, ir::LoopBodyId body_id,
   min_budget_ = critical_path(asap_, latency_);
   // One unit per cycle is always conflict-free; dependencies can only need
   // more cycles than units when off-chip latencies stack up along a chain.
-  const auto default_asap = dag_.earliest_start(default_latency);
-  serial_budget_ = std::max<std::uint64_t>(n, critical_path(*default_asap, default_latency));
+  serial_budget_ = std::max<std::uint64_t>(n, min_budget_);
 
   graph::Digraph reverse(n);
   for (std::size_t u = 0; u < n; ++u) {
@@ -114,10 +119,10 @@ BodyScheduler::BodyScheduler(const ir::Application& app, ir::LoopBodyId body_id,
 double BodyScheduler::pair_penalty(std::size_t a, std::size_t b) const {
   const bool a_off = offchip_[a];
   const bool b_off = offchip_[b];
-  if (group_[a] == group_[b]) return a_off ? penalties_.offchip_self : penalties_.onchip_self;
-  if (a_off && b_off) return penalties_.offchip_pair;
-  if (a_off || b_off) return penalties_.mixed_pair;
-  return penalties_.onchip_pair;
+  if (group_[a] == group_[b]) return a_off ? kOffchipSelfPenalty : kOnchipSelfPenalty;
+  if (a_off && b_off) return kOffchipPairPenalty;
+  if (a_off || b_off) return kMixedPairPenalty;
+  return kOnchipPairPenalty;
 }
 
 BodyScheduler::Slots BodyScheduler::schedule(std::uint64_t budget) const {
@@ -238,21 +243,6 @@ BalanceResult BodyScheduler::balance(std::uint64_t budget_cycles) const {
 
 double BodyScheduler::conflict_cost(std::uint64_t budget_cycles) const {
   return harvest(schedule(budget_cycles), nullptr);
-}
-
-std::uint64_t min_body_budget(const ir::Application& app, ir::LoopBodyId body,
-                              const graph::LatencyModel& latency) {
-  return BodyScheduler(app, body, latency).min_budget();
-}
-
-std::uint64_t serial_body_budget(const ir::Application& app, ir::LoopBodyId body) {
-  return BodyScheduler(app, body).serial_budget();
-}
-
-BalanceResult balance_body(const ir::Application& app, ir::LoopBodyId body,
-                           std::uint64_t budget_cycles, const graph::LatencyModel& latency,
-                           const ConflictPenalties& penalties) {
-  return BodyScheduler(app, body, latency, penalties).balance(budget_cycles);
 }
 
 }  // namespace dtse::scbd

@@ -8,6 +8,10 @@
 // mobility-driven list scheduler that greedily picks the slot adding the
 // least conflict cost.  The output is the body's contribution to the
 // application-wide basic-group conflict graph.
+//
+// Access latencies and the conflict penalties are fixed constants of the
+// pricing recipe; which accesses count as off-chip follows
+// `graph::presumed_offchip`, the same rule MACP and allocation use.
 #pragma once
 
 #include <cstdint>
@@ -15,22 +19,9 @@
 
 #include "graph/conflict_graph.hpp"
 #include "graph/digraph.hpp"
-#include "graph/macp.hpp"
 #include "ir/application.hpp"
 
 namespace dtse::scbd {
-
-/// Penalties steering the scheduler away from expensive conflicts.  The
-/// values express how costly it is for the *memory architecture* to serve
-/// the two accesses in parallel; the physical allocation later prices the
-/// surviving conflicts exactly.
-struct ConflictPenalties {
-  double onchip_pair = 1.0;         ///< two on-chip groups in parallel
-  double mixed_pair = 1.2;          ///< on-chip with off-chip
-  double offchip_pair = 12.0;       ///< two off-chip groups: two DRAM buses
-  double onchip_self = 8.0;         ///< dual-port on-chip memory
-  double offchip_self = 60.0;       ///< dual-port off-chip memory (Table 2!)
-};
 
 /// Result of balancing one loop body.
 struct BalanceResult {
@@ -49,17 +40,14 @@ struct BalanceResult {
 /// body's cost curve, and the final schedule, on it.
 class BodyScheduler {
  public:
-  BodyScheduler(const ir::Application& app, ir::LoopBodyId body,
-                const graph::LatencyModel& latency = {},
-                const ConflictPenalties& penalties = {});
+  BodyScheduler(const ir::Application& app, ir::LoopBodyId body);
 
   /// Minimal per-iteration budget for which the body is schedulable: the
   /// dependency critical path measured in whole cycles (0 without accesses).
   [[nodiscard]] std::uint64_t min_budget() const { return min_budget_; }
 
   /// Budget at which the body schedules without any conflict: all access
-  /// units in distinct cycles, or the critical path under the default
-  /// latency model when that is longer.
+  /// units in distinct cycles, or the critical path when that is longer.
   [[nodiscard]] std::uint64_t serial_budget() const { return serial_budget_; }
 
   /// Balances the body into `budget_cycles` slots.  If the budget is below
@@ -84,7 +72,6 @@ class BodyScheduler {
 
   [[nodiscard]] double pair_penalty(std::size_t a, std::size_t b) const;
 
-  ConflictPenalties penalties_;
   double frame_weight_ = 1.0;                 ///< body iterations per frame
   std::vector<double> weight_;                ///< per unit: executions per iteration
   std::vector<std::size_t> group_;            ///< per unit: body-local group index
@@ -98,21 +85,5 @@ class BodyScheduler {
   std::uint64_t min_budget_ = 0;
   std::uint64_t serial_budget_ = 0;
 };
-
-/// Minimal per-iteration budget for which the body is schedulable: the
-/// dependency critical path measured in whole cycles.
-[[nodiscard]] std::uint64_t min_body_budget(const ir::Application& app, ir::LoopBodyId body,
-                                            const graph::LatencyModel& latency);
-
-/// Budget at which the body schedules without any conflict: all access units
-/// in distinct cycles.
-[[nodiscard]] std::uint64_t serial_body_budget(const ir::Application& app,
-                                               ir::LoopBodyId body);
-
-/// Balances `body` into `budget_cycles` slots (see `BodyScheduler::balance`).
-[[nodiscard]] BalanceResult balance_body(const ir::Application& app, ir::LoopBodyId body,
-                                         std::uint64_t budget_cycles,
-                                         const graph::LatencyModel& latency = {},
-                                         const ConflictPenalties& penalties = {});
 
 }  // namespace dtse::scbd

@@ -18,8 +18,10 @@ support::Image profile_frame(const WorkloadOptions& options) {
                                        options.seed);
 }
 
-btpc::CodecOptions resolve_codec(btpc::CodecOptions codec,
-                                 const WorkloadOptions& options) {
+/// The profiled encode's codec options: the defaults, with the backend
+/// `options` selects.
+btpc::CodecOptions resolve_codec(const WorkloadOptions& options) {
+  btpc::CodecOptions codec;
   if (options.entropy_backend) codec.backend = *options.entropy_backend;
   return codec;
 }
@@ -35,15 +37,13 @@ ir::BasicGroupId require_group(const ir::Application& app, std::string_view name
 
 ir::Application BtpcWorkload::profile(const WorkloadOptions& options) const {
   return btpc::profile_btpc(profile_frame(options), kDesignSize, kDesignSize,
-                            resolve_codec(codec_, options));
+                            resolve_codec(options));
 }
 
 VerifyReport BtpcWorkload::verify(const WorkloadOptions& options) const {
   const auto image = profile_frame(options);
   btpc::Encoder encoder(image.width(), image.height());
-  auto codec = resolve_codec(codec_, options);
-  codec.lossy = false;  // the golden check is the lossless round trip
-  const auto encoded = encoder.encode(image, codec);
+  const auto encoded = encoder.encode(image, resolve_codec(options));
   auto decoded = btpc::Decoder{}.try_decode(encoded);
   if (!decoded.ok()) {
     return VerifyReport::fail("decode", decoded.status().to_string());

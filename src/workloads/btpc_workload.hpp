@@ -19,30 +19,22 @@ class BtpcWorkload final : public Workload {
   /// Declared design point: the paper's 1024x1024 frame.
   static constexpr int kDesignSize = 1024;
 
-  /// `codec` sets the profiled encode's codec options (strip height, lossy
-  /// quantizer, entropy backend).  The strip height changes neither the
-  /// bitstream nor the profile, only the profiling run's own cache
-  /// behaviour; `WorkloadOptions::entropy_backend` overrides the backend.
-  explicit BtpcWorkload(btpc::CodecOptions codec = {}) : codec_(codec) {}
-
   [[nodiscard]] std::string_view name() const override { return "btpc"; }
   [[nodiscard]] std::string_view description() const override {
     return "BTPC still-image codec (quincunx pyramid, adaptive Huffman) — "
            "the paper's demonstrator; 1024x1024 declared design point";
   }
 
-  /// Runs the instrumented encoder on a synthetic compound frame of edge
-  /// `profile_size` (default 512) and returns the pruned model declared at
-  /// kDesignSize x kDesignSize.
+  /// Runs the instrumented lossless encoder (default `btpc::CodecOptions`,
+  /// backend from `WorkloadOptions::entropy_backend`) on a synthetic
+  /// compound frame of edge `profile_size` (default 512) and returns the
+  /// pruned model declared at kDesignSize x kDesignSize.
   [[nodiscard]] ir::Application profile(const WorkloadOptions& options = {}) const override;
   [[nodiscard]] VerifyReport verify(const WorkloadOptions& options = {}) const override;
 
   /// Structuring (ridge+pyr merged) and the layer-0 hierarchy winner — the
   /// paper's best variant.
   [[nodiscard]] ir::Application tuned_variant(const ir::Application& profiled) const override;
-
- private:
-  btpc::CodecOptions codec_;
 };
 
 /// Table 1 variants: no structuring / ridge compacted / ridge+pyr merged.

@@ -110,17 +110,6 @@ std::uint64_t sweep_fingerprint(const ir::Application& merged,
   };
   hash.update_u64(options.real_time_budget_cycles);
   hash.update_u64(options.storage_budget_cycles);
-  const auto& latency = options.scbd.latency;
-  update_double(latency.onchip_cycles);
-  update_double(latency.offchip_cycles);
-  hash.update_u64(latency.offchip_threshold_words);
-  const auto& penalties = options.scbd.penalties;
-  for (const double penalty : {penalties.onchip_pair, penalties.mixed_pair,
-                               penalties.offchip_pair, penalties.onchip_self,
-                               penalties.offchip_self}) {
-    update_double(penalty);
-  }
-  hash.update_u64(options.allocation.offchip_threshold_words);
   const auto& solver = options.allocation.solver;
   hash.update_u64(static_cast<std::uint64_t>(solver.solver));
   update_double(solver.weights.area_weight);

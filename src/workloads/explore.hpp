@@ -8,7 +8,10 @@
 // models it sweeps one shared memory organization over all of them,
 // checkpointed when a path is given, and attributes the best row it swept.
 // A failing staging step becomes a `WorkloadFailure`; the run goes on
-// without that model.
+// without that model.  Every evaluation prices against one fixed recipe
+// (the placement rule of `graph/macp.hpp`, the scheduler's penalties and
+// the `memlib` technology constants); only the cycle budgets, memory counts
+// and solver options vary.
 #pragma once
 
 #include <optional>
@@ -99,12 +102,12 @@ struct Exploration {
 /// their number to `resumed`) and committing each cleanly completed new row
 /// before the next starts.  Errored or timed-out rows are never committed.
 /// The checkpoint binds by content hash to the merged model, the cycle
-/// budgets and every option that prices a row at a fixed count: scbd
-/// latency and penalties, the off-chip threshold, and the solver, its
-/// weights, seed, annealing budget and chain count.  Worker counts and the
-/// cancellation token never change a row and stay out, and so does the
-/// explorer's technology library: resuming under another library is not
-/// detected.  The count list is not hashed, so a resumed sweep may add counts.
+/// budgets and every option that prices a row at a fixed count: the solver,
+/// its weights, seed, annealing budget and chain count.  The technology
+/// library, latencies, conflict penalties and off-chip threshold are fixed
+/// constants of the pricing recipe, so they need no hashing.  Worker counts
+/// and the cancellation token never change a row and stay out.  The count
+/// list is not hashed, so a resumed sweep may add counts.
 [[nodiscard]] std::vector<core::Variant> checkpointed_allocation_counts(
     const core::Explorer& explorer, const ir::Application& merged,
     const std::vector<int>& counts, const core::ExplorerOptions& options,

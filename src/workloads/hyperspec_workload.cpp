@@ -6,22 +6,21 @@ namespace dtse::workloads {
 
 namespace {
 
-/// Default declared design point: a 12-band 256x256 push-broom segment —
+/// Declared design point: a 12-band 256x256 push-broom segment —
 /// sized so the per-frame access volume is in the same league as the BTPC
 /// 1024x1024 point (a shared organization serving both stays explorable
 /// within the 20 Mcycle real-time budget).
-constexpr hyperspec::CubeShape kDefaultDeclared{12, 256, 256};
+constexpr hyperspec::CubeShape kDeclared{12, 256, 256};
 constexpr int kDefaultProfileEdge = 96;
 
-}  // namespace
-
-HyperspecWorkload::HyperspecWorkload(hyperspec::HsCodecOptions codec,
-                                     hyperspec::CubeShape declared)
-    : codec_(codec), declared_(declared) {
-  if (declared_.bands == 0) declared_.bands = kDefaultDeclared.bands;
-  if (declared_.height == 0) declared_.height = kDefaultDeclared.height;
-  if (declared_.width == 0) declared_.width = kDefaultDeclared.width;
+/// The coder options: the defaults, with the backend `options` selects.
+hyperspec::HsCodecOptions resolve_codec(const WorkloadOptions& options) {
+  hyperspec::HsCodecOptions codec;
+  if (options.entropy_backend) codec.backend = *options.entropy_backend;
+  return codec;
 }
+
+}  // namespace
 
 hyperspec::CubeShape HyperspecWorkload::profile_shape(const WorkloadOptions& options) const {
   // Floor of 16: the encoder's cube reuse-window ladder is monotone only for
@@ -35,16 +34,14 @@ hyperspec::CubeShape HyperspecWorkload::profile_shape(const WorkloadOptions& opt
 }
 
 ir::Application HyperspecWorkload::profile(const WorkloadOptions& options) const {
-  auto codec = codec_;
-  if (options.entropy_backend) codec.backend = *options.entropy_backend;
+  const auto codec = resolve_codec(options);
   const auto cube = hyperspec::make_synthetic_cube(profile_shape(options), options.seed,
                                                    codec.dynamic_range_bits);
-  return hyperspec::profile_hyperspec(cube, declared_, codec);
+  return hyperspec::profile_hyperspec(cube, kDeclared, codec);
 }
 
 VerifyReport HyperspecWorkload::verify(const WorkloadOptions& options) const {
-  auto codec = codec_;
-  if (options.entropy_backend) codec.backend = *options.entropy_backend;
+  const auto codec = resolve_codec(options);
   const auto shape = profile_shape(options);
   const auto cube =
       hyperspec::make_synthetic_cube(shape, options.seed, codec.dynamic_range_bits);

@@ -9,12 +9,6 @@ namespace dtse::workloads {
 
 class HyperspecWorkload final : public Workload {
  public:
-  /// `codec` exposes the coder knobs (dynamic range, unary limit, rescale);
-  /// `declared` is the design geometry entered into the model (a zeroed
-  /// field falls back to the default flight-instrument point).
-  explicit HyperspecWorkload(hyperspec::HsCodecOptions codec = {},
-                             hyperspec::CubeShape declared = {});
-
   [[nodiscard]] std::string_view name() const override { return "hyperspec"; }
   [[nodiscard]] std::string_view description() const override {
     return "CCSDS-123-style lossless hyperspectral compressor (previous-band "
@@ -22,16 +16,15 @@ class HyperspecWorkload final : public Workload {
            "declared design point";
   }
 
+  /// Profiles the default coder (`hyperspec::HsCodecOptions`, backend from
+  /// `WorkloadOptions::entropy_backend`) on a synthetic cube, declared at
+  /// the 12x256x256 design point.
   [[nodiscard]] ir::Application profile(const WorkloadOptions& options = {}) const override;
   [[nodiscard]] VerifyReport verify(const WorkloadOptions& options = {}) const override;
 
   /// Profiled geometry for a given options.profile_size (exposed so tests
   /// and benches can reason about the cube actually run).
   [[nodiscard]] hyperspec::CubeShape profile_shape(const WorkloadOptions& options) const;
-
- private:
-  hyperspec::HsCodecOptions codec_;
-  hyperspec::CubeShape declared_;
 };
 
 }  // namespace dtse::workloads

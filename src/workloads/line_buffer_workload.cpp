@@ -13,10 +13,6 @@ namespace dtse::workloads {
 
 namespace {
 
-/// Default declared design point: one PAL frame per period, as in the
-/// original example.
-constexpr int kDefaultDeclaredWidth = 720;
-constexpr int kDefaultDeclaredHeight = 576;
 constexpr int kDefaultProfileEdge = 96;
 
 constexpr int kTaps = 5;
@@ -147,10 +143,6 @@ class Filter {
 
 }  // namespace
 
-LineBufferWorkload::LineBufferWorkload(int declared_width, int declared_height)
-    : declared_width_(declared_width ? declared_width : kDefaultDeclaredWidth),
-      declared_height_(declared_height ? declared_height : kDefaultDeclaredHeight) {}
-
 int LineBufferWorkload::profile_edge(const WorkloadOptions& options) const {
   // Floor of 32: the 64-line reuse window must simulate more words than the
   // 25-word register window for the miss ladder to stay monotone.
@@ -163,10 +155,10 @@ ir::Application LineBufferWorkload::profile(const WorkloadOptions& options) cons
   const auto input = support::make_synthetic_image(
       edge, edge, support::SyntheticKind::kCompound, options.seed);
   trace::Recorder recorder("line_buffer");
-  Filter filter(recorder, edge, edge, declared_width_, declared_height_);
+  Filter filter(recorder, edge, edge, declared_width(), declared_height());
   (void)filter.run(input);
   const double scale =
-      static_cast<double>(declared_width_) * static_cast<double>(declared_height_) /
+      static_cast<double>(declared_width()) * static_cast<double>(declared_height()) /
       (static_cast<double>(edge) * static_cast<double>(edge));
   return recorder.build(scale);
 }
@@ -189,7 +181,7 @@ ir::Application LineBufferWorkload::tuned_variant(const ir::Application& profile
   DTSE_CHECK(frame.has_value(), "line_buffer profile lacks the frame array");
   const auto options = hierarchy::enumerate_options(
       profiled, *frame, kTaps * kTaps,
-      static_cast<std::uint64_t>(kTaps) * declared_width_);
+      static_cast<std::uint64_t>(kTaps) * declared_width());
   // "Only layer 1" (the five-line buffer) wins on this access pattern;
   // index 1 of the canonical option list.
   return hierarchy::apply_hierarchy(profiled, *frame, options[1].layers);

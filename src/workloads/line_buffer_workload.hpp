@@ -15,10 +15,6 @@ namespace dtse::workloads {
 
 class LineBufferWorkload final : public Workload {
  public:
-  /// `declared_width`/`declared_height` give the design geometry entered
-  /// into the model (0 falls back to the default 720x576 PAL point).
-  explicit LineBufferWorkload(int declared_width = 0, int declared_height = 0);
-
   [[nodiscard]] std::string_view name() const override { return "line_buffer"; }
   [[nodiscard]] std::string_view description() const override {
     return "5x5 binomial convolution filter (sliding-window reads, the "
@@ -41,12 +37,9 @@ class LineBufferWorkload final : public Workload {
   /// Profiled frame edge for a given options.profile_size.
   [[nodiscard]] int profile_edge(const WorkloadOptions& options) const;
 
-  [[nodiscard]] int declared_width() const { return declared_width_; }
-  [[nodiscard]] int declared_height() const { return declared_height_; }
-
- private:
-  int declared_width_ = 0;
-  int declared_height_ = 0;
+  /// Declared design geometry: one 720x576 PAL frame per period.
+  [[nodiscard]] static constexpr int declared_width() { return 720; }
+  [[nodiscard]] static constexpr int declared_height() { return 576; }
 };
 
 }  // namespace dtse::workloads

@@ -7,23 +7,20 @@ namespace dtse::workloads {
 
 namespace {
 
-/// Default declared design point: CIF at video rate.  With 16x16 blocks and
+/// Declared design point: CIF at video rate.  With 16x16 blocks and
 /// a +-8 three-step search this lands around 5M accesses per frame — the
 /// same league as the other declared points.  The full search fits the
 /// 20 Mcycle budget only barely (~4% spare cycles vs ~76%, at ~8x the
 /// on-chip power), which is why three-step is the declared strategy: the
 /// cost feedback, not hard infeasibility, rules the exhaustive search out.
-constexpr int kDefaultDeclaredWidth = 352;
-constexpr int kDefaultDeclaredHeight = 288;
+constexpr int kDeclaredWidth = 352;
+constexpr int kDeclaredHeight = 288;
 constexpr int kDefaultProfileEdge = 96;
 
-}  // namespace
+/// The matcher recipe: 16x16 blocks, +-8 three-step search.
+constexpr motion::MotionOptions kOptions{};
 
-MotionWorkload::MotionWorkload(motion::MotionOptions options, int declared_width,
-                               int declared_height)
-    : options_(options),
-      declared_width_(declared_width ? declared_width : kDefaultDeclaredWidth),
-      declared_height_(declared_height ? declared_height : kDefaultDeclaredHeight) {}
+}  // namespace
 
 int MotionWorkload::profile_edge(const WorkloadOptions& options) const {
   // Floor of a window edge plus one block row: a single-block frame has no
@@ -31,8 +28,7 @@ int MotionWorkload::profile_edge(const WorkloadOptions& options) const {
   // than the search window or the estimator's window-height line-buffer
   // reuse rung (win_edge * row words) would collapse onto the window rung
   // and silently drop out of the ladder.
-  const int floor_edge =
-      options_.block_size + 2 * options_.search_range + options_.block_size;
+  const int floor_edge = kOptions.block_size + 2 * kOptions.search_range + kOptions.block_size;
   return std::max(floor_edge,
                   options.profile_size > 0 ? options.profile_size : kDefaultProfileEdge);
 }
@@ -40,7 +36,7 @@ int MotionWorkload::profile_edge(const WorkloadOptions& options) const {
 ir::Application MotionWorkload::profile(const WorkloadOptions& options) const {
   const int edge = profile_edge(options);
   const auto frames = motion::make_synthetic_frame_pair(edge, edge, options.seed);
-  return motion::profile_motion(frames, declared_width_, declared_height_, options_);
+  return motion::profile_motion(frames, kDeclaredWidth, kDeclaredHeight, kOptions);
 }
 
 VerifyReport MotionWorkload::verify(const WorkloadOptions& options) const {
@@ -48,7 +44,7 @@ VerifyReport MotionWorkload::verify(const WorkloadOptions& options) const {
   const auto frames = motion::make_synthetic_frame_pair(edge, edge, options.seed);
 
   // Full search against the independent oracle: bit-exact field equality.
-  auto exhaustive = options_;
+  auto exhaustive = kOptions;
   exhaustive.search = motion::SearchStrategy::kFullSearch;
   motion::Estimator full(edge, edge, exhaustive);
   const auto full_field = full.estimate(frames.reference, frames.current);
@@ -58,15 +54,11 @@ VerifyReport MotionWorkload::verify(const WorkloadOptions& options) const {
                               "full-search field disagrees with the reference oracle");
   }
 
-  // The configured strategy: every reported SAD must recompute exactly and
+  // The three-step search: every reported SAD must recompute exactly and
   // be no worse than the null vector (three-step always scores (0, 0)).
-  // When the workload is configured for full search, the field above is
-  // already that estimation — no need to run the exhaustive search twice.
-  const auto field = options_.search == motion::SearchStrategy::kFullSearch
-                         ? full_field
-                         : motion::Estimator(edge, edge, options_)
-                               .estimate(frames.reference, frames.current);
-  const int bs = options_.block_size;
+  const auto field =
+      motion::Estimator(edge, edge, kOptions).estimate(frames.reference, frames.current);
+  const int bs = kOptions.block_size;
   for (int by = 0; by < field.blocks_y; ++by) {
     for (int bx = 0; bx < field.blocks_x; ++bx) {
       const auto& mv = field.at(bx, by);

@@ -8,16 +8,6 @@ namespace dtse::workloads {
 
 class MotionWorkload final : public Workload {
  public:
-  /// `options` exposes the matcher knobs (block size, search range, full vs
-  /// three-step search); `declared_width`/`declared_height` give the design
-  /// geometry entered into the model (0 falls back to the default CIF
-  /// real-time point).  The default is the three-step search: at CIF
-  /// geometry the exhaustive full search leaves almost no spare cycles for
-  /// the datapath and costs ~8x the on-chip power — picking the strategy IS
-  /// the first design decision, and the cost feedback makes it.
-  explicit MotionWorkload(motion::MotionOptions options = {}, int declared_width = 0,
-                          int declared_height = 0);
-
   [[nodiscard]] std::string_view name() const override { return "motion"; }
   [[nodiscard]] std::string_view description() const override {
     return "block-matching motion estimator (16x16 blocks, +-8 three-step "
@@ -25,24 +15,24 @@ class MotionWorkload final : public Workload {
            "declared design point";
   }
 
-  /// Profiles one estimation run on a synthetic frame pair.  Deterministic
-  /// per (options, profile geometry, seed).
+  /// Profiles one default estimation run (`motion::MotionOptions`: 16x16
+  /// blocks, +-8 three-step search) on a synthetic frame pair, declared at
+  /// the CIF real-time point.  Deterministic per (profile geometry, seed).
+  /// Three-step is the recipe because at CIF geometry the exhaustive full
+  /// search leaves almost no spare cycles for the datapath and costs ~8x
+  /// the on-chip power — picking the strategy IS the first design decision,
+  /// and the cost feedback makes it.
   [[nodiscard]] ir::Application profile(const WorkloadOptions& options = {}) const override;
 
   /// Golden check, both strategies: the full search must match the
-  /// independent oracle field bit for bit, and every vector the configured
-  /// strategy reports must carry its exact recomputed SAD, no worse than the
+  /// independent oracle field bit for bit, and every vector the three-step
+  /// search reports must carry its exact recomputed SAD, no worse than the
   /// null vector's.
   [[nodiscard]] VerifyReport verify(const WorkloadOptions& options = {}) const override;
 
   /// Profiled frame edge for a given options.profile_size (exposed so tests
   /// and benches can reason about the frames actually run).
   [[nodiscard]] int profile_edge(const WorkloadOptions& options) const;
-
- private:
-  motion::MotionOptions options_;
-  int declared_width_ = 0;
-  int declared_height_ = 0;
 };
 
 }  // namespace dtse::workloads

@@ -8,7 +8,10 @@
 //   (schema version, workload name, profile_size, seed, entropy_backend)
 //
 // so two profiling requests collide exactly when the contract says they
-// must produce bit-identical models.  What the key does NOT cover is the
+// must produce bit-identical models.  A workload takes no constructor
+// knobs: every tunable that shapes its profile (codec options, declared
+// geometry, search strategy) is a constant of its recipe, so a key never
+// mixes up two differently configured instances.  What the key does NOT cover is the
 // workload *implementation*: a code change that alters profiling results
 // must bump `kProfileKeySchemaVersion` (see docs/WORKLOADS.md for the
 // policy), which invalidates every existing entry at once.

@@ -319,7 +319,7 @@ TEST(Allocator, PartitionRespectsThresholdAndForcing) {
   const auto forced_on = app.add_group({"fon", 1 << 20, 8, memlib::Location::kOnChip, 0});
   const auto forced_off = app.add_group({"foff", 64, 8, memlib::Location::kOffChip, 2});
   MemoryAllocator allocator{memlib::MemoryLibrary{}};
-  const auto [onchip, offchip] = allocator.partition_groups(app, {});
+  const auto [onchip, offchip] = MemoryAllocator::partition_groups(app);
   EXPECT_EQ(onchip, (std::vector<ir::BasicGroupId>{small, forced_on}));
   EXPECT_EQ(offchip, (std::vector<ir::BasicGroupId>{big, forced_off}));
 }
@@ -373,7 +373,7 @@ TEST(Allocator, AutoCountSearchNodesSumEveryCount) {
   const auto result = allocator.allocate(fix.app, fix.conflicts, options);
   ASSERT_TRUE(result.feasible);
 
-  const auto [onchip, offchip] = allocator.partition_groups(fix.app, options);
+  const auto [onchip, offchip] = MemoryAllocator::partition_groups(fix.app);
   ASSERT_TRUE(offchip.empty());
   const AssignmentProblem problem(fix.app, onchip, fix.conflicts, fix.library,
                                   options.frame_cycles);

@@ -5,18 +5,23 @@
 // evaluation: feasibility, the cost triple, the spare cycles, each body's
 // budget and conflict cost, and the application-wide conflict graph, all as
 // exact bit patterns.  Any intended change to the feedback must re-pin these
-// values and explain why.
+// values and explain why.  The same models also check that MACP, the
+// scheduler and the allocator place every group by the one on/off-chip rule.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "alloc/allocator.hpp"
 #include "core/explorer.hpp"
 #include "entropy/entropy_coder.hpp"
+#include "graph/macp.hpp"
 #include "persist/fnv.hpp"
+#include "scbd/flow_graph_balancing.hpp"
 #include "workloads/workload.hpp"
 
 namespace dtse::core {
@@ -131,6 +136,55 @@ TEST(EvaluationGoldens, SharedModelIsPinned) {
     EXPECT_EQ(hash.digest(), golden)
         << memories << " memories: 0x" << persist::to_hex(hash.digest());
   }
+}
+
+/// Checks that every layer places each group of `app` by the one rule: the
+/// allocator's on/off-chip split, and the access latency MACP and the
+/// scheduler see for a one-read probe body on a copy of the group.
+void expect_one_placement(const ir::Application& app, const std::string& label) {
+  const auto [onchip, offchip] = alloc::MemoryAllocator::partition_groups(app);
+  EXPECT_EQ(onchip.size() + offchip.size(), app.group_count()) << label;
+  for (const auto id : app.group_ids()) {
+    const auto& group = app.group(id);
+    const std::string where = label + "/" + group.name;
+    const bool off = graph::presumed_offchip(group);
+    EXPECT_EQ(std::find(offchip.begin(), offchip.end(), id) != offchip.end(), off) << where;
+    EXPECT_EQ(std::find(onchip.begin(), onchip.end(), id) != onchip.end(), !off) << where;
+
+    ir::Application probe("probe");
+    ir::LoopBody body;
+    body.name = "read";
+    body.accesses.push_back({probe.add_group(group), ir::AccessKind::kRead, 1.0});
+    const auto body_id = probe.add_body(body);
+    const double cycles = off ? graph::kOffchipAccessCycles : graph::kOnchipAccessCycles;
+    EXPECT_EQ(graph::analyze_macp(probe).macp_cycles, cycles) << where;
+    EXPECT_EQ(scbd::BodyScheduler(probe, body_id).min_budget(),
+              static_cast<std::uint64_t>(cycles))
+        << where;
+  }
+}
+
+// MACP latencies, the scheduler's off-chip flags and the allocator's split
+// all come from `graph::presumed_offchip`: they agree on every group of the
+// default models, and a forced location beats the size threshold.
+TEST(PlacementRule, EveryLayerPlacesEveryGroupAlike) {
+  for (const auto& [label, app] : tuned_models()) expect_one_placement(app, label);
+
+  ir::Application forced("forced");
+  const auto add = [&forced](const char* name, std::uint64_t words,
+                             std::optional<memlib::Location> location) {
+    return forced.add_group({name, words, 8, location});
+  };
+  const auto big = add("big", std::uint64_t{1} << 20, std::nullopt);
+  const auto at = add("at_threshold", graph::kOffchipThresholdWords, std::nullopt);
+  const auto below = add("below_threshold", graph::kOffchipThresholdWords - 1, std::nullopt);
+  const auto big_on = add("big_forced_on", std::uint64_t{1} << 20, memlib::Location::kOnChip);
+  const auto small_off = add("small_forced_off", 16, memlib::Location::kOffChip);
+  const auto small_on = add("small_forced_on", 16, memlib::Location::kOnChip);
+  const auto [onchip, offchip] = alloc::MemoryAllocator::partition_groups(forced);
+  EXPECT_EQ(onchip, (std::vector<ir::BasicGroupId>{below, big_on, small_on}));
+  EXPECT_EQ(offchip, (std::vector<ir::BasicGroupId>{big, at, small_off}));
+  expect_one_placement(forced, "forced");
 }
 
 }  // namespace

@@ -256,18 +256,5 @@ TEST(Macp, ConditionalAccessesWeightedByProbability) {
   EXPECT_DOUBLE_EQ(report.bodies[0].path_cycles, 0.25);
 }
 
-TEST(LatencyModel, ForcedLocationsOverrideThreshold) {
-  LatencyModel model;
-  ir::BasicGroup big{"big", 1 << 20, 8};
-  EXPECT_TRUE(model.presumed_offchip(big));
-  big.forced_location = memlib::Location::kOnChip;
-  EXPECT_FALSE(model.presumed_offchip(big));
-  ir::BasicGroup small{"small", 16, 8};
-  EXPECT_FALSE(model.presumed_offchip(small));
-  small.forced_location = memlib::Location::kOffChip;
-  EXPECT_TRUE(model.presumed_offchip(small));
-  EXPECT_DOUBLE_EQ(model.latency(small), model.offchip_cycles);
-}
-
 }  // namespace
 }  // namespace dtse::graph

@@ -106,6 +106,21 @@ TEST(DramModel, WideSignalUsesWiderOrMoreParts) {
   const auto wide = model.select(1024 * 1024, 10, PortCount::kSingle, 1e6);
   ASSERT_TRUE(narrow.feasible && wide.feasible);
   EXPECT_GT(wide.cost.read_energy_nj, narrow.cost.read_energy_nj);
+
+  // Wider and deeper than any catalogue part: the selection composes parts
+  // side by side in width and in depth, and together they hold every bit of
+  // the signal.
+  const std::uint64_t words = 6 * 1024 * 1024;
+  const auto composed = model.select(words, 32, PortCount::kSingle, 1e6);
+  ASSERT_TRUE(composed.feasible);
+  EXPECT_GE(composed.parts.size(), 4u);
+  std::uint64_t bits = 0;
+  for (const auto& part : composed.parts) {
+    EXPECT_LT(part.width_bits, 32);
+    EXPECT_LT(part.words, words);
+    bits += part.words * static_cast<std::uint64_t>(part.width_bits);
+  }
+  EXPECT_GE(bits, words * 32);
 }
 
 TEST(DramModel, DualPortIsMuchMoreExpensive) {
@@ -157,20 +172,8 @@ TEST(DramModel, RejectsBadInput) {
                support::ContractError);
 }
 
-TEST(DramModel, CustomCatalogueIsUsed) {
-  DramModel model({{"tiny", 1024, 8, 5.0, 2.0, 1.0, 40.0}});
-  const auto sel = model.select(4096, 8, PortCount::kSingle, 1e6);
-  ASSERT_TRUE(sel.feasible);
-  EXPECT_EQ(sel.parts.size(), 4u);
-  EXPECT_EQ(sel.parts.front().name, "tiny");
-}
-
-TEST(DramModel, EmptyCatalogueThrows) {
-  EXPECT_THROW(DramModel(std::vector<DramPart>{}), support::ContractError);
-}
-
 TEST(ClockSpec, SecondsAndCycleTime) {
-  ClockSpec clock{20.0};
+  const ClockSpec clock;
   EXPECT_DOUBLE_EQ(clock.cycle_ns(), 50.0);
   EXPECT_DOUBLE_EQ(clock.seconds(20'000'000), 1.0);
 }

@@ -706,16 +706,14 @@ TEST(ResumableSweep, FingerprintBindsTheCheckpointToTheRecipe) {
   EXPECT_EQ(resumed_rows({}), 1u);
 
   // So must every other option that prices a row: a checkpoint of the
-  // default recipe never resumes under another seed, weighting or off-chip
-  // threshold.  Each probe leaves its own row behind, so the default recipe
-  // is re-established (and resumes) before the next one.
+  // default recipe never resumes under another seed or weighting.  Each
+  // probe leaves its own row behind, so the default recipe is re-established
+  // (and resumes) before the next one.
   core::ExplorerOptions reseeded;
   reseeded.allocation.solver.seed = 2;
   core::ExplorerOptions reweighted;
   reweighted.allocation.solver.weights.power_weight = 1.0;
-  core::ExplorerOptions rethresholded;
-  rethresholded.allocation.offchip_threshold_words = 16 * 1024;
-  for (const auto* changed : {&reseeded, &reweighted, &rethresholded}) {
+  for (const auto* changed : {&reseeded, &reweighted}) {
     EXPECT_EQ(resumed_rows(*changed), 0u);
     EXPECT_EQ(resumed_rows({}), 0u);
     EXPECT_EQ(resumed_rows({}), 1u);

@@ -29,8 +29,9 @@ ir::Application independent_reads_app(int n, std::uint64_t iterations = 10) {
 TEST(FlowGraphBalancing, SerialBudgetHasNoConflicts) {
   const auto app = independent_reads_app(5);
   const auto body = app.body_ids().front();
-  EXPECT_EQ(serial_body_budget(app, body), 5u);
-  const auto result = balance_body(app, body, 5);
+  const BodyScheduler scheduler(app, body);
+  EXPECT_EQ(scheduler.serial_budget(), 5u);
+  const auto result = scheduler.balance(5);
   EXPECT_TRUE(result.feasible);
   EXPECT_EQ(result.conflicts.edge_count(), 0u);
   EXPECT_DOUBLE_EQ(result.conflict_cost, 0.0);
@@ -39,7 +40,7 @@ TEST(FlowGraphBalancing, SerialBudgetHasNoConflicts) {
 TEST(FlowGraphBalancing, TightBudgetCreatesConflicts) {
   const auto app = independent_reads_app(6);
   const auto body = app.body_ids().front();
-  const auto result = balance_body(app, body, 3);
+  const auto result = BodyScheduler(app, body).balance(3);
   EXPECT_TRUE(result.feasible);  // no dependencies, 3 cycles is schedulable
   EXPECT_GT(result.conflicts.edge_count(), 0u);
   EXPECT_GT(result.conflict_cost, 0.0);
@@ -52,7 +53,7 @@ TEST(FlowGraphBalancing, TightBudgetCreatesConflicts) {
 TEST(FlowGraphBalancing, ConflictWeightsScaleWithIterations) {
   const auto app = independent_reads_app(4, 1000);
   const auto body = app.body_ids().front();
-  const auto result = balance_body(app, body, 2);
+  const auto result = BodyScheduler(app, body).balance(2);
   double total = 0.0;
   for (const auto& edge : result.conflicts.edges()) total += edge.weight;
   // 4 units in 2 slots -> 2 pairs per iteration, 1000 iterations.
@@ -70,7 +71,7 @@ TEST(FlowGraphBalancing, MinBudgetIsCriticalPath) {
   body.accesses.push_back({h, ir::AccessKind::kWrite, 1.0});
   body.deps = {{0, 1}};
   const auto id = app.add_body(body);
-  EXPECT_EQ(min_body_budget(app, id, {}), 2u);
+  EXPECT_EQ(BodyScheduler(app, id).min_budget(), 2u);
 }
 
 TEST(FlowGraphBalancing, OffchipLatencyLengthensCriticalPath) {
@@ -84,7 +85,11 @@ TEST(FlowGraphBalancing, OffchipLatencyLengthensCriticalPath) {
   body.accesses.push_back({h, ir::AccessKind::kWrite, 1.0});
   body.deps = {{0, 1}};
   const auto id = app.add_body(body);
-  EXPECT_EQ(min_body_budget(app, id, {}), 3u);
+  const BodyScheduler scheduler(app, id);
+  EXPECT_EQ(scheduler.min_budget(), 3u);
+  // Two units, but the chain needs three cycles: the conflict-free budget
+  // is the critical path, not the unit count.
+  EXPECT_EQ(scheduler.serial_budget(), 3u);
 }
 
 TEST(FlowGraphBalancing, BelowMinimumBudgetIsInfeasible) {
@@ -97,7 +102,7 @@ TEST(FlowGraphBalancing, BelowMinimumBudgetIsInfeasible) {
   body.deps = {};
   const auto id = app.add_body(body);
   // 3 reads of one group into 1 cycle: schedulable but self-conflicting.
-  const auto result = balance_body(app, id, 1);
+  const auto result = BodyScheduler(app, id).balance(1);
   EXPECT_TRUE(result.feasible);
   EXPECT_TRUE(result.conflicts.has_self_conflict(g));
 }
@@ -113,7 +118,7 @@ TEST(FlowGraphBalancing, SchedulerAvoidsSelfConflictsWhenPossible) {
   body.accesses.push_back({h, ir::AccessKind::kRead, 2.0});
   const auto id = app.add_body(body);
   // 4 units in 2 cycles: pairing g with h twice avoids any self-conflict.
-  const auto result = balance_body(app, id, 2);
+  const auto result = BodyScheduler(app, id).balance(2);
   EXPECT_FALSE(result.conflicts.has_self_conflict(g));
   EXPECT_FALSE(result.conflicts.has_self_conflict(h));
   EXPECT_TRUE(result.conflicts.conflicts(g, h));
@@ -129,7 +134,7 @@ TEST(FlowGraphBalancing, FractionalAccessesCarryTheirWeight) {
   body.accesses.push_back({g, ir::AccessKind::kRead, 0.5});
   body.accesses.push_back({h, ir::AccessKind::kRead, 1.0});
   const auto id = app.add_body(body);
-  const auto result = balance_body(app, id, 1);
+  const auto result = BodyScheduler(app, id).balance(1);
   EXPECT_DOUBLE_EQ(result.conflicts.conflict_weight(g, h), 0.5 * 100);
 }
 
@@ -141,7 +146,7 @@ TEST(FlowGraphBalancing, HugeAccessCountIsRejected) {
   body.iterations = 1;
   body.accesses.push_back({g, ir::AccessKind::kRead, 100.0});
   const auto id = app.add_body(body);
-  EXPECT_THROW((void)balance_body(app, id, 100), support::ContractError);
+  EXPECT_THROW((void)BodyScheduler(app, id), support::ContractError);
 }
 
 // --- budget distribution -----------------------------------------------------
@@ -293,7 +298,7 @@ void expect_same_schedule(const BalanceResult& a, const BalanceResult& b,
 }
 
 // The schedules `distribute_budget` returns come from its per-body contexts;
-// each must equal a standalone `balance_body` at the chosen budget.
+// each must equal a fresh `BodyScheduler`'s balance at the chosen budget.
 TEST(BodyScheduler, DistributedSchedulesMatchStandaloneBalancing) {
   for (const auto& app : default_models()) {
     for (const std::uint64_t budget : {20'000'000u, 15'000'000u, 11'600'000u}) {
@@ -302,8 +307,7 @@ TEST(BodyScheduler, DistributedSchedulesMatchStandaloneBalancing) {
       const auto result = distribute_budget(app, options);
       for (const auto& body : result.bodies) {
         expect_same_schedule(body.schedule,
-                             balance_body(app, body.body, body.budget_cycles,
-                                          options.latency, options.penalties),
+                             BodyScheduler(app, body.body).balance(body.budget_cycles),
                              app.name() + "/" + body.name + " at " + std::to_string(budget));
       }
     }
@@ -312,19 +316,20 @@ TEST(BodyScheduler, DistributedSchedulesMatchStandaloneBalancing) {
 
 // Cost-curve steps skip the conflict graph; their cost must still be the full
 // path's, bit for bit, at every budget from the minimum to the serial one.
+// One scheduler balances every budget, so each schedule must also equal a
+// fresh scheduler's.
 TEST(BodyScheduler, CurveCostMatchesFullBalancingAtEveryBudget) {
   for (const auto& app : default_models()) {
     for (const auto id : app.body_ids()) {
       const BodyScheduler scheduler(app, id);
-      EXPECT_EQ(scheduler.min_budget(), min_body_budget(app, id, {}));
-      EXPECT_EQ(scheduler.serial_budget(), serial_body_budget(app, id));
+      EXPECT_GE(scheduler.serial_budget(), scheduler.min_budget());
       const auto lo = std::max<std::uint64_t>(scheduler.min_budget(), 1);
       const auto hi = std::max(scheduler.serial_budget(), lo);
       for (std::uint64_t b = lo; b <= hi; ++b) {
         const auto full = scheduler.balance(b);
         EXPECT_EQ(bits_of(scheduler.conflict_cost(b)), bits_of(full.conflict_cost))
             << app.name() << "/" << app.body(id).name << " at " << b;
-        expect_same_schedule(full, balance_body(app, id, b),
+        expect_same_schedule(full, BodyScheduler(app, id).balance(b),
                              app.name() + "/" + app.body(id).name);
       }
     }

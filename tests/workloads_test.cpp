@@ -13,6 +13,7 @@
 #include "persist/app_container.hpp"
 #include "persist/fnv.hpp"
 #include "support/check.hpp"
+#include "support/image.hpp"
 #include "support/rng.hpp"
 #include "workloads/btpc_workload.hpp"
 #include "workloads/explore.hpp"
@@ -146,19 +147,25 @@ TEST(Workloads, ReuseCurvesNeverIncreaseWithCapacity) {
   }
 }
 
-TEST(Workloads, BtpcCodecKnobsAreTraversalInvariant) {
-  // The workload's codec options reach the profiled encode: an odd tile
-  // height and level order (one strip spanning the frame) must yield the
-  // same profile (tiling is bit- and profile-invariant).
-  btpc::CodecOptions tiled;
-  tiled.tile_rows = 17;
-  btpc::CodecOptions level_order;
-  level_order.tile_rows = small_options().profile_size;  // one strip = level order
-  const auto base = BtpcWorkload{}.profile(small_options());
-  const auto odd_tiles = BtpcWorkload{tiled}.profile(small_options());
-  const auto reference = BtpcWorkload{level_order}.profile(small_options());
-  EXPECT_EQ(base.to_string(), odd_tiles.to_string());
-  EXPECT_EQ(base.to_string(), reference.to_string());
+TEST(Workloads, BtpcProfileIsStripHeightInvariant) {
+  // The workload profiles the default codec; an odd strip height and level
+  // order (one strip spanning the frame) must yield the same profile, since
+  // strip fusion is bit- and profile-invariant.
+  const auto options = small_options();
+  const auto frame = support::make_synthetic_image(
+      options.profile_size, options.profile_size, support::SyntheticKind::kCompound,
+      options.seed);
+  const auto profile_with = [&frame](int tile_rows) {
+    btpc::CodecOptions codec;
+    codec.tile_rows = tile_rows;
+    return btpc::profile_btpc(frame, BtpcWorkload::kDesignSize, BtpcWorkload::kDesignSize,
+                              codec)
+        .to_string();
+  };
+  const auto base = BtpcWorkload{}.profile(options).to_string();
+  EXPECT_EQ(base, profile_with(0));
+  EXPECT_EQ(base, profile_with(17));
+  EXPECT_EQ(base, profile_with(options.profile_size));  // level order
 }
 
 TEST(Workloads, BtpcVerifyRunsTheSelectedBackend) {
