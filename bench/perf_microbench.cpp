@@ -87,6 +87,26 @@ void BM_ScbdDistribution(benchmark::State& state) {
 }
 BENCHMARK(BM_ScbdDistribution)->Arg(20)->Arg(14)->Arg(11);
 
+// The tuned motion model's budget never binds, so the greedy reads every
+// point of every body's cost curve: the case lazy curves cannot skip, timed
+// on the list scheduler alone.  `schedules` is the list schedules one
+// distribution runs.
+void BM_ScbdMotionCurve(benchmark::State& state) {
+  static const auto motion = [] {
+    const auto* workload = workloads::find_workload("motion");
+    return workload->tuned_variant(workload->profile({}));
+  }();
+  auto& counter = obs::TelemetryRegistry::global().counter("scbd.schedules");
+  const auto before = counter.value();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(scbd::distribute_budget(motion, {}));
+  }
+  state.counters["schedules"] = static_cast<double>(counter.value() - before) /
+                                static_cast<double>(std::max<benchmark::IterationCount>(
+                                    state.iterations(), 1));
+}
+BENCHMARK(BM_ScbdMotionCurve)->Unit(benchmark::kMicrosecond);
+
 void BM_AssignmentBranchAndBound(benchmark::State& state) {
   const auto& app = demo_app();
   const auto scbd_result = scbd::distribute_budget(app, {});

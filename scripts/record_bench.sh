@@ -31,7 +31,8 @@ for bench in BM_MotionEstimate \
              BM_BitWriterThroughput BM_BitReaderThroughput \
              BM_EncodeLossless \
              BM_EntropyHuffman BM_EntropyRice BM_EntropyExpGolomb BM_EntropyRans \
-             BM_TelemetryOverhead BM_ScbdDistribution BM_AnnealingIncremental \
+             BM_TelemetryOverhead BM_ScbdDistribution BM_ScbdMotionCurve \
+             BM_AnnealingIncremental \
              BM_AnnealingSharedModel; do
   if ! grep -q "\"$bench" "$OUT"; then
     echo "error: $OUT is missing $bench — incomplete trajectory point" >&2

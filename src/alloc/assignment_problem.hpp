@@ -15,6 +15,7 @@
 //    more than two simultaneous accesses to one memory are infeasible.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -105,6 +106,38 @@ class AssignmentProblem {
   /// Self-conflict bits over all groups.
   [[nodiscard]] const std::uint64_t* self_conflict_bits() const {
     return self_bits_.data();
+  }
+
+  /// The third-port rule for growing a member set one group at a time: true
+  /// when adding `group` to `members` (a bitset of `conflict_words()` words
+  /// whose set needs at most two ports) would need a third port — the group
+  /// meets a conflict and is self-conflicting itself, conflicts with a
+  /// self-conflicting member, or closes a conflict triangle.  Otherwise the
+  /// grown set needs two ports iff the old set did, the group is
+  /// self-conflicting or it conflicts with a member, so this rule and a
+  /// set's dual-port flag classify every insertion as
+  /// `simultaneous_accesses` of the grown set does.  Shared by the
+  /// incremental cost engine and branch-and-bound.
+  [[nodiscard]] bool insertion_infeasible(const std::uint64_t* members,
+                                          std::size_t group) const {
+    const std::uint64_t* row = conflict_row(group);
+    std::uint64_t any = 0;
+    for (std::size_t w = 0; w < conflict_words_; ++w) any |= row[w] & members[w];
+    if (any == 0) return false;  // no new pairs: port needs cannot grow past 2
+    if (test_bit(self_bits_.data(), group)) return true;
+    for (std::size_t w = 0; w < conflict_words_; ++w) {
+      const std::uint64_t neighbours = row[w] & members[w];
+      if ((neighbours & self_bits_[w]) != 0) return true;
+      for (std::uint64_t scan = neighbours; scan != 0; scan &= scan - 1) {
+        // Triangle: a neighbour of the group that conflicts with another one.
+        const std::uint64_t* row_v =
+            conflict_row(w * 64 + static_cast<std::size_t>(std::countr_zero(scan)));
+        for (std::size_t w2 = 0; w2 < conflict_words_; ++w2) {
+          if ((row_v[w2] & row[w2] & members[w2]) != 0) return true;
+        }
+      }
+    }
+    return false;
   }
 
   /// Builds the physical memory for a set of member groups; returns nullopt

@@ -37,7 +37,6 @@ AssignmentState::AssignmentState(const AssignmentProblem& problem, int memory_co
   for (std::size_t i = 0; i < figures_.size(); ++i) {
     figures_[i] = {problem.group_aggregates(i), problem.self_conflicting(i)};
   }
-  scratch_.assign(words_, 0);
   memo_.assign(kMemoSlots * (words_ + 2), 0);
 }
 
@@ -154,33 +153,6 @@ void AssignmentState::account(MemoryState& mem, const std::uint64_t* members,
   }
 }
 
-bool AssignmentState::insertion_infeasible(int m, std::size_t group) {
-  const std::uint64_t* row = problem_->conflict_row(group);
-  const std::uint64_t* members = bits(m);
-  std::uint64_t any = 0;
-  for (std::size_t w = 0; w < words_; ++w) {
-    scratch_[w] = row[w] & members[w];
-    any |= scratch_[w];
-  }
-  if (any == 0) return false;  // no new pairs: port needs cannot grow past 2
-  if (figures_[group].self_conflicting) return true;
-  const std::uint64_t* self_bits = problem_->self_conflict_bits();
-  for (std::size_t w = 0; w < words_; ++w) {
-    if ((scratch_[w] & self_bits[w]) != 0) return true;
-    std::uint64_t scan = scratch_[w];
-    while (scan != 0) {
-      const std::size_t v = w * 64 + static_cast<std::size_t>(std::countr_zero(scan));
-      scan &= scan - 1;
-      // Triangle: a neighbour of the group that conflicts with another one.
-      const std::uint64_t* row_v = problem_->conflict_row(v);
-      for (std::size_t w2 = 0; w2 < words_; ++w2) {
-        if ((row_v[w2] & scratch_[w2]) != 0) return true;
-      }
-    }
-  }
-  return false;
-}
-
 memlib::CostTerm AssignmentState::moved_term(int m, std::size_t group, bool joining) {
   // The key is the exact member set after the move; it is never empty (an
   // emptied memory has no term), so an all-zero slot is an empty one.
@@ -237,7 +209,7 @@ std::optional<AssignmentState::Quote> AssignmentState::price(std::size_t group, 
   const int from = assignment_[group];
   DTSE_DCHECK(to != from, "move must change the memory");
   pending_.active = false;
-  if (insertion_infeasible(to, group)) return std::nullopt;
+  if (problem_->insertion_infeasible(bits(to), group)) return std::nullopt;
 
   const auto& src = memories_[static_cast<std::size_t>(from)];
   const auto& dst = memories_[static_cast<std::size_t>(to)];

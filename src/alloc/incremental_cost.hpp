@@ -128,11 +128,6 @@ class AssignmentState {
   /// removed: a memo hit, or the model calls on a miss.
   memlib::CostTerm moved_term(int m, std::size_t group, bool joining);
 
-  /// True when adding `group` to memory `m` would need a third port: the
-  /// group is self-conflicting and meets any conflict, conflicts with a
-  /// self-conflicting member, or closes a conflict triangle.
-  [[nodiscard]] bool insertion_infeasible(int m, std::size_t group);
-
   /// The per-memory terms summed in memory-index order, as
   /// `AssignmentProblem::evaluate` sums them, with the pending move's terms
   /// when `moved`.  `magnitude`, when given, receives |area_weight| *
@@ -147,7 +142,6 @@ class AssignmentState {
   std::vector<int> assignment_;
   std::vector<MemoryState> memories_;
   std::vector<std::uint64_t> bits_;     ///< memory m's member bitset at m * words_
-  std::vector<std::uint64_t> scratch_;  ///< one bitset row, reused per move
   /// kMemoSlots slots of `words_ + 2` words: the member-set key (all zero =
   /// an empty slot), then the term's area and power bits.
   std::vector<std::uint64_t> memo_;

@@ -54,13 +54,10 @@ std::vector<double> ideal_power(const AssignmentProblem& problem) {
   return result;
 }
 
-struct SearchState {
-  std::vector<std::vector<std::size_t>> members;   ///< per memory
-  std::vector<memlib::CostTerm> terms;             ///< per memory
-  double area = 0.0;
-  double power = 0.0;
-};
-
+/// Branch-and-bound over the groups in `search_order`.  Each memory keeps
+/// its member bitset, the running aggregate of its members' figures and a
+/// dual-port flag, so a node checks the third-port rule on the bitsets and
+/// prices the grown memory from its aggregate: no member list is rescanned.
 class BranchAndBound {
  public:
   BranchAndBound(const AssignmentProblem& problem, int memory_count,
@@ -68,6 +65,7 @@ class BranchAndBound {
       : problem_(problem),
         memory_count_(memory_count),
         options_(options),
+        words_(problem.conflict_words()),
         order_(search_order(problem)),
         ideal_power_(ideal_power(problem)) {
     // Suffix sums of the optimistic remainder bound along the search order.
@@ -78,8 +76,9 @@ class BranchAndBound {
   }
 
   AssignmentSolution run() {
-    state_.members.assign(static_cast<std::size_t>(memory_count_), {});
-    state_.terms.assign(static_cast<std::size_t>(memory_count_), {});
+    const auto memories = static_cast<std::size_t>(memory_count_);
+    bits_.assign(memories * words_, 0);
+    memories_.assign(memories, {});
     best_.scalar_cost = std::numeric_limits<double>::max();
     best_.feasible = false;
     assignment_.assign(problem_.group_count(), -1);
@@ -97,6 +96,13 @@ class BranchAndBound {
   }
 
  private:
+  /// One memory of the partial assignment; its member bitset lives in `bits_`.
+  struct Memory {
+    AssignmentProblem::GroupAggregates sum;
+    bool dual = false;  ///< the members need two ports
+    memlib::CostTerm term;
+  };
+
   void recurse(std::size_t depth, int used_memories) {
     ++nodes_;
     // Coarse-stride cancellation poll: cheap against the pricing work a
@@ -108,12 +114,12 @@ class BranchAndBound {
       return;
     }
     if (depth == order_.size()) {
-      const double scalar = options_.weights.area_weight * state_.area +
-                            options_.weights.power_weight * state_.power;
+      const double scalar = options_.weights.area_weight * area_ +
+                            options_.weights.power_weight * power_;
       if (scalar < best_.scalar_cost) {
         best_.scalar_cost = scalar;
         best_.assignment = assignment_;
-        best_.summary = {state_.area, state_.power, 0.0};
+        best_.summary = {area_, power_, 0.0};
         best_.feasible = true;
         ++incumbents_;
       }
@@ -121,46 +127,58 @@ class BranchAndBound {
     }
     // Admissible bound: committed cost plus the optimistic power of all
     // unplaced groups (their area is not bounded below except by 0).
-    const double bound = options_.weights.area_weight * state_.area +
-                         options_.weights.power_weight * (state_.power + remainder_[depth]);
+    const double bound = options_.weights.area_weight * area_ +
+                         options_.weights.power_weight * (power_ + remainder_[depth]);
     if (bound >= best_.scalar_cost) {
       ++pruned_;
       return;
     }
 
     const std::size_t group = order_[depth];
+    const auto& figures = problem_.group_aggregates(group);
+    const std::uint64_t* row = problem_.conflict_row(group);
+    const bool self = problem_.self_conflicting(group);
     // Symmetry breaking: a group may open at most one new memory.
     const int try_limit = std::min(memory_count_, used_memories + 1);
     for (int m = 0; m < try_limit; ++m) {
-      auto& members = state_.members[static_cast<std::size_t>(m)];
-      members.push_back(group);
-      const auto term = problem_.cost_of_members(members);
-      if (term) {
-        auto& slot = state_.terms[static_cast<std::size_t>(m)];
-        const memlib::CostTerm old = slot;
-        slot = *term;
-        state_.area += term->area_mm2 - old.area_mm2;
-        state_.power += term->power_mw - old.power_mw;
-        assignment_[group] = m;
+      std::uint64_t* members = bits_.data() + static_cast<std::size_t>(m) * words_;
+      if (problem_.insertion_infeasible(members, group)) continue;
+      auto& memory = memories_[static_cast<std::size_t>(m)];
+      const Memory old = memory;
+      std::uint64_t meets = 0;
+      for (std::size_t w = 0; w < words_; ++w) meets |= row[w] & members[w];
+      memory.sum.words += figures.words;
+      memory.sum.width_bits = std::max(memory.sum.width_bits, figures.width_bits);
+      memory.sum.reads += figures.reads;
+      memory.sum.writes += figures.writes;
+      memory.dual = old.dual || self || meets != 0;
+      memory.term = problem_.aggregate_cost_term(memory.sum, memory.dual ? 2 : 1);
+      area_ += memory.term.area_mm2 - old.term.area_mm2;
+      power_ += memory.term.power_mw - old.term.power_mw;
+      members[group / 64] |= std::uint64_t{1} << (group % 64);
+      assignment_[group] = m;
 
-        recurse(depth + 1, std::max(used_memories, m + 1));
+      recurse(depth + 1, std::max(used_memories, m + 1));
 
-        assignment_[group] = -1;
-        state_.area -= term->area_mm2 - old.area_mm2;
-        state_.power -= term->power_mw - old.power_mw;
-        slot = old;
-      }
-      members.pop_back();
+      assignment_[group] = -1;
+      members[group / 64] &= ~(std::uint64_t{1} << (group % 64));
+      area_ -= memory.term.area_mm2 - old.term.area_mm2;
+      power_ -= memory.term.power_mw - old.term.power_mw;
+      memory = old;
     }
   }
 
   const AssignmentProblem& problem_;
   int memory_count_;
   SolverOptions options_;
+  std::size_t words_;                ///< bitset words per member set
   std::vector<std::size_t> order_;
   std::vector<double> ideal_power_;
   std::vector<double> remainder_;
-  SearchState state_;
+  std::vector<std::uint64_t> bits_;  ///< memory m's member bitset at m * words_
+  std::vector<Memory> memories_;
+  double area_ = 0.0;
+  double power_ = 0.0;
   std::vector<int> assignment_;
   AssignmentSolution best_;
   std::uint64_t nodes_ = 0;

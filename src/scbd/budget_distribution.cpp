@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <sstream>
 
+#include "obs/telemetry.hpp"
 #include "support/check.hpp"
 
 namespace dtse::scbd {
@@ -11,59 +13,60 @@ namespace dtse::scbd {
 namespace {
 
 /// Conflict-cost curve of one body: cost at every per-iteration budget from
-/// the critical-path minimum up to the conflict-free serial budget.
-struct CostCurve {
-  std::uint64_t min_budget = 0;
-  std::vector<double> cost;  ///< cost[i] = conflict cost at budget min_budget + i
+/// the critical-path minimum (at least one cycle) up to the conflict-free
+/// serial budget.  A point is scheduled the first time it is read: the
+/// greedy reads only the budgets it reaches and the one above each.
+class CostCurve {
+ public:
+  explicit CostCurve(const BodyScheduler& scheduler)
+      : scheduler_(&scheduler),
+        min_budget_(std::max<std::uint64_t>(scheduler.min_budget(), 1)),
+        cost_(std::max(scheduler.serial_budget(), min_budget_) - min_budget_ + 1) {}
 
-  [[nodiscard]] double at(std::uint64_t budget) const {
-    if (budget < min_budget) return cost.front();
-    const auto idx = budget - min_budget;
-    if (idx >= cost.size()) return cost.back();
-    return cost[idx];
+  [[nodiscard]] std::uint64_t min_budget() const { return min_budget_; }
+  [[nodiscard]] std::uint64_t max_budget() const { return min_budget_ + cost_.size() - 1; }
+
+  /// Cost at `budget`, clamped into the curve.
+  [[nodiscard]] double at(std::uint64_t budget) {
+    const auto idx = std::min<std::uint64_t>(budget - std::min(budget, min_budget_),
+                                             cost_.size() - 1);
+    auto& cost = cost_[idx];
+    if (!cost) cost = scheduler_->conflict_cost(min_budget_ + idx);
+    return *cost;
   }
 
-  [[nodiscard]] std::uint64_t max_budget() const {
-    return min_budget + (cost.empty() ? 0 : cost.size() - 1);
+  /// Points scheduled so far.
+  [[nodiscard]] std::uint64_t scheduled() const {
+    return static_cast<std::uint64_t>(
+        std::count_if(cost_.begin(), cost_.end(), [](const auto& c) { return c.has_value(); }));
   }
+
+ private:
+  const BodyScheduler* scheduler_;
+  std::uint64_t min_budget_;
+  std::vector<std::optional<double>> cost_;  ///< at budget min_budget_ + index
 };
-
-CostCurve build_curve(const BodyScheduler& scheduler) {
-  CostCurve curve;
-  curve.min_budget = scheduler.min_budget();
-  const auto serial = std::max<std::uint64_t>(scheduler.serial_budget(),
-                                              std::max<std::uint64_t>(curve.min_budget, 1));
-  for (std::uint64_t b = std::max<std::uint64_t>(curve.min_budget, 1); b <= serial; ++b) {
-    curve.cost.push_back(scheduler.conflict_cost(b));
-  }
-  if (curve.min_budget == 0) curve.min_budget = 1;  // empty bodies schedule in 1 cycle
-  if (curve.cost.empty()) curve.cost.push_back(0.0);
-  return curve;
-}
 
 }  // namespace
 
 ScbdResult distribute_budget(const ir::Application& app, const ScbdOptions& options) {
   DTSE_CHECK(options.global_budget_cycles > 0, "global cycle budget must be positive");
 
-  // One scheduling context per body: every cost-curve step and the final
-  // schedule reuse its unit DAG and static bounds.
+  // One scheduling context per body: every cost-curve point the greedy reads
+  // and the final schedule reuse its placement order and tables.  (The
+  // schedulers are all built before the curves point at them.)
   const auto body_ids = app.body_ids();
   std::vector<BodyScheduler> schedulers;
-  std::vector<CostCurve> curves;
   schedulers.reserve(body_ids.size());
-  curves.reserve(body_ids.size());
-  for (const auto id : body_ids) {
-    schedulers.emplace_back(app, id);
-    curves.push_back(build_curve(schedulers.back()));
-  }
+  for (const auto id : body_ids) schedulers.emplace_back(app, id);
+  std::vector<CostCurve> curves(schedulers.begin(), schedulers.end());
 
   ScbdResult result;
   // Start every body at its minimum; track global usage.
   std::vector<std::uint64_t> budget(body_ids.size());
   std::uint64_t used = 0;
   for (std::size_t i = 0; i < body_ids.size(); ++i) {
-    budget[i] = std::max<std::uint64_t>(curves[i].min_budget, 1);
+    budget[i] = curves[i].min_budget();
     used += budget[i] * app.body(body_ids[i]).iterations;
   }
   result.minimum_cycles = used;
@@ -98,12 +101,17 @@ ScbdResult distribute_budget(const ir::Application& app, const ScbdOptions& opti
   }
 
   result.used_cycles = used;
+  // List schedules run: the curve points read plus one final schedule per
+  // body.
+  std::uint64_t schedules = body_ids.size();
+  for (const auto& curve : curves) schedules += curve.scheduled();
+  obs::TelemetryRegistry::global().counter("scbd.schedules").add(schedules);
   for (std::size_t i = 0; i < body_ids.size(); ++i) {
     BodyBudget bb;
     bb.body = body_ids[i];
     bb.name = app.body(body_ids[i]).name;
     bb.iterations = app.body(body_ids[i]).iterations;
-    bb.min_cycles = curves[i].min_budget;
+    bb.min_cycles = curves[i].min_budget();
     bb.serial_cycles = curves[i].max_budget();
     bb.budget_cycles = budget[i];
     bb.schedule = schedulers[i].balance(budget[i]);

@@ -11,8 +11,11 @@
 // Distribution algorithm: every body starts at its dependency-critical-path
 // minimum; remaining global budget is spent greedily on the per-iteration
 // budget increment with the best conflict-cost reduction per global cycle
-// (a multiple-choice knapsack heuristic over precomputed per-body cost
-// curves).
+// (a multiple-choice knapsack heuristic over per-body cost curves).  A curve
+// point is balanced the first time the greedy reads it: the greedy only
+// compares each body's current budget with the one above, so a body whose
+// budget stops low never has the rest of its curve scheduled.  The counter
+// `scbd.schedules` counts the list schedules one distribution runs.
 #pragma once
 
 #include <cstdint>

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "graph/digraph.hpp"
 #include "graph/macp.hpp"
 #include "obs/telemetry.hpp"
 #include "support/check.hpp"
@@ -72,7 +73,22 @@ std::uint64_t critical_path(const std::vector<double>& start,
   return static_cast<std::uint64_t>(std::ceil(path));
 }
 
+constexpr std::size_t kNoUnit = std::numeric_limits<std::size_t>::max();
+
 }  // namespace
+
+/// One list schedule: per slot a list of units in placement order, kept as
+/// first/last links and a per-unit successor link, plus the call's scratch.
+struct BodyScheduler::Schedule {
+  std::vector<std::size_t> first;  ///< per slot: first unit placed, kNoUnit if none
+  std::vector<std::size_t> last;   ///< per slot: last unit placed
+  std::vector<std::size_t> load;   ///< per slot: units placed
+  std::vector<std::size_t> next;   ///< per unit: next unit in its slot
+  std::vector<std::size_t> slot;   ///< per unit: its slot
+  /// Conflict pairs already created, one flag per (group, group) pair in
+  /// both orders.
+  std::vector<std::uint8_t> seen_pairs;
+};
 
 BodyScheduler::BodyScheduler(const ir::Application& app, ir::LoopBodyId body_id) {
   // One per scheduling context built: `distribute_budget` adds one per body.
@@ -81,9 +97,9 @@ BodyScheduler::BodyScheduler(const ir::Application& app, ir::LoopBodyId body_id)
   frame_weight_ = static_cast<double>(body.iterations);
   const auto units = expand_units(body);
   const std::size_t n = units.size();
-  weight_.resize(n);
+  std::vector<double> weight(n);
+  std::vector<bool> offchip(n);
   group_.resize(n);
-  offchip_.resize(n);
   latency_.resize(n);
   for (std::size_t u = 0; u < n; ++u) {
     const auto id = body.accesses[units[u].access].group;
@@ -91,14 +107,15 @@ BodyScheduler::BodyScheduler(const ir::Application& app, ir::LoopBodyId body_id)
     group_[u] = static_cast<std::size_t>(it - group_ids_.begin());
     if (it == group_ids_.end()) group_ids_.push_back(id);
     const auto& group = app.group(id);
-    weight_[u] = units[u].weight;
-    offchip_[u] = graph::presumed_offchip(group);
+    weight[u] = units[u].weight;
+    offchip[u] = graph::presumed_offchip(group);
     latency_[u] = graph::access_latency(group);
+    DTSE_DCHECK(latency_[u] == std::floor(latency_[u]), "latencies are whole cycles");
   }
   if (n == 0) return;
 
-  dag_ = unit_dag(body, units);
-  auto asap = dag_.earliest_start(latency_);
+  const auto dag = unit_dag(body, units);
+  auto asap = dag.earliest_start(latency_);
   DTSE_CHECK(asap.has_value(), "cyclic dependencies in body " + body.name);
   asap_ = std::move(*asap);
   min_budget_ = critical_path(asap_, latency_);
@@ -108,94 +125,110 @@ BodyScheduler::BodyScheduler(const ir::Application& app, ir::LoopBodyId body_id)
 
   graph::Digraph reverse(n);
   for (std::size_t u = 0; u < n; ++u) {
-    for (const auto succ : dag_.successors(u)) reverse.add_edge(succ, u);
+    for (const auto succ : dag.successors(u)) reverse.add_edge(succ, u);
   }
   auto rev_start = reverse.earliest_start(latency_);
   DTSE_ASSERT(rev_start.has_value(), "reverse DAG must be acyclic too");
   reverse_asap_ = std::move(*rev_start);
-  topo_ = *dag_.topological_order();
+
+  // Mobility less the budget: every term is a whole number of cycles, so
+  // these compare exactly as the mobilities at any budget do.
+  std::vector<double> mobility(n);
+  for (std::size_t u = 0; u < n; ++u) {
+    mobility[u] = (0.0 - reverse_asap_[u] - latency_[u]) - asap_[u];
+  }
+  order_ = *dag.topological_order();
+  std::stable_sort(order_.begin(), order_.end(), [&](std::size_t a, std::size_t b) {
+    if (mobility[a] != mobility[b]) return mobility[a] < mobility[b];
+    return weight[a] > weight[b];
+  });
+
+  std::vector<std::size_t> rank(n);
+  for (std::size_t i = 0; i < n; ++i) rank[order_[i]] = i;
+  pred_begin_.reserve(n + 1);
+  pred_begin_.push_back(0);
+  for (std::size_t u = 0; u < n; ++u) {
+    for (const auto pred : dag.predecessors(u)) {
+      if (rank[pred] < rank[u]) placed_preds_.push_back(pred);
+    }
+    pred_begin_.push_back(placed_preds_.size());
+  }
+
+  co_weight_.resize(n * n);
+  pair_cost_.resize(n * n);
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t b = 0; b < n; ++b) {
+      double penalty = kOnchipPairPenalty;
+      if (group_[a] == group_[b]) {
+        penalty = offchip[a] ? kOffchipSelfPenalty : kOnchipSelfPenalty;
+      } else if (offchip[a] && offchip[b]) {
+        penalty = kOffchipPairPenalty;
+      } else if (offchip[a] || offchip[b]) {
+        penalty = kMixedPairPenalty;
+      }
+      const double co = std::min(weight[a], weight[b]);
+      co_weight_[a * n + b] = co;
+      pair_cost_[a * n + b] = penalty * co;
+    }
+  }
 }
 
-double BodyScheduler::pair_penalty(std::size_t a, std::size_t b) const {
-  const bool a_off = offchip_[a];
-  const bool b_off = offchip_[b];
-  if (group_[a] == group_[b]) return a_off ? kOffchipSelfPenalty : kOnchipSelfPenalty;
-  if (a_off && b_off) return kOffchipPairPenalty;
-  if (a_off || b_off) return kMixedPairPenalty;
-  return kOnchipPairPenalty;
-}
-
-BodyScheduler::Slots BodyScheduler::schedule(std::uint64_t budget) const {
+double BodyScheduler::schedule(std::uint64_t budget, Schedule& out,
+                               graph::ConflictGraph* conflicts) const {
   budget = std::max(budget, std::max<std::uint64_t>(min_budget_, 1));
-  const std::size_t n = weight_.size();
-  Slots slots(budget);
-  if (n == 0) return slots;
+  const std::size_t n = group_.size();
+  out.first.assign(budget, kNoUnit);
+  out.last.assign(budget, kNoUnit);
+  out.load.assign(budget, 0);
+  out.next.assign(n, kNoUnit);
+  out.slot.assign(n, 0);
+  if (n == 0) return 0.0;
+
+  // Re-using an existing conflict pair barely hurts (those two groups will be
+  // simultaneously accessible anyway); a *new* pair grows the conflict graph
+  // and with it the number of memories allocation will need.  The discount
+  // makes the scheduler cluster parallelism on few group pairs, as flow-graph
+  // balancing does.  Scaling by a power of two is exact, so discounting the
+  // tabled penalty x co-weight product equals discounting the penalty first.
+  const std::size_t groups = group_ids_.size();
+  out.seen_pairs.assign(groups * groups, 0);
+  constexpr double kReusedPairDiscount = 0.25;
 
   // Static ASAP / ALAP bounds define each unit's mobility window.
   const double horizon = static_cast<double>(budget);
-  std::vector<double> alap(n);
-  for (std::size_t u = 0; u < n; ++u) alap[u] = horizon - reverse_asap_[u] - latency_[u];
-
-  // Schedule in topological order; among ready choices the order is by
-  // mobility (tightest window first), then by weight (heavy accesses first).
-  std::vector<std::size_t> order = topo_;
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const double mob_a = alap[a] - asap_[a];
-    const double mob_b = alap[b] - asap_[b];
-    if (mob_a != mob_b) return mob_a < mob_b;
-    return weight_[a] > weight_[b];
-  });
-  // Re-establish topological feasibility: sort is only a tie-break within
-  // the dynamic-ASAP handling below, which tracks placed predecessors.
-
-  std::vector<long> placed_slot(n, -1);
-
-  // Conflict pairs already created while scheduling this body.  Re-using an
-  // existing pair barely hurts (those two groups will be simultaneously
-  // accessible anyway); a *new* pair grows the conflict graph and with it
-  // the number of memories allocation will need.  The discount makes the
-  // scheduler cluster parallelism on few group pairs, as flow-graph
-  // balancing does.  One flag per (group, group) pair, both orders.
-  const std::size_t groups = group_ids_.size();
-  std::vector<std::uint8_t> seen_pairs(groups * groups, 0);
-  constexpr double kReusedPairDiscount = 0.25;
-
-  auto placement_cost = [&](std::size_t unit, std::size_t slot) {
-    double cost = 0.0;
-    for (const auto other : slots[slot]) {
-      const double co_weight = std::min(weight_[unit], weight_[other]);
-      double penalty = pair_penalty(unit, other);
-      if (seen_pairs[group_[unit] * groups + group_[other]] != 0) {
-        penalty *= kReusedPairDiscount;
-      }
-      cost += penalty * co_weight;
-    }
-    return cost;
-  };
-
-  for (const auto unit : order) {
-    // Dynamic ASAP from already-placed predecessors (all predecessors appear
-    // earlier in `order`'s topological base, but the mobility sort may have
-    // moved them; fall back to the static bound when one is unplaced).
+  for (const auto unit : order_) {
+    const double* pair_cost = pair_cost_.data() + unit * n;
+    const std::uint8_t* seen = out.seen_pairs.data() + group_[unit] * groups;
+    // Dynamic ASAP from the predecessors placed so far; the unplaced ones
+    // bound it by their static ASAP, which the unit's own already covers.
     double ready = asap_[unit];
-    for (const auto pred : dag_.predecessors(unit)) {
-      if (placed_slot[pred] >= 0) {
-        ready = std::max(ready, static_cast<double>(placed_slot[pred]) + latency_[pred]);
-      } else {
-        ready = std::max(ready, asap_[pred] + latency_[pred]);
-      }
+    for (std::size_t p = pred_begin_[unit]; p < pred_begin_[unit + 1]; ++p) {
+      const auto pred = placed_preds_[p];
+      ready = std::max(ready, static_cast<double>(out.slot[pred]) + latency_[pred]);
     }
+    const double alap = horizon - reverse_asap_[unit] - latency_[unit];
     const auto lo = static_cast<std::size_t>(
         std::min(std::max(0.0, std::ceil(ready)), horizon - 1.0));
     const auto hi = static_cast<std::size_t>(
-        std::min(std::max(static_cast<double>(lo), alap[unit]), horizon - 1.0));
+        std::min(std::max(static_cast<double>(lo), alap), horizon - 1.0));
 
     std::size_t best_slot = lo;
     double best_cost = std::numeric_limits<double>::max();
     std::size_t best_load = std::numeric_limits<std::size_t>::max();
     for (std::size_t t = lo; t <= hi; ++t) {
-      const double cost = placement_cost(unit, t);
-      const std::size_t load = slots[t].size();
+      // The slot's placement cost, summed in placement order.  Pair costs
+      // are positive and a rounded sum of non-negative terms never falls, so
+      // the sum stops as soon as the slot cannot beat the best one (lower
+      // cost, then lower load).
+      const std::size_t load = out.load[t];
+      double cost = 0.0;
+      auto other = out.first[t];
+      for (; other != kNoUnit; other = out.next[other]) {
+        const double pair = pair_cost[other];
+        cost += seen[group_[other]] != 0 ? pair * kReusedPairDiscount : pair;
+        if (cost > best_cost || (cost == best_cost && load >= best_load)) break;
+      }
+      if (other != kNoUnit) continue;
       if (cost < best_cost || (cost == best_cost && load < best_load)) {
         best_cost = cost;
         best_load = load;
@@ -203,29 +236,31 @@ BodyScheduler::Slots BodyScheduler::schedule(std::uint64_t budget) const {
       }
       if (best_cost == 0.0 && best_load == 0) break;  // cannot improve
     }
-    for (const auto other : slots[best_slot]) {
-      seen_pairs[group_[unit] * groups + group_[other]] = 1;
-      seen_pairs[group_[other] * groups + group_[unit]] = 1;
+    for (auto other = out.first[best_slot]; other != kNoUnit; other = out.next[other]) {
+      out.seen_pairs[group_[unit] * groups + group_[other]] = 1;
+      out.seen_pairs[group_[other] * groups + group_[unit]] = 1;
     }
-    slots[best_slot].push_back(unit);
-    placed_slot[unit] = static_cast<long>(best_slot);
+    if (out.first[best_slot] == kNoUnit) {
+      out.first[best_slot] = unit;
+    } else {
+      out.next[out.last[best_slot]] = unit;
+    }
+    out.last[best_slot] = unit;
+    ++out.load[best_slot];
+    out.slot[unit] = best_slot;
   }
-  return slots;
-}
 
-double BodyScheduler::harvest(const Slots& slots, graph::ConflictGraph* conflicts) const {
   // Every pair of units sharing a slot is a conflict, weighted by expected
   // co-occurrences per frame.
   double cost = 0.0;
-  for (const auto& slot : slots) {
-    for (std::size_t i = 0; i < slot.size(); ++i) {
-      for (std::size_t j = i + 1; j < slot.size(); ++j) {
-        const double co = std::min(weight_[slot[i]], weight_[slot[j]]);
+  for (std::size_t t = 0; t < budget; ++t) {
+    for (auto a = out.first[t]; a != kNoUnit; a = out.next[a]) {
+      for (auto b = out.next[a]; b != kNoUnit; b = out.next[b]) {
         if (conflicts != nullptr) {
-          conflicts->add_conflict(group_ids_[group_[slot[i]]], group_ids_[group_[slot[j]]],
-                                  co * frame_weight_);
+          conflicts->add_conflict(group_ids_[group_[a]], group_ids_[group_[b]],
+                                  co_weight_[a * n + b] * frame_weight_);
         }
-        cost += pair_penalty(slot[i], slot[j]) * co * frame_weight_;
+        cost += pair_cost_[a * n + b] * frame_weight_;
       }
     }
   }
@@ -235,14 +270,22 @@ double BodyScheduler::harvest(const Slots& slots, graph::ConflictGraph* conflict
 BalanceResult BodyScheduler::balance(std::uint64_t budget_cycles) const {
   BalanceResult result;
   result.feasible = budget_cycles >= min_budget_;
-  result.slots = schedule(budget_cycles);
-  result.budget_cycles = result.slots.size();
-  result.conflict_cost = harvest(result.slots, &result.conflicts);
+  Schedule schedule_out;
+  result.conflict_cost = schedule(budget_cycles, schedule_out, &result.conflicts);
+  result.budget_cycles = schedule_out.first.size();
+  result.slots.resize(result.budget_cycles);
+  for (std::size_t t = 0; t < result.slots.size(); ++t) {
+    result.slots[t].reserve(schedule_out.load[t]);
+    for (auto u = schedule_out.first[t]; u != kNoUnit; u = schedule_out.next[u]) {
+      result.slots[t].push_back(u);
+    }
+  }
   return result;
 }
 
 double BodyScheduler::conflict_cost(std::uint64_t budget_cycles) const {
-  return harvest(schedule(budget_cycles), nullptr);
+  Schedule schedule_out;
+  return schedule(budget_cycles, schedule_out, nullptr);
 }
 
 }  // namespace dtse::scbd

@@ -9,6 +9,7 @@
 #include "alloc/assignment_problem.hpp"
 #include "alloc/solvers.hpp"
 #include "support/check.hpp"
+#include "support/rng.hpp"
 
 namespace dtse::alloc {
 namespace {
@@ -135,6 +136,71 @@ TEST(AssignmentProblem, HiddenTriangleIsDetected) {
   // The pendant edges alone stay dual-port feasible.
   EXPECT_EQ(problem.simultaneous_accesses({0, 1, 2, 3}), 2);
   EXPECT_TRUE(problem.build_memory({0, 1, 2, 3}).has_value());
+}
+
+// Branch-and-bound and the incremental cost engine grow member sets one
+// group at a time: the shared third-port rule plus the set's dual-port flag
+// must classify every insertion as `simultaneous_accesses` of the grown set
+// does.  70 groups span two bitset words; every graph carries planted
+// triangles and self-conflicts.
+TEST(AssignmentProblem, InsertionRuleMatchesSimultaneousAccesses) {
+  constexpr int kGroups = 70;
+  std::size_t seen[4] = {};
+  for (std::uint64_t seed = 0; seed < 24; ++seed) {
+    support::Rng rng(seed);
+    Fixture fix(kGroups);
+    const std::uint64_t edge_permille = 10 + 20 * (seed % 4);  // 1 % .. 7 %
+    for (int i = 0; i < kGroups; ++i) {
+      if (rng.below(10) == 0) fix.conflicts.add_conflict(fix.groups[i], fix.groups[i], 1.0);
+      for (int j = i + 1; j < kGroups; ++j) {
+        if (rng.below(1000) < edge_permille) {
+          fix.conflicts.add_conflict(fix.groups[i], fix.groups[j], 1.0);
+        }
+      }
+    }
+    for (int t = 0; t < 4; ++t) {  // triangles across both words
+      const auto a = rng.below(kGroups);
+      const auto b = rng.below(kGroups);
+      const auto c = rng.below(kGroups);
+      if (a == b || b == c || a == c) continue;
+      fix.conflicts.add_conflict(fix.groups[a], fix.groups[b], 1.0);
+      fix.conflicts.add_conflict(fix.groups[b], fix.groups[c], 1.0);
+      fix.conflicts.add_conflict(fix.groups[a], fix.groups[c], 1.0);
+    }
+    const auto problem = fix.problem();
+    ASSERT_EQ(problem.conflict_words(), 2u);
+
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<std::size_t> members;
+      std::vector<std::uint64_t> bits(problem.conflict_words(), 0);
+      bool dual = false;
+      for (int step = 0; step < 3 * kGroups; ++step) {
+        const auto group = static_cast<std::size_t>(rng.below(kGroups));
+        if ((bits[group / 64] >> (group % 64)) & 1u) continue;
+        auto grown = members;
+        grown.push_back(group);
+        const int expected = problem.simultaneous_accesses(grown);
+        int classified = 3;
+        if (!problem.insertion_infeasible(bits.data(), group)) {
+          bool meets = false;
+          for (const auto m : members) meets |= problem.conflicting(m, group);
+          classified = dual || problem.self_conflicting(group) || meets ? 2 : 1;
+        }
+        ASSERT_EQ(classified, expected) << "seed " << seed << " trial " << trial
+                                        << " step " << step << " group " << group;
+        ++seen[expected];
+        if (expected <= 2 && rng.below(2) == 0) {
+          members = std::move(grown);
+          bits[group / 64] |= std::uint64_t{1} << (group % 64);
+          dual = expected == 2;
+        }
+      }
+    }
+  }
+  // Every class occurs: single-port, dual-port and third-port insertions.
+  EXPECT_GT(seen[1], 0u);
+  EXPECT_GT(seen[2], 0u);
+  EXPECT_GT(seen[3], 0u);
 }
 
 TEST(AssignmentProblem, SelfConflictPlusPairNeedsSeparation) {
