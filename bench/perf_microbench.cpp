@@ -11,7 +11,6 @@
 #include "core/explorer.hpp"
 #include "entropy/adaptive_huffman.hpp"
 #include "entropy/bitstream.hpp"
-#include "entropy/entropy_coder.hpp"
 #include "graph/conflict_graph.hpp"
 #include "hyperspec/codec.hpp"
 #include "motion/estimator.hpp"
@@ -502,47 +501,6 @@ void BM_HuffmanCodeLength(benchmark::State& state) {
                           entropy::AdaptiveHuffmanBank::kSymbols);
 }
 BENCHMARK(BM_HuffmanCodeLength);
-
-// --- entropy roster ----------------------------------------------------------
-
-// One batch encode + decode round trip per backend over the same mixed
-// residual corpus (mostly small values, a sprinkle of escapes), so the four
-// coders are directly comparable at identical input statistics.
-void entropy_batch_roundtrip(benchmark::State& state, entropy::Backend backend) {
-  support::Rng rng(11);
-  std::vector<std::uint32_t> values(4096);
-  for (auto& v : values) {
-    v = static_cast<std::uint32_t>(rng.below(16) == 0 ? 200 + rng.below(3800)
-                                                      : rng.below(48));
-  }
-  entropy::CoderOptions options;
-  for (auto _ : state) {
-    const auto batch = entropy::encode_batch(backend, values, options);
-    auto decoded = entropy::try_decode_batch(batch);
-    benchmark::DoNotOptimize(decoded);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(values.size()));
-}
-
-void BM_EntropyHuffman(benchmark::State& state) {
-  entropy_batch_roundtrip(state, entropy::Backend::kHuffman);
-}
-BENCHMARK(BM_EntropyHuffman);
-
-void BM_EntropyRice(benchmark::State& state) {
-  entropy_batch_roundtrip(state, entropy::Backend::kRice);
-}
-BENCHMARK(BM_EntropyRice);
-
-void BM_EntropyExpGolomb(benchmark::State& state) {
-  entropy_batch_roundtrip(state, entropy::Backend::kExpGolomb);
-}
-BENCHMARK(BM_EntropyExpGolomb);
-
-void BM_EntropyRans(benchmark::State& state) {
-  entropy_batch_roundtrip(state, entropy::Backend::kRans);
-}
-BENCHMARK(BM_EntropyRans);
 
 // --- conflict graph ----------------------------------------------------------
 

@@ -1,7 +1,9 @@
 // libFuzzer target for the hardened BTPC decode path.
 //
 // Exercises the full untrusted-input surface: container parse
-// (`try_deserialize`) followed by entropy decode (`try_decode`).  The
+// (`try_deserialize`, "BTPC"/"BTP2") followed by entropy decode
+// (`try_decode`) through whichever backend the header names (Huffman, Rice
+// or Exp-Golomb; make_fuzz_corpus seeds all three).  The
 // contract under test is the robustness trichotomy (see
 // tests/harness/fault_injection.hpp): any input must produce a payload or a
 // clean Status — never a throw, crash, hang or sanitizer report.

@@ -1,12 +1,15 @@
 // Seed-corpus generator for the fuzz targets.
 //
 // Writes a handful of golden containers — real encoder output across the
-// codecs' option space, plus a few deterministic mutants from the
-// fault-injection mutators — into <outdir>/btpc and <outdir>/hyperspec.
-// Starting libFuzzer from structurally valid streams lets it reach the
-// entropy-decode loops immediately instead of spending its budget guessing
-// the container magic.  The reuse-simulation fuzzer gets window ladders
-// with read traces in <outdir>/reuse_sim.
+// codecs' option space and every entropy backend each codec carries, plus a
+// few deterministic mutants from the fault-injection mutators — into
+// <outdir>/btpc (BTPC/BTP2: Huffman, Rice, Exp-Golomb) and
+// <outdir>/hyperspec (HSC1/HSC2: Rice, Exp-Golomb, rANS).  Starting
+// libFuzzer from structurally valid streams lets it reach every backend's
+// decode loop immediately instead of spending its budget guessing the
+// container magic.  APP1 models go to <outdir>/persist_app, and the
+// reuse-simulation fuzzer gets window ladders with read traces in
+// <outdir>/reuse_sim.
 //
 // Usage: make_fuzz_corpus <outdir>
 #include <cstdint>
@@ -117,19 +120,16 @@ int main(int argc, char** argv) {
   const std::filesystem::path out(argv[1]);
   const auto btpc_dir = out / "btpc";
   const auto hs_dir = out / "hyperspec";
-  const auto eg_dir = out / "entropy_expgolomb";
-  const auto rans_dir = out / "entropy_rans";
   const auto app_dir = out / "persist_app";
   const auto reuse_dir = out / "reuse_sim";
   std::filesystem::create_directories(btpc_dir);
   std::filesystem::create_directories(hs_dir);
-  std::filesystem::create_directories(eg_dir);
-  std::filesystem::create_directories(rans_dir);
   std::filesystem::create_directories(app_dir);
   std::filesystem::create_directories(reuse_dir);
 
+  using dtse::entropy::Backend;
   using dtse::support::SyntheticKind;
-  // BTPC: both traversals hit the same stream; vary content, size, lossiness.
+  // BTPC (Huffman): vary content, size, lossiness.
   int n = 0;
   for (const auto& [kind, edge] : {std::pair{SyntheticKind::kCompound, 48},
                                    std::pair{SyntheticKind::kEdges, 32},
@@ -142,6 +142,20 @@ int main(int argc, char** argv) {
       options.quantizer_delta = delta;
       emit(btpc_dir, "seed" + std::to_string(n++),
            dtse::btpc::serialize(encoder.encode(image, options)), 14);
+    }
+  }
+  // BTP2: the roster backends, lossless and lossy, on the compound image.
+  const auto compound =
+      dtse::support::make_synthetic_image(48, 48, SyntheticKind::kCompound, 2024);
+  for (const auto backend : {Backend::kRice, Backend::kExpGolomb}) {
+    for (const int delta : {1, 4}) {
+      dtse::btpc::Encoder encoder(compound.width(), compound.height());
+      dtse::btpc::CodecOptions options;
+      options.lossy = delta > 1;
+      options.quantizer_delta = delta;
+      options.backend = backend;
+      emit(btpc_dir, "seed" + std::to_string(n++),
+           dtse::btpc::serialize(encoder.encode(compound, options)), 15);
     }
   }
 
@@ -158,27 +172,24 @@ int main(int argc, char** argv) {
            dtse::hyperspec::serialize(encoder.encode(cube, options)), 18);
     }
   }
-
-  // Entropy batches ("ENT1"): one corpus per fuzzed backend, varying the
-  // residual statistics and the declared width so the seeds reach both the
-  // short-code fast path and the escape machinery.
-  for (const auto& [backend, dir] :
-       {std::pair{dtse::entropy::Backend::kExpGolomb, eg_dir},
-        std::pair{dtse::entropy::Backend::kRans, rans_dir}}) {
-    n = 0;
-    for (const int value_bits : {8, 12, 16}) {
-      dtse::support::Rng rng(3000u + n);
-      std::vector<std::uint32_t> values(384);
-      const std::uint32_t bound = 1u << value_bits;
-      for (auto& v : values) {
-        v = static_cast<std::uint32_t>(
-            rng.below(8) == 0 ? rng.below(bound) : rng.below(std::min(bound, 64u)));
-      }
-      dtse::entropy::CoderOptions options;
-      options.value_bits = value_bits;
-      emit(dir, "seed" + std::to_string(n++),
-           dtse::entropy::serialize(dtse::entropy::encode_batch(backend, values, options)),
-           17);
+  // HSC2: Exp-Golomb and rANS on a smooth cube, and on a 16-bit noise cube
+  // whose residuals keep both coders in their escape paths.
+  const dtse::hyperspec::CubeShape hs_shape{3, 10, 12};
+  dtse::hyperspec::Cube noise(hs_shape);
+  dtse::support::Rng rng(3001);
+  for (auto& sample : noise.samples()) {
+    sample = static_cast<std::uint16_t>(rng.below(65536));
+  }
+  for (const auto backend : {Backend::kExpGolomb, Backend::kRans}) {
+    for (const int bits : {12, 16}) {
+      dtse::hyperspec::HsCodecOptions options;
+      options.dynamic_range_bits = bits;
+      options.backend = backend;
+      const auto cube =
+          bits == 16 ? noise : dtse::hyperspec::make_synthetic_cube(hs_shape, 91u + n);
+      dtse::hyperspec::Encoder encoder(hs_shape);
+      emit(hs_dir, "seed" + std::to_string(n++),
+           dtse::hyperspec::serialize(encoder.encode(cube, options)), 19);
     }
   }
 

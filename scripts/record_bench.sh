@@ -30,7 +30,6 @@ for bench in BM_MotionEstimate \
              BM_PersistRoundTrip BM_ProfileCacheHit \
              BM_BitWriterThroughput BM_BitReaderThroughput \
              BM_EncodeLossless \
-             BM_EntropyHuffman BM_EntropyRice BM_EntropyExpGolomb BM_EntropyRans \
              BM_TelemetryOverhead BM_ScbdDistribution BM_ScbdMotionCurve \
              BM_AnnealingIncremental \
              BM_AnnealingSharedModel; do

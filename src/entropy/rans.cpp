@@ -5,22 +5,6 @@
 
 namespace dtse::entropy {
 
-std::vector<std::uint8_t> rans_expand(std::span<const std::uint32_t> values) {
-  std::vector<std::uint8_t> symbols;
-  symbols.reserve(values.size());
-  for (const auto value : values) {
-    DTSE_CHECK(value < (1u << 16), "rANS value exceeds the escape range");
-    if (value < static_cast<std::uint32_t>(kRansEscape)) {
-      symbols.push_back(static_cast<std::uint8_t>(value));
-    } else {
-      symbols.push_back(static_cast<std::uint8_t>(kRansEscape));
-      symbols.push_back(static_cast<std::uint8_t>(value & 0xFFu));
-      symbols.push_back(static_cast<std::uint8_t>(value >> 8));
-    }
-  }
-  return symbols;
-}
-
 RansTable rans_build_table(std::span<const std::uint32_t, kRansSymbols> counts) {
   std::uint64_t total = 0;
   for (const auto c : counts) total += c;
@@ -77,12 +61,6 @@ RansTable rans_build_table(std::span<const std::uint32_t, kRansSymbols> counts) 
   }
   table.cum[kRansSymbols] = static_cast<std::uint16_t>(cum);
   return table;
-}
-
-void rans_write_table(const RansTable& table, BitWriter& writer) {
-  for (int s = 0; s < kRansSymbols; ++s) {
-    writer.put(table.freq[static_cast<std::size_t>(s)], kRansFreqBits);
-  }
 }
 
 support::Status rans_read_table(BitReader& reader, RansTable& table) {

@@ -10,9 +10,10 @@
 // in REVERSE and its renormalization words are consumed by the decoder in
 // reverse emission order.  A coded block is therefore framed as
 //   [256 x 13-bit frequencies][32-bit final state][renorm words, reversed]
-// and the decoder reads it strictly forward.  `rans_encode_step` /
-// `rans_flush` expose the encoder at step granularity so instrumented
-// kernels keep the frequency/cumulative tables and coder state in
+// and the decoder reads it strictly forward.  `rans_encode_step` exposes
+// the encoder at step granularity, and the instrumented hyperspec kernel
+// writes the table, the final state and the reversed renorm words itself,
+// so the frequency/cumulative tables and the coder state live in
 // `trace::InstrumentedArray`s — the tables are exactly the kind of on-chip
 // array candidate the exploration is meant to price.
 #pragma once
@@ -45,16 +46,9 @@ struct RansTable {
   std::array<std::uint16_t, kRansSymbols + 1> cum{};
 };
 
-/// Expands residual values (< 2^16) into the escape-coded byte-symbol
-/// sequence the coder actually transmits.
-[[nodiscard]] std::vector<std::uint8_t> rans_expand(std::span<const std::uint32_t> values);
-
 /// Deterministically normalizes raw symbol counts (at least one nonzero) to
 /// a table summing to `kRansScale`; every present symbol keeps freq >= 1.
 [[nodiscard]] RansTable rans_build_table(std::span<const std::uint32_t, kRansSymbols> counts);
-
-/// Writes the 256 x 13-bit frequency fields of `table` through `writer`.
-void rans_write_table(const RansTable& table, BitWriter& writer);
 
 /// Reads and validates a frequency table: the 256 fields must sum to
 /// exactly `kRansScale` or the block is corrupt (`kCorrupt`).
@@ -62,8 +56,8 @@ void rans_write_table(const RansTable& table, BitWriter& writer);
 
 /// Encodes ONE symbol with frequency `freq` and cumulative base `cum`.
 /// Symbols must be fed in reverse sequence order; renormalization words
-/// append to `emitted` (chronological emission order — `rans_flush`
-/// reverses them for the decoder).  Contract: `freq >= 1` (a zero
+/// append to `emitted` (chronological emission order — the block writer
+/// emits them reversed for the decoder).  Contract: `freq >= 1` (a zero
 /// frequency cannot encode; the table builder guarantees it for every
 /// symbol that occurs).
 inline void rans_encode_step(std::uint64_t& state, std::uint32_t freq, std::uint32_t cum,
@@ -77,18 +71,6 @@ inline void rans_encode_step(std::uint64_t& state, std::uint32_t freq, std::uint
     state >>= 16;
   }
   state = ((state / freq) << kRansScaleBits) + (state % freq) + cum;
-}
-
-/// Finishes a block: writes the 32-bit final state then the renorm words in
-/// reverse emission order, so the decoder (which is a LIFO mirror of the
-/// encoder) reads the stream strictly forward.
-inline void rans_flush(std::uint64_t state, const std::vector<std::uint16_t>& emitted,
-                       BitWriter& writer) {
-  writer.put(static_cast<std::uint32_t>(state >> 16), 16);
-  writer.put(static_cast<std::uint32_t>(state & 0xFFFFu), 16);
-  for (auto it = emitted.rbegin(); it != emitted.rend(); ++it) {
-    writer.put(*it, 16);
-  }
 }
 
 /// Forward decoder over a validated table.  Hardened for untrusted bits:

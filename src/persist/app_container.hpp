@@ -5,7 +5,7 @@
 // and cacheable — this container is the durable form of the repo's central
 // data structure (groups, loop bodies, reuse profiles).  The format follows
 // the hardened-container rules established by the codec containers
-// ("BTPC"/"HSC1"/"ENT1") and extends them for a file that must survive
+// ("BTPC"/"BTP2", "HSC1"/"HSC2") and extends them for a file that must survive
 // crashes and bit rot on disk:
 //
 //   * fixed big-endian layout, versioned, append-only semantics;

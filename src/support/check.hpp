@@ -14,8 +14,7 @@
 // artifact, a job request) must NOT be a check: it is a normal input for a
 // hardened entry point and is reported as a `support::Status` /
 // `support::Result<T>` value (see status.hpp).  Decode paths expose
-// `try_decode` / `try_deserialize` returning Results; their throwing
-// wrappers exist only for callers feeding trusted, self-produced streams.
+// `try_decode` / `try_deserialize` returning Results and nothing else.
 #pragma once
 
 #include <sstream>

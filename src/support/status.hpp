@@ -14,8 +14,7 @@
 //    returned as values: a `Status` (code + message + bit offset) or a
 //    `Result<T>` (Status or value).  Hardened entry points (`try_decode`,
 //    `try_deserialize`) are proven crash-free, hang-free and leak-free on
-//    arbitrary bytes; the legacy throwing wrappers are built on top of them
-//    for callers that only ever feed trusted streams.
+//    arbitrary bytes.
 #pragma once
 
 #include <cstdint>

@@ -25,6 +25,10 @@ using entropy::BitWriter;
 using entropy::fold_residual;
 using entropy::unfold_residual;
 
+/// Every backend the BTPC/BTP2 containers carry.
+constexpr entropy::Backend kBackends[] = {
+    entropy::Backend::kHuffman, entropy::Backend::kRice, entropy::Backend::kExpGolomb};
+
 TEST(Bitstream, RoundTripBits) {
   BitWriter writer;
   writer.put(0b101, 3);
@@ -548,19 +552,38 @@ TEST(Codec, TruncatedStreamIsACleanErrorNeverAThrow) {
   // to either a clean Status or a bounded image — never an exception.
   const auto image =
       support::make_synthetic_image(24, 24, support::SyntheticKind::kEdges, 9);
-  Encoder encoder(24, 24);
-  const auto encoded = encoder.encode(image, {});
-  Decoder decoder;
-  for (std::size_t words = 0; words < encoded.stream.size(); ++words) {
-    EncodedImage cut = encoded;
-    cut.stream.resize(words);
-    auto result = decoder.try_decode(cut);
-    if (result.ok()) {
-      EXPECT_EQ(result.value().width(), image.width());
-      EXPECT_EQ(result.value().height(), image.height());
-    } else {
-      EXPECT_NE(result.status().code(), support::StatusCode::kOk);
+  for (const auto backend : kBackends) {
+    Encoder encoder(24, 24);
+    CodecOptions options;
+    options.backend = backend;
+    const auto encoded = encoder.encode(image, options);
+    Decoder decoder;
+    for (std::size_t words = 0; words < encoded.stream.size(); ++words) {
+      EncodedImage cut = encoded;
+      cut.stream.resize(words);
+      auto result = decoder.try_decode(cut);
+      if (result.ok()) {
+        EXPECT_EQ(result.value().width(), image.width()) << entropy::to_string(backend);
+        EXPECT_EQ(result.value().height(), image.height()) << entropy::to_string(backend);
+      } else {
+        EXPECT_NE(result.status().code(), support::StatusCode::kOk);
+      }
     }
+  }
+}
+
+TEST(Codec, UniformNoiseRoundTripsThroughEveryBackend) {
+  // Incompressible pixels drive every coder into its escape path (the
+  // Huffman bank's escape symbol, Rice's raw value, long Exp-Golomb codes).
+  support::Image noise(40, 24);
+  support::Rng rng(17);
+  for (auto& pixel : noise.pixels()) pixel = static_cast<std::uint16_t>(rng.below(256));
+  for (const auto backend : kBackends) {
+    Encoder encoder(noise.width(), noise.height());
+    CodecOptions options;
+    options.backend = backend;
+    const auto encoded = encoder.encode(noise, options);
+    EXPECT_EQ(Decoder{}.try_decode(encoded).take(), noise) << entropy::to_string(backend);
   }
 }
 

@@ -1,30 +1,31 @@
-// Roster-level tests for the entropy subsystem.
+// Tests for the entropy subsystem: the coding primitives the codecs call,
+// and the codec containers that carry the roster backends.
 //
-// Three layers of guarantees live here:
-//  * the cross-backend property — every roster member round-trips the same
-//    residual corpora bit-exactly through the batch interface AND through
-//    the serialized "ENT1" container,
-//  * golden bitstreams — the refactored Huffman and Golomb-Rice codec paths
-//    still produce byte-identical containers to the pre-roster encoders,
-//    and the new wire formats (ENT1 / BTP2 / HSC2) are pinned so drift is a
+//  * golden bitstreams — the Huffman and Golomb-Rice codec paths still
+//    produce byte-identical containers to the pre-roster encoders, and the
+//    extended wire formats (BTP2 / HSC2) are pinned so drift is a
 //    deliberate, versioned act,
-//  * hardened-decode tripwires — every documented Status arm of the batch
-//    container is reachable and returns the documented code.
+//  * codec containers — BTP2 and HSC2 carry each backend their codec
+//    supports and refuse the ones it does not,
+//  * primitives — Exp-Golomb codes and the rANS table/decoder, the latter
+//    against the reference block writer in tests/oracles/rans_encoder.hpp.
+//
+// Round trips, truncation and corruption per backend run through the codecs
+// themselves (tests/btpc_test.cpp, tests/hyperspec_test.cpp,
+// tests/fault_injection_test.cpp).
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "btpc/codec.hpp"
 #include "entropy/bitstream.hpp"
 #include "entropy/entropy_coder.hpp"
 #include "entropy/exp_golomb.hpp"
-#include "entropy/golomb_rice.hpp"
 #include "entropy/rans.hpp"
 #include "hyperspec/codec.hpp"
+#include "oracles/rans_encoder.hpp"
 #include "support/image.hpp"
-#include "support/rng.hpp"
 #include "support/status.hpp"
 
 namespace dtse::entropy {
@@ -40,132 +41,6 @@ using support::StatusCode;
     hash *= 1099511628211ull;
   }
   return hash;
-}
-
-// --- shared residual corpora -------------------------------------------------
-// The same four distributions every backend must survive: flat noise, the
-// degenerate all-zeros run, escape-heavy values (past the Huffman alphabet
-// and the rANS byte range) and the width-edge boundary values.
-
-[[nodiscard]] std::vector<std::uint32_t> uniform_corpus(std::size_t n,
-                                                        std::uint32_t bound,
-                                                        std::uint64_t seed) {
-  support::Rng rng(seed);
-  std::vector<std::uint32_t> values(n);
-  for (auto& v : values) v = static_cast<std::uint32_t>(rng.below(bound));
-  return values;
-}
-
-[[nodiscard]] std::vector<std::uint32_t> escape_heavy_corpus(std::size_t n,
-                                                             std::uint32_t bound,
-                                                             std::uint64_t seed) {
-  support::Rng rng(seed);
-  std::vector<std::uint32_t> values(n);
-  for (auto& v : values) {
-    v = static_cast<std::uint32_t>(255 + rng.below(bound - 255));
-  }
-  return values;
-}
-
-[[nodiscard]] std::vector<std::uint32_t> width_edge_corpus(int value_bits) {
-  const std::uint32_t maxval = (1u << value_bits) - 1u;
-  std::vector<std::uint32_t> values;
-  for (int repeat = 0; repeat < 8; ++repeat) {
-    for (const std::uint32_t v : {0u, maxval, 1u, maxval - 1u,  // width edges
-                                  62u, 63u, 64u,                // Huffman escape edge
-                                  254u, 255u, 256u}) {          // rANS escape edge
-      values.push_back(std::min(v, maxval));
-    }
-  }
-  return values;
-}
-
-/// Mixed corpus shared with the golden ENT1 fingerprints below.
-[[nodiscard]] std::vector<std::uint32_t> mixed_corpus(std::size_t n,
-                                                      std::uint64_t seed) {
-  support::Rng rng(seed);
-  std::vector<std::uint32_t> values(n);
-  for (auto& v : values) {
-    v = static_cast<std::uint32_t>(rng.below(16) == 0 ? 255 + rng.below(3841)
-                                                      : rng.below(64));
-  }
-  return values;
-}
-
-void expect_roundtrip(Backend backend, const std::vector<std::uint32_t>& values,
-                      const CoderOptions& options, const std::string& what) {
-  const auto batch = encode_batch(backend, values, options);
-  const auto direct = try_decode_batch(batch);
-  ASSERT_TRUE(direct.ok()) << what << ": " << direct.status().to_string();
-  EXPECT_EQ(direct.value(), values) << what << ": batch decode diverged";
-
-  // And once more through the byte container.
-  const auto reparsed = try_deserialize(serialize(batch));
-  ASSERT_TRUE(reparsed.ok()) << what << ": " << reparsed.status().to_string();
-  const auto via_container = try_decode_batch(reparsed.value());
-  ASSERT_TRUE(via_container.ok()) << what << ": " << via_container.status().to_string();
-  EXPECT_EQ(via_container.value(), values) << what << ": container decode diverged";
-}
-
-// --- the cross-backend property ----------------------------------------------
-
-TEST(EntropyRoster, EveryBackendRoundTripsTheSharedCorpora) {
-  const CoderOptions options;  // value_bits = 12
-  const std::uint32_t bound = 1u << options.value_bits;
-  const std::vector<std::pair<std::string, std::vector<std::uint32_t>>> corpora = {
-      {"uniform", uniform_corpus(512, bound, 101)},
-      {"all-zeros", std::vector<std::uint32_t>(512, 0)},
-      {"escape-heavy", escape_heavy_corpus(512, bound, 103)},
-      {"width-edge", width_edge_corpus(options.value_bits)},
-  };
-  for (const auto backend : kAllBackends) {
-    for (const auto& [name, values] : corpora) {
-      expect_roundtrip(backend, values, options,
-                       std::string(to_string(backend)) + "/" + name);
-    }
-  }
-}
-
-TEST(EntropyRoster, EveryBackendRoundTripsNarrowAndWideWidths) {
-  CoderOptions narrow;
-  narrow.value_bits = 1;
-  CoderOptions wide;
-  wide.value_bits = 16;
-  for (const auto backend : kAllBackends) {
-    expect_roundtrip(backend, uniform_corpus(256, 2, 107), narrow,
-                     std::string(to_string(backend)) + "/1-bit");
-    expect_roundtrip(backend, width_edge_corpus(16), wide,
-                     std::string(to_string(backend)) + "/16-bit-edges");
-  }
-}
-
-TEST(EntropyRoster, EveryBackendRoundTripsTheEmptyBatch) {
-  for (const auto backend : kAllBackends) {
-    expect_roundtrip(backend, {}, {}, std::string(to_string(backend)) + "/empty");
-  }
-}
-
-TEST(EntropyRoster, EncodingIsDeterministic) {
-  const auto values = mixed_corpus(300, 109);
-  for (const auto backend : kAllBackends) {
-    const auto a = encode_batch(backend, values, {});
-    const auto b = encode_batch(backend, values, {});
-    EXPECT_EQ(a.stream, b.stream) << to_string(backend);
-  }
-}
-
-TEST(EntropyRoster, NamesRoundTripThroughTheParser) {
-  for (const auto backend : kAllBackends) {
-    Backend parsed{};
-    ASSERT_TRUE(backend_from_name(to_string(backend), parsed)) << to_string(backend);
-    EXPECT_EQ(parsed, backend);
-  }
-  Backend unused{};
-  EXPECT_FALSE(backend_from_name("golomb", unused));
-  EXPECT_FALSE(backend_from_name("", unused));
-  EXPECT_TRUE(backend_valid(3));
-  EXPECT_FALSE(backend_valid(4));
-  EXPECT_FALSE(backend_valid(0xFF));
 }
 
 // --- golden bitstreams -------------------------------------------------------
@@ -259,130 +134,6 @@ TEST(GoldenBitstreams, HyperspecRosterContainersAreByteStable) {
   }
 }
 
-TEST(GoldenBitstreams, EntropyBatchContainersAreByteStable) {
-  const auto corpus = mixed_corpus(256, 2026);
-  const struct {
-    Backend backend;
-    std::size_t size;
-    std::uint64_t hash;
-  } goldens[] = {
-      {Backend::kHuffman, 239, 0x8c867deda8ca8dd7ull},
-      {Backend::kRice, 287, 0x6f3fc2bc2face1adull},
-      {Backend::kExpGolomb, 273, 0xc1fcb48bde3d2b8eull},
-      {Backend::kRans, 645, 0x0add7223f6ade75full},
-  };
-  for (const auto& golden : goldens) {
-    const auto bytes = serialize(encode_batch(golden.backend, corpus, {}));
-    EXPECT_EQ(bytes.size(), golden.size) << to_string(golden.backend);
-    EXPECT_EQ(fnv1a(bytes), golden.hash) << to_string(golden.backend);
-  }
-}
-
-// --- container layouts -------------------------------------------------------
-
-TEST(EntropyContainer, HeaderLayoutMatchesTheSpec) {
-  const auto batch = encode_batch(Backend::kRans, mixed_corpus(64, 2027), {});
-  const auto bytes = serialize(batch);
-  ASSERT_EQ(bytes.size(), 17u + batch.stream.size() * 2);
-  EXPECT_EQ(bytes[0], 'E');
-  EXPECT_EQ(bytes[1], 'N');
-  EXPECT_EQ(bytes[2], 'T');
-  EXPECT_EQ(bytes[3], '1');
-  EXPECT_EQ(bytes[4], static_cast<std::uint8_t>(Backend::kRans));
-  EXPECT_EQ(bytes[5], 12u);                       // value_bits
-  EXPECT_EQ(bytes[6], 16u);                       // unary_limit
-  EXPECT_EQ((bytes[7] << 8) | bytes[8], 64);      // rescale_limit, big-endian
-  const std::uint32_t count = (static_cast<std::uint32_t>(bytes[9]) << 24) |
-                              (static_cast<std::uint32_t>(bytes[10]) << 16) |
-                              (static_cast<std::uint32_t>(bytes[11]) << 8) |
-                              bytes[12];
-  EXPECT_EQ(count, 64u);
-  const std::uint32_t words = (static_cast<std::uint32_t>(bytes[13]) << 24) |
-                              (static_cast<std::uint32_t>(bytes[14]) << 16) |
-                              (static_cast<std::uint32_t>(bytes[15]) << 8) |
-                              bytes[16];
-  EXPECT_EQ(words, batch.stream.size());
-}
-
-TEST(EntropyContainer, ParserReportsTheDocumentedStatusCodes) {
-  const auto pristine = serialize(encode_batch(Backend::kRice, mixed_corpus(64, 2028), {}));
-
-  auto short_header = pristine;
-  short_header.resize(16);
-  EXPECT_EQ(try_deserialize(short_header).status().code(), StatusCode::kTruncated);
-
-  auto bad_magic = pristine;
-  bad_magic[0] = 'X';
-  EXPECT_EQ(try_deserialize(bad_magic).status().code(), StatusCode::kMalformedHeader);
-
-  auto bad_backend = pristine;
-  bad_backend[4] = 4;
-  EXPECT_EQ(try_deserialize(bad_backend).status().code(), StatusCode::kMalformedHeader);
-
-  auto missing_payload = pristine;
-  missing_payload.resize(missing_payload.size() - 2);
-  EXPECT_EQ(try_deserialize(missing_payload).status().code(), StatusCode::kTruncated);
-
-  // Trailing bytes beyond the declared words are tolerated (framing inside a
-  // larger file), and the payload still decodes bit-exactly.
-  auto padded = pristine;
-  padded.push_back(0xAB);
-  padded.push_back(0xCD);
-  const auto reparsed = try_deserialize(padded);
-  ASSERT_TRUE(reparsed.ok()) << reparsed.status().to_string();
-  EXPECT_TRUE(try_decode_batch(reparsed.value()).ok());
-}
-
-TEST(EntropyBatch, DecodeValidatesTheHeaderRanges) {
-  const auto pristine = encode_batch(Backend::kRice, mixed_corpus(32, 2029), {});
-
-  auto batch = pristine;
-  batch.value_bits = 0;
-  EXPECT_EQ(try_decode_batch(batch).status().code(), StatusCode::kMalformedHeader);
-  batch = pristine;
-  batch.value_bits = 17;
-  EXPECT_EQ(try_decode_batch(batch).status().code(), StatusCode::kMalformedHeader);
-  batch = pristine;
-  batch.unary_limit = 25;
-  EXPECT_EQ(try_decode_batch(batch).status().code(), StatusCode::kMalformedHeader);
-  batch = pristine;
-  batch.rescale_limit = 4;
-  EXPECT_EQ(try_decode_batch(batch).status().code(), StatusCode::kMalformedHeader);
-  batch = pristine;
-  batch.count = kMaxBatchValues + 1;
-  EXPECT_EQ(try_decode_batch(batch).status().code(), StatusCode::kResourceLimit);
-}
-
-TEST(EntropyBatch, UndersizedStreamsAreTruncatedBeforeAllocation) {
-  // A prefix-coded batch needs at least one bit per value...
-  EncodedBatch sparse;
-  sparse.backend = Backend::kRice;
-  sparse.count = 100;
-  EXPECT_EQ(try_decode_batch(sparse).status().code(), StatusCode::kTruncated);
-
-  // ...and a rANS batch carries its fixed table + state framing.
-  auto rans = encode_batch(Backend::kRans, mixed_corpus(64, 2030), {});
-  rans.stream.resize(100);  // 1600 bits < kRansBlockBits
-  EXPECT_EQ(try_decode_batch(rans).status().code(), StatusCode::kTruncated);
-}
-
-TEST(EntropyBatch, CorruptRansTableIsRejectedByTheChecksum) {
-  auto batch = encode_batch(Backend::kRans, mixed_corpus(64, 2031), {});
-  std::fill(batch.stream.begin(), batch.stream.end(), std::uint16_t{0});
-  EXPECT_EQ(try_decode_batch(batch).status().code(), StatusCode::kCorrupt);
-}
-
-TEST(EntropyBatch, DryStreamTripsTheWidthTripwire) {
-  // Chop an Exp-Golomb batch of wide values down to one stream word: the
-  // soft reader runs dry mid-batch, feeds zeros, and the bounded prefix
-  // scan surfaces the corruption as a width violation.
-  auto batch = encode_batch(Backend::kExpGolomb,
-                            std::vector<std::uint32_t>(4, 4095u), {});
-  ASSERT_GT(batch.stream.size(), 1u);
-  batch.stream.resize(1);
-  EXPECT_EQ(try_decode_batch(batch).status().code(), StatusCode::kCorrupt);
-}
-
 // --- codec containers carry the backend --------------------------------------
 
 TEST(CodecContainers, BtpcExtendedContainerRoundTripsRosterBackends) {
@@ -425,8 +176,13 @@ TEST(CodecContainers, HyperspecExtendedContainerRoundTripsRosterBackends) {
 }
 
 TEST(CodecContainers, DecodersRejectForeignBackends) {
-  // The support matrix is enforced on the decode side too: a header naming
-  // a backend the codec never emits is malformed, not a crash.
+  // Only roster values are backend bytes at all...
+  EXPECT_TRUE(backend_valid(3));
+  EXPECT_FALSE(backend_valid(4));
+  EXPECT_FALSE(backend_valid(0xFF));
+
+  // ...and the support matrix is enforced on the decode side too: a header
+  // naming a backend the codec never emits is malformed, not a crash.
   const auto image =
       support::make_synthetic_image(24, 24, support::SyntheticKind::kCompound, 5);
   btpc::Encoder encoder(24, 24);
@@ -465,7 +221,8 @@ TEST(ExpGolombPrimitives, BoundedPrefixScanReturnsInvalid) {
 }
 
 TEST(RansPrimitives, ExpandAppliesTheEscape) {
-  const auto symbols = rans_expand(std::vector<std::uint32_t>{5, 254, 255, 300, 65535});
+  const auto symbols =
+      oracle::rans_expand(std::vector<std::uint32_t>{5, 254, 255, 300, 65535});
   const std::vector<std::uint8_t> expected = {5,   254, 255, 255, 0,  255,
                                               44,  1,   255, 255, 255};
   EXPECT_EQ(symbols, expected);
@@ -492,13 +249,13 @@ TEST(RansPrimitives, StepFlushDecodeRoundTrip) {
   const auto table = rans_build_table(counts);
 
   entropy::BitWriter writer;
-  rans_write_table(table, writer);
+  oracle::rans_write_table(table, writer);
   std::uint64_t state = kRansL;
   std::vector<std::uint16_t> emitted;
   for (auto it = symbols.rbegin(); it != symbols.rend(); ++it) {
     rans_encode_step(state, table.freq[*it], table.cum[*it], emitted);
   }
-  rans_flush(state, emitted, writer);
+  oracle::rans_flush(state, emitted, writer);
   const auto stream = writer.finish();
 
   entropy::BitReader reader(stream);

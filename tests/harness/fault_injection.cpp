@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "btpc/codec.hpp"
-#include "entropy/entropy_coder.hpp"
 #include "hyperspec/codec.hpp"
 #include "persist/app_container.hpp"
 
@@ -155,19 +154,6 @@ DecodeOutcome probe_hyperspec(const std::vector<std::uint8_t>& bytes,
   };
   return probe_with(bytes, pristine, decode,
                     [](const hyperspec::Cube& a, const hyperspec::Cube& b) { return a == b; });
-}
-
-DecodeOutcome probe_entropy(const std::vector<std::uint8_t>& bytes,
-                            const std::vector<std::uint8_t>& pristine) {
-  const auto decode = [](const std::vector<std::uint8_t>& container)
-      -> support::Result<std::vector<std::uint32_t>> {
-    auto batch = entropy::try_deserialize(container);
-    if (!batch.ok()) return batch.status();
-    return entropy::try_decode_batch(batch.value());
-  };
-  return probe_with(bytes, pristine, decode,
-                    [](const std::vector<std::uint32_t>& a,
-                       const std::vector<std::uint32_t>& b) { return a == b; });
 }
 
 DecodeOutcome probe_app(const std::vector<std::uint8_t>& bytes,

@@ -68,10 +68,6 @@ enum class DecodeOutcome : std::uint8_t {
                                        const std::vector<std::uint8_t>& pristine);
 [[nodiscard]] DecodeOutcome probe_hyperspec(const std::vector<std::uint8_t>& bytes,
                                             const std::vector<std::uint8_t>& pristine);
-/// Probes the standalone entropy-batch container ("ENT1"), whichever roster
-/// backend the header selects.
-[[nodiscard]] DecodeOutcome probe_entropy(const std::vector<std::uint8_t>& bytes,
-                                          const std::vector<std::uint8_t>& pristine);
 /// Probes the persisted application-model container ("APP1").  Equality is
 /// canonical-form equality: an accepted model re-serializes to the pristine
 /// bytes.  Because every APP1 section carries a content hash, campaigns

@@ -3,7 +3,9 @@
 // deterministic encoding, and the instrumented profile.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <string>
 
 #include "hyperspec/codec.hpp"
 #include "support/check.hpp"
@@ -11,6 +13,16 @@
 
 namespace dtse::hyperspec {
 namespace {
+
+/// Every backend the HSC1/HSC2 containers carry.
+constexpr entropy::Backend kBackends[] = {
+    entropy::Backend::kRice, entropy::Backend::kExpGolomb, entropy::Backend::kRans};
+
+[[nodiscard]] HsCodecOptions with_backend(entropy::Backend backend) {
+  HsCodecOptions options;
+  options.backend = backend;
+  return options;
+}
 
 TEST(HyperspecCodec, RoundTripIsBitExactOnOddDims) {
   // The ISSUE's acceptance geometry: 7 bands of 33x17.
@@ -25,51 +37,78 @@ TEST(HyperspecCodec, RoundTripIsBitExactOnOddDims) {
 }
 
 TEST(HyperspecCodec, RoundTripOnDegenerateShapes) {
-  for (const auto& shape :
-       {CubeShape{1, 1, 1}, CubeShape{1, 1, 9}, CubeShape{5, 9, 1}, CubeShape{2, 2, 2}}) {
-    const auto cube = make_synthetic_cube(shape, 99);
-    Encoder encoder(shape);
-    EXPECT_EQ(Decoder{}.try_decode(encoder.encode(cube, {})).take(), cube)
-        << shape.bands << "x" << shape.height << "x" << shape.width;
+  // Degenerate geometry, and degenerate content: an all-zero cube codes an
+  // all-zero residual run.
+  for (const auto backend : kBackends) {
+    for (const auto& shape : {CubeShape{1, 1, 1}, CubeShape{1, 1, 9}, CubeShape{5, 9, 1},
+                              CubeShape{2, 2, 2}}) {
+      for (const auto& cube : {make_synthetic_cube(shape, 99), Cube(shape)}) {
+        Encoder encoder(shape);
+        const auto encoded = encoder.encode(cube, with_backend(backend));
+        EXPECT_EQ(Decoder{}.try_decode(encoded).take(), cube)
+            << entropy::to_string(backend) << " " << shape.bands << "x" << shape.height
+            << "x" << shape.width;
+      }
+    }
   }
 }
 
 TEST(HyperspecCodec, NoiseCubeExercisesEscapesAndStillRoundTrips) {
   const CubeShape shape{3, 31, 29};
-  Cube noisy(shape);
-  support::Rng rng(7);
-  for (auto& sample : noisy.samples()) {
-    sample = static_cast<std::uint16_t>(rng.below(4096));
+  for (const auto backend : kBackends) {
+    for (const int bits : {8, 12, 16}) {
+      Cube noisy(shape);
+      support::Rng rng(7);
+      for (auto& sample : noisy.samples()) {
+        sample = static_cast<std::uint16_t>(rng.below(1u << bits));
+      }
+      auto options = with_backend(backend);
+      options.dynamic_range_bits = bits;
+      Encoder encoder(shape);
+      const auto encoded = encoder.encode(noisy, options);
+      const auto label = std::string(entropy::to_string(backend)) + " at " +
+                         std::to_string(bits) + " bits";
+      EXPECT_EQ(Decoder{}.try_decode(encoded).take(), noisy) << label;
+      // Uniform noise is incompressible: the escape path must be in heavy
+      // use (bits/sample above the raw width is fine, above raw+2.5 is not).
+      // rANS codes an escaped value as three symbols of one shared table
+      // (escape, low byte, high byte), up to about 4 bits over the raw
+      // width, and each band pays its fixed table and state framing.
+      const bool rans = backend == entropy::Backend::kRans;
+      const double slack =
+          rans ? 5.0 + static_cast<double>(entropy::kRansBlockBits) /
+                           static_cast<double>(shape.plane_samples())
+               : 2.5;
+      EXPECT_GT(encoded.bits_per_sample(), bits) << label;
+      EXPECT_LT(encoded.bits_per_sample(), bits + slack) << label;
+    }
   }
-  Encoder encoder(shape);
-  const auto encoded = encoder.encode(noisy, {});
-  EXPECT_EQ(Decoder{}.try_decode(encoded).take(), noisy);
-  // Uniform noise is incompressible: the escape path must be in heavy use
-  // (bits/sample well above the 12-bit entropy is fine, above raw+2 is not).
-  EXPECT_GT(encoded.bits_per_sample(), 12.0);
-  EXPECT_LT(encoded.bits_per_sample(), 14.5);
 }
 
 TEST(HyperspecCodec, RoundTripAtOtherDynamicRanges) {
-  for (const int bits : {8, 10, 16}) {
-    HsCodecOptions options;
-    options.dynamic_range_bits = bits;
-    const CubeShape shape{4, 19, 23};
-    const auto cube = make_synthetic_cube(shape, 5, bits);
-    Encoder encoder(shape);
-    EXPECT_EQ(Decoder{}.try_decode(encoder.encode(cube, options)).take(), cube)
-        << bits << " bits";
+  for (const auto backend : kBackends) {
+    for (const int bits : {8, 10, 16}) {
+      auto options = with_backend(backend);
+      options.dynamic_range_bits = bits;
+      const CubeShape shape{4, 19, 23};
+      const auto cube = make_synthetic_cube(shape, 5, bits);
+      Encoder encoder(shape);
+      EXPECT_EQ(Decoder{}.try_decode(encoder.encode(cube, options)).take(), cube)
+          << entropy::to_string(backend) << " at " << bits << " bits";
+    }
   }
 }
 
 TEST(HyperspecCodec, EncodingIsDeterministic) {
   const CubeShape shape{5, 24, 24};
   const auto cube = make_synthetic_cube(shape, 42);
-  Encoder a(shape);
-  Encoder b(shape);
-  const auto ea = a.encode(cube, {});
-  const auto eb = b.encode(cube, {});
-  EXPECT_EQ(ea.stream, eb.stream);
+  for (const auto backend : kBackends) {
+    Encoder a(shape);
+    Encoder b(shape);
+    EXPECT_EQ(a.encode(cube, with_backend(backend)).stream,
+              b.encode(cube, with_backend(backend)).stream)
+        << entropy::to_string(backend);
+  }
 }
 
 TEST(HyperspecCodec, InstrumentedEncodeMatchesPlainStream) {
@@ -78,10 +117,8 @@ TEST(HyperspecCodec, InstrumentedEncodeMatchesPlainStream) {
   // for every backend and on a geometry with odd edges.
   const CubeShape shape{5, 19, 23};
   const auto cube = make_synthetic_cube(shape, 11);
-  for (const auto backend :
-       {entropy::Backend::kRice, entropy::Backend::kExpGolomb, entropy::Backend::kRans}) {
-    HsCodecOptions options;
-    options.backend = backend;
+  for (const auto backend : kBackends) {
+    const auto options = with_backend(backend);
     Encoder plain(shape);
     trace::Recorder recorder("hyperspec");
     Encoder instrumented(recorder, shape, {}, options);
@@ -158,23 +195,66 @@ TEST(HyperspecCodec, TryDecodeRejectsHostileHeaders) {
   starved.shape = CubeShape{4, 4, 4};
   starved.stream.assign(1, 0);
   EXPECT_EQ(status_of(starved).code(), support::StatusCode::kTruncated);
+
+  // A rANS band carries its fixed table and state framing: 100 words cannot
+  // hold even one band's block.
+  EncodedCube rans_starved;
+  rans_starved.shape = CubeShape{2, 4, 4};
+  rans_starved.backend = entropy::Backend::kRans;
+  rans_starved.stream.assign(100, 0);
+  EXPECT_EQ(status_of(rans_starved).code(), support::StatusCode::kTruncated);
 }
 
 TEST(HyperspecCodec, TruncatedStreamIsACleanErrorNeverAThrow) {
   const CubeShape shape{3, 10, 10};
-  Encoder encoder(shape);
-  const auto encoded = encoder.encode(make_synthetic_cube(shape, 11), {});
-  Decoder decoder;
-  for (std::size_t words = 0; words < encoded.stream.size(); ++words) {
-    EncodedCube cut = encoded;
-    cut.stream.resize(words);
-    auto result = decoder.try_decode(cut);
-    if (result.ok()) {
-      EXPECT_EQ(result.value().shape(), shape);  // bounded, well-shaped output
-    } else {
-      EXPECT_NE(result.status().code(), support::StatusCode::kOk);
+  for (const auto backend : kBackends) {
+    Encoder encoder(shape);
+    const auto encoded =
+        encoder.encode(make_synthetic_cube(shape, 11), with_backend(backend));
+    Decoder decoder;
+    for (std::size_t words = 0; words < encoded.stream.size(); ++words) {
+      EncodedCube cut = encoded;
+      cut.stream.resize(words);
+      auto result = decoder.try_decode(cut);
+      if (result.ok()) {  // bounded, well-shaped output
+        EXPECT_EQ(result.value().shape(), shape) << entropy::to_string(backend);
+      } else {
+        EXPECT_NE(result.status().code(), support::StatusCode::kOk);
+      }
     }
   }
+}
+
+TEST(HyperspecCodec, ZeroedRansStreamIsRejectedByTheTableChecksum) {
+  // All-zero frequencies cannot sum to the scale: the first band's table is
+  // refused before any symbol decodes.
+  const CubeShape shape{2, 8, 8};
+  Encoder encoder(shape);
+  auto encoded = encoder.encode(make_synthetic_cube(shape, 31),
+                                with_backend(entropy::Backend::kRans));
+  std::fill(encoded.stream.begin(), encoded.stream.end(), std::uint16_t{0});
+  EXPECT_EQ(Decoder{}.try_decode(encoded).status().code(), support::StatusCode::kCorrupt);
+}
+
+TEST(HyperspecCodec, DryExpGolombStreamTripsTheWidthTripwire) {
+  // Chop an Exp-Golomb stream of wide residuals to the shortest length the
+  // header check accepts (one bit per sample): the soft reader runs dry
+  // mid-cube, feeds zeros, and the bounded prefix scan surfaces the
+  // corruption as a residual outside the codable range.
+  const CubeShape shape{2, 8, 8};
+  Cube noisy(shape);
+  support::Rng rng(3);
+  for (auto& sample : noisy.samples()) {
+    sample = static_cast<std::uint16_t>(rng.below(1u << 16));
+  }
+  auto options = with_backend(entropy::Backend::kExpGolomb);
+  options.dynamic_range_bits = 16;
+  Encoder encoder(shape);
+  auto encoded = encoder.encode(noisy, options);
+  const auto words = static_cast<std::size_t>((shape.samples() + 15) / 16);
+  ASSERT_GT(encoded.stream.size(), words);
+  encoded.stream.resize(words);
+  EXPECT_EQ(Decoder{}.try_decode(encoded).status().code(), support::StatusCode::kCorrupt);
 }
 
 TEST(HyperspecCodec, SyntheticCubeIsBandCorrelated) {
