@@ -22,7 +22,8 @@ cmake --build "$BUILD_DIR" -j --target perf_microbench
 # compare gate pass on an empty intersection.  The profiling hot path and the
 # what-if query hot path (budget distribution and annealing moves) must be
 # present too, with the annealing solve of the shared model those queries
-# spend most of their time in.
+# spend most of their time in, and the large-member annealing bench that
+# alone runs the multi-word member sets (no shipped model needs them).
 for bench in BM_MotionEstimate \
              BM_RecorderReuseWindow BM_RecorderCoAccess BM_ProfiledEncode \
              BM_ExploreMotion BM_ExploreMultiWorkload \
@@ -31,7 +32,7 @@ for bench in BM_MotionEstimate \
              BM_BitWriterThroughput BM_BitReaderThroughput \
              BM_EncodeLossless \
              BM_TelemetryOverhead BM_ScbdDistribution BM_ScbdMotionCurve \
-             BM_AnnealingIncremental \
+             BM_AnnealingIncremental BM_AnnealingLargeMembers \
              BM_AnnealingSharedModel; do
   if ! grep -q "\"$bench" "$OUT"; then
     echo "error: $OUT is missing $bench — incomplete trajectory point" >&2

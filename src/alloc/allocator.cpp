@@ -22,7 +22,8 @@ double page_hit_fraction(const ir::Application& app, ir::BasicGroupId id) {
     const auto& body = app.body(body_id);
     for (const auto& access : body.accesses) {
       if (access.group != id) continue;
-      const double per_frame = access.per_iteration * static_cast<double>(body.iterations);
+      const double per_frame =
+          access.per_iteration * static_cast<double>(body.iterations);
       weighted += per_frame * access.dense_fraction;
       total += per_frame;
     }
@@ -115,7 +116,9 @@ AllocationResult MemoryAllocator::allocate(const ir::Application& app,
   result.sa_chains = std::move(best.chains);
   result.feasible = best.feasible &&
                     std::all_of(result.offchip.begin(), result.offchip.end(),
-                                [](const OffchipChannel& c) { return c.selection.feasible; });
+                                [](const OffchipChannel& c) {
+                                  return c.selection.feasible;
+                                });
   if (!best.feasible) return result;
 
   // Materialize the memory instances from the winning assignment.

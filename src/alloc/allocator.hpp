@@ -66,7 +66,8 @@ struct AllocationResult {
 
 class MemoryAllocator {
  public:
-  explicit MemoryAllocator(memlib::MemoryLibrary library) : library_(std::move(library)) {}
+  explicit MemoryAllocator(memlib::MemoryLibrary library)
+      : library_(std::move(library)) {}
 
   [[nodiscard]] const memlib::MemoryLibrary& library() const { return library_; }
 

@@ -15,7 +15,8 @@ AssignmentProblem::AssignmentProblem(const ir::Application& app,
     : app_(&app),
       groups_(std::move(groups)),
       library_(&library),
-      frame_cycles_(frame_cycles) {
+      frame_cycles_(frame_cycles),
+      frame_seconds_(library.clock().seconds(frame_cycles)) {
   DTSE_CHECK(frame_cycles_ > 0, "frame cycle count must be positive");
   const std::size_t n = groups_.size();
   conflict_words_ = (n + 63) / 64;
@@ -34,7 +35,8 @@ AssignmentProblem::AssignmentProblem(const ir::Application& app,
     }
     const auto& group = app_->group(groups_[i]);
     const auto totals = app_->totals(groups_[i]);
-    aggregates_[i] = {group.words, group.bitwidth, static_cast<std::uint64_t>(totals.reads),
+    aggregates_[i] = {group.words, group.bitwidth,
+                      static_cast<std::uint64_t>(totals.reads),
                       static_cast<std::uint64_t>(totals.writes)};
   }
 }
@@ -61,7 +63,8 @@ bool AssignmentProblem::self_conflicting(std::size_t i) const {
   return test_bit(self_bits_.data(), i);
 }
 
-int AssignmentProblem::simultaneous_accesses(const std::vector<std::size_t>& members) const {
+int AssignmentProblem::simultaneous_accesses(
+    const std::vector<std::size_t>& members) const {
   // Exact 1 / 2 / >2 classification on the conflict bitsets (see header).
   // This sits on the inner loop of every solver, so the member-set scratch
   // bitset lives on the stack for all realistic group counts.
@@ -129,18 +132,9 @@ std::optional<MemoryInstance> AssignmentProblem::build_memory(
   mem.words = agg.words;
   mem.width_bits = agg.width_bits;
   mem.cost = library_->sram().cost(mem.words, mem.width_bits, mem.ports);
-  mem.power_mw = library_->onchip_power_mw(mem.cost, agg.reads, agg.writes, frame_cycles_);
+  mem.power_mw = memlib::MemoryLibrary::onchip_frame_power_mw(mem.cost, agg.reads,
+                                                              agg.writes, frame_seconds_);
   return mem;
-}
-
-memlib::CostTerm AssignmentProblem::aggregate_cost_term(const GroupAggregates& sum,
-                                                       int ports) const {
-  DTSE_DCHECK(ports == 1 || ports == 2, "memories have one or two ports");
-  const auto cost = library_->sram().cost(
-      sum.words, sum.width_bits,
-      ports == 2 ? memlib::PortCount::kDual : memlib::PortCount::kSingle);
-  const double power = library_->onchip_power_mw(cost, sum.reads, sum.writes, frame_cycles_);
-  return memlib::CostTerm{cost.area_mm2, power};
 }
 
 std::optional<memlib::CostTerm> AssignmentProblem::cost_of_members(

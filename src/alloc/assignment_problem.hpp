@@ -24,8 +24,14 @@
 #include "graph/conflict_graph.hpp"
 #include "ir/application.hpp"
 #include "memlib/memory_library.hpp"
+#include "support/check.hpp"
 
 namespace dtse::alloc {
+
+/// Bitset width of a member set that is read from
+/// `AssignmentProblem::conflict_words()` at run time, where code is
+/// templated on a compile-time word count.
+inline constexpr std::size_t kAnyWords = 0;
 
 /// One allocated on-chip memory with its assigned groups.
 struct MemoryInstance {
@@ -92,9 +98,17 @@ class AssignmentProblem {
   /// Runs the model calls of `build_memory`, so a cost priced here matches
   /// the built memory bit-for-bit — the entry point for the incremental cost
   /// engine, which keeps each memory's aggregate and port count up to date
-  /// per move.
+  /// per move.  Inline, with the frame time computed once per problem: the
+  /// engine calls it on every memo miss.
   [[nodiscard]] memlib::CostTerm aggregate_cost_term(const GroupAggregates& sum,
-                                                     int ports) const;
+                                                     int ports) const {
+    DTSE_DCHECK(ports == 1 || ports == 2, "memories have one or two ports");
+    const auto cost = library_->sram().cost(
+        sum.words, sum.width_bits,
+        ports == 2 ? memlib::PortCount::kDual : memlib::PortCount::kSingle);
+    return {cost.area_mm2, memlib::MemoryLibrary::onchip_frame_power_mw(
+                               cost, sum.reads, sum.writes, frame_seconds_)};
+  }
 
   // --- conflict bitsets (problem-local indices, 64 groups per word) --------
   /// Words per adjacency row; all bitsets below share this pitch.
@@ -117,22 +131,28 @@ class AssignmentProblem {
   /// self-conflicting or it conflicts with a member, so this rule and a
   /// set's dual-port flag classify every insertion as
   /// `simultaneous_accesses` of the grown set does.  Shared by the
-  /// incremental cost engine and branch-and-bound.
+  /// incremental cost engine and branch-and-bound.  `Words` is the bitset
+  /// width when the caller knows it at compile time (it must then equal
+  /// `conflict_words()`), so a one-word member set is checked with single
+  /// word operations; `kAnyWords` reads the width at run time.
+  template <std::size_t Words = kAnyWords>
   [[nodiscard]] bool insertion_infeasible(const std::uint64_t* members,
                                           std::size_t group) const {
-    const std::uint64_t* row = conflict_row(group);
+    const std::size_t words = Words == kAnyWords ? conflict_words_ : Words;
+    const std::uint64_t* rows = conflict_bits_.data();
+    const std::uint64_t* row = rows + group * words;
     std::uint64_t any = 0;
-    for (std::size_t w = 0; w < conflict_words_; ++w) any |= row[w] & members[w];
+    for (std::size_t w = 0; w < words; ++w) any |= row[w] & members[w];
     if (any == 0) return false;  // no new pairs: port needs cannot grow past 2
     if (test_bit(self_bits_.data(), group)) return true;
-    for (std::size_t w = 0; w < conflict_words_; ++w) {
+    for (std::size_t w = 0; w < words; ++w) {
       const std::uint64_t neighbours = row[w] & members[w];
       if ((neighbours & self_bits_[w]) != 0) return true;
       for (std::uint64_t scan = neighbours; scan != 0; scan &= scan - 1) {
         // Triangle: a neighbour of the group that conflicts with another one.
         const std::uint64_t* row_v =
-            conflict_row(w * 64 + static_cast<std::size_t>(std::countr_zero(scan)));
-        for (std::size_t w2 = 0; w2 < conflict_words_; ++w2) {
+            rows + (w * 64 + static_cast<std::size_t>(std::countr_zero(scan))) * words;
+        for (std::size_t w2 = 0; w2 < words; ++w2) {
           if ((row_v[w2] & row[w2] & members[w2]) != 0) return true;
         }
       }
@@ -175,6 +195,7 @@ class AssignmentProblem {
   std::vector<ir::BasicGroupId> groups_;
   const memlib::MemoryLibrary* library_;
   std::uint64_t frame_cycles_;
+  double frame_seconds_;  ///< `library_->clock().seconds(frame_cycles_)`
   std::size_t conflict_words_ = 0;            ///< bitset row pitch in words
   std::vector<std::uint64_t> conflict_bits_;  ///< n adjacency rows of conflict_words_
   std::vector<std::uint64_t> self_bits_;

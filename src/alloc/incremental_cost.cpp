@@ -14,7 +14,17 @@ constexpr std::uint64_t bit_of(std::size_t group) {
   return std::uint64_t{1} << (group % 64);
 }
 
-static_assert(std::has_single_bit(AssignmentState::kMemoSlots), "memo slots: a power of two");
+/// Set bits of `word`.  `std::popcount` compiles to a library call on the
+/// baseline x86-64 ISA (no POPCNT), which spills the caller's registers.
+constexpr std::uint64_t popcount(std::uint64_t word) {
+  word -= (word >> 1) & 0x5555555555555555ULL;
+  word = (word & 0x3333333333333333ULL) + ((word >> 2) & 0x3333333333333333ULL);
+  word = (word + (word >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+  return (word * 0x0101010101010101ULL) >> 56;
+}
+
+static_assert(std::has_single_bit(AssignmentState::kMemoSlots),
+              "memo slots: a power of two");
 constexpr int kMemoShift = 64 - std::countr_zero(AssignmentState::kMemoSlots);
 
 /// Slack per rounding: 2^-50 = 8u (u = 2^-53, a double's unit roundoff).
@@ -26,37 +36,39 @@ constexpr double kSlackOps = 8.0;
 
 }  // namespace
 
-AssignmentState::AssignmentState(const AssignmentProblem& problem, int memory_count,
-                                 const memlib::CostWeights& weights)
+template <std::size_t Words>
+BasicAssignmentState<Words>::BasicAssignmentState(const AssignmentProblem& problem,
+                                                  int memory_count,
+                                                  const memlib::CostWeights& weights)
     : problem_(&problem),
       weights_(weights),
       memory_count_(memory_count),
       words_(problem.conflict_words()) {
   DTSE_CHECK(memory_count >= 1, "need at least one memory");
+  DTSE_CHECK(Words == kAnyWords || words_ == Words, "member sets of the template width");
   figures_.resize(problem.group_count());
   for (std::size_t i = 0; i < figures_.size(); ++i) {
     figures_[i] = {problem.group_aggregates(i), problem.self_conflicting(i)};
   }
-  memo_.assign(kMemoSlots * (words_ + 2), 0);
+  memo_.assign(kMemoSlots * (words() + 2), 0);
 }
 
-memlib::CostSummary AssignmentState::summed_terms(bool moved, double* magnitude) const {
-  // Skipping empty memories, exactly as `AssignmentProblem::evaluate` does,
-  // so the floating-point result matches a from-scratch evaluation.
+template <std::size_t Words>
+memlib::CostSummary BasicAssignmentState<Words>::summed_terms(bool moved,
+                                                             double* magnitude) const {
+  // `AssignmentProblem::evaluate` skips empty memories.  An empty memory's
+  // term here is +0 (`reset` leaves it, `commit` stores the emptied
+  // source's) and a live term is positive, so adding it leaves every sum's
+  // bits as the skip would: the sums match a from-scratch evaluation
+  // without a branch per memory.
   memlib::CostSummary summary;
   memlib::CostTerm absolute;
   for (int m = 0; m < memory_count_; ++m) {
-    const auto& mem = memories_[static_cast<std::size_t>(m)];
-    std::size_t members = mem.members;
-    memlib::CostTerm term = mem.term;
-    if (moved && m == pending_.from) {
-      --members;
-      term = pending_.from_term;
-    } else if (moved && m == pending_.to) {
-      ++members;
-      term = pending_.to_term;
+    memlib::CostTerm term = memories_[static_cast<std::size_t>(m)].term;
+    if (moved) {
+      term = m == pending_.from ? pending_.from_term
+                                : (m == pending_.to ? pending_.to_term : term);
     }
-    if (members == 0) continue;
     summary.onchip_area_mm2 += term.area_mm2;
     summary.onchip_power_mw += term.power_mw;
     absolute += {std::abs(term.area_mm2), std::abs(term.power_mw)};
@@ -68,13 +80,14 @@ memlib::CostSummary AssignmentState::summed_terms(bool moved, double* magnitude)
   return summary;
 }
 
-bool AssignmentState::reset(const std::vector<int>& assignment) {
+template <std::size_t Words>
+bool BasicAssignmentState<Words>::reset(const std::vector<int>& assignment) {
   DTSE_CHECK(assignment.size() == problem_->group_count(), "one entry per group");
   assignment_ = assignment;
   pending_.active = false;
 
   memories_.assign(static_cast<std::size_t>(memory_count_), {});
-  bits_.assign(memories_.size() * words_, 0);
+  if constexpr (Words == kAnyWords) bits_.assign(memories_.size() * words_, 0);
   std::vector<std::vector<std::size_t>> members(memories_.size());
   for (std::size_t i = 0; i < assignment_.size(); ++i) {
     DTSE_CHECK(assignment_[i] >= 0 && assignment_[i] < memory_count_,
@@ -98,22 +111,26 @@ bool AssignmentState::reset(const std::vector<int>& assignment) {
   return true;
 }
 
-std::uint64_t AssignmentState::degree_in(const std::uint64_t* members, std::size_t group) const {
+template <std::size_t Words>
+std::uint64_t BasicAssignmentState<Words>::degree_in(const std::uint64_t* members,
+                                                     std::size_t group) const {
   // The group's conflict row has no self bit, so whether `members` holds the
   // group does not change its degree.
   const std::uint64_t* row = problem_->conflict_row(group);
   std::uint64_t degree = 0;
-  for (std::size_t w = 0; w < words_; ++w) degree += std::popcount(row[w] & members[w]);
+  for (std::size_t w = 0; w < words(); ++w) degree += popcount(row[w] & members[w]);
   return degree;
 }
 
-int AssignmentState::widest(const std::uint64_t* members, std::size_t* holders) const {
+template <std::size_t Words>
+int BasicAssignmentState<Words>::widest(const std::uint64_t* members,
+                                        std::size_t* holders) const {
   int width = 0;
   std::size_t count = 0;
-  for (std::size_t w = 0; w < words_; ++w) {
+  for (std::size_t w = 0; w < words(); ++w) {
     for (std::uint64_t scan = members[w]; scan != 0; scan &= scan - 1) {
-      const int member = figures_[w * 64 + static_cast<std::size_t>(std::countr_zero(scan))]
-                             .sum.width_bits;
+      const auto index = w * 64 + static_cast<std::size_t>(std::countr_zero(scan));
+      const int member = figures_[index].sum.width_bits;
       if (member > width) count = 0;
       width = std::max(width, member);
       if (member == width) ++count;
@@ -123,8 +140,9 @@ int AssignmentState::widest(const std::uint64_t* members, std::size_t* holders) 
   return width;
 }
 
-void AssignmentState::account(MemoryState& mem, const std::uint64_t* members,
-                              std::size_t group, bool joining) const {
+template <std::size_t Words>
+void BasicAssignmentState<Words>::account(MemoryState& mem, const std::uint64_t* members,
+                                          std::size_t group, bool joining) const {
   const std::uint64_t degree = degree_in(members, group);
   const auto& g = figures_[group];
   const std::uint64_t self = g.self_conflicting ? 1 : 0;
@@ -153,27 +171,40 @@ void AssignmentState::account(MemoryState& mem, const std::uint64_t* members,
   }
 }
 
-memlib::CostTerm AssignmentState::moved_term(int m, std::size_t group, bool joining) {
+template <std::size_t Words>
+std::uint64_t BasicAssignmentState<Words>::moved_key(int m, std::size_t group,
+                                                    std::size_t w) {
+  return bits(m)[w] ^ (w == group / 64 ? bit_of(group) : 0);
+}
+
+template <std::size_t Words>
+std::uint64_t* BasicAssignmentState<Words>::memo_slot(int m, std::size_t group) {
+  std::uint64_t hash = 0;
+  for (std::size_t w = 0; w < words(); ++w) {
+    hash = (hash ^ moved_key(m, group, w)) * 0x9E3779B97F4A7C15ULL;
+  }
+  return memo_.data() + (hash >> kMemoShift) * (words() + 2);
+}
+
+template <std::size_t Words>
+inline memlib::CostTerm BasicAssignmentState<Words>::moved_term(int m, std::size_t group,
+                                                                bool joining,
+                                                                std::uint64_t* slot) {
   // The key is the exact member set after the move; it is never empty (an
   // emptied memory has no term), so an all-zero slot is an empty one.
-  const std::uint64_t* members = bits(m);
-  const std::size_t flip_word = group / 64;
-  const auto key = [&](std::size_t w) {
-    return members[w] ^ (w == flip_word ? bit_of(group) : 0);
-  };
-  std::uint64_t hash = 0;
-  for (std::size_t w = 0; w < words_; ++w) hash = (hash ^ key(w)) * 0x9E3779B97F4A7C15ULL;
-  std::uint64_t* slot = memo_.data() + (hash >> kMemoShift) * (words_ + 2);
+  ++memo_lookups_;
   std::size_t same = 0;
-  while (same < words_ && slot[same] == key(same)) ++same;
-  if (same == words_) {
-    return {std::bit_cast<double>(slot[words_]), std::bit_cast<double>(slot[words_ + 1])};
+  while (same < words() && slot[same] == moved_key(m, group, same)) ++same;
+  if (same == words()) [[likely]] {
+    return {std::bit_cast<double>(slot[words()]),
+            std::bit_cast<double>(slot[words() + 1])};
   }
   // Miss: the slot takes the new key, and the model prices the moved set
   // from the memory's aggregate (the width is rescanned only when the last
   // widest member leaves).  A joining group's conflict row has no self bit,
   // so any overlap with the key is a conflict with another member.
-  for (std::size_t w = 0; w < words_; ++w) slot[w] = key(w);
+  ++memo_misses_;
+  for (std::size_t w = 0; w < words(); ++w) slot[w] = moved_key(m, group, w);
   const auto& mem = memories_[static_cast<std::size_t>(m)];
   const auto& g = figures_[group];
   auto sum = mem.sum;
@@ -185,8 +216,9 @@ memlib::CostTerm AssignmentState::moved_term(int m, std::size_t group, bool join
     sum.width_bits = std::max(sum.width_bits, g.sum.width_bits);
     const std::uint64_t* row = problem_->conflict_row(group);
     std::uint64_t any = 0;
-    for (std::size_t w = 0; w < words_; ++w) any |= row[w] & slot[w];
-    dual = mem.pair_conflicts > 0 || mem.self_conflicts > 0 || g.self_conflicting || any != 0;
+    for (std::size_t w = 0; w < words(); ++w) any |= row[w] & slot[w];
+    dual = mem.pair_conflicts > 0 || mem.self_conflicts > 0 || g.self_conflicting ||
+           any != 0;
   } else {
     sum.words -= g.sum.words;
     sum.reads -= g.sum.reads;
@@ -198,24 +230,38 @@ memlib::CostTerm AssignmentState::moved_term(int m, std::size_t group, bool join
            mem.self_conflicts > (g.self_conflicting ? 1u : 0u);
   }
   const auto term = problem_->aggregate_cost_term(sum, dual ? 2 : 1);
-  slot[words_] = std::bit_cast<std::uint64_t>(term.area_mm2);
-  slot[words_ + 1] = std::bit_cast<std::uint64_t>(term.power_mw);
+  slot[words()] = std::bit_cast<std::uint64_t>(term.area_mm2);
+  slot[words() + 1] = std::bit_cast<std::uint64_t>(term.power_mw);
   return term;
 }
 
-std::optional<AssignmentState::Quote> AssignmentState::price(std::size_t group, int to) {
+template <std::size_t Words>
+auto BasicAssignmentState<Words>::price(std::size_t group, int to)
+    -> std::optional<Quote> {
   DTSE_DCHECK(group < assignment_.size(), "group index out of range");
   DTSE_DCHECK(to >= 0 && to < memory_count_, "memory index out of range");
   const int from = assignment_[group];
   DTSE_DCHECK(to != from, "move must change the memory");
   pending_.active = false;
-  if (problem_->insertion_infeasible(bits(to), group)) return std::nullopt;
+  // Both memo slots are located before the feasibility check, so their
+  // loads can start while it runs.
+  std::uint64_t* const from_slot = memo_slot(from, group);
+  std::uint64_t* const to_slot = memo_slot(to, group);
+  if (problem_->insertion_infeasible<Words>(bits(to), group)) return std::nullopt;
 
   const auto& src = memories_[static_cast<std::size_t>(from)];
   const auto& dst = memories_[static_cast<std::size_t>(to)];
-  const auto from_term = src.members == 1 ? memlib::CostTerm{} : moved_term(from, group, false);
-  const auto to_term = moved_term(to, group, true);
-  pending_ = {group, from, to, from_term, to_term, true};
+  const auto from_term =
+      src.members == 1 ? memlib::CostTerm{} : moved_term(from, group, false, from_slot);
+  const auto to_term = moved_term(to, group, true, to_slot);
+  // Field by field: a braced aggregate is built on the stack, and reading it
+  // back stalls on store forwarding.
+  pending_.group = group;
+  pending_.from = from;
+  pending_.to = to;
+  pending_.from_term = from_term;
+  pending_.to_term = to_term;
+  pending_.active = true;
 
   // Slack derivation.  Let S be the exact cost (N terms summed in index
   // order, then scalarized) and M = |wa|*Σ|area| + |wp|*Σ|power| over its
@@ -231,9 +277,10 @@ std::optional<AssignmentState::Quote> AssignmentState::price(std::size_t group, 
   // `CostWeights`.
   const double wa = weights_.area_weight;
   const double wp = weights_.power_weight;
-  const double delta =
-      wa * ((from_term.area_mm2 - src.term.area_mm2) + (to_term.area_mm2 - dst.term.area_mm2)) +
-      wp * ((from_term.power_mw - src.term.power_mw) + (to_term.power_mw - dst.term.power_mw));
+  const double delta = wa * ((from_term.area_mm2 - src.term.area_mm2) +
+                             (to_term.area_mm2 - dst.term.area_mm2)) +
+                       wp * ((from_term.power_mw - src.term.power_mw) +
+                             (to_term.power_mw - dst.term.power_mw));
   const double fresh =
       std::abs(wa) * (std::abs(from_term.area_mm2) + std::abs(to_term.area_mm2)) +
       std::abs(wp) * (std::abs(from_term.power_mw) + std::abs(to_term.power_mw));
@@ -242,24 +289,32 @@ std::optional<AssignmentState::Quote> AssignmentState::price(std::size_t group, 
   return Quote{scalar_ + delta, slack};
 }
 
-double AssignmentState::exact_price() const {
+template <std::size_t Words>
+double BasicAssignmentState<Words>::exact_price() const {
   DTSE_CHECK(pending_.active, "no priced move");
   return weights_.scalarize(summed_terms(true, nullptr));
 }
 
-void AssignmentState::commit() {
+template <std::size_t Words>
+void BasicAssignmentState<Words>::commit() {
   DTSE_CHECK(pending_.active, "no priced move to commit");
-  onchip_ = summed_terms(true, &magnitude_);
-  scalar_ = weights_.scalarize(onchip_);
   pending_.active = false;
   const std::size_t group = pending_.group;
+  auto& src = memories_[static_cast<std::size_t>(pending_.from)];
+  auto& dst = memories_[static_cast<std::size_t>(pending_.to)];
   bits(pending_.to)[group / 64] |= bit_of(group);
-  account(memories_[static_cast<std::size_t>(pending_.to)], bits(pending_.to), group, true);
+  account(dst, bits(pending_.to), group, true);
   bits(pending_.from)[group / 64] &= ~bit_of(group);
-  account(memories_[static_cast<std::size_t>(pending_.from)], bits(pending_.from), group, false);
-  memories_[static_cast<std::size_t>(pending_.from)].term = pending_.from_term;
-  memories_[static_cast<std::size_t>(pending_.to)].term = pending_.to_term;
+  account(src, bits(pending_.from), group, false);
+  src.term = pending_.from_term;
+  dst.term = pending_.to_term;
   assignment_[group] = pending_.to;
+  // The stored terms are the moved ones now: the sum needs no substitution.
+  onchip_ = summed_terms(false, &magnitude_);
+  scalar_ = weights_.scalarize(onchip_);
 }
+
+template class BasicAssignmentState<1>;
+template class BasicAssignmentState<kAnyWords>;
 
 }  // namespace dtse::alloc

@@ -1,18 +1,32 @@
 // Incremental cost engine for the signal-to-memory assignment search.
 //
 // An annealing move reassigns ONE group, so only its source and destination
-// memories change.  `AssignmentState` keeps per memory a member bitset, the
-// conflict counts that fix its port count (a live memory is feasible, so any
-// conflicting pair or self-conflicting member means dual-port), the member
-// aggregate the cost models read (count, summed words/reads/writes, max
-// width and its holders) and its `memlib::CostTerm`.  Moves are priced, then
-// committed.  `price` changes nothing: it checks the destination's
+// memories change.  `BasicAssignmentState` keeps per memory a member bitset,
+// the conflict counts that fix its port count (a live memory is feasible, so
+// any conflicting pair or self-conflicting member means dual-port), the
+// member aggregate the cost models read (count, summed words/reads/writes,
+// max width and its holders) and its `memlib::CostTerm`.  Moves are priced,
+// then committed.  `price` changes nothing: it checks the destination's
 // feasibility on the bitsets, looks both memories' new member sets up in a
-// direct-mapped memo (member bitset -> term, every word compared, so it
-// works at any group count; only a miss runs the cost models) and returns
-// the estimate `scalar_cost() + Δterms` with a rigorous error bound.  A
-// rejected move costs a few bitset operations and, on memo hits, no model
-// call.
+// direct-mapped memo (member bitset -> term, every word compared; only a
+// miss runs the cost models) and returns the estimate `scalar_cost() +
+// Δterms` with a rigorous error bound.  A rejected move costs a few bitset
+// operations and, on memo hits, no model call.
+//
+// One source serves every member-set width; the template parameter is the
+// bitset's word count:
+//  * `OneWordAssignmentState` (`Words` = 1) covers up to 64 groups, every
+//    shipped model.  A memory's member word sits in the struct with its
+//    aggregate and term, a memo slot is one key word and the term's two
+//    doubles (24 bytes), and the width rescan, the conflict degree and the
+//    third-port rule are single-word bit operations.
+//  * `AssignmentState` (`Words` = `kAnyWords`) reads the width
+//    (`AssignmentProblem::conflict_words()`) at run time, keeps the member
+//    bitsets in one array and a memo slot as the key words plus the term.
+// Both hash a key the same way, so they hit, miss and price identically.
+// Each state counts its memo lookups and misses (`memo_lookups()`,
+// `memo_misses()`); the solver reports the totals of a run as
+// `solver.sa.memo_lookups` and `solver.sa.memo_misses`.
 //
 // Correctness anchor: after every `commit`, `scalar_cost()` equals
 // `CostWeights::scalarize(problem.evaluate(assignment))` bit for bit.  The
@@ -20,9 +34,11 @@
 // are exact integers, a term is a pure function of its member set computed
 // by the same `aggregate_cost_term` calls (so a memo hit cannot go stale),
 // and `commit` sums the terms in memory-index order as `evaluate` does.
-// Tests check this against a from-scratch oracle and pinned goldens.
+// Tests check this against a from-scratch oracle, against each other and
+// against pinned goldens.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -33,11 +49,16 @@
 namespace dtse::alloc {
 
 /// A complete assignment with incrementally maintained cost, moved by
-/// pricing a single-group move and committing it.
-class AssignmentState {
+/// pricing a single-group move and committing it.  `Words` is the member
+/// bitset's word count: a fixed count equal to the problem's
+/// `conflict_words()`, or `kAnyWords` for any problem.
+template <std::size_t Words>
+class BasicAssignmentState {
  public:
   /// Slots of the direct-mapped memo: 96 KB per state up to 64 groups (24
-  /// bytes a slot).  It answers about 4 in 5 lookups on the shared model.
+  /// bytes a slot).  It answers about 4 in 5 lookups on the shared model
+  /// over 6 to 14 memories (73% at 6, 75% at 8, 85% at 14; a test holds the
+  /// 8-memory ratio at 70% or more).
   static constexpr std::size_t kMemoSlots = 4096;
 
   /// The price of a move: `exact_price() - scalar_cost()` lies within
@@ -47,8 +68,8 @@ class AssignmentState {
     double slack = 0.0;
   };
 
-  AssignmentState(const AssignmentProblem& problem, int memory_count,
-                  const memlib::CostWeights& weights);
+  BasicAssignmentState(const AssignmentProblem& problem, int memory_count,
+                       const memlib::CostWeights& weights);
 
   /// Loads a complete assignment (one entry per group, each in
   /// [0, memory_count)).  Returns false when any memory is infeasible; the
@@ -78,9 +99,20 @@ class AssignmentState {
   /// Applies the pending move; `scalar_cost()` becomes its exact cost.
   void commit();
 
+  /// Memo lookups since construction: one per member set a `price` needed
+  /// a term for (an emptied source memory needs none).
+  [[nodiscard]] std::uint64_t memo_lookups() const { return memo_lookups_; }
+  /// The lookups that ran the cost models.
+  [[nodiscard]] std::uint64_t memo_misses() const { return memo_misses_; }
+
  private:
-  /// A memory's member aggregate; its member bitset lives in `bits_`.
+  /// Member words held inline by each memory; none when the width is read
+  /// at run time and the bitsets live in `bits_`.
+  static constexpr std::size_t kInlineWords = Words == kAnyWords ? 0 : Words;
+
+  /// A memory's member bitset (inline widths), aggregate and term.
   struct MemoryState {
+    [[no_unique_address]] std::array<std::uint64_t, kInlineWords> bits{};
     std::size_t members = 0;
     AssignmentProblem::GroupAggregates sum;  ///< width_bits: the widest member's
     std::size_t width_holders = 0;     ///< members at that width
@@ -109,8 +141,21 @@ class AssignmentState {
     bool active = false;
   };
 
+  /// Words per member set: the template width, or the problem's.
+  [[nodiscard]] std::size_t words() const {
+    if constexpr (Words == kAnyWords) {
+      return words_;
+    } else {
+      return Words;
+    }
+  }
+  /// Memory `m`'s member bitset.
   [[nodiscard]] std::uint64_t* bits(int m) {
-    return bits_.data() + static_cast<std::size_t>(m) * words_;
+    if constexpr (Words == kAnyWords) {
+      return bits_.data() + static_cast<std::size_t>(m) * words_;
+    } else {
+      return memories_[static_cast<std::size_t>(m)].bits.data();
+    }
   }
 
   /// Accounts `group` having joined (`joining`) or left `mem`, whose member
@@ -119,14 +164,22 @@ class AssignmentState {
   void account(MemoryState& mem, const std::uint64_t* members, std::size_t group,
                bool joining) const;
   /// `group`'s conflict neighbours among `members`.
-  [[nodiscard]] std::uint64_t degree_in(const std::uint64_t* members, std::size_t group) const;
+  [[nodiscard]] std::uint64_t degree_in(const std::uint64_t* members,
+                                        std::size_t group) const;
   /// The max width over `members`; `holders`, when given, receives how many
   /// members have it.
   int widest(const std::uint64_t* members, std::size_t* holders) const;
 
+  /// Word `w` of memory `m`'s member set with `group` flipped in or out.
+  [[nodiscard]] std::uint64_t moved_key(int m, std::size_t group, std::size_t w);
+  /// The memo slot memory `m`'s moved member set hashes to.
+  [[nodiscard]] std::uint64_t* memo_slot(int m, std::size_t group);
   /// Term of memory `m`'s member set with `group` added (`joining`) or
-  /// removed: a memo hit, or the model calls on a miss.
-  memlib::CostTerm moved_term(int m, std::size_t group, bool joining);
+  /// removed, from its memo `slot`: a hit, or the model calls on a miss.
+  /// Inlined into `price`, so the terms stay in registers: returned from a
+  /// call, GCC packs them through the stack and stalls on store forwarding.
+  [[gnu::always_inline]] memlib::CostTerm moved_term(int m, std::size_t group,
+                                                     bool joining, std::uint64_t* slot);
 
   /// The per-memory terms summed in memory-index order, as
   /// `AssignmentProblem::evaluate` sums them, with the pending move's terms
@@ -141,14 +194,24 @@ class AssignmentState {
   std::vector<GroupFigures> figures_;
   std::vector<int> assignment_;
   std::vector<MemoryState> memories_;
-  std::vector<std::uint64_t> bits_;     ///< memory m's member bitset at m * words_
-  /// kMemoSlots slots of `words_ + 2` words: the member-set key (all zero =
+  std::vector<std::uint64_t> bits_;     ///< `kAnyWords`: memory m's bitset at m * words_
+  /// kMemoSlots slots of `words() + 2` words: the member-set key (all zero =
   /// an empty slot), then the term's area and power bits.
   std::vector<std::uint64_t> memo_;
+  std::uint64_t memo_lookups_ = 0;
+  std::uint64_t memo_misses_ = 0;
   memlib::CostSummary onchip_;
   double scalar_ = 0.0;
   double magnitude_ = 0.0;  ///< `summed_terms`' magnitude: the scale of the slack
   Pending pending_;
 };
+
+/// The state for problems of up to 64 groups (`conflict_words()` == 1).
+using OneWordAssignmentState = BasicAssignmentState<1>;
+/// The state for any group count.
+using AssignmentState = BasicAssignmentState<kAnyWords>;
+
+extern template class BasicAssignmentState<1>;
+extern template class BasicAssignmentState<kAnyWords>;
 
 }  // namespace dtse::alloc

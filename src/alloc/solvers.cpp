@@ -259,6 +259,8 @@ struct ChainOutcome {
   double best_cost = std::numeric_limits<double>::max();
   ChainStats stats;
   std::uint64_t exact_prices = 0;  ///< moves whose decision needed the exact sum
+  std::uint64_t memo_lookups = 0;  ///< the state's memo lookups, start included
+  std::uint64_t memo_misses = 0;   ///< the lookups that ran the cost models
 };
 
 /// Diversifies `state` away from the greedy start it was reset with: a burst
@@ -266,14 +268,16 @@ struct ChainOutcome {
 /// the greedy basin while staying feasible by construction.  Draws from `rng`
 /// only (its own stream), so a chain's start is a pure function of (seed,
 /// chain) no matter how chains are scheduled.
-void diversify_start(AssignmentState& state, const AssignmentProblem& problem,
-                     int memory_count, support::Rng& rng) {
+template <typename State>
+void diversify_start(State& state, const AssignmentProblem& problem, int memory_count,
+                     support::Rng& rng) {
   const std::size_t n = problem.group_count();
   const std::size_t kicks = std::max<std::size_t>(2, n / 3);
   std::size_t applied = 0;
   for (std::size_t tries = 0; tries < 8 * kicks && applied < kicks; ++tries) {
     const auto group = static_cast<std::size_t>(rng.below(n));
-    const int new_m = static_cast<int>(rng.below(static_cast<std::uint64_t>(memory_count)));
+    const int new_m =
+        static_cast<int>(rng.below(static_cast<std::uint64_t>(memory_count)));
     if (new_m == state.assignment()[group]) continue;
     if (state.price(group, new_m)) {
       state.commit();
@@ -282,10 +286,13 @@ void diversify_start(AssignmentState& state, const AssignmentProblem& problem,
   }
 }
 
+/// `Words` is the member-set width of the chain's state: 1 up to 64 groups,
+/// `kAnyWords` beyond.
+template <std::size_t Words>
 ChainOutcome anneal_chain(const AssignmentProblem& problem, int memory_count,
                           const SolverOptions& options, const std::vector<int>& start,
                           std::size_t chain, int iterations) {
-  AssignmentState state(problem, memory_count, options.weights);
+  BasicAssignmentState<Words> state(problem, memory_count, options.weights);
   const bool ok = state.reset(start);
   DTSE_ASSERT(ok, "annealing start assignment must be feasible");
   if (chain > 0) {
@@ -295,22 +302,29 @@ ChainOutcome anneal_chain(const AssignmentProblem& problem, int memory_count,
 
   ChainOutcome out;
   out.best_assignment = state.assignment();
-  out.best_cost = state.scalar_cost();
+  // The loop keeps its running figures in locals no lambda captures by
+  // reference, so they stay in registers across the state's calls.
   double current = state.scalar_cost();
+  double best_cost = current;
+  std::uint64_t moves = 0;
+  std::uint64_t accepted = 0;
+  std::uint64_t exact_prices = 0;
   out.stats.start_cost = current;
 
   support::Rng rng(options.seed + 0x9E3779B97F4A7C15ULL * (chain + 1));
   double temperature = sa_start_temperature(current);
   const double decay = std::pow(1e-3, 1.0 / static_cast<double>(std::max(1, iterations)));
+  const std::size_t groups = problem.group_count();
 
   // Convergence sampling: a fixed iteration stride (~64 samples per chain),
   // so the series is a pure function of (seed, chain, iterations) — never of
   // wall-clock or scheduling.
   const int stride = std::max(1, iterations / 64);
   int next_sample = 0;
-  const auto sample = [&](int it) {
-    out.stats.convergence.push_back({it, temperature, current, out.best_cost,
-                                     out.stats.accepted});
+  auto& convergence = out.stats.convergence;
+  const auto sample = [&convergence](int it, double temperature, double current,
+                                     double best_cost, std::uint64_t accepted) {
+    convergence.push_back({it, temperature, current, best_cost, accepted});
   };
 
   int completed = 0;
@@ -321,33 +335,42 @@ ChainOutcome anneal_chain(const AssignmentProblem& problem, int memory_count,
       break;
     }
     if (it == next_sample) {  // it % stride == 0, without a division per move
-      sample(it);
+      sample(it, temperature, current, best_cost, accepted);
       next_sample += stride;
     }
     completed = it + 1;
-    const auto group = static_cast<std::size_t>(rng.below(problem.group_count()));
-    const int new_m = static_cast<int>(rng.below(static_cast<std::uint64_t>(memory_count)));
+    const auto group = static_cast<std::size_t>(rng.below(groups));
+    const int new_m =
+        static_cast<int>(rng.below(static_cast<std::uint64_t>(memory_count)));
     if (new_m == state.assignment()[group]) continue;
-    ++out.stats.moves;
+    ++moves;
     const auto quote = state.price(group, new_m);
     if (!quote) continue;  // needs a third port
     const bool accept = metropolis_accept(
-        quote->estimate - current, quote->slack, temperature, [&] { return rng.uniform(); },
+        quote->estimate - current, quote->slack, temperature,
+        [&] { return rng.uniform(); },
         [&] {
-          ++out.exact_prices;
+          ++exact_prices;
           return state.exact_price() - current;
         });
     if (!accept) continue;  // an uncommitted price leaves the state as it was
     state.commit();
-    ++out.stats.accepted;
+    ++accepted;
     current = state.scalar_cost();
-    if (current < out.best_cost) {
-      out.best_cost = current;
+    if (current < best_cost) {
+      best_cost = current;
       out.best_assignment = state.assignment();
     }
   }
-  sample(completed);  // closing sample so the series always ends at the final state
-  out.stats.best_cost = out.best_cost;
+  // Closing sample, so the series always ends at the final state.
+  sample(completed, temperature, current, best_cost, accepted);
+  out.best_cost = best_cost;
+  out.stats.best_cost = best_cost;
+  out.stats.moves = moves;
+  out.stats.accepted = accepted;
+  out.exact_prices = exact_prices;
+  out.memo_lookups = state.memo_lookups();
+  out.memo_misses = state.memo_misses();
   return out;
 }
 
@@ -385,21 +408,30 @@ AssignmentSolution solve_annealing(const AssignmentProblem& problem, int memory_
   const auto chains = static_cast<std::size_t>(
       std::clamp(options.sa_chains, 1, std::max(1, options.sa_iterations)));
   const int per_chain = options.sa_iterations / static_cast<int>(chains);
+  // The member-set width is picked once per solve: one word covers every
+  // problem of up to 64 groups.
+  const auto run_chain =
+      problem.conflict_words() == 1 ? &anneal_chain<1> : &anneal_chain<kAnyWords>;
   std::vector<ChainOutcome> outcomes(chains);
   support::parallel_for(chains, options.sa_parallelism, [&](std::size_t c) {
-    outcomes[c] = anneal_chain(problem, memory_count, options, start.assignment, c, per_chain);
+    outcomes[c] =
+        run_chain(problem, memory_count, options, start.assignment, c, per_chain);
   });
 
   AssignmentSolution best = start;
   std::uint64_t moves = 0;
   std::uint64_t accepted = 0;
   std::uint64_t exact_prices = 0;
+  std::uint64_t memo_lookups = 0;
+  std::uint64_t memo_misses = 0;
   const ChainOutcome* winner = nullptr;
   double winning_cost = start.scalar_cost;
   for (const auto& outcome : outcomes) {
     moves += outcome.stats.moves;
     accepted += outcome.stats.accepted;
     exact_prices += outcome.exact_prices;
+    memo_lookups += outcome.memo_lookups;
+    memo_misses += outcome.memo_misses;
     if (outcome.best_cost < winning_cost) {
       winning_cost = outcome.best_cost;
       winner = &outcome;
@@ -422,6 +454,8 @@ AssignmentSolution solve_annealing(const AssignmentProblem& problem, int memory_
   registry.counter("solver.sa.moves").add(moves);
   registry.counter("solver.sa.accepted").add(accepted);
   registry.counter("solver.sa.exact_prices").add(exact_prices);
+  registry.counter("solver.sa.memo_lookups").add(memo_lookups);
+  registry.counter("solver.sa.memo_misses").add(memo_misses);
   for (const auto& chain : best.chains) {
     registry.histogram("solver.sa.chain_accepted").observe(chain.accepted);
   }

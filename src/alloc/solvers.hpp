@@ -7,6 +7,13 @@
 //  * simulated annealing: independent chains from greedy and perturbed-greedy
 //    starts, each cooling geometrically from a fixed fraction of its start
 //    cost (near-optimal on large instances, deterministic under a fixed seed).
+//    A chain prices its moves through the incremental cost engine
+//    (alloc/incremental_cost.hpp) at the member-set width the solve picks
+//    once: one 64-bit word up to 64 groups (every shipped model), the
+//    multi-word bitset beyond.  Both widths take the same decisions, so the
+//    width changes only the speed.  Besides moves, accepts and exact prices,
+//    a run adds its chains' memo lookups and misses to the telemetry
+//    counters `solver.sa.memo_lookups` and `solver.sa.memo_misses`.
 //
 // The paper's assignment tool "finds the optimal assignment based on cost
 // models specific for the target memory technology"; branch-and-bound is the
@@ -120,14 +127,16 @@ struct AssignmentSolution {
 /// u unless u falls inside it.
 template <typename DrawUniform, typename ExactDelta>
 [[nodiscard]] bool metropolis_accept(double estimate, double slack, double temperature,
-                                     DrawUniform&& draw_uniform, ExactDelta&& exact_delta) {
+                                     DrawUniform&& draw_uniform,
+                                     ExactDelta&& exact_delta) {
   constexpr double kMargin = 1e-12;
   const double t = std::max(temperature, 1e-9);
   if (estimate <= -slack) return true;  // exact delta <= 0: accepted, u not drawn
   if (estimate > slack) {               // exact delta > 0: u is drawn
     const double u = draw_uniform();
     const double inverse_t = 1.0 / t;
-    const double lo = (estimate - slack) * inverse_t * (1.0 - kMargin);  // |x| in [lo, hi]
+    // |x| lies in [lo, hi].
+    const double lo = (estimate - slack) * inverse_t * (1.0 - kMargin);
     const double hi = (estimate + slack) * inverse_t * (1.0 + kMargin);
     const bool below = u < (1.0 - hi) * (1.0 - kMargin);      // u < 1 + x <= e^x
     const bool above = u * (1.0 + lo) >= 1.0 + kMargin;       // u >= 1 / (1 - x) >= e^x

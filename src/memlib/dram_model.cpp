@@ -31,13 +31,15 @@ const std::vector<DramPart>& catalogue() {
 
 }  // namespace
 
-double DramModel::effective_access_energy_nj(const DramPart& part, double page_hit_fraction) {
+double DramModel::effective_access_energy_nj(const DramPart& part,
+                                             double page_hit_fraction) {
   return part.access_energy_nj * (1.0 - page_hit_fraction) +
          part.page_energy_nj * page_hit_fraction;
 }
 
 DramSelection DramModel::select(std::uint64_t words, int width_bits, PortCount ports,
-                                double accesses_per_second, double page_hit_fraction) const {
+                                double accesses_per_second,
+                                double page_hit_fraction) const {
   DTSE_CHECK(words > 0, "off-chip signal needs at least one word");
   DTSE_CHECK(width_bits > 0, "off-chip signal width must be positive");
   DTSE_CHECK(accesses_per_second >= 0.0, "negative access rate");

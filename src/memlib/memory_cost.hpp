@@ -41,7 +41,9 @@ struct CostSummary {
   double onchip_power_mw = 0.0;
   double offchip_power_mw = 0.0;
 
-  [[nodiscard]] double total_power_mw() const { return onchip_power_mw + offchip_power_mw; }
+  [[nodiscard]] double total_power_mw() const {
+    return onchip_power_mw + offchip_power_mw;
+  }
 
   CostSummary& operator+=(const CostSummary& other) {
     onchip_area_mm2 += other.onchip_area_mm2;

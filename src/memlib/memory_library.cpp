@@ -4,23 +4,8 @@
 
 namespace dtse::memlib {
 
-namespace {
-double average_power_mw(double energy_nj, double static_power_mw, double seconds) {
-  // nJ / s = nW; convert to mW.
-  return energy_nj * 1e-6 / seconds + static_power_mw;
-}
-}  // namespace
-
-double MemoryLibrary::onchip_power_mw(const MemoryCost& cost, std::uint64_t reads,
-                                      std::uint64_t writes,
-                                      std::uint64_t frame_cycles) const {
-  DTSE_CHECK(frame_cycles > 0, "frame must span at least one cycle");
-  const double seconds = clock_.seconds(frame_cycles);
-  return average_power_mw(cost.access_energy_nj(reads, writes), cost.static_power_mw, seconds);
-}
-
-double MemoryLibrary::offchip_power_mw(const DramSelection& selection, std::uint64_t reads,
-                                       std::uint64_t writes,
+double MemoryLibrary::offchip_power_mw(const DramSelection& selection,
+                                       std::uint64_t reads, std::uint64_t writes,
                                        std::uint64_t frame_cycles) const {
   DTSE_CHECK(selection.feasible, "off-chip selection is not feasible");
   DTSE_CHECK(frame_cycles > 0, "frame must span at least one cycle");

@@ -12,8 +12,17 @@
 #include "memlib/dram_model.hpp"
 #include "memlib/memory_cost.hpp"
 #include "memlib/sram_model.hpp"
+#include "support/check.hpp"
 
 namespace dtse::memlib {
+
+/// Average power [mW] of `energy_nj` spent per frame of `frame_seconds` on
+/// top of `static_power_mw`: the one formula on- and off-chip power share.
+[[nodiscard]] inline double average_power_mw(double energy_nj, double static_power_mw,
+                                             double frame_seconds) {
+  // nJ / s = nW; convert to mW.
+  return energy_nj * 1e-6 / frame_seconds + static_power_mw;
+}
 
 /// System timing context.  The BTPC design goal is 1 Mpixel/s on a 1024x1024
 /// image, and the storage cycle budget derived from it is ~20M cycles per
@@ -42,11 +51,25 @@ class MemoryLibrary {
   /// and the frame duration implied by `frame_cycles`.
   [[nodiscard]] double onchip_power_mw(const MemoryCost& cost, std::uint64_t reads,
                                        std::uint64_t writes,
-                                       std::uint64_t frame_cycles) const;
+                                       std::uint64_t frame_cycles) const {
+    DTSE_CHECK(frame_cycles > 0, "frame must span at least one cycle");
+    return onchip_frame_power_mw(cost, reads, writes, clock_.seconds(frame_cycles));
+  }
+
+  /// The same power over a frame of `frame_seconds`
+  /// (`clock().seconds(frame_cycles)`, positive): the on-chip power formula,
+  /// for callers that price many memories over one frame.
+  [[nodiscard]] static double onchip_frame_power_mw(const MemoryCost& cost,
+                                                    std::uint64_t reads,
+                                                    std::uint64_t writes,
+                                                    double frame_seconds) {
+    return average_power_mw(cost.access_energy_nj(reads, writes), cost.static_power_mw,
+                            frame_seconds);
+  }
 
   /// Average power [mW] of an off-chip selection under the same conditions.
-  [[nodiscard]] double offchip_power_mw(const DramSelection& selection, std::uint64_t reads,
-                                        std::uint64_t writes,
+  [[nodiscard]] double offchip_power_mw(const DramSelection& selection,
+                                        std::uint64_t reads, std::uint64_t writes,
                                         std::uint64_t frame_cycles) const;
 
  private:

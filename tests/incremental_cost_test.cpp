@@ -6,16 +6,24 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <set>
 
+#include "alloc/allocator.hpp"
 #include "alloc/incremental_cost.hpp"
 #include "alloc/solvers.hpp"
+#include "core/explorer.hpp"
+#include "obs/telemetry.hpp"
 #include "oracles/full_recost.hpp"
+#include "scbd/budget_distribution.hpp"
+#include "support/check.hpp"
 #include "support/rng.hpp"
+#include "workloads/workload.hpp"
 
 namespace dtse::alloc {
 namespace {
@@ -397,6 +405,147 @@ TEST(AssignmentState, MultiWordMemoKeysMatchFullRecost) {
   expect_same_costs(incremental, full, problem, kMemories, weights);
 }
 
+std::uint64_t bits_of(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// The two member-set widths are one source: driven through the same moves,
+// the one-word state and the multi-word state quote, price, commit and miss
+// their memos identically, bit for bit.
+TEST(AssignmentState, OneWordStateMatchesMultiWordStateOver10kMoves) {
+  constexpr int kMemories = 5;
+  const Fixture fix = sparse_fixture(48, 13);
+  const auto problem = fix.problem();
+  ASSERT_EQ(problem.conflict_words(), 1u);
+  const memlib::CostWeights weights{.area_weight = 0.75, .power_weight = 3.5};
+  const auto start = greedy_start(problem, kMemories);
+
+  OneWordAssignmentState one(problem, kMemories, weights);
+  AssignmentState any(problem, kMemories, weights);
+  ASSERT_TRUE(one.reset(start));
+  ASSERT_TRUE(any.reset(start));
+  ASSERT_EQ(bits_of(one.scalar_cost()), bits_of(any.scalar_cost()));
+
+  support::Rng rng(41);
+  MoveCounts counts;
+  for (int move = 0; move < 10'000; ++move) {
+    const auto group = static_cast<std::size_t>(rng.below(problem.group_count()));
+    const int to = static_cast<int>(rng.below(kMemories));
+    if (to == one.assignment()[group]) continue;
+    const auto a = one.price(group, to);
+    const auto b = any.price(group, to);
+    ASSERT_EQ(a.has_value(), b.has_value()) << "move " << move;
+    ASSERT_EQ(one.memo_misses(), any.memo_misses()) << "move " << move;
+    if (!a) {
+      ++counts.infeasible;
+      continue;
+    }
+    ++counts.feasible;
+    ASSERT_EQ(bits_of(a->estimate), bits_of(b->estimate)) << "move " << move;
+    ASSERT_EQ(bits_of(a->slack), bits_of(b->slack)) << "move " << move;
+    ASSERT_EQ(bits_of(one.exact_price()), bits_of(any.exact_price())) << "move " << move;
+    if (rng.uniform() < 0.7) {
+      one.commit();
+      any.commit();
+      ASSERT_EQ(bits_of(one.scalar_cost()), bits_of(any.scalar_cost()))
+          << "move " << move;
+      ASSERT_EQ(one.assignment(), any.assignment()) << "move " << move;
+    }
+  }
+  ASSERT_GT(counts.feasible, 1'000) << "conflict pattern starves the move generator";
+  ASSERT_GT(counts.infeasible, 10) << "pattern never exercises the infeasibility path";
+  EXPECT_EQ(one.memo_lookups(), any.memo_lookups());
+  EXPECT_GT(one.memo_misses(), 0u);
+  EXPECT_LT(one.memo_misses(), one.memo_lookups());
+  oracle::FullRecostState full(problem, kMemories, weights);
+  ASSERT_TRUE(full.reset(one.assignment()));
+  EXPECT_EQ(bits_of(one.scalar_cost()), bits_of(full.scalar_cost()));
+}
+
+TEST(AssignmentState, OneWordStateRejectsWiderProblems) {
+  const Fixture fix = sparse_fixture(65, 53);
+  const auto problem = fix.problem();
+  ASSERT_EQ(problem.conflict_words(), 2u);
+  EXPECT_THROW(OneWordAssignmentState(problem, 4, {}), support::ContractError);
+}
+
+/// The tuned default models of every registered workload merged into one
+/// shared model, with its conflicts at the full frame budget: the instance
+/// behind the slow what-if queries (27 on-chip groups, past the
+/// branch-and-bound limit, so `Solver::kAuto` anneals it).
+const AssignmentProblem& shared_problem() {
+  struct Shared {
+    std::vector<ir::Application> tuned;
+    ir::Application merged{"shared"};
+    graph::ConflictGraph conflicts;
+    memlib::MemoryLibrary library;
+    std::unique_ptr<AssignmentProblem> problem;
+  };
+  static const auto shared = [] {
+    auto s = std::make_unique<Shared>();
+    std::vector<std::pair<std::string, const ir::Application*>> apps;
+    const auto names = workloads::workload_names();
+    for (const auto name : names) {
+      const auto* workload = workloads::find_workload(name);
+      s->tuned.push_back(workload->tuned_variant(workload->profile({})));
+    }
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      apps.emplace_back(std::string(names[i]), &s->tuned[i]);
+    }
+    s->merged = core::merge_applications(apps, "shared");
+    s->conflicts = scbd::distribute_budget(s->merged, {}).conflicts;
+    const auto [onchip, offchip] = MemoryAllocator::partition_groups(s->merged);
+    s->problem = std::make_unique<AssignmentProblem>(s->merged, onchip, s->conflicts,
+                                                     s->library, 20'000'000);
+    return s;
+  }();
+  return *shared->problem;
+}
+
+/// The memo counters one default solve of `problem` adds to the registry.
+struct MemoCounts {
+  std::uint64_t lookups = 0;
+  std::uint64_t misses = 0;
+};
+
+MemoCounts memo_counts_of_solve(const AssignmentProblem& problem, int memories,
+                                const SolverOptions& options) {
+  auto& registry = obs::TelemetryRegistry::global();
+  auto& lookups = registry.counter("solver.sa.memo_lookups");
+  auto& misses = registry.counter("solver.sa.memo_misses");
+  const MemoCounts before{lookups.value(), misses.value()};
+  const auto solution = solve_assignment(problem, memories, options);
+  EXPECT_TRUE(solution.feasible);
+  EXPECT_FALSE(solution.chains.empty()) << "the solve did not anneal";
+  return {lookups.value() - before.lookups, misses.value() - before.misses};
+}
+
+// The memo earns its keep where the queries spend their time: on the shared
+// model it answers at least 70% of the lookups without a model call.
+TEST(Solvers, MemoAnswersMostLookupsOnTheSharedModel) {
+  const auto& problem = shared_problem();
+  ASSERT_EQ(problem.conflict_words(), 1u);
+  ASSERT_GT(problem.group_count(), 17u);
+  const auto counts = memo_counts_of_solve(problem, 8, {});
+  ASSERT_GT(counts.lookups, 100'000u);
+  const double hit_ratio =
+      1.0 - static_cast<double>(counts.misses) / static_cast<double>(counts.lookups);
+  EXPECT_GE(hit_ratio, 0.70) << counts.misses << " misses of " << counts.lookups;
+}
+
+// Each chain counts its own memo, so the totals do not depend on how the
+// chains are scheduled.
+TEST(Solvers, MemoCountsRepeatAcrossParallelism) {
+  const auto& problem = shared_problem();
+  SolverOptions options;
+  options.sa_iterations = 40'000;
+  options.sa_parallelism = 1;
+  const auto serial = memo_counts_of_solve(problem, 8, options);
+  options.sa_parallelism = 4;
+  const auto parallel = memo_counts_of_solve(problem, 8, options);
+  EXPECT_GT(serial.lookups, serial.misses);
+  EXPECT_EQ(parallel.lookups, serial.lookups);
+  EXPECT_EQ(parallel.misses, serial.misses);
+}
+
 TEST(Solvers, StartTemperatureIsAFractionOfStartCostWithFloor) {
   // Proportional to the starting cost...
   EXPECT_DOUBLE_EQ(sa_start_temperature(100.0), 4.0 * 0.02 * 100.0);
@@ -560,7 +709,8 @@ TEST(Solvers, AnnealingTrajectoryIsPinned) {
 }
 
 // The oracle's chain replay is the solver's chain 0: with one chain it lands
-// on the solver's answer through either cost path, move for move.
+// on the solver's answer through every cost path (both member-set widths and
+// the full recost), move for move.
 TEST(Solvers, GreedyChainReplayMatchesSolver) {
   Fixture fix(12, 2.0);
   fix.add_conflict_pattern();
@@ -572,10 +722,12 @@ TEST(Solvers, GreedyChainReplayMatchesSolver) {
   options.seed = 9;
 
   const auto solution = solve_assignment(problem, 4, options);
+  const auto one =
+      oracle::anneal_greedy_chain<OneWordAssignmentState>(problem, 4, options);
   const auto fast = oracle::anneal_greedy_chain<AssignmentState>(problem, 4, options);
   const auto full = oracle::anneal_greedy_chain<oracle::FullRecostState>(problem, 4, options);
   ASSERT_TRUE(solution.feasible);
-  for (const auto* run : {&fast, &full}) {
+  for (const auto* run : {&one, &fast, &full}) {
     EXPECT_EQ(run->best_assignment, solution.assignment);
     EXPECT_EQ(run->best_cost, solution.scalar_cost);
     EXPECT_EQ(run->moves, solution.nodes_explored);
