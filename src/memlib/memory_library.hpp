@@ -12,7 +12,6 @@
 #include "memlib/dram_model.hpp"
 #include "memlib/memory_cost.hpp"
 #include "memlib/sram_model.hpp"
-#include "support/check.hpp"
 
 namespace dtse::memlib {
 
@@ -48,17 +47,9 @@ class MemoryLibrary {
   [[nodiscard]] const ClockSpec& clock() const { return clock_; }
 
   /// Average power [mW] of an on-chip memory given per-frame access counts
-  /// and the frame duration implied by `frame_cycles`.
-  [[nodiscard]] double onchip_power_mw(const MemoryCost& cost, std::uint64_t reads,
-                                       std::uint64_t writes,
-                                       std::uint64_t frame_cycles) const {
-    DTSE_CHECK(frame_cycles > 0, "frame must span at least one cycle");
-    return onchip_frame_power_mw(cost, reads, writes, clock_.seconds(frame_cycles));
-  }
-
-  /// The same power over a frame of `frame_seconds`
-  /// (`clock().seconds(frame_cycles)`, positive): the on-chip power formula,
-  /// for callers that price many memories over one frame.
+  /// and a frame of `frame_seconds` (`clock().seconds(frame_cycles)`,
+  /// positive): the on-chip power formula.  Callers that price many
+  /// memories over one frame convert its cycles once.
   [[nodiscard]] static double onchip_frame_power_mw(const MemoryCost& cost,
                                                     std::uint64_t reads,
                                                     std::uint64_t writes,

@@ -186,7 +186,8 @@ TEST(MemoryLibrary, OnchipPowerMatchesHandComputation) {
   cost.static_power_mw = 0.5;
   // 1M reads + 1M writes over one second (20M cycles at 20 MHz):
   // (2 + 3) mJ / 1 s = 5 mW dynamic + 0.5 mW static.
-  const double power = library.onchip_power_mw(cost, 1'000'000, 1'000'000, 20'000'000);
+  const double power = MemoryLibrary::onchip_frame_power_mw(
+      cost, 1'000'000, 1'000'000, library.clock().seconds(20'000'000));
   EXPECT_NEAR(power, 5.5, 1e-9);
 }
 
