@@ -1,11 +1,11 @@
 // Multi-workload system exploration: renders one `workloads::explore` run
 // (src/workloads/explore.hpp) over the named workloads (default: all).
-// --cache-dir DIR and --checkpoint FILE report to stderr only, so stdout
-// stays byte-identical between cold and warm runs.  --trace-out FILE writes
-// the Chrome trace, --report-out FILE the versioned run report.
+// --cache-dir DIR reports to stderr only, so stdout stays byte-identical
+// between cold and warm runs.  --trace-out FILE writes the Chrome trace,
+// --report-out FILE the versioned run report.
 //
-// Usage: explore [--size N] [--cache-dir DIR] [--checkpoint FILE]
-//                [--trace-out FILE] [--report-out FILE] [workload ...]
+// Usage: explore [--size N] [--cache-dir DIR] [--trace-out FILE]
+//                [--report-out FILE] [workload ...]
 //        explore --list
 #include <algorithm>
 #include <charconv>
@@ -52,8 +52,8 @@ void add_eval_row(Table& table, const std::string& label,
 }
 
 void print_usage() {
-  std::cout << "usage: explore [--size N] [--cache-dir DIR] [--checkpoint FILE]\n"
-               "               [--trace-out FILE] [--report-out FILE] [workload ...]\n"
+  std::cout << "usage: explore [--size N] [--cache-dir DIR] [--trace-out FILE]\n"
+               "               [--report-out FILE] [workload ...]\n"
                "       explore --list\n"
                "registered workloads:\n";
   for (const auto name : dw::workload_names()) {
@@ -73,8 +73,7 @@ int run(int argc, char** argv) {
       return 0;
     }
     const bool takes_value = arg == "--size" || arg == "--cache-dir" ||
-                             arg == "--checkpoint" || arg == "--trace-out" ||
-                             arg == "--report-out";
+                             arg == "--trace-out" || arg == "--report-out";
     if (takes_value && i + 1 >= argc) {
       std::cerr << arg << " requires a value\n";
       return 1;
@@ -93,8 +92,6 @@ int run(int argc, char** argv) {
       config.workload_options.profile_size = size;
     } else if (arg == "--cache-dir") {
       config.profile_cache = &cache.emplace(argv[++i]);
-    } else if (arg == "--checkpoint") {
-      config.checkpoint_path = argv[++i];
     } else if (arg == "--trace-out") {
       trace_out = argv[++i];
     } else if (arg == "--report-out") {
@@ -190,9 +187,13 @@ int run(int argc, char** argv) {
     std::cout << shared_table.to_string() << "\nMulti-workload Pareto front:\n"
               << dtse::core::pareto_report(result.shared) << '\n';
   }
+  if (!result.shared.empty() && !result.attribution) {
+    std::cout << "No feasible shared organization at any swept memory count: "
+                 "attribution skipped.\n";
+  }
   if (const auto& attribution = result.attribution) {
-    // The best row's merged assignment re-priced per workload prefix; the
-    // marginals sum bit-exactly to its triple.
+    // The best feasible row's merged assignment re-priced per workload
+    // prefix; the marginals sum bit-exactly to its triple.
     const auto& merged = attribution->merged;
     report.add_point("shared", "final", merged);
     report.add_convergence("shared/final", merged);
@@ -212,10 +213,6 @@ int run(int argc, char** argv) {
   if (cache) {
     std::cerr << "profile cache (" << cache->directory()
               << "): " << report.cache.to_string() << '\n';
-  }
-  if (!config.checkpoint_path.empty() && !result.shared.empty()) {
-    std::cerr << "shared sweep: " << result.resumed << " of " << result.shared.size()
-              << " rows resumed\n";
   }
   if (!trace_out.empty()) {
     std::ofstream out(trace_out);

@@ -5,8 +5,9 @@ Two subcommands, used by CI and available locally:
 
   check_report.py validate REPORT [--trace TRACE]
       Schema-checks the --report-out JSON (version, required keys, point
-      shapes) and, when given, the --trace-out Chrome trace (well-formed
-      events, non-negative 'X' durations, balanced B/E pairs per lane).
+      shapes, a feasible attributed shared organization) and, when given,
+      the --trace-out Chrome trace (well-formed events, non-negative 'X'
+      durations, balanced B/E pairs per lane).
 
   check_report.py diff A B
       Asserts two reports are identical modulo the wall-clock allowlist —
@@ -79,6 +80,11 @@ def validate_report(path):
         missing = POINT_KEYS - point.keys()
         if missing:
             fail(f"{path}: point '{point.get('label')}' missing {sorted(missing)}")
+        # Attribution explains who pays for the chosen shared organization;
+        # an organization that cannot run must never be chosen.
+        if (point["section"], point["label"]) == ("shared", "final") \
+                and not point["feasible"]:
+            fail(f"{path}: the attributed shared organization is infeasible")
     if CACHE_KEYS - report["cache"].keys():
         fail(f"{path}: cache section missing keys")
     if METRIC_KEYS - report["metrics"].keys():

@@ -1,5 +1,5 @@
-// Crash-safe file primitives shared by the persistence artifacts (profile
-// cache entries, sweep checkpoints).
+// Crash-safe file primitives of the persistence artifacts (profile cache
+// entries).
 //
 // The commit discipline is write-temp + fsync + atomic rename + directory
 // fsync: a reader never observes a half-written artifact, and a crash at any

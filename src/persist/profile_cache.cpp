@@ -130,7 +130,8 @@ void ProfileCache::evict_over_cap() {
   const std::size_t excess = entries.size() - options_.max_entries;
   for (std::size_t i = 0; i < excess; ++i) {
     std::error_code remove_ec;
-    if (fs::remove(entries[i].second, remove_ec) && !remove_ec) count(&CacheStats::evicted, "evicted");
+    if (fs::remove(entries[i].second, remove_ec) && !remove_ec)
+      count(&CacheStats::evicted, "evicted");
   }
 }
 

@@ -1,6 +1,6 @@
 // Big-endian byte-level serialization primitives: the one framing layer of
-// every byte container (APP1 application models, SWP1 sweep checkpoints,
-// BTPC/BTP2 images, HSC1/HSC2 cubes).
+// every byte container (APP1 application models, BTPC/BTP2 images,
+// HSC1/HSC2 cubes).
 //
 // `ByteWriter` appends fixed-width big-endian fields; `ByteReader` is the
 // hardened mirror with the same soft-exhaustion contract as

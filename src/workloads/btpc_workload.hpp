@@ -29,12 +29,14 @@ class BtpcWorkload final : public Workload {
   /// backend from `WorkloadOptions::entropy_backend`) on a synthetic
   /// compound frame of edge `profile_size` (default 512) and returns the
   /// pruned model declared at kDesignSize x kDesignSize.
-  [[nodiscard]] ir::Application profile(const WorkloadOptions& options = {}) const override;
+  [[nodiscard]] ir::Application profile(
+      const WorkloadOptions& options = {}) const override;
   [[nodiscard]] VerifyReport verify(const WorkloadOptions& options = {}) const override;
 
   /// Structuring (ridge+pyr merged) and the layer-0 hierarchy winner — the
   /// paper's best variant.
-  [[nodiscard]] ir::Application tuned_variant(const ir::Application& profiled) const override;
+  [[nodiscard]] ir::Application tuned_variant(
+      const ir::Application& profiled) const override;
 };
 
 /// Table 1 variants: no structuring / ridge compacted / ridge+pyr merged.

@@ -2,15 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cstdint>
 #include <string_view>
 #include <utility>
 
 #include "obs/telemetry.hpp"
-#include "persist/app_container.hpp"
-#include "persist/fnv.hpp"
-#include "persist/sweep_checkpoint.hpp"
 #include "support/check.hpp"
 #include "workloads/profile_store.hpp"
 
@@ -71,53 +67,24 @@ StagedModel stage(const Workload* workload, const WorkloadOptions& options,
 }
 
 /// The row `MemoryAllocator::allocate` would pick among the swept counts
-/// (`alloc::outranks`), ranked by the fields a checkpoint persists so that
-/// restored and fresh rows rank alike.  The on-chip assignment's verdict is
-/// read off the cost triple: `allocate` materializes no memory for a count
-/// without a feasible assignment, and every memory it materializes has
-/// positive area.  scbd and the off-chip channels do not depend on the
-/// count, so they never change the order.
-std::size_t best_row(const std::vector<core::Variant>& rows,
-                     const memlib::CostWeights& weights) {
+/// (`alloc::outranks` over feasibility and the weighted on-chip cost), or
+/// none when no row is feasible.
+std::optional<std::size_t> best_row(const std::vector<core::Variant>& rows,
+                                    const memlib::CostWeights& weights) {
   const auto scalar = [&weights](const core::Variant& row) {
     const auto& summary = row.eval.summary;
     return weights.scalarize(
         memlib::CostTerm{summary.onchip_area_mm2, summary.onchip_power_mw});
   };
-  const auto priced = [](const core::Variant& row) {
-    return row.eval.summary.onchip_area_mm2 > 0.0;
-  };
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < rows.size(); ++i) {
-    if (alloc::outranks(priced(rows[i]), scalar(rows[i]), priced(rows[best]),
-                        scalar(rows[best]))) {
+  std::optional<std::size_t> best;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    // Only a feasible row becomes `best`, so an incumbent is always feasible.
+    if (alloc::outranks(rows[i].eval.feasible, scalar(rows[i]), best.has_value(),
+                        best ? scalar(rows[*best]) : 0.0)) {
       best = i;
     }
   }
   return best;
-}
-
-/// Content hash binding a checkpoint to its recipe: the serialized merged
-/// model, the cycle budgets and every option `Explorer::evaluate` reads at a
-/// fixed memory count (see `checkpointed_allocation_counts`).
-std::uint64_t sweep_fingerprint(const ir::Application& merged,
-                                const core::ExplorerOptions& options) {
-  const auto bytes = persist::serialize(merged);
-  persist::Fnv1a hash;
-  hash.update(bytes.data(), bytes.size());
-  const auto update_double = [&hash](double v) {
-    hash.update_u64(std::bit_cast<std::uint64_t>(v));
-  };
-  hash.update_u64(options.real_time_budget_cycles);
-  hash.update_u64(options.storage_budget_cycles);
-  const auto& solver = options.allocation.solver;
-  hash.update_u64(static_cast<std::uint64_t>(solver.solver));
-  update_double(solver.weights.area_weight);
-  update_double(solver.weights.power_weight);
-  hash.update_u64(solver.seed);
-  hash.update_u64(static_cast<std::uint64_t>(solver.sa_iterations));
-  hash.update_u64(static_cast<std::uint64_t>(solver.sa_chains));
-  return hash.digest();
 }
 
 }  // namespace
@@ -131,50 +98,6 @@ std::vector<WorkloadFailure> Exploration::failures() const {
     if (entry.staged.failure) all.push_back(*entry.staged.failure);
   }
   return all;
-}
-
-std::vector<core::Variant> checkpointed_allocation_counts(
-    const core::Explorer& explorer, const ir::Application& merged,
-    const std::vector<int>& counts, const core::ExplorerOptions& options,
-    const std::string& checkpoint_path, std::size_t& resumed) {
-  const auto fingerprint = sweep_fingerprint(merged, options);
-  auto checkpoint = persist::load_checkpoint(checkpoint_path, fingerprint)
-                        .value_or(persist::SweepCheckpoint{fingerprint, {}});
-
-  std::vector<core::Variant> rows;
-  rows.reserve(counts.size());
-  for (const int count : counts) {
-    obs::Span span(&registry(), "sweep.point/" + std::to_string(count), "sweep");
-    const auto saved =
-        std::find_if(checkpoint.rows.begin(), checkpoint.rows.end(),
-                     [count](const auto& row) { return row.count == count; });
-    span.arg("resumed", saved != checkpoint.rows.end() ? 1.0 : 0.0);
-    if (saved != checkpoint.rows.end()) {
-      // The cost verdict is restored bit-exactly; the scbd/allocation
-      // breakdowns are not persisted and stay default.
-      auto& row = rows.emplace_back();
-      row.label = saved->label;
-      row.app = merged;
-      row.eval.summary = saved->summary;
-      row.eval.spare_cycles = saved->spare_cycles;
-      row.eval.feasible = saved->feasible;
-      ++resumed;
-      registry().counter("sweep.rows_resumed").add(1);
-      continue;
-    }
-    auto fresh = explorer.explore_allocation_counts(merged, {count}, options);
-    DTSE_ASSERT(fresh.size() == 1, "single-count sweep returned an unexpected shape");
-    auto& variant = fresh.front();
-    // Only cleanly completed rows become durable: a degraded row (solver
-    // error, cancellation, time-out) must be re-evaluated on resume.
-    if (variant.eval.error.empty() && !variant.eval.timed_out) {
-      checkpoint.rows.push_back({count, variant.eval.feasible, variant.eval.spare_cycles,
-                                 variant.eval.summary, variant.label});
-      persist::save_checkpoint(checkpoint_path, checkpoint);
-    }
-    rows.push_back(std::move(variant));
-  }
-  return rows;
 }
 
 Exploration explore(const core::Explorer& explorer, const ExploreConfig& config,
@@ -247,23 +170,14 @@ Exploration explore(const core::Explorer& explorer, const ExploreConfig& config,
 
   obs::Span sweep_span(&registry(), "pipeline.shared_sweep", "pipeline");
   const auto merged = core::merge_applications(apps, "shared");
-  result.shared = config.checkpoint_path.empty()
-                      ? explorer.explore_allocation_counts(merged, kSharedCounts, options)
-                      : checkpointed_allocation_counts(explorer, merged, kSharedCounts,
-                                                       options, config.checkpoint_path,
-                                                       result.resumed);
+  result.shared = explorer.explore_allocation_counts(merged, kSharedCounts, options);
   sweep_span.finish();
 
   obs::Span span(&registry(), "pipeline.attribution", "pipeline");
   result.best = best_row(result.shared, options.allocation.solver.weights);
-  const int count = kSharedCounts[result.best];
-  auto eval = result.shared[result.best].eval;
-  // A row restored from the checkpoint carries no allocation to attribute.
-  if (eval.error.empty() && eval.allocation.requested_memories != count) {
-    eval = explorer.explore_allocation_counts(merged, {count}, options).front().eval;
-  }
-  if (eval.error.empty()) {
-    result.attribution = explorer.attribute(apps, std::move(eval), options);
+  if (result.best) {
+    result.attribution =
+        explorer.attribute(apps, result.shared[*result.best].eval, options);
   }
   return result;
 }

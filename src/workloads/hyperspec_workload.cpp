@@ -22,7 +22,8 @@ hyperspec::HsCodecOptions resolve_codec(const WorkloadOptions& options) {
 
 }  // namespace
 
-hyperspec::CubeShape HyperspecWorkload::profile_shape(const WorkloadOptions& options) const {
+hyperspec::CubeShape HyperspecWorkload::profile_shape(
+    const WorkloadOptions& options) const {
   // Floor of 16: the encoder's cube reuse-window ladder is monotone only for
   // profile widths >= 12 (a declared "one row" must simulate more words than
   // the 12-word register window), and a tinier cube profiles nothing useful.

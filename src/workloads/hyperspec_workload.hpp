@@ -19,7 +19,8 @@ class HyperspecWorkload final : public Workload {
   /// Profiles the default coder (`hyperspec::HsCodecOptions`, backend from
   /// `WorkloadOptions::entropy_backend`) on a synthetic cube, declared at
   /// the 12x256x256 design point.
-  [[nodiscard]] ir::Application profile(const WorkloadOptions& options = {}) const override;
+  [[nodiscard]] ir::Application profile(
+      const WorkloadOptions& options = {}) const override;
   [[nodiscard]] VerifyReport verify(const WorkloadOptions& options = {}) const override;
 
   /// Profiled geometry for a given options.profile_size (exposed so tests

@@ -23,7 +23,8 @@ class LineBufferWorkload final : public Workload {
   }
 
   /// Profiles one instrumented filter run on a synthetic frame.
-  [[nodiscard]] ir::Application profile(const WorkloadOptions& options = {}) const override;
+  [[nodiscard]] ir::Application profile(
+      const WorkloadOptions& options = {}) const override;
 
   /// Golden check: the kernel's output must match an independent
   /// coefficient-major reference convolution sample for sample.
@@ -32,7 +33,8 @@ class LineBufferWorkload final : public Workload {
   /// Applies the line-buffer promotion this access pattern is famous for:
   /// the five-line layer-1 buffer on the frame array (the register-window
   /// refinement on top of it is within a mW — see the example's sweep).
-  [[nodiscard]] ir::Application tuned_variant(const ir::Application& profiled) const override;
+  [[nodiscard]] ir::Application tuned_variant(
+      const ir::Application& profiled) const override;
 
   /// Profiled frame edge for a given options.profile_size.
   [[nodiscard]] int profile_edge(const WorkloadOptions& options) const;

@@ -28,7 +28,8 @@ int MotionWorkload::profile_edge(const WorkloadOptions& options) const {
   // than the search window or the estimator's window-height line-buffer
   // reuse rung (win_edge * row words) would collapse onto the window rung
   // and silently drop out of the ladder.
-  const int floor_edge = kOptions.block_size + 2 * kOptions.search_range + kOptions.block_size;
+  const int floor_edge =
+      kOptions.block_size + 2 * kOptions.search_range + kOptions.block_size;
   return std::max(floor_edge,
                   options.profile_size > 0 ? options.profile_size : kDefaultProfileEdge);
 }

@@ -22,7 +22,8 @@ class MotionWorkload final : public Workload {
   /// search leaves almost no spare cycles for the datapath and costs ~8x
   /// the on-chip power — picking the strategy IS the first design decision,
   /// and the cost feedback makes it.
-  [[nodiscard]] ir::Application profile(const WorkloadOptions& options = {}) const override;
+  [[nodiscard]] ir::Application profile(
+      const WorkloadOptions& options = {}) const override;
 
   /// Golden check, both strategies: the full search must match the
   /// independent oracle field bit for bit, and every vector the three-step

@@ -92,19 +92,22 @@ class Workload {
   /// pruned application model at the workload's declared design geometry.
   /// Deterministic per (options, seed); the model passes
   /// `ir::Application::validate`.
-  [[nodiscard]] virtual ir::Application profile(const WorkloadOptions& options = {}) const = 0;
+  [[nodiscard]] virtual ir::Application profile(
+      const WorkloadOptions& options = {}) const = 0;
 
   /// Golden check: runs the same kernel end-to-end uninstrumented and
   /// verifies its output against an independent oracle (a bit-exact
   /// compression round trip, a reference implementation of the kernel).  A
   /// workload whose kernel is broken must not feed the exploration; the
   /// report says which stage broke so drivers can log it and move on.
-  [[nodiscard]] virtual VerifyReport verify(const WorkloadOptions& options = {}) const = 0;
+  [[nodiscard]] virtual VerifyReport verify(
+      const WorkloadOptions& options = {}) const = 0;
 
   /// The variant the physical-memory sweeps run on, after the workload's
   /// system-level decisions (structuring, hierarchy) are applied to the
   /// profiled model.  Defaults to the profiled model itself.
-  [[nodiscard]] virtual ir::Application tuned_variant(const ir::Application& profiled) const {
+  [[nodiscard]] virtual ir::Application tuned_variant(
+      const ir::Application& profiled) const {
     return profiled;
   }
 };

@@ -1,8 +1,7 @@
 // Tests for the persistence subsystem: the hardened APP1 application
 // container (round trips, every Status arm, the canonical-encoding
 // guarantee), the crash-safe integrity-checked profile cache (hit / miss /
-// quarantine / eviction / torn-write recovery), the SWP1 sweep checkpoint
-// and the resumable shared sweep built on them — plus the cache-path
+// quarantine / eviction / torn-write recovery) — plus the cache-path
 // determinism contract: a model served from a cache hit is bit-identical to
 // a freshly profiled one, and so is every evaluation derived from it.
 #include <gtest/gtest.h>
@@ -20,12 +19,9 @@
 #include "persist/app_container.hpp"
 #include "persist/fnv.hpp"
 #include "persist/profile_cache.hpp"
-#include "persist/sweep_checkpoint.hpp"
-#include "support/cancellation.hpp"
 #include "support/check.hpp"
 #include "support/status.hpp"
 #include "workloads/profile_store.hpp"
-#include "workloads/explore.hpp"
 #include "workloads/workload.hpp"
 
 namespace dtse::persist {
@@ -182,7 +178,7 @@ TEST(AppContainer, EncodingIsCanonical) {
   // Deterministic: serializing the same model twice gives identical bytes.
   EXPECT_EQ(serialize(app), bytes);
   // Accepted containers re-serialize to identical bytes (the fingerprinting
-  // property the profile cache and sweep checkpoints rely on).
+  // property the profile cache relies on).
   auto result = try_deserialize_application(bytes);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(serialize(result.value()), bytes);
@@ -506,248 +502,6 @@ TEST(ProfileStore, CacheHitModelsEvaluateBitIdenticalToFresh) {
         << test_case.workload;
     EXPECT_EQ(eval_cached.summary.offchip_power_mw, eval_fresh.summary.offchip_power_mw)
         << test_case.workload;
-  }
-}
-
-// --- sweep checkpoint ----------------------------------------------------------
-
-SweepCheckpoint sample_checkpoint() {
-  SweepCheckpoint checkpoint;
-  checkpoint.fingerprint = 0x1234567890abcdefull;
-  checkpoint.rows.push_back({4, true, 1000, {1.5, 2.5, 3.5}, "4 on-chip memories"});
-  checkpoint.rows.push_back({6, false, 0, {0.0, 0.0, 9.75}, "6 on-chip memories"});
-  return checkpoint;
-}
-
-TEST(SweepCheckpoint, RoundTripsAndStaysCanonical) {
-  const auto checkpoint = sample_checkpoint();
-  const auto bytes = serialize(checkpoint);
-  auto result = try_deserialize_checkpoint(bytes);
-  ASSERT_TRUE(result.ok()) << result.status().to_string();
-  const auto& back = result.value();
-  EXPECT_EQ(back.fingerprint, checkpoint.fingerprint);
-  ASSERT_EQ(back.rows.size(), 2u);
-  EXPECT_EQ(back.rows[0].count, 4);
-  EXPECT_TRUE(back.rows[0].feasible);
-  EXPECT_EQ(back.rows[0].spare_cycles, 1000u);
-  EXPECT_EQ(back.rows[0].summary.onchip_area_mm2, 1.5);
-  EXPECT_EQ(back.rows[1].label, "6 on-chip memories");
-  EXPECT_EQ(serialize(back), bytes);
-}
-
-TEST(SweepCheckpoint, RejectsEveryMalformedArm) {
-  const auto bytes = serialize(sample_checkpoint());
-
-  auto empty = try_deserialize_checkpoint({});
-  ASSERT_FALSE(empty.ok());
-  EXPECT_EQ(empty.status().code(), StatusCode::kTruncated);
-
-  auto magic = bytes;
-  magic[0] ^= 0x01;
-  EXPECT_EQ(try_deserialize_checkpoint(magic).status().code(),
-            StatusCode::kMalformedHeader);
-
-  auto version = bytes;
-  version[5] = 77;
-  EXPECT_EQ(try_deserialize_checkpoint(version).status().code(),
-            StatusCode::kMalformedHeader);
-
-  auto pad = bytes;
-  pad[7] = 1;
-  EXPECT_EQ(try_deserialize_checkpoint(pad).status().code(),
-            StatusCode::kMalformedHeader);
-
-  auto trailing = bytes;
-  trailing.push_back(0);
-  EXPECT_EQ(try_deserialize_checkpoint(trailing).status().code(),
-            StatusCode::kTruncated);
-
-  auto rotted = bytes;
-  rotted.back() ^= 0x40;  // payload content under the hash
-  EXPECT_EQ(try_deserialize_checkpoint(rotted).status().code(), StatusCode::kCorrupt);
-
-  auto rows = bytes;
-  wr_u32(rows, 16, kMaxCheckpointRows + 1);
-  EXPECT_EQ(try_deserialize_checkpoint(rows).status().code(),
-            StatusCode::kResourceLimit);
-}
-
-TEST(SweepCheckpoint, LoadQuarantinesCorruptFilesAndIgnoresStaleFingerprints) {
-  const auto dir = scratch_dir("checkpoint");
-  fs::create_directories(dir);
-  const auto path = (dir / "sweep.swp1").string();
-  const auto checkpoint = sample_checkpoint();
-  ASSERT_TRUE(save_checkpoint(path, checkpoint));
-
-  // Fingerprint mismatch: no quarantine (the file is valid, just for a
-  // different sweep recipe) and no resume.
-  EXPECT_FALSE(load_checkpoint(path, checkpoint.fingerprint + 1).has_value());
-  EXPECT_TRUE(fs::exists(path));
-
-  auto loaded = load_checkpoint(path, checkpoint.fingerprint);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->rows.size(), 2u);
-
-  // Corrupt file: quarantined, next load is a clean miss.
-  auto bytes = read_raw(path);
-  bytes[bytes.size() - 3] ^= 0x08;
-  write_raw(path, bytes);
-  EXPECT_FALSE(load_checkpoint(path, checkpoint.fingerprint).has_value());
-  EXPECT_FALSE(fs::exists(path));
-  EXPECT_TRUE(fs::exists(path + ".quarantined"));
-  EXPECT_FALSE(load_checkpoint(path, checkpoint.fingerprint).has_value());
-}
-
-// --- resumable shared sweep -----------------------------------------------------
-
-workloads::WorkloadOptions sweep_options() {
-  workloads::WorkloadOptions options;
-  options.profile_size = 64;
-  return options;
-}
-
-/// The shared model of a one-workload roster: line_buffer's tuned variant
-/// under its label, as the pipeline merges it.
-ir::Application line_buffer_merged() {
-  const auto* workload = workloads::find_workload("line_buffer");
-  const auto tuned = workload->tuned_variant(workload->profile(sweep_options()));
-  return core::merge_applications({{"line_buffer", &tuned}}, "shared");
-}
-
-TEST(ResumableSweep, ResumesCompletedRowsAndExtendsTheCountList) {
-  const auto dir = scratch_dir("resume");
-  fs::create_directories(dir);
-  const core::Explorer explorer{memlib::MemoryLibrary{}};
-  const auto merged = line_buffer_merged();
-  const auto path = (dir / "sweep.swp1").string();
-
-  std::size_t resumed = 0;
-  const auto first = workloads::checkpointed_allocation_counts(explorer, merged, {4, 6},
-                                                               {}, path, resumed);
-  ASSERT_EQ(first.size(), 2u);
-  EXPECT_EQ(resumed, 0u);
-  EXPECT_TRUE(fs::exists(path));
-
-  // Second run adds a count: the two finished rows resume (bit-identical
-  // cost triples), only the new count is evaluated.
-  const auto second = workloads::checkpointed_allocation_counts(
-      explorer, merged, {4, 6, 8}, {}, path, resumed);
-  ASSERT_EQ(second.size(), 3u);
-  EXPECT_EQ(resumed, 2u);
-  for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(second[i].label, first[i].label);
-    EXPECT_EQ(second[i].eval.feasible, first[i].eval.feasible);
-    EXPECT_EQ(second[i].eval.spare_cycles, first[i].eval.spare_cycles);
-    const auto& a = first[i].eval.summary;
-    const auto& b = second[i].eval.summary;
-    EXPECT_EQ(b.onchip_area_mm2, a.onchip_area_mm2);
-    EXPECT_EQ(b.onchip_power_mw, a.onchip_power_mw);
-    EXPECT_EQ(b.offchip_power_mw, a.offchip_power_mw);
-  }
-  EXPECT_EQ(second[2].label, "8 on-chip memories");
-}
-
-TEST(ResumableSweep, CancelledRowsAreNotCheckpointedAndRecompute) {
-  const auto dir = scratch_dir("cancelled");
-  fs::create_directories(dir);
-  const core::Explorer explorer{memlib::MemoryLibrary{}};
-  const auto merged = line_buffer_merged();
-  const auto path = (dir / "sweep.swp1").string();
-
-  // A pre-cancelled token models a run killed before its rows completed:
-  // every point degrades (timed_out) and nothing may become durable.
-  support::CancellationToken killed;
-  killed.cancel();
-  core::ExplorerOptions cancelled_options;
-  cancelled_options.cancel = &killed;
-  std::size_t resumed = 0;
-  const auto aborted = workloads::checkpointed_allocation_counts(
-      explorer, merged, {4}, cancelled_options, path, resumed);
-  ASSERT_EQ(aborted.size(), 1u);
-  EXPECT_TRUE(aborted[0].eval.timed_out || !aborted[0].eval.error.empty());
-  EXPECT_EQ(resumed, 0u);
-
-  // The relaunched run finds no resumable row and computes it cleanly.
-  const auto relaunched =
-      workloads::checkpointed_allocation_counts(explorer, merged, {4}, {}, path, resumed);
-  ASSERT_EQ(relaunched.size(), 1u);
-  EXPECT_EQ(resumed, 0u);
-  EXPECT_TRUE(relaunched[0].eval.error.empty());
-
-  // And now the row is durable: a third run resumes it.
-  (void)workloads::checkpointed_allocation_counts(explorer, merged, {4}, {}, path,
-                                                  resumed);
-  EXPECT_EQ(resumed, 1u);
-}
-
-TEST(ResumableSweep, FingerprintBindsTheCheckpointToTheRecipe) {
-  const auto dir = scratch_dir("fingerprint");
-  fs::create_directories(dir);
-  const core::Explorer explorer{memlib::MemoryLibrary{}};
-  const auto merged = line_buffer_merged();
-  const auto path = (dir / "sweep.swp1").string();
-  const auto resumed_rows = [&](const core::ExplorerOptions& options) {
-    std::size_t resumed = 0;
-    (void)workloads::checkpointed_allocation_counts(explorer, merged, {4}, options, path,
-                                                    resumed);
-    return resumed;
-  };
-  EXPECT_EQ(resumed_rows({}), 0u);
-
-  // Same model, different cycle budget: the checkpoint must not resume.
-  // Its completed row then overwrites the file — one checkpoint holds one
-  // recipe — so the original recipe starts fresh too before becoming
-  // resumable again.
-  core::ExplorerOptions tighter;
-  tighter.storage_budget_cycles = 10'000'000;
-  EXPECT_EQ(resumed_rows(tighter), 0u);
-  EXPECT_EQ(resumed_rows(tighter), 1u);
-  EXPECT_EQ(resumed_rows({}), 0u);
-  EXPECT_EQ(resumed_rows({}), 1u);
-
-  // So must every other option that prices a row: a checkpoint of the
-  // default recipe never resumes under another seed or weighting.  Each
-  // probe leaves its own row behind, so the default recipe is re-established
-  // (and resumes) before the next one.
-  core::ExplorerOptions reseeded;
-  reseeded.allocation.solver.seed = 2;
-  core::ExplorerOptions reweighted;
-  reweighted.allocation.solver.weights.power_weight = 1.0;
-  for (const auto* changed : {&reseeded, &reweighted}) {
-    EXPECT_EQ(resumed_rows(*changed), 0u);
-    EXPECT_EQ(resumed_rows({}), 0u);
-    EXPECT_EQ(resumed_rows({}), 1u);
-  }
-
-  // Worker counts never change a row, so the checkpoint still resumes.
-  core::ExplorerOptions chain_workers;
-  chain_workers.allocation.solver.sa_parallelism = 4;
-  EXPECT_EQ(resumed_rows(chain_workers), 1u);
-}
-
-TEST(ResumableSweep, ProfileCachePluggedIntoStagingServesTheSecondRun) {
-  const auto dir = scratch_dir("staging_cache");
-  const core::Explorer explorer{memlib::MemoryLibrary{}};
-  ProfileCache cache((dir / "profiles").string());
-  workloads::ExploreConfig config;
-  config.workloads = {workloads::find_workload("line_buffer")};
-  config.workload_options = sweep_options();
-  config.profile_cache = &cache;
-
-  const auto first = workloads::explore(explorer, config);
-  EXPECT_EQ(cache.stats().stores, 1u);
-  EXPECT_EQ(cache.stats().hits, 0u);
-
-  const auto second = workloads::explore(explorer, config);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  const auto& a = first.workloads[0].allocations;
-  const auto& b = second.workloads[0].allocations;
-  ASSERT_EQ(a.size(), b.size());
-  ASSERT_FALSE(a.empty());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(b[i].eval.summary.onchip_area_mm2, a[i].eval.summary.onchip_area_mm2);
-    EXPECT_EQ(b[i].eval.summary.onchip_power_mw, a[i].eval.summary.onchip_power_mw);
-    EXPECT_EQ(b[i].eval.summary.offchip_power_mw, a[i].eval.summary.offchip_power_mw);
   }
 }
 

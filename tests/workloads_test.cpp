@@ -117,7 +117,8 @@ TEST(Workloads, DefaultProfilesArePinned) {
   for (const auto& golden : goldens) {
     WorkloadOptions options;
     options.entropy_backend = golden.backend;
-    const auto bytes = persist::serialize(find_workload(golden.workload)->profile(options));
+    const auto bytes =
+        persist::serialize(find_workload(golden.workload)->profile(options));
     EXPECT_EQ(persist::fnv1a(bytes.data(), bytes.size()), golden.fnv)
         << golden.workload << "["
         << (golden.backend ? to_string(*golden.backend) : "default") << "]";
@@ -546,13 +547,6 @@ void expect_same_summary(const memlib::CostSummary& a, const memlib::CostSummary
   EXPECT_EQ(a.offchip_power_mw, b.offchip_power_mw);
 }
 
-void expect_same_row(const core::Variant& a, const core::Variant& b) {
-  EXPECT_EQ(a.label, b.label);
-  EXPECT_EQ(a.eval.feasible, b.eval.feasible);
-  EXPECT_EQ(a.eval.spare_cycles, b.eval.spare_cycles);
-  expect_same_summary(a.eval.summary, b.eval.summary);
-}
-
 void expect_same_attribution(const core::SharedEvaluation& a,
                              const core::SharedEvaluation& b) {
   EXPECT_EQ(a.merged.feasible, b.merged.feasible);
@@ -567,18 +561,35 @@ void expect_same_attribution(const core::SharedEvaluation& a,
   }
 }
 
-// The attribution prices the best row the shared sweep printed — the row
-// `MemoryAllocator::allocate`'s auto-count ranking prefers — instead of
-// re-solving the merged model.
+/// The pipeline's shared models, in merge order: the staged workloads, then
+/// the roster variants.
+std::vector<std::pair<std::string, const ir::Application*>> merged_apps(
+    const Exploration& result) {
+  std::vector<std::pair<std::string, const ir::Application*>> apps;
+  for (const auto& entry : result.workloads) {
+    apps.emplace_back(entry.staged.label, &entry.staged.tuned);
+  }
+  for (const auto& entry : result.roster) {
+    apps.emplace_back(entry.staged.label, &entry.staged.tuned);
+  }
+  return apps;
+}
+
+// The attribution prices the best feasible row the shared sweep printed —
+// the row `MemoryAllocator::allocate`'s auto-count ranking prefers —
+// instead of re-solving the merged model.  Every line_buffer + motion row is
+// feasible at size 64.
 TEST(Pipeline, AttributionPricesTheBestSharedRow) {
   const auto explorer = make_explorer();
   const auto result = explore(
-      explorer, small_config({find_workload("hyperspec"), find_workload("line_buffer"),
-                              find_workload("motion")}));
+      explorer, small_config({find_workload("line_buffer"), find_workload("motion")}));
   ASSERT_TRUE(result.attribution.has_value());
-  ASSERT_LT(result.best, result.shared.size());
-  const auto& best = result.shared[result.best].eval;
+  ASSERT_TRUE(result.best.has_value());
+  const auto best_index = *result.best;
+  ASSERT_LT(best_index, result.shared.size());
+  const auto& best = result.shared[best_index].eval;
   const auto& attribution = *result.attribution;
+  EXPECT_TRUE(best.feasible);
 
   // The merged triple and convergence are the chosen row's, bit for bit.
   EXPECT_EQ(attribution.merged.feasible, best.feasible);
@@ -591,14 +602,14 @@ TEST(Pipeline, AttributionPricesTheBestSharedRow) {
   const auto rank = [&weights](const core::Variant& row) {
     const auto& s = row.eval.summary;
     const memlib::CostTerm onchip{s.onchip_area_mm2, s.onchip_power_mw};
-    return std::pair{s.onchip_area_mm2 > 0.0, weights.scalarize(onchip)};
+    return std::pair{row.eval.feasible, weights.scalarize(onchip)};
   };
-  const auto [best_priced, best_cost] = rank(result.shared[result.best]);
+  const auto [best_feasible, best_cost] = rank(result.shared[best_index]);
   for (std::size_t i = 0; i < result.shared.size(); ++i) {
-    const auto [priced, cost] = rank(result.shared[i]);
-    EXPECT_FALSE(alloc::outranks(priced, cost, best_priced, best_cost)) << i;
-    if (i < result.best) {
-      EXPECT_TRUE(alloc::outranks(best_priced, best_cost, priced, cost)) << i;
+    const auto [feasible, cost] = rank(result.shared[i]);
+    EXPECT_FALSE(alloc::outranks(feasible, cost, best_feasible, best_cost)) << i;
+    if (i < best_index) {
+      EXPECT_TRUE(alloc::outranks(best_feasible, best_cost, feasible, cost)) << i;
     }
   }
 
@@ -610,57 +621,66 @@ TEST(Pipeline, AttributionPricesTheBestSharedRow) {
 
   // And the whole attribution equals the library's shared evaluation at the
   // chosen count.
-  std::vector<std::pair<std::string, const ir::Application*>> apps;
-  for (const auto& entry : result.workloads) {
-    apps.emplace_back(entry.staged.label, &entry.staged.tuned);
-  }
-  for (const auto& entry : result.roster) {
-    apps.emplace_back(entry.staged.label, &entry.staged.tuned);
-  }
   core::ExplorerOptions at_count;
   at_count.allocation.onchip_memories =
-      std::stoi(result.shared[result.best].label);  // "<n> on-chip memories"
-  expect_same_attribution(attribution,
-                          explorer.evaluate_shared_per_workload(apps, at_count));
+      std::stoi(result.shared[best_index].label);  // "<n> on-chip memories"
+  expect_same_attribution(
+      attribution, explorer.evaluate_shared_per_workload(merged_apps(result), at_count));
+}
+
+// hyperspec + line_buffer + motion with hyperspec's roster is infeasible at
+// every swept count at size 64: nothing is chosen, so nothing is attributed.
+TEST(Pipeline, NoFeasibleSharedRowMeansNoAttribution) {
+  const auto explorer = make_explorer();
+  const auto result = explore(
+      explorer, small_config({find_workload("hyperspec"), find_workload("line_buffer"),
+                              find_workload("motion")}));
+  ASSERT_FALSE(result.shared.empty());
+  for (const auto& row : result.shared) EXPECT_FALSE(row.eval.feasible) << row.label;
+  EXPECT_FALSE(result.best.has_value());
+  EXPECT_FALSE(result.attribution.has_value());
 }
 
 // hyperspec + line_buffer with hyperspec's roster at size 64 prices an
 // on-chip power prefix that no increment over the previous prefix reaches
 // bit-exactly (round half to even); the attribution must still reconcile.
+// No row of that sweep is feasible, so each swept row is attributed directly.
 TEST(Pipeline, AttributionReconcilesWhereAPlainDifferenceCannot) {
   const auto explorer = make_explorer();
   const auto result = explore(
       explorer, small_config({find_workload("hyperspec"), find_workload("line_buffer")}));
-  ASSERT_TRUE(result.attribution.has_value());
-  memlib::CostSummary sum;
-  for (const auto& share : result.attribution->per_workload) sum += share.marginal;
-  expect_same_summary(sum, result.attribution->merged.summary);
+  const auto apps = merged_apps(result);
+  ASSERT_EQ(apps.size(), result.shared_labels.size());
+  ASSERT_FALSE(result.shared.empty());
+  for (const auto& row : result.shared) {
+    const auto attribution = explorer.attribute(apps, row.eval);
+    memlib::CostSummary sum;
+    for (const auto& share : attribution.per_workload) sum += share.marginal;
+    expect_same_summary(sum, attribution.merged.summary);
+  }
 }
 
-TEST(Pipeline, CheckpointResumeIsBitIdentical) {
-  const auto dir = std::filesystem::path(::testing::TempDir()) / "workloads_test_resume";
+TEST(Pipeline, ProfileCachePluggedIntoStagingServesTheSecondRun) {
+  const auto dir = std::filesystem::path(::testing::TempDir()) / "workloads_test_cache";
   std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
   const auto explorer = make_explorer();
-  auto config = small_config({find_workload("line_buffer"), find_workload("motion")});
-  const auto plain = explore(explorer, config);
+  persist::ProfileCache cache((dir / "profiles").string());
+  auto config = small_config({find_workload("line_buffer")});
+  config.profile_cache = &cache;
 
-  config.checkpoint_path = (dir / "sweep.swp1").string();
   const auto first = explore(explorer, config);
-  const auto resumed = explore(explorer, config);
-  std::filesystem::remove_all(dir);
+  EXPECT_EQ(cache.stats().stores, 1u);
+  EXPECT_EQ(cache.stats().hits, 0u);
 
-  EXPECT_EQ(first.resumed, 0u);
-  EXPECT_EQ(resumed.resumed, resumed.shared.size());
-  ASSERT_FALSE(plain.shared.empty());
-  for (const auto* run : {&first, &resumed}) {
-    ASSERT_EQ(run->shared.size(), plain.shared.size());
-    for (std::size_t i = 0; i < plain.shared.size(); ++i) {
-      expect_same_row(run->shared[i], plain.shared[i]);
-    }
-    EXPECT_EQ(run->best, plain.best);
-    ASSERT_TRUE(run->attribution.has_value());
-    expect_same_attribution(*run->attribution, *plain.attribution);
+  const auto second = explore(explorer, config);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  std::filesystem::remove_all(dir);
+  const auto& a = first.workloads[0].allocations;
+  const auto& b = second.workloads[0].allocations;
+  ASSERT_EQ(a.size(), b.size());
+  ASSERT_FALSE(a.empty());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    expect_same_summary(b[i].eval.summary, a[i].eval.summary);
   }
 }
 
