@@ -316,15 +316,15 @@ void BM_TelemetryOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_TelemetryOverhead)->Arg(0)->Arg(1);
 
-// The recorder fast path: instrumented reads/writes inside Iteration scopes,
+// The recorder fast path: instrumented reads/writes inside IterationScopes,
 // including the per-iteration flat aggregation at scope exit.
 void BM_RecorderRecordThroughput(benchmark::State& state) {
   trace::Recorder recorder("bench");
-  trace::InstrumentedArray<std::uint32_t> a(recorder, "a", 4096, 16);
-  trace::InstrumentedArray<std::uint32_t> b(recorder, "b", 4096, 16);
+  trace::InstrumentedArray<std::uint32_t> a(&recorder, "a", 4096, 16);
+  trace::InstrumentedArray<std::uint32_t> b(&recorder, "b", 4096, 16);
   constexpr std::size_t kAccessesPerIteration = 16;
   for (auto _ : state) {
-    trace::Iteration scope(recorder, "body");
+    trace::IterationScope scope(&recorder, "body");
     for (std::size_t i = 0; i < kAccessesPerIteration / 2; ++i) {
       benchmark::DoNotOptimize(a.read(i));
       b.write((i * 7) & 4095u, static_cast<std::uint32_t>(i));
@@ -344,7 +344,7 @@ void BM_RecorderReuseWindow(benchmark::State& state) {
   // row-buffer-sized window captures real reuse instead of pure thrashing.
   constexpr std::uint64_t kWords = 1 << 13;
   const auto a = recorder.register_array("a", kWords, 16);
-  recorder.set_reuse_windows(a, std::vector<std::uint64_t>{4, 12, 256, 4096});
+  recorder.set_reuse_windows(a, {{4, 4}, {12, 12}, {256, 256}, {4096, 4096}});
 
   support::Rng rng(5);
   std::vector<std::uint64_t> trace_indices(8192);
@@ -361,7 +361,7 @@ void BM_RecorderReuseWindow(benchmark::State& state) {
   constexpr std::size_t kPerIteration = 8;
   for (auto _ : state) {
     for (std::size_t base = 0; base < trace_indices.size(); base += kPerIteration) {
-      trace::Iteration scope(recorder, "body");
+      trace::IterationScope scope(&recorder, "body");
       for (std::size_t i = base; i < base + kPerIteration; ++i) {
         recorder.record(a, trace_indices[i], ir::AccessKind::kRead);
       }
@@ -427,7 +427,7 @@ void BM_RecorderCoAccess(benchmark::State& state) {
   }
   for (auto _ : state) {
     for (std::size_t base = 0; base < events.size(); base += kPerIteration) {
-      trace::Iteration scope(recorder, "encode");
+      trace::IterationScope scope(&recorder, "encode");
       for (std::size_t i = base; i < base + kPerIteration; ++i) {
         recorder.record(events[i].array, events[i].index, events[i].kind);
       }
@@ -441,7 +441,7 @@ BENCHMARK(BM_RecorderCoAccess);
 // Uninstrumented wrapper accesses; the Release target for this is raw
 // std::vector indexing speed (bounds checks compile out, one null test).
 void BM_UninstrumentedArrayAccess(benchmark::State& state) {
-  trace::InstrumentedArray<std::uint32_t> a("a", 4096);
+  trace::InstrumentedArray<std::uint32_t> a(nullptr, "a", 4096, 16);
   std::uint32_t acc = 0;
   for (auto _ : state) {
     for (std::size_t i = 0; i < 4096; ++i) {

@@ -23,8 +23,11 @@ cmake --build "$BUILD_DIR" -j --target perf_microbench
 # what-if query hot path (budget distribution and annealing moves) must be
 # present too, with the annealing solve of the shared model those queries
 # spend most of their time in, and the large-member annealing bench that
-# alone runs the multi-word member sets (no shipped model needs them).
+# alone runs the multi-word member sets (no shipped model needs them).  So
+# must the instrumented array's two hot paths: an access with no recorder
+# attached and a recorded access.
 for bench in BM_MotionEstimate \
+             BM_UninstrumentedArrayAccess BM_RecorderRecordThroughput \
              BM_RecorderReuseWindow BM_RecorderCoAccess BM_ProfiledEncode \
              BM_ExploreMotion BM_ExploreMultiWorkload \
              BM_HyperspecEncode BM_ProfiledFeedback256 \

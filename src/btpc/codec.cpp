@@ -46,59 +46,35 @@ int effective_tile_rows(const CodecOptions& options, int width, int height) {
   return std::clamp(budget_rows, 16, std::max(16, height));
 }
 
-}  // namespace
-
-Encoder::Encoder(int width, int height)
-    : width_(width),
-      height_(height),
-      image_("image", width, height),
-      pyr_("pyr", width, height),
-      ridge_("ridge", width, height),
-      huffman_(),
-      res_accum_("res_accum", kResContexts),
-      res_count_("res_count", kResContexts),
-      esc_fifo_("esc_fifo", 512),
-      coder_select_("coder_select", 8),
-      pred_ctx_("pred_ctx", 16),
-      quant_tab_("quant_tab", 256),
-      dequant_tab_("dequant_tab", 256),
-      level_offsets_("level_offsets", 32),
-      stats_hist_("stats_hist", 64),
-      out_buf_("out_buf", 4096),
-      bit_accum_("bit_accum", 4),
-      base_buf_("base_buf", 16) {
-  DTSE_CHECK(width > 0 && height > 0, "frame dimensions must be positive");
+/// Words of a frame at the declared product geometry (0 = as profiled).
+std::uint64_t declared_frame_words(int width, int height, int declared_width,
+                                   int declared_height) {
+  return static_cast<std::uint64_t>(declared_width ? declared_width : width) *
+         static_cast<std::uint64_t>(declared_height ? declared_height : height);
 }
 
-Encoder::Encoder(trace::Recorder& recorder, int width, int height, int declared_width,
-                 int declared_height, const CodecOptions& options)
-    : recorder_(&recorder),
+}  // namespace
+
+Encoder::Encoder(int width, int height, int declared_width, int declared_height,
+                 const CodecOptions& options, trace::Recorder* recorder)
+    : recorder_(recorder),
       width_(width),
       height_(height),
       profile_backend_(options.backend),
       image_(recorder, "image", width, height, 8, 0,
-             static_cast<std::uint64_t>(declared_width ? declared_width : width) *
-                 static_cast<std::uint64_t>(declared_height ? declared_height : height)),
+             declared_frame_words(width, height, declared_width, declared_height)),
       pyr_(recorder, "pyr", width, height, 8, 0,
-           static_cast<std::uint64_t>(declared_width ? declared_width : width) *
-               static_cast<std::uint64_t>(declared_height ? declared_height : height)),
+           declared_frame_words(width, height, declared_width, declared_height)),
       ridge_(recorder, "ridge", width, height, 2, 0,
-             static_cast<std::uint64_t>(declared_width ? declared_width : width) *
-                 static_cast<std::uint64_t>(declared_height ? declared_height : height)),
+             declared_frame_words(width, height, declared_width, declared_height)),
       // Only the selected backend's coder state enters the model: every
       // registered array becomes a priced basic group, so an untouched
       // Huffman tree (or Rice state) would distort the exploration.
-      huffman_(options.backend == entropy::Backend::kHuffman
-                   ? entropy::AdaptiveHuffmanBank(recorder)
-                   : entropy::AdaptiveHuffmanBank()),
-      res_accum_(options.backend == entropy::Backend::kHuffman
-                     ? trace::InstrumentedArray<std::uint32_t>("res_accum", kResContexts)
-                     : trace::InstrumentedArray<std::uint32_t>(recorder, "res_accum",
-                                                               kResContexts, 15)),
-      res_count_(options.backend == entropy::Backend::kHuffman
-                     ? trace::InstrumentedArray<std::uint16_t>("res_count", kResContexts)
-                     : trace::InstrumentedArray<std::uint16_t>(recorder, "res_count",
-                                                               kResContexts, 7)),
+      huffman_(options.backend == entropy::Backend::kHuffman ? recorder : nullptr),
+      res_accum_(options.backend == entropy::Backend::kHuffman ? nullptr : recorder,
+                 "res_accum", kResContexts, 15),
+      res_count_(options.backend == entropy::Backend::kHuffman ? nullptr : recorder,
+                 "res_count", kResContexts, 7),
       esc_fifo_(recorder, "esc_fifo", 512, 9),
       coder_select_(recorder, "coder_select", 8, 3),
       pred_ctx_(recorder, "pred_ctx", 16, 4),
@@ -112,12 +88,14 @@ Encoder::Encoder(trace::Recorder& recorder, int width, int height, int declared_
   DTSE_CHECK(width > 0 && height > 0, "frame dimensions must be positive");
   DTSE_CHECK(options.backend != entropy::Backend::kRans,
              "the BTPC stream does not support the rANS backend");
+  if (recorder == nullptr) return;
   // The image array is the prime data-reuse candidate (Section 4.4); the
   // windows bracket the paper's 12-register ylocal and 5K yhier layers.
   // Small windows are geometry-independent; row-buffer-sized windows scale
   // with the frame width so a "5 row" window means 5 rows both on the
   // profiled frame and at the declared design geometry.
-  const std::uint64_t dw = static_cast<std::uint64_t>(declared_width ? declared_width : width);
+  const std::uint64_t dw =
+      static_cast<std::uint64_t>(declared_width ? declared_width : width);
   const auto row = static_cast<std::uint64_t>(width);
   std::vector<trace::Recorder::WindowSpec> windows = {
       {4, 4}, {12, 12}, {64, 64}, {256, 256}};
@@ -125,11 +103,11 @@ Encoder::Encoder(trace::Recorder& recorder, int width, int height, int declared_
     windows.push_back({static_cast<std::uint64_t>(rows * static_cast<double>(row)),
                        static_cast<std::uint64_t>(rows * static_cast<double>(dw))});
   }
-  recorder.set_reuse_windows(image_.flat().id(), std::move(windows));
+  recorder->set_reuse_windows(image_.flat().id(), std::move(windows));
 }
 
 void Encoder::init_tables(const CodecOptions& options) {
-  // Initialization is pruned from the profile (outside Iteration scopes the
+  // Initialization is pruned from the profile (outside IterationScopes the
   // instrumented arrays record nothing).
   const int delta = options.lossy ? options.quantizer_delta : 1;
   for (int mag = 0; mag < 256; ++mag) {
@@ -142,9 +120,11 @@ void Encoder::init_tables(const CodecOptions& options) {
   }
   for (int cls = 0; cls < 4; ++cls) {
     coder_select_.write(static_cast<std::size_t>(cls),
-                        static_cast<std::uint8_t>(select_coder(static_cast<PixelClass>(cls), 0)));
+                        static_cast<std::uint8_t>(
+                            select_coder(static_cast<PixelClass>(cls), 0)));
     coder_select_.write(static_cast<std::size_t>(cls + 4),
-                        static_cast<std::uint8_t>(select_coder(static_cast<PixelClass>(cls), 1)));
+                        static_cast<std::uint8_t>(
+                            select_coder(static_cast<PixelClass>(cls), 1)));
   }
   for (int i = 0; i < 16; ++i) {
     pred_ctx_.write(static_cast<std::size_t>(i), static_cast<std::uint8_t>(i));
@@ -281,7 +261,8 @@ void Encoder::encode_pass(const LevelSpec& level, entropy::Backend backend,
 EncodedImage Encoder::encode(const support::Image& image, const CodecOptions& options) {
   DTSE_CHECK(image.width() == width_ && image.height() == height_,
              "frame geometry does not match the encoder");
-  DTSE_CHECK(!options.lossy || (options.quantizer_delta >= 1 && options.quantizer_delta <= 64),
+  DTSE_CHECK(!options.lossy ||
+                 (options.quantizer_delta >= 1 && options.quantizer_delta <= 64),
              "quantizer delta out of range");
   DTSE_CHECK(options.backend != entropy::Backend::kRans,
              "the BTPC stream does not support the rANS backend");
@@ -539,8 +520,8 @@ support::Result<EncodedImage> try_deserialize(const std::vector<std::uint8_t>& b
 ir::Application profile_btpc(const support::Image& image, int declared_width,
                              int declared_height, const CodecOptions& options) {
   trace::Recorder recorder("btpc");
-  Encoder encoder(recorder, image.width(), image.height(), declared_width,
-                  declared_height, options);
+  Encoder encoder(image.width(), image.height(), declared_width, declared_height,
+                  options, &recorder);
   (void)encoder.encode(image, options);
   const double scale =
       static_cast<double>(declared_width) * static_cast<double>(declared_height) /

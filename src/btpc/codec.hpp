@@ -70,17 +70,15 @@ struct EncodedImage {
 
 class Encoder {
  public:
-  /// Plain encoder for a fixed frame geometry.
-  Encoder(int width, int height);
-
-  /// Instrumented encoder.  `declared_width/height` give the product
+  /// Encoder for a fixed frame geometry.  With a non-null `recorder` it
+  /// profiles what it encodes: `declared_width/height` give the product
   /// geometry entered into the application model (profile a 512x512 frame,
   /// declare the 1024x1024 design point); 0 means same as the frame.
   /// `options.backend` decides which coder-state arrays register with the
   /// recorder (the model only prices arrays the selected backend touches);
   /// `encode` must then be called with the same backend.
-  Encoder(trace::Recorder& recorder, int width, int height, int declared_width = 0,
-          int declared_height = 0, const CodecOptions& options = {});
+  Encoder(int width, int height, int declared_width = 0, int declared_height = 0,
+          const CodecOptions& options = {}, trace::Recorder* recorder = nullptr);
 
   /// Compresses `image` (dimensions must match the construction geometry).
   [[nodiscard]] EncodedImage encode(const support::Image& image,
@@ -161,8 +159,8 @@ class Decoder {
 /// Convenience: profile one full encode of `image` and return the pruned
 /// application model, declared at `declared_width/height` and extrapolated
 /// by the pixel-count ratio.
-[[nodiscard]] ir::Application profile_btpc(const support::Image& image, int declared_width,
-                                           int declared_height,
+[[nodiscard]] ir::Application profile_btpc(const support::Image& image,
+                                           int declared_width, int declared_height,
                                            const CodecOptions& options = {});
 
 }  // namespace dtse::btpc

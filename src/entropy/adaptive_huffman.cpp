@@ -6,17 +6,7 @@ namespace {
 constexpr int kRootLocal = AdaptiveHuffmanBank::kNodesPerCoder - 1;  // 126
 }
 
-AdaptiveHuffmanBank::AdaptiveHuffmanBank()
-    : weight_("huff_weight", kTotalNodes),
-      parent_("huff_parent", kTotalNodes),
-      left_("huff_left", kTotalNodes),
-      right_("huff_right", kTotalNodes),
-      leaf_("huff_leaf", kCoders * kSymbols),
-      code_stack_("code_stack", kSymbols) {
-  reset();
-}
-
-AdaptiveHuffmanBank::AdaptiveHuffmanBank(trace::Recorder& recorder)
+AdaptiveHuffmanBank::AdaptiveHuffmanBank(trace::Recorder* recorder)
     : weight_(recorder, "huff_weight", kTotalNodes, 20),
       parent_(recorder, "huff_parent", kTotalNodes, 10),
       left_(recorder, "huff_left", kTotalNodes, 10),
@@ -42,7 +32,8 @@ void AdaptiveHuffmanBank::prime_slice(int coder) {
   // holds by construction.
   for (int s = 0; s < kSymbols; ++s) {
     weight_.write(base + static_cast<std::size_t>(s), 1);
-    left_.write(base + static_cast<std::size_t>(s), kLeafTag | static_cast<std::uint32_t>(s));
+    left_.write(base + static_cast<std::size_t>(s),
+                kLeafTag | static_cast<std::uint32_t>(s));
     right_.write(base + static_cast<std::size_t>(s), 0);
     leaf_.write(static_cast<std::size_t>(coder) * kSymbols + static_cast<std::size_t>(s),
                 static_cast<std::uint32_t>(s));
@@ -57,8 +48,10 @@ void AdaptiveHuffmanBank::prime_slice(int coder) {
       const int child0 = level_begin + 2 * j;
       const int child1 = level_begin + 2 * j + 1;
       weight_.write(base + static_cast<std::size_t>(node), level_weight);
-      left_.write(base + static_cast<std::size_t>(node), static_cast<std::uint32_t>(child0));
-      right_.write(base + static_cast<std::size_t>(node), static_cast<std::uint32_t>(child1));
+      left_.write(base + static_cast<std::size_t>(node),
+                  static_cast<std::uint32_t>(child0));
+      right_.write(base + static_cast<std::size_t>(node),
+                   static_cast<std::uint32_t>(child1));
       parent_.write(base + static_cast<std::size_t>(child0),
                     static_cast<std::uint32_t>(node));
       parent_.write(base + static_cast<std::size_t>(child1),
@@ -80,7 +73,8 @@ void AdaptiveHuffmanBank::encode(int coder, int symbol, BitWriter& writer) {
   // Collect the path bits leaf -> root on the code stack, then emit them in
   // root -> leaf order.
   std::uint32_t node =
-      leaf_.read(static_cast<std::size_t>(coder) * kSymbols + static_cast<std::size_t>(symbol));
+      leaf_.read(static_cast<std::size_t>(coder) * kSymbols +
+                 static_cast<std::size_t>(symbol));
   int depth = 0;
   while (node != kRootLocal) {
     const std::uint32_t up = parent_.read(base + node);
@@ -143,7 +137,8 @@ void AdaptiveHuffmanBank::update(int coder, int symbol) {
   code_length_valid_[static_cast<std::size_t>(coder)] = false;
   const std::size_t base = static_cast<std::size_t>(coder) * kNodesPerCoder;
   std::uint32_t q =
-      leaf_.read(static_cast<std::size_t>(coder) * kSymbols + static_cast<std::size_t>(symbol));
+      leaf_.read(static_cast<std::size_t>(coder) * kSymbols +
+                 static_cast<std::size_t>(symbol));
 
   while (q != kRootLocal) {
     const std::uint32_t w = weight_.read(base + q);

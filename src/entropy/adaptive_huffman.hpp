@@ -38,13 +38,10 @@ class AdaptiveHuffmanBank {
   static constexpr int kTotalNodes = kCoders * kNodesPerCoder;
   static constexpr std::uint32_t kRescaleWeight = 1u << 18;  ///< fits 20 bits with slack
 
-  /// Uninstrumented bank.
-  AdaptiveHuffmanBank();
-
-  /// Instrumented bank: registers the five arrays with `recorder` under the
-  /// demonstrator's array names (huff_weight, huff_parent, ...).  Accesses
-  /// count toward whichever Iteration scope is active.
-  explicit AdaptiveHuffmanBank(trace::Recorder& recorder);
+  /// With a non-null `recorder` the bank registers its arrays under the
+  /// demonstrator's array names (huff_weight, huff_parent, ...); accesses
+  /// count toward whichever IterationScope is active.
+  explicit AdaptiveHuffmanBank(trace::Recorder* recorder = nullptr);
 
   /// Re-primes every coder (all weights 1, balanced shape).
   void reset();

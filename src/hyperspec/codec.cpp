@@ -154,26 +154,11 @@ Cube make_synthetic_cube(CubeShape shape, std::uint64_t seed, int dynamic_range_
   return cube;
 }
 
-Encoder::Encoder(CubeShape shape)
-    : shape_(detail::checked_shape(shape)),
-      cube_("cube", shape_.samples()),
-      residual_("residual", shape_.plane_samples()),
-      rice_accum_("rice_accum", static_cast<std::size_t>(shape_.bands)),
-      rice_count_("rice_count", static_cast<std::size_t>(shape_.bands)),
-      rans_freq_("rans_freq", entropy::kRansSymbols),
-      rans_cum_("rans_cum", entropy::kRansSymbols + 1),
-      rans_state_("rans_state", 2),
-      bit_accum_("bit_accum", 4),
-      out_buf_("out_buf", 4096) {}
-
-Encoder::Encoder(trace::Recorder& recorder, CubeShape shape, CubeShape declared,
-                 const HsCodecOptions& options)
-    : Encoder(recorder, shape, fill_declared(declared, shape), options, true) {}
-
-Encoder::Encoder(trace::Recorder& recorder, CubeShape shape, CubeShape declared,
-                 const HsCodecOptions& options, bool)
-    : recorder_(&recorder),
+Encoder::Encoder(CubeShape shape, CubeShape declared, const HsCodecOptions& options,
+                 trace::Recorder* recorder)
+    : recorder_(recorder),
       shape_(shape),
+      declared_(fill_declared(declared, shape)),
       profile_options_((check_options(options), options)),
       // Bitwidths derive from the coder options: samples and mapped
       // residuals span the dynamic range; the Rice accumulator/counter are
@@ -181,48 +166,32 @@ Encoder::Encoder(trace::Recorder& recorder, CubeShape shape, CubeShape declared,
       // the arrays the selected backend touches register with the recorder —
       // the model prices the coder state the design point would really build.
       cube_(recorder, "cube", shape.samples(), options.dynamic_range_bits, 0,
-            declared.samples()),
+            declared_.samples()),
       residual_(recorder, "residual", shape.plane_samples(),
-                options.dynamic_range_bits, 0, declared.plane_samples()),
-      rice_accum_(options.backend != entropy::Backend::kRans
-                      ? trace::InstrumentedArray<std::uint32_t>(
-                            recorder, "rice_accum", static_cast<std::size_t>(shape.bands),
-                            options.dynamic_range_bits +
-                                std::bit_width(
-                                    static_cast<unsigned>(options.rescale_limit - 1)),
-                            0, static_cast<std::uint64_t>(declared.bands))
-                      : trace::InstrumentedArray<std::uint32_t>(
-                            "rice_accum", static_cast<std::size_t>(shape.bands))),
-      rice_count_(options.backend != entropy::Backend::kRans
-                      ? trace::InstrumentedArray<std::uint16_t>(
-                            recorder, "rice_count", static_cast<std::size_t>(shape.bands),
-                            std::bit_width(static_cast<unsigned>(options.rescale_limit)),
-                            0, static_cast<std::uint64_t>(declared.bands))
-                      : trace::InstrumentedArray<std::uint16_t>(
-                            "rice_count", static_cast<std::size_t>(shape.bands))),
+                options.dynamic_range_bits, 0, declared_.plane_samples()),
+      rice_accum_(options.backend != entropy::Backend::kRans ? recorder : nullptr,
+                  "rice_accum", static_cast<std::size_t>(shape.bands),
+                  options.dynamic_range_bits +
+                      std::bit_width(static_cast<unsigned>(options.rescale_limit - 1)),
+                  0, static_cast<std::uint64_t>(declared_.bands)),
+      rice_count_(options.backend != entropy::Backend::kRans ? recorder : nullptr,
+                  "rice_count", static_cast<std::size_t>(shape.bands),
+                  std::bit_width(static_cast<unsigned>(options.rescale_limit)), 0,
+                  static_cast<std::uint64_t>(declared_.bands)),
       // The rANS tables do double duty (histogram counts, then normalized
       // frequencies), so the frequency array is sized for the histogram's
       // worst case at the declared plane (up to three symbols per sample).
-      rans_freq_(options.backend == entropy::Backend::kRans
-                     ? trace::InstrumentedArray<std::uint32_t>(
-                           recorder, "rans_freq", entropy::kRansSymbols,
-                           std::max<int>(entropy::kRansFreqBits,
-                                         std::bit_width(3 * declared.plane_samples())),
-                           0, entropy::kRansSymbols)
-                     : trace::InstrumentedArray<std::uint32_t>("rans_freq",
-                                                               entropy::kRansSymbols)),
-      rans_cum_(options.backend == entropy::Backend::kRans
-                    ? trace::InstrumentedArray<std::uint16_t>(
-                          recorder, "rans_cum", entropy::kRansSymbols + 1,
-                          entropy::kRansFreqBits, 0, entropy::kRansSymbols + 1)
-                    : trace::InstrumentedArray<std::uint16_t>(
-                          "rans_cum", entropy::kRansSymbols + 1)),
-      rans_state_(options.backend == entropy::Backend::kRans
-                      ? trace::InstrumentedArray<std::uint32_t>(recorder, "rans_state",
-                                                                2, 32, 0, 2)
-                      : trace::InstrumentedArray<std::uint32_t>("rans_state", 2)),
+      rans_freq_(options.backend == entropy::Backend::kRans ? recorder : nullptr,
+                 "rans_freq", entropy::kRansSymbols,
+                 std::max<int>(entropy::kRansFreqBits,
+                               std::bit_width(3 * declared_.plane_samples()))),
+      rans_cum_(options.backend == entropy::Backend::kRans ? recorder : nullptr,
+                "rans_cum", entropy::kRansSymbols + 1, entropy::kRansFreqBits),
+      rans_state_(options.backend == entropy::Backend::kRans ? recorder : nullptr,
+                  "rans_state", 2, 32),
       bit_accum_(recorder, "bit_accum", 4, 20),
       out_buf_(recorder, "out_buf", 4096, 16) {
+  if (recorder == nullptr) return;
   // The cube is the data-reuse candidate: row-buffer windows scale with the
   // declared width, band-plane windows with the declared plane — the "keep
   // the previous band on chip" hierarchy option is the hyperspectral analogue
@@ -232,15 +201,15 @@ Encoder::Encoder(trace::Recorder& recorder, CubeShape shape, CubeShape declared,
   // their meaning at the design point (on narrow profile cubes the recorder
   // drops rungs that would simulate fewer words than a register window).
   const auto row = static_cast<std::uint64_t>(shape_.width);
-  const auto declared_row = static_cast<std::uint64_t>(declared.width);
+  const auto declared_row = static_cast<std::uint64_t>(declared_.width);
   const std::uint64_t plane = shape_.plane_samples();
-  const std::uint64_t declared_plane = declared.plane_samples();
-  recorder.set_reuse_windows(cube_.id(), {{4, 4},
-                                          {12, 12},
-                                          {row, declared_row},
-                                          {4 * row, 4 * declared_row},
-                                          {plane, declared_plane},
-                                          {2 * plane, 2 * declared_plane}});
+  const std::uint64_t declared_plane = declared_.plane_samples();
+  recorder->set_reuse_windows(cube_.id(), {{4, 4},
+                                           {12, 12},
+                                           {row, declared_row},
+                                           {4 * row, 4 * declared_row},
+                                           {plane, declared_plane},
+                                           {2 * plane, 2 * declared_plane}});
 }
 
 void Encoder::predict_band(int z, int maxval) {
@@ -327,7 +296,8 @@ void Encoder::encode_band_rans(int z, entropy::BitWriter& writer) {
   const entropy::RansTable table = entropy::rans_build_table(counts);
   for (int s = 0; s < entropy::kRansSymbols; ++s) {
     trace::IterationScope scope(recorder_, "hs_rans_norm");
-    rans_freq_.write(static_cast<std::size_t>(s), table.freq[static_cast<std::size_t>(s)]);
+    rans_freq_.write(static_cast<std::size_t>(s),
+                     table.freq[static_cast<std::size_t>(s)]);
     rans_cum_.write(static_cast<std::size_t>(s), table.cum[static_cast<std::size_t>(s)]);
   }
   {
@@ -652,7 +622,7 @@ support::Result<EncodedCube> try_deserialize(const std::vector<std::uint8_t>& by
 ir::Application profile_hyperspec(const Cube& cube, CubeShape declared,
                                   const HsCodecOptions& options) {
   trace::Recorder recorder("hyperspec");
-  Encoder encoder(recorder, cube.shape(), declared, options);
+  Encoder encoder(cube.shape(), declared, options, &recorder);
   (void)encoder.encode(cube, options);
   const CubeShape d = fill_declared(declared, cube.shape());
   const double scale = static_cast<double>(d.samples()) /

@@ -141,17 +141,16 @@ struct EncodedCube {
 
 class Encoder {
  public:
-  /// Plain encoder for a fixed cube geometry.
-  explicit Encoder(CubeShape shape);
-
-  /// Instrumented encoder.  `declared` gives the product geometry entered
+  /// Encoder for a fixed cube geometry.  With a non-null `recorder` it
+  /// profiles what it encodes: `declared` gives the product geometry entered
   /// into the application model (profile a small cube, declare the flight
   /// instrument's); a zeroed field means same as the profiled shape.
   /// `options` sizes the model's bitwidths (cube/residual at the dynamic
   /// range, Rice state at its overflow-free width); `encode` must be called
   /// with matching options so the profile describes the run it came from.
-  Encoder(trace::Recorder& recorder, CubeShape shape, CubeShape declared = {},
-          const HsCodecOptions& options = {});
+  explicit Encoder(CubeShape shape, CubeShape declared = {},
+                   const HsCodecOptions& options = {},
+                   trace::Recorder* recorder = nullptr);
 
   /// Compresses `cube` (geometry must match the construction shape).
   [[nodiscard]] EncodedCube encode(const Cube& cube, const HsCodecOptions& options = {});
@@ -159,11 +158,6 @@ class Encoder {
   [[nodiscard]] const CubeShape& shape() const { return shape_; }
 
  private:
-
-  /// Delegation target with the declared geometry already normalized (the
-  /// bool only disambiguates the overload).
-  Encoder(trace::Recorder& recorder, CubeShape shape, CubeShape declared,
-          const HsCodecOptions& options, bool);
 
   void predict_band(int z, int maxval);
   void encode_band(int z, entropy::BitWriter& writer, const HsCodecOptions& options);
@@ -176,6 +170,7 @@ class Encoder {
 
   trace::Recorder* recorder_ = nullptr;
   CubeShape shape_;
+  CubeShape declared_;  ///< product geometry, zeroed fields filled from shape_
   HsCodecOptions profile_options_;  ///< options the instrumented model declares
 
   // The workload's basic groups.

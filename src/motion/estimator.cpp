@@ -14,6 +14,11 @@ namespace {
 
 constexpr double kTwoPi = 6.28318530717958648;
 
+/// Edge of the search-window buffer: the block plus the range on each side.
+[[nodiscard]] int window_edge(const MotionOptions& options) {
+  return options.block_size + 2 * options.search_range;
+}
+
 void check_options(const MotionOptions& options) {
   DTSE_CHECK(options.block_size >= 4 && options.block_size <= 64,
              "block size out of range");
@@ -22,7 +27,7 @@ void check_options(const MotionOptions& options) {
   // The estimator records row-granular loop bodies; the budget distribution
   // schedules at most 64 accesses per slot and iteration, which caps the
   // search-window row length.
-  DTSE_CHECK(options.block_size + 2 * options.search_range <= 64,
+  DTSE_CHECK(window_edge(options) <= 64,
              "search window edge exceeds the schedulable row length");
 }
 
@@ -90,70 +95,36 @@ FramePair make_synthetic_frame_pair(int width, int height, std::uint64_t seed) {
   return pair;
 }
 
-Estimator::Estimator(int width, int height, MotionOptions options)
-    : Estimator(nullptr, width, height, options, width, height) {}
-
-Estimator::Estimator(trace::Recorder& recorder, int width, int height,
-                     MotionOptions options, int declared_width, int declared_height)
-    : Estimator(&recorder, width, height, options,
-                declared_width ? declared_width : width,
-                declared_height ? declared_height : height) {}
-
-Estimator::Estimator(trace::Recorder* recorder, int width, int height,
-                     MotionOptions options, int declared_width, int declared_height)
+Estimator::Estimator(int width, int height, MotionOptions options, int declared_width,
+                     int declared_height, trace::Recorder* recorder)
     : recorder_(recorder),
       options_((check_options(options), options)),
       width_(width),
       height_(height),
       blocks_x_(width / options.block_size),
       blocks_y_(height / options.block_size),
-      // A non-recording InstrumentedArray takes only (name, size); the
-      // recording overload wants the declared product geometry as well, so
-      // the members are built through immediately-invoked lambdas on the
-      // single constructor path.
-      cur_frame_([&]() -> trace::InstrumentedArray<std::uint16_t> {
-        const auto words = static_cast<std::size_t>(width) * height;
-        const auto declared = static_cast<std::uint64_t>(declared_width) * declared_height;
-        if (recorder == nullptr) return {"cur_frame", words};
-        return {*recorder, "cur_frame", words, 8, 0, declared};
-      }()),
-      ref_frame_([&]() -> trace::InstrumentedArray<std::uint16_t> {
-        const auto words = static_cast<std::size_t>(width) * height;
-        const auto declared = static_cast<std::uint64_t>(declared_width) * declared_height;
-        if (recorder == nullptr) return {"ref_frame", words};
-        return {*recorder, "ref_frame", words, 8, 0, declared};
-      }()),
-      cur_block_([&]() -> trace::InstrumentedArray<std::uint16_t> {
-        const auto words =
-            static_cast<std::size_t>(options.block_size) * options.block_size;
-        if (recorder == nullptr) return {"cur_block", words};
-        return {*recorder, "cur_block", words, 8};
-      }()),
-      ref_window_([&]() -> trace::InstrumentedArray<std::uint16_t> {
-        const int edge = options.block_size + 2 * options.search_range;
-        const auto words = static_cast<std::size_t>(edge) * edge;
-        if (recorder == nullptr) return {"ref_window", words};
-        return {*recorder, "ref_window", words, 8};
-      }()),
-      sad_accum_([&]() -> trace::InstrumentedArray<std::uint32_t> {
-        // Slot 0 holds the candidate SAD, slot 1 the running best; the width
-        // is the overflow-free maximum of a block-sized 8-bit SAD.
-        const int bits = std::bit_width(
-            static_cast<unsigned>(options.block_size) *
-            static_cast<unsigned>(options.block_size) * 255u);
-        if (recorder == nullptr) return {"sad_accum", 2};
-        return {*recorder, "sad_accum", 2, bits};
-      }()),
-      mv_field_([&]() -> trace::InstrumentedArray<std::uint16_t> {
-        const auto blocks =
-            static_cast<std::size_t>(std::max(1, width / options.block_size)) *
-            static_cast<std::size_t>(std::max(1, height / options.block_size));
-        const auto declared =
-            static_cast<std::uint64_t>(std::max(1, declared_width / options.block_size)) *
-            static_cast<std::uint64_t>(std::max(1, declared_height / options.block_size));
-        if (recorder == nullptr) return {"mv_field", blocks};
-        return {*recorder, "mv_field", blocks, 16, 0, declared};
-      }()) {
+      declared_width_(declared_width ? declared_width : width),
+      declared_height_(declared_height ? declared_height : height),
+      cur_frame_(recorder, "cur_frame", static_cast<std::size_t>(width) * height, 8, 0,
+                 static_cast<std::uint64_t>(declared_width_) * declared_height_),
+      ref_frame_(recorder, "ref_frame", static_cast<std::size_t>(width) * height, 8, 0,
+                 static_cast<std::uint64_t>(declared_width_) * declared_height_),
+      cur_block_(recorder, "cur_block",
+                 static_cast<std::size_t>(options.block_size) * options.block_size, 8),
+      ref_window_(recorder, "ref_window",
+                  static_cast<std::size_t>(window_edge(options)) * window_edge(options),
+                  8),
+      // Slot 0 holds the candidate SAD, slot 1 the running best; the width
+      // is the overflow-free maximum of a block-sized 8-bit SAD.
+      sad_accum_(recorder, "sad_accum", 2,
+                 std::bit_width(static_cast<unsigned>(options.block_size) *
+                                static_cast<unsigned>(options.block_size) * 255u)),
+      mv_field_(recorder, "mv_field",
+                static_cast<std::size_t>(std::max(1, blocks_x_)) * std::max(1, blocks_y_),
+                16, 0,
+                static_cast<std::uint64_t>(
+                    std::max(1, declared_width_ / options.block_size)) *
+                    std::max(1, declared_height_ / options.block_size)) {
   DTSE_CHECK(width_ >= options_.block_size && height_ >= options_.block_size,
              "frame must hold at least one block");
   if (recorder_ == nullptr) return;
@@ -164,10 +135,9 @@ Estimator::Estimator(trace::Recorder* recorder, int width, int height,
   // overlap — the line-buffer decision).  Window capacities scale with the
   // declared frame width so "a window-high line buffer" keeps its meaning at
   // the design point.
-  const auto win_edge =
-      static_cast<std::uint64_t>(options_.block_size + 2 * options_.search_range);
+  const auto win_edge = static_cast<std::uint64_t>(window_edge(options_));
   const auto row = static_cast<std::uint64_t>(width_);
-  const auto declared_row = static_cast<std::uint64_t>(declared_width);
+  const auto declared_row = static_cast<std::uint64_t>(declared_width_);
   recorder_->set_reuse_windows(ref_frame_.id(),
                                {{4, 4},
                                 {12, 12},
@@ -195,7 +165,7 @@ void Estimator::load_block(int bx, int by) {
 }
 
 void Estimator::load_window(int win_x, int win_y, int win_w, int win_h) {
-  const int stride = options_.block_size + 2 * options_.search_range;
+  const int stride = window_edge(options_);
   for (int y = 0; y < win_h; ++y) {
     trace::IterationScope scope(recorder_, "me_load_window");
     for (int x = 0; x < win_w; ++x) {
@@ -209,7 +179,7 @@ void Estimator::load_window(int win_x, int win_y, int win_w, int win_h) {
 std::uint32_t Estimator::candidate_sad(int bx, int by, int dx, int dy, int win_x,
                                        int win_y) {
   const int bs = options_.block_size;
-  const int stride = bs + 2 * options_.search_range;
+  const int stride = window_edge(options_);
   const int rx = bx * bs + dx - win_x;  // candidate origin inside the window
   const int ry = by * bs + dy - win_y;
   std::uint32_t sad = 0;
@@ -367,8 +337,8 @@ MotionField reference_full_search(const support::Image& reference,
 ir::Application profile_motion(const FramePair& frames, int declared_width,
                                int declared_height, const MotionOptions& options) {
   trace::Recorder recorder("motion");
-  Estimator estimator(recorder, frames.reference.width(), frames.reference.height(),
-                      options, declared_width, declared_height);
+  Estimator estimator(frames.reference.width(), frames.reference.height(), options,
+                      declared_width, declared_height, &recorder);
   (void)estimator.estimate(frames.reference, frames.current);
   // Candidate counts and window loads both scale with the block count, so
   // the block-count ratio extrapolates the profiled run to the design point.

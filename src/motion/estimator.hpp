@@ -89,15 +89,13 @@ struct FramePair {
 /// The block-matching engine.  One instance serves one frame geometry.
 class Estimator {
  public:
-  /// Plain (uninstrumented) estimator for `width` x `height` frames.
-  Estimator(int width, int height, MotionOptions options = {});
-
-  /// Instrumented estimator.  `declared_width`/`declared_height` give the
-  /// product geometry entered into the application model (profile a small
-  /// frame, declare the real-time design point); 0 means same as profiled.
-  Estimator(trace::Recorder& recorder, int width, int height,
-            MotionOptions options = {}, int declared_width = 0,
-            int declared_height = 0);
+  /// Estimator for `width` x `height` frames.  With a non-null `recorder`
+  /// it profiles what it estimates: `declared_width`/`declared_height` give
+  /// the product geometry entered into the application model (profile a
+  /// small frame, declare the real-time design point); 0 means same as
+  /// profiled.
+  Estimator(int width, int height, MotionOptions options = {}, int declared_width = 0,
+            int declared_height = 0, trace::Recorder* recorder = nullptr);
 
   /// Runs block matching of `current` against `reference` (both must match
   /// the construction geometry).  Deterministic; instrumentation does not
@@ -112,10 +110,6 @@ class Estimator {
   [[nodiscard]] const MotionOptions& options() const { return options_; }
 
  private:
-  /// Delegation target with the declared geometry already normalized.
-  Estimator(trace::Recorder* recorder, int width, int height, MotionOptions options,
-            int declared_width, int declared_height);
-
   void load_block(int bx, int by);
   void load_window(int win_x, int win_y, int win_w, int win_h);
   /// SAD of the current block against the window at displacement (dx, dy)
@@ -133,10 +127,13 @@ class Estimator {
   int height_ = 0;
   int blocks_x_ = 0;
   int blocks_y_ = 0;
+  int declared_width_ = 0;  ///< declared product geometry (a 0 argument = as profiled)
+  int declared_height_ = 0;
 
   // The workload's basic groups.
-  trace::InstrumentedArray<std::uint16_t> cur_frame_;   ///< current frame (off-chip sized)
-  trace::InstrumentedArray<std::uint16_t> ref_frame_;   ///< reference frame (off-chip sized)
+  /// Current and reference frames (off-chip sized).
+  trace::InstrumentedArray<std::uint16_t> cur_frame_;
+  trace::InstrumentedArray<std::uint16_t> ref_frame_;
   trace::InstrumentedArray<std::uint16_t> cur_block_;   ///< on-chip current-block buffer
   trace::InstrumentedArray<std::uint16_t> ref_window_;  ///< on-chip search-window buffer
   trace::InstrumentedArray<std::uint32_t> sad_accum_;   ///< candidate/best SAD registers

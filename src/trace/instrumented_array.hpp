@@ -1,9 +1,10 @@
 // Arrays that report their accesses to a Recorder.
 //
 // The application under exploration performs all background-memory accesses
-// through these wrappers.  When no recorder is attached the wrappers are a
-// plain vector with bounds checks, so the same codec implementation serves
-// both production use and profiling runs.
+// through these wrappers.  Each array is declared once, with its bitwidth
+// and declared geometry; constructed with a null recorder it is a plain
+// vector with bounds checks, so the same codec implementation serves both
+// production use and profiling runs.
 //
 // The read/write hot path is deliberately flat: bounds checks are
 // `DTSE_DCHECK` (compiled out in Release, re-armed in tests), the
@@ -25,20 +26,18 @@ namespace dtse::trace {
 template <typename T>
 class InstrumentedArray {
  public:
-  /// Uninstrumented array (no recorder).
-  InstrumentedArray(std::string_view debug_name, std::size_t size, T fill = T{})
-      : name_(debug_name), data_(size, fill) {}
-
-  /// Instrumented array: registers itself with `recorder`.  `declared_words`
-  /// lets the profile declare the full product geometry while allocating
-  /// only the profiled working size (0 = same as `size`).
-  InstrumentedArray(Recorder& recorder, std::string name, std::size_t size, int bitwidth,
+  /// Registers the array with `recorder` when it is non-null; a null
+  /// recorder leaves a plain bounds-checked vector.  `declared_words` lets
+  /// the profile declare the full product geometry while allocating only
+  /// the profiled working size (0 = same as `size`).
+  InstrumentedArray(Recorder* recorder, std::string name, std::size_t size, int bitwidth,
                     T fill = T{}, std::uint64_t declared_words = 0,
                     std::optional<memlib::Location> forced_location = std::nullopt)
-      : name_(name), data_(size, fill), recorder_(&recorder) {
-    id_ = recorder.register_array(std::move(name),
-                                  declared_words ? declared_words : size, bitwidth,
-                                  forced_location);
+      : name_(name), data_(size, fill), recorder_(recorder) {
+    if (recorder == nullptr) return;
+    id_ = recorder->register_array(std::move(name),
+                                   declared_words ? declared_words : size, bitwidth,
+                                   forced_location);
     slot_read_ = Recorder::slot_of(id_, ir::AccessKind::kRead);
     slot_write_ = Recorder::slot_of(id_, ir::AccessKind::kWrite);
   }
@@ -80,11 +79,7 @@ class InstrumentedArray {
 template <typename T>
 class InstrumentedArray2D {
  public:
-  InstrumentedArray2D(std::string_view debug_name, int width, int height, T fill = T{})
-      : width_(width), height_(height),
-        array_(debug_name, static_cast<std::size_t>(width) * height, fill) {}
-
-  InstrumentedArray2D(Recorder& recorder, std::string name, int width, int height,
+  InstrumentedArray2D(Recorder* recorder, std::string name, int width, int height,
                       int bitwidth, T fill = T{}, std::uint64_t declared_words = 0,
                       std::optional<memlib::Location> forced_location = std::nullopt)
       : width_(width), height_(height),

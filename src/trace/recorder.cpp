@@ -217,14 +217,6 @@ void Recorder::set_reuse_windows(ArrayId array, std::vector<WindowSpec> windows)
   info.reuse.init(std::move(capacities));
 }
 
-void Recorder::set_reuse_windows(ArrayId array,
-                                 const std::vector<std::uint64_t>& window_words) {
-  std::vector<WindowSpec> windows;
-  windows.reserve(window_words.size());
-  for (const auto w : window_words) windows.push_back({w, w});
-  set_reuse_windows(array, std::move(windows));
-}
-
 void Recorder::begin_iteration(std::string_view body_name) {
   DTSE_CHECK(current_body_ < 0, "iterations cannot nest; end the previous one first");
   auto it = body_index_.find(body_name);
@@ -401,7 +393,8 @@ ir::Application Recorder::build(double scale) const {
           if (pairs == 0) continue;
           const auto a = access_index[2 * lo + kind];
           const auto b = access_index[2 * hi + kind];
-          DTSE_ASSERT(a != kNoAccess && b != kNoAccess, "co-access over unknown accesses");
+          DTSE_ASSERT(a != kNoAccess && b != kNoAccess,
+                      "co-access over unknown accesses");
           ir_body.co_accesses.push_back({a, b, static_cast<double>(pairs) / iters});
         }
       }

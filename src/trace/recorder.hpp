@@ -5,7 +5,7 @@
 // instrument the application to gather the access counts."
 //
 // `Recorder` is that software.  The application under study declares its
-// arrays, wraps loop bodies in `Iteration` scopes and performs all array
+// arrays, wraps loop bodies in `IterationScope`s and performs all array
 // accesses through `InstrumentedArray` (see instrumented_array.hpp).  The
 // recorder aggregates, per loop body:
 //   * per (array, read/write): access counts and stride-1 statistics,
@@ -135,9 +135,8 @@ class Recorder {
   /// (on a narrow profiled frame a declared row can simulate fewer words
   /// than a register window), so the miss curve never inverts.
   void set_reuse_windows(ArrayId array, std::vector<WindowSpec> windows);
-  void set_reuse_windows(ArrayId array, const std::vector<std::uint64_t>& window_words);
 
-  // --- recording (called by InstrumentedArray / Iteration) -----------------
+  // --- recording (called by InstrumentedArray / IterationScope) ------------
   /// Aggregation slot of an (array, kind) pair; the unit all flat per-body
   /// state is indexed by.
   [[nodiscard]] static constexpr std::uint32_t slot_of(ArrayId array,
@@ -151,7 +150,7 @@ class Recorder {
   /// Checked general-purpose recording entry point.
   void record(ArrayId array, std::uint64_t index, ir::AccessKind kind) {
     DTSE_CHECK(array < arrays_.size(), "unknown array");
-    DTSE_CHECK(current_body_ >= 0, "record() outside of an Iteration scope");
+    DTSE_CHECK(current_body_ >= 0, "record() outside of an IterationScope");
     record_slot(slot_of(array, kind), index);
   }
 
@@ -159,7 +158,7 @@ class Recorder {
   /// and already know an iteration is active.
   void record_slot(std::uint32_t slot, std::uint64_t index) {
     DTSE_DCHECK(slot < 2 * arrays_.size(), "unknown aggregation slot");
-    DTSE_DCHECK(current_body_ >= 0, "record_slot() outside of an Iteration scope");
+    DTSE_DCHECK(current_body_ >= 0, "record_slot() outside of an IterationScope");
     pending_.push_back({slot, index});
     ++total_events_;
     // Reuse simulation tracks read locality only: copies into a hierarchy
@@ -235,24 +234,10 @@ class Recorder {
   std::uint64_t total_events_ = 0;
 };
 
-/// RAII marker for one iteration of a named loop body.
-class Iteration {
- public:
-  Iteration(Recorder& recorder, std::string_view body_name) : recorder_(recorder) {
-    recorder_.begin_iteration(body_name);
-  }
-  ~Iteration() { recorder_.end_iteration(); }
-
-  Iteration(const Iteration&) = delete;
-  Iteration& operator=(const Iteration&) = delete;
-
- private:
-  Recorder& recorder_;
-};
-
-/// Like `Iteration`, but tolerant of a null recorder: kernels that serve
-/// both production and profiling runs guard each loop-body iteration with
-/// this scope and pay one predictable branch when no recorder is attached.
+/// RAII marker for one iteration of a named loop body.  Tolerant of a null
+/// recorder: kernels that serve both production and profiling runs guard
+/// each loop-body iteration with this scope and pay one predictable branch
+/// when no recorder is attached.
 class IterationScope {
  public:
   IterationScope(Recorder* recorder, std::string_view body_name)

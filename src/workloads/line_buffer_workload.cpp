@@ -23,28 +23,26 @@ constexpr int kNormShift = 8;
 
 [[nodiscard]] int clamp_coord(int v, int limit) { return std::clamp(v, 0, limit - 1); }
 
-/// The filter kernel over instrumented arrays.  `Recorder == nullptr` runs
-/// the production path; with a recorder every frame/coeffs/out access lands
-/// in the profile.
+/// The filter kernel over instrumented arrays.  A null `recorder` runs the
+/// production path; with a recorder every frame/coeffs/out access lands in
+/// the profile, declared at `declared_width` x `declared_height`.
 class Filter {
  public:
-  Filter(int width, int height)
-      : width_(width), height_(height),
-        frame_("frame", width, height),
-        coeffs_("coeffs", kTaps * kTaps),
-        out_("out", width, height) {
-    init_coeffs();
-  }
-
-  Filter(trace::Recorder& recorder, int width, int height, int declared_width,
-         int declared_height)
-      : recorder_(&recorder), width_(width), height_(height),
+  Filter(int width, int height, int declared_width, int declared_height,
+         trace::Recorder* recorder = nullptr)
+      : recorder_(recorder), width_(width), height_(height),
         frame_(recorder, "frame", width, height, 8, 0,
                static_cast<std::uint64_t>(declared_width) * declared_height),
         coeffs_(recorder, "coeffs", kTaps * kTaps, 12),
         out_(recorder, "out", width, height, 8, 0,
              static_cast<std::uint64_t>(declared_width) * declared_height) {
-    init_coeffs();
+    for (int ty = 0; ty < kTaps; ++ty) {
+      for (int tx = 0; tx < kTaps; ++tx) {
+        coeffs_.raw()[static_cast<std::size_t>(ty) * kTaps + tx] =
+            static_cast<std::uint16_t>(kRow[ty] * kRow[tx]);
+      }
+    }
+    if (recorder == nullptr) return;
     // The frame is the data-reuse candidate of the sliding 5x5 window:
     // a register window catches the horizontal reuse, 4 lines most of the
     // vertical reuse, the full 5-line buffer reduces traffic to compulsory
@@ -60,7 +58,7 @@ class Filter {
         {kTaps * row, kTaps * declared_row},
         {64 * row, 64 * declared_row},
     };
-    recorder.set_reuse_windows(frame_.flat().id(), std::move(windows));
+    recorder->set_reuse_windows(frame_.flat().id(), std::move(windows));
   }
 
   /// Filters `input` into the returned image (geometry must match).
@@ -94,15 +92,6 @@ class Filter {
   }
 
  private:
-  void init_coeffs() {
-    for (int ty = 0; ty < kTaps; ++ty) {
-      for (int tx = 0; tx < kTaps; ++tx) {
-        coeffs_.raw()[static_cast<std::size_t>(ty) * kTaps + tx] =
-            static_cast<std::uint16_t>(kRow[ty] * kRow[tx]);
-      }
-    }
-  }
-
   trace::Recorder* recorder_ = nullptr;
   int width_;
   int height_;
@@ -155,7 +144,7 @@ ir::Application LineBufferWorkload::profile(const WorkloadOptions& options) cons
   const auto input = support::make_synthetic_image(
       edge, edge, support::SyntheticKind::kCompound, options.seed);
   trace::Recorder recorder("line_buffer");
-  Filter filter(recorder, edge, edge, declared_width(), declared_height());
+  Filter filter(edge, edge, declared_width(), declared_height(), &recorder);
   (void)filter.run(input);
   const double scale =
       static_cast<double>(declared_width()) * static_cast<double>(declared_height()) /
@@ -167,7 +156,7 @@ VerifyReport LineBufferWorkload::verify(const WorkloadOptions& options) const {
   const int edge = profile_edge(options);
   const auto input = support::make_synthetic_image(
       edge, edge, support::SyntheticKind::kCompound, options.seed);
-  Filter filter(edge, edge);
+  Filter filter(edge, edge, edge, edge);
   if (!(filter.run(input) == reference_convolution(input))) {
     return VerifyReport::fail(
         "reference-compare",

@@ -436,7 +436,8 @@ INSTANTIATE_TEST_SUITE_P(
                       CodecCase{256, 256, support::SyntheticKind::kCompound}));
 
 TEST(Codec, GradientCompressesWell) {
-  const auto image = support::make_synthetic_image(128, 128, support::SyntheticKind::kGradient, 5);
+  const auto image =
+      support::make_synthetic_image(128, 128, support::SyntheticKind::kGradient, 5);
   Encoder encoder(128, 128);
   const auto encoded = encoder.encode(image, {});
   EXPECT_LT(encoded.bits_per_pixel(), 3.0);
@@ -589,12 +590,14 @@ TEST(Codec, UniformNoiseRoundTripsThroughEveryBackend) {
 
 TEST(Codec, MismatchedGeometryThrows) {
   Encoder encoder(32, 32);
-  const auto image = support::make_synthetic_image(16, 16, support::SyntheticKind::kGradient, 1);
+  const auto image =
+      support::make_synthetic_image(16, 16, support::SyntheticKind::kGradient, 1);
   EXPECT_THROW((void)encoder.encode(image, {}), support::ContractError);
 }
 
 TEST(Codec, EncoderIsReusable) {
-  const auto a = support::make_synthetic_image(32, 32, support::SyntheticKind::kCompound, 1);
+  const auto a =
+      support::make_synthetic_image(32, 32, support::SyntheticKind::kCompound, 1);
   const auto b = support::make_synthetic_image(32, 32, support::SyntheticKind::kEdges, 2);
   Encoder encoder(32, 32);
   const auto ea = encoder.encode(a, {});
@@ -613,7 +616,8 @@ class TiledTraversal : public ::testing::TestWithParam<std::pair<int, int>> {};
 
 TEST_P(TiledTraversal, BitstreamIsByteIdenticalToLevelOrder) {
   const auto [w, h] = GetParam();
-  const auto image = support::make_synthetic_image(w, h, support::SyntheticKind::kCompound, 21);
+  const auto image =
+      support::make_synthetic_image(w, h, support::SyntheticKind::kCompound, 21);
   for (const bool lossy : {false, true}) {
     CodecOptions reference;
     reference.tile_rows = h;  // level order
@@ -648,7 +652,7 @@ TEST(Codec, ProfileIsIdenticalAcrossTraversals) {
       support::make_synthetic_image(96, 80, support::SyntheticKind::kCompound, 4);
   auto profile_with = [&](int tile_rows) {
     trace::Recorder recorder("btpc");
-    Encoder encoder(recorder, 96, 80, 1024, 1024);
+    Encoder encoder(96, 80, 1024, 1024, {}, &recorder);
     CodecOptions options;
     options.tile_rows = tile_rows;
     (void)encoder.encode(image, options);
@@ -660,7 +664,8 @@ TEST(Codec, ProfileIsIdenticalAcrossTraversals) {
   for (std::size_t i = 0; i < ref.group_count(); ++i) {
     const ir::BasicGroupId id(static_cast<std::uint32_t>(i));
     EXPECT_DOUBLE_EQ(ref.totals(id).reads, tiled.totals(id).reads) << ref.group(id).name;
-    EXPECT_DOUBLE_EQ(ref.totals(id).writes, tiled.totals(id).writes) << ref.group(id).name;
+    EXPECT_DOUBLE_EQ(ref.totals(id).writes, tiled.totals(id).writes)
+        << ref.group(id).name;
   }
   const auto image_id = *ref.find_group("image");
   const auto* ref_reuse = ref.reuse_profile(image_id);
@@ -676,14 +681,21 @@ TEST(Codec, ProfileIsIdenticalAcrossTraversals) {
 }
 
 TEST(Codec, InstrumentedEncodeMatchesPlainOutput) {
+  // Instrumentation must not change behaviour, for every backend: the
+  // backend decides which coder-state arrays register with the recorder.
   const auto image =
       support::make_synthetic_image(64, 64, support::SyntheticKind::kCompound, 4);
-  Encoder plain(64, 64);
-  trace::Recorder recorder("btpc");
-  Encoder instrumented(recorder, 64, 64);
-  const auto a = plain.encode(image, {});
-  const auto b = instrumented.encode(image, {});
-  EXPECT_EQ(a.stream, b.stream) << "instrumentation must not change behaviour";
+  for (const auto backend : kBackends) {
+    CodecOptions options;
+    options.backend = backend;
+    Encoder plain(64, 64);
+    trace::Recorder recorder("btpc");
+    Encoder instrumented(64, 64, 0, 0, options, &recorder);
+    EXPECT_EQ(plain.encode(image, options).stream,
+              instrumented.encode(image, options).stream)
+        << entropy::to_string(backend);
+    EXPECT_GT(recorder.total_events(), 0u) << entropy::to_string(backend);
+  }
 }
 
 TEST(Codec, ProfileHasThePaperShape) {

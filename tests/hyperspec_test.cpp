@@ -121,7 +121,7 @@ TEST(HyperspecCodec, InstrumentedEncodeMatchesPlainStream) {
     const auto options = with_backend(backend);
     Encoder plain(shape);
     trace::Recorder recorder("hyperspec");
-    Encoder instrumented(recorder, shape, {}, options);
+    Encoder instrumented(shape, {}, options, &recorder);
     EXPECT_EQ(instrumented.encode(cube, options).stream,
               plain.encode(cube, options).stream)
         << entropy::to_string(backend);
@@ -304,7 +304,7 @@ TEST(HyperspecProfile, BitwidthsFollowTheCodecOptions) {
 
   // Mismatched encode options against an instrumented declaration throw.
   trace::Recorder recorder("hyperspec");
-  Encoder encoder(recorder, cube.shape(), {}, wide);
+  Encoder encoder(cube.shape(), {}, wide, &recorder);
   EXPECT_THROW((void)encoder.encode(cube, {}), support::ContractError);
 }
 

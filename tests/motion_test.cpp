@@ -115,7 +115,7 @@ TEST(Estimator, InstrumentationDoesNotChangeTheField) {
     options.search = strategy;
     Estimator plain(kEdge, kEdge, options);
     trace::Recorder recorder("motion");
-    Estimator instrumented(recorder, kEdge, kEdge, options);
+    Estimator instrumented(kEdge, kEdge, options, 0, 0, &recorder);
     EXPECT_EQ(plain.estimate(frames.reference, frames.current),
               instrumented.estimate(frames.reference, frames.current));
     EXPECT_GT(recorder.total_events(), 0u);
@@ -164,7 +164,8 @@ TEST(Profile, ModelShapeAndDeterminism) {
   }
 
   // Extrapolation: iteration counts scale by the block-count ratio.
-  const double blocks_ratio = (352.0 / 16) * (288.0 / 16) / ((kEdge / 16.0) * (kEdge / 16.0));
+  const double blocks_ratio =
+      (352.0 / 16) * (288.0 / 16) / ((kEdge / 16.0) * (kEdge / 16.0));
   const auto small = profile_motion(frames, 0, 0);
   EXPECT_NEAR(app.total_accesses_per_frame(),
               small.total_accesses_per_frame() * blocks_ratio,

@@ -21,7 +21,7 @@ TEST(Recorder, CountsReadsAndWritesPerBody) {
   Recorder rec("app");
   const auto a = rec.register_array("a", 100, 8);
   for (int i = 0; i < 10; ++i) {
-    Iteration scope(rec, "body");
+    IterationScope scope(&rec, "body");
     rec.record(a, static_cast<std::uint64_t>(i), ir::AccessKind::kRead);
     rec.record(a, static_cast<std::uint64_t>(i), ir::AccessKind::kRead);
     rec.record(a, static_cast<std::uint64_t>(i), ir::AccessKind::kWrite);
@@ -40,17 +40,17 @@ TEST(Recorder, StrideStatistics) {
   const auto a = rec.register_array("a", 1000, 8);
   // Pure stride-1 scan.
   for (int i = 0; i < 100; ++i) {
-    Iteration scope(rec, "seq");
+    IterationScope scope(&rec, "seq");
     rec.record(a, static_cast<std::uint64_t>(i), ir::AccessKind::kRead);
   }
   // Stride-2 scan.
   for (int i = 0; i < 100; ++i) {
-    Iteration scope(rec, "dense2");
+    IterationScope scope(&rec, "dense2");
     rec.record(a, static_cast<std::uint64_t>(2 * i), ir::AccessKind::kRead);
   }
   // Random-ish (large stride).
   for (int i = 0; i < 100; ++i) {
-    Iteration scope(rec, "sparse");
+    IterationScope scope(&rec, "sparse");
     rec.record(a, static_cast<std::uint64_t>(7 * i), ir::AccessKind::kRead);
   }
   const auto app = rec.build();
@@ -71,7 +71,7 @@ TEST(Recorder, CoAccessDetection) {
   const auto a = rec.register_array("a", 100, 8);
   const auto b = rec.register_array("b", 100, 2);
   for (int i = 0; i < 50; ++i) {
-    Iteration scope(rec, "body");
+    IterationScope scope(&rec, "body");
     rec.record(a, static_cast<std::uint64_t>(i), ir::AccessKind::kRead);
     rec.record(b, static_cast<std::uint64_t>(i), ir::AccessKind::kRead);  // same index
     rec.record(b, static_cast<std::uint64_t>(i + 1), ir::AccessKind::kWrite);  // not
@@ -98,7 +98,7 @@ TEST(Recorder, CoAccessMatchesPairwiseOracle) {
   std::vector<std::map<CoAccessKey, std::uint64_t>> expected(bodies.size());
   std::vector<std::uint64_t> iterations(bodies.size(), 0);
   const auto run = [&](std::size_t body, const std::vector<oracle::Event>& events) {
-    Iteration scope(rec, bodies[body]);
+    IterationScope scope(&rec, bodies[body]);
     for (const auto& e : events) rec.record(e.array, e.index, e.kind);
     oracle::count_co_accesses(events, expected[body]);
     ++iterations[body];
@@ -162,7 +162,7 @@ TEST(Recorder, DifferentKindsDoNotCoAccess) {
   const auto a = rec.register_array("a", 100, 8);
   const auto b = rec.register_array("b", 100, 2);
   for (int i = 0; i < 10; ++i) {
-    Iteration scope(rec, "body");
+    IterationScope scope(&rec, "body");
     rec.record(a, static_cast<std::uint64_t>(i), ir::AccessKind::kRead);
     rec.record(b, static_cast<std::uint64_t>(i), ir::AccessKind::kWrite);
   }
@@ -175,7 +175,7 @@ TEST(Recorder, DependencySkeletonIsAcyclicAndMeaningful) {
   const auto in = rec.register_array("in", 100, 8);
   const auto out = rec.register_array("out", 100, 8);
   for (int i = 0; i < 5; ++i) {
-    Iteration scope(rec, "body");
+    IterationScope scope(&rec, "body");
     rec.record(in, static_cast<std::uint64_t>(i), ir::AccessKind::kRead);
     rec.record(out, static_cast<std::uint64_t>(i), ir::AccessKind::kWrite);
     rec.record(out, static_cast<std::uint64_t>(i), ir::AccessKind::kRead);
@@ -200,12 +200,12 @@ TEST(Recorder, DependencySkeletonIsAcyclicAndMeaningful) {
 TEST(Recorder, LruMissesForKnownPattern) {
   Recorder rec("app");
   const auto a = rec.register_array("a", 100, 8);
-  rec.set_reuse_windows(a, std::vector<std::uint64_t>{2, 4});
+  rec.set_reuse_windows(a, {{2, 2}, {4, 4}});
   // Cyclic scan over 4 addresses, 10 rounds: window 2 misses every access
   // (LRU thrashing), window 4 misses only the 4 first touches.
   for (int round = 0; round < 10; ++round) {
     for (int i = 0; i < 4; ++i) {
-      Iteration scope(rec, "body");
+      IterationScope scope(&rec, "body");
       rec.record(a, static_cast<std::uint64_t>(i), ir::AccessKind::kRead);
     }
   }
@@ -220,9 +220,9 @@ TEST(Recorder, LruMissesForKnownPattern) {
 TEST(Recorder, WritesDoNotTouchReuseSimulation) {
   Recorder rec("app");
   const auto a = rec.register_array("a", 100, 8);
-  rec.set_reuse_windows(a, std::vector<std::uint64_t>{4});
+  rec.set_reuse_windows(a, {{4, 4}});
   for (int i = 0; i < 10; ++i) {
-    Iteration scope(rec, "body");
+    IterationScope scope(&rec, "body");
     rec.record(a, static_cast<std::uint64_t>(i), ir::AccessKind::kWrite);
   }
   const auto app = rec.build();
@@ -233,9 +233,9 @@ TEST(Recorder, WritesDoNotTouchReuseSimulation) {
 TEST(Recorder, DeclaredWindowCapacitiesSurviveExtraction) {
   Recorder rec("app");
   const auto a = rec.register_array("a", 100, 8);
-  rec.set_reuse_windows(a, std::vector<Recorder::WindowSpec>{{4, 16}});
+  rec.set_reuse_windows(a, {{4, 16}});
   {
-    Iteration scope(rec, "body");
+    IterationScope scope(&rec, "body");
     rec.record(a, 0, ir::AccessKind::kRead);
   }
   const auto app = rec.build();
@@ -245,9 +245,9 @@ TEST(Recorder, DeclaredWindowCapacitiesSurviveExtraction) {
 TEST(Recorder, ScalingMultipliesIterationsAndMisses) {
   Recorder rec("app");
   const auto a = rec.register_array("a", 100, 8);
-  rec.set_reuse_windows(a, std::vector<std::uint64_t>{4});
+  rec.set_reuse_windows(a, {{4, 4}});
   for (int i = 0; i < 10; ++i) {
-    Iteration scope(rec, "body");
+    IterationScope scope(&rec, "body");
     rec.record(a, static_cast<std::uint64_t>(i % 8), ir::AccessKind::kRead);
   }
   const auto app = rec.build(4.0);
@@ -278,7 +278,7 @@ TEST(Recorder, ForcedLocationPropagates) {
   Recorder rec("app");
   const auto a = rec.register_array("a", 10, 8, memlib::Location::kOnChip);
   {
-    Iteration scope(rec, "body");
+    IterationScope scope(&rec, "body");
     rec.record(a, 0, ir::AccessKind::kRead);
   }
   const auto app = rec.build();
@@ -287,10 +287,10 @@ TEST(Recorder, ForcedLocationPropagates) {
 
 TEST(InstrumentedArray, RecordsOnlyInsideIterations) {
   Recorder rec("app");
-  InstrumentedArray<int> arr(rec, "arr", 16, 8);
+  InstrumentedArray<int> arr(&rec, "arr", 16, 8);
   arr.write(3, 42);  // outside a scope: untracked
   {
-    Iteration scope(rec, "body");
+    IterationScope scope(&rec, "body");
     EXPECT_EQ(arr.read(3), 42);
     arr.write(4, 1);
   }
@@ -301,16 +301,16 @@ TEST(InstrumentedArray, RecordsOnlyInsideIterations) {
 }
 
 TEST(InstrumentedArray, BoundsChecked) {
-  InstrumentedArray<int> arr("arr", 4);
+  InstrumentedArray<int> arr(nullptr, "arr", 4, 8);
   EXPECT_THROW((void)arr.read(4), support::ContractError);
   EXPECT_THROW(arr.write(4, 0), support::ContractError);
 }
 
 TEST(InstrumentedArray, DeclaredWordsOverrideActualSize) {
   Recorder rec("app");
-  InstrumentedArray<int> arr(rec, "arr", 16, 8, 0, 1024);
+  InstrumentedArray<int> arr(&rec, "arr", 16, 8, 0, 1024);
   {
-    Iteration scope(rec, "body");
+    IterationScope scope(&rec, "body");
     arr.write(0, 1);
   }
   const auto app = rec.build();
@@ -319,9 +319,9 @@ TEST(InstrumentedArray, DeclaredWordsOverrideActualSize) {
 
 TEST(InstrumentedArray2D, RowMajorIndexing) {
   Recorder rec("app");
-  InstrumentedArray2D<int> arr(rec, "arr", 4, 3, 8);
+  InstrumentedArray2D<int> arr(&rec, "arr", 4, 3, 8);
   {
-    Iteration scope(rec, "body");
+    IterationScope scope(&rec, "body");
     arr.write(1, 2, 7);
     EXPECT_EQ(arr.read(1, 2), 7);
   }
@@ -342,9 +342,11 @@ std::vector<double> recorder_misses(const std::vector<std::uint64_t>& windows,
                                     const std::vector<std::uint64_t>& trace) {
   Recorder rec("app");
   const auto a = rec.register_array("a", 1 << 20, 8);
-  rec.set_reuse_windows(a, windows);
+  std::vector<Recorder::WindowSpec> specs;
+  for (const auto w : windows) specs.push_back({w, w});
+  rec.set_reuse_windows(a, std::move(specs));
   for (const auto index : trace) {
-    Iteration scope(rec, "body");
+    IterationScope scope(&rec, "body");
     rec.record(a, index, ir::AccessKind::kRead);
   }
   const auto app = rec.build();
@@ -502,10 +504,9 @@ TEST(ReuseSim, DropsWindowsThatWouldInvertTheMissCurve) {
   const auto a = rec.register_array("a", 1 << 20, 8);
   // Declared 1024 simulates only 64 words, fewer than the 256-word rung;
   // declared 4096 simulates 256, no more than that rung either.
-  rec.set_reuse_windows(a, std::vector<Recorder::WindowSpec>{
-                               {4, 4}, {256, 256}, {64, 1024}, {256, 4096}, {512, 8192}});
+  rec.set_reuse_windows(a, {{4, 4}, {256, 256}, {64, 1024}, {256, 4096}, {512, 8192}});
   for (const auto index : mixed_trace(2048, 5)) {
-    Iteration scope(rec, "body");
+    IterationScope scope(&rec, "body");
     rec.record(a, index, ir::AccessKind::kRead);
   }
   const auto app = rec.build();
@@ -522,7 +523,7 @@ TEST(Recorder, BuildValidatesAndIsRepeatable) {
   Recorder rec("app");
   const auto a = rec.register_array("a", 10, 8);
   {
-    Iteration scope(rec, "body");
+    IterationScope scope(&rec, "body");
     rec.record(a, 0, ir::AccessKind::kRead);
   }
   const auto app1 = rec.build();
