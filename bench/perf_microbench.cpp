@@ -259,7 +259,8 @@ void BM_AnnealingSharedModel(benchmark::State& state) {
     std::vector<std::pair<std::string, ir::Application>> tuned;
     for (const auto name : workloads::workload_names()) {
       const auto* workload = workloads::find_workload(name);
-      tuned.emplace_back(std::string(name), workload->tuned_variant(workload->profile({})));
+      tuned.emplace_back(std::string(name),
+                         workload->tuned_variant(workload->profile({})));
     }
     std::vector<std::pair<std::string, const ir::Application*>> apps;
     for (const auto& [label, app] : tuned) apps.emplace_back(label, &app);
@@ -351,7 +352,9 @@ void BM_RecorderReuseWindow(benchmark::State& state) {
   for (std::size_t i = 0; i < trace_indices.size(); ++i) {
     const std::uint64_t sequential = (i * 3) % kWords;
     switch (i & 7u) {
-      case 3: trace_indices[i] = (sequential + kWords - 256) % kWords; break;  // one row up
+      case 3:  // one row up
+        trace_indices[i] = (sequential + kWords - 256) % kWords;
+        break;
       case 7: trace_indices[i] = rng.below(kWords); break;
       default: trace_indices[i] = sequential;
     }
@@ -694,6 +697,17 @@ void BM_ProfiledFeedback256(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ProfiledFeedback256)->Unit(benchmark::kMillisecond);
+
+// One default-options profile of a registered workload: the synthetic input,
+// the instrumented encode and the recorder's aggregation, reuse simulation
+// and model build — the unit a cold exploration pays per workload.
+void BM_WorkloadProfile(benchmark::State& state, const char* name) {
+  const auto* workload = workloads::find_workload(name);
+  for (auto _ : state) benchmark::DoNotOptimize(workload->profile({}));
+}
+BENCHMARK_CAPTURE(BM_WorkloadProfile, btpc, "btpc")->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_WorkloadProfile, hyperspec, "hyperspec")
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

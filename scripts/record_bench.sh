@@ -25,10 +25,12 @@ cmake --build "$BUILD_DIR" -j --target perf_microbench
 # spend most of their time in, and the large-member annealing bench that
 # alone runs the multi-word member sets (no shipped model needs them).  So
 # must the instrumented array's two hot paths: an access with no recorder
-# attached and a recorded access.
+# attached and a recorded access, and the default-options profile of the two
+# workloads whose profiling dominates a cold exploration.
 for bench in BM_MotionEstimate \
              BM_UninstrumentedArrayAccess BM_RecorderRecordThroughput \
              BM_RecorderReuseWindow BM_RecorderCoAccess BM_ProfiledEncode \
+             BM_WorkloadProfile/btpc BM_WorkloadProfile/hyperspec \
              BM_ExploreMotion BM_ExploreMultiWorkload \
              BM_HyperspecEncode BM_ProfiledFeedback256 \
              BM_PersistRoundTrip BM_ProfileCacheHit \

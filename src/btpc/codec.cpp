@@ -523,9 +523,11 @@ ir::Application profile_btpc(const support::Image& image, int declared_width,
   Encoder encoder(image.width(), image.height(), declared_width, declared_height,
                   options, &recorder);
   (void)encoder.encode(image, options);
-  const double scale =
-      static_cast<double>(declared_width) * static_cast<double>(declared_height) /
-      (static_cast<double>(image.width()) * static_cast<double>(image.height()));
+  // 0 declares the profiled geometry, as it does for the encoder.
+  const int dw = declared_width ? declared_width : image.width();
+  const int dh = declared_height ? declared_height : image.height();
+  const double scale = static_cast<double>(dw) * static_cast<double>(dh) /
+                       (static_cast<double>(image.width()) * image.height());
   return recorder.build(scale);
 }
 

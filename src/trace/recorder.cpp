@@ -17,11 +17,18 @@ constexpr ir::AccessKind kind_of(std::uint32_t slot) {
   return static_cast<ir::AccessKind>(slot & 1u);
 }
 
-/// splitmix64 finalizer: the index hash of the reuse simulator's flat map.
-constexpr std::uint64_t mix_index(std::uint64_t x) {
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
+/// Slot space of the reuse simulator per tracked index: live slots compact
+/// to the front once every (kSlotSpace - 1) * C reads at most.
+constexpr std::uint64_t kSlotSpace = 4;
+
+/// Fibonacci hashing: the top `64 - shift` bits of the key times 2^64 / phi
+/// pick a bucket of a power-of-two table; strided keys spread evenly.
+constexpr std::size_t fibonacci_bucket(std::uint64_t key, int shift) {
+  return (key * 0x9E3779B97F4A7C15ULL) >> shift;
+}
+
+constexpr std::uint64_t slot_bit(std::uint32_t slot) {
+  return std::uint64_t{1} << (slot & 63);
 }
 
 }  // namespace
@@ -40,30 +47,35 @@ void ReuseSim::init(std::vector<std::uint64_t> capacities) {
              "reuse window capacity out of range");
   reads_by_rung_.assign(capacities_.size() + 1, 0);
   bounds_.assign(capacities_.size(), 0);
-  // Flat map sized at twice the tracked indices (load factor <= 0.5).
-  std::uint64_t map_size = 2;
+  // Map sized at twice the tracked indices (load factor <= 0.5), so it has a
+  // free entry even while a new index joins before the oldest leaves.
+  std::uint64_t map_size = 4;
   while (map_size < 2 * tracked) map_size <<= 1;
+  map_.assign(map_size, Entry{});
+  map_shift_ = 64 - std::countr_zero(map_size);
   map_mask_ = map_size - 1;
-  map_keys_.assign(map_size, kEmptyKey);
-  map_vals_.assign(map_size, 0);
-  slot_keys_.assign(2 * tracked, 0);
-  live_bits_.assign((2 * tracked + 63) / 64, 0);
+  slot_entry_.assign(kSlotSpace * tracked, 0);
+  live_bits_.assign((kSlotSpace * tracked + 63) / 64, 0);
 }
 
 void ReuseSim::touch(std::uint64_t index) {
-  if (next_slot_ == slot_keys_.size()) compact();
+  if (next_slot_ == slot_entry_.size()) compact();
   const std::uint32_t slot = next_slot_++;
-  slot_keys_[slot] = index;
-  live_bits_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+  live_bits_[slot >> 6] |= slot_bit(slot);
+  std::size_t entry = fibonacci_bucket(index, map_shift_);
+  while (map_[entry].key != index && map_[entry].key != kEmptyKey) {
+    entry = (entry + 1) & map_mask_;
+  }
+  slot_entry_[slot] = static_cast<std::uint32_t>(entry);
   // Each window keeps the `c_r` highest live slots; the new slot joins all of
   // them, so a full window that also keeps the read's previous slot loses
   // nothing, and every other full window drops its boundary slot.
   std::size_t rung = capacities_.size();  // untracked: misses every window
   std::size_t advance = full_;
-  if (auto* found = map_find(index)) {
-    const std::uint32_t last = *found;
-    *found = slot;
-    live_bits_[last >> 6] &= ~(std::uint64_t{1} << (last & 63));
+  if (map_[entry].key == index) {
+    const std::uint32_t last = map_[entry].slot;
+    map_[entry].slot = slot;
+    live_bits_[last >> 6] &= ~slot_bit(last);
     // Not-full windows have boundary 0, and the largest window holds every
     // tracked slot, so this stops.
     rung = 0;
@@ -71,18 +83,19 @@ void ReuseSim::touch(std::uint64_t index) {
     // Windows whose boundary was `last` lost exactly that slot.
     advance = rung;
     while (advance < full_ && bounds_[advance] == last) ++advance;
-  } else if (live_ == capacities_.back()) {
-    // Evict the least recently read tracked index: the largest window's
-    // boundary slot.
-    const std::uint32_t oldest = bounds_.back();
-    map_erase(slot_keys_[oldest]);
-    live_bits_[oldest >> 6] &= ~(std::uint64_t{1} << (oldest & 63));
-    map_insert(index, slot);
   } else {
-    ++live_;
-    map_insert(index, slot);
-    // A window that just filled holds every live slot.
-    if (live_ == capacities_[full_]) bounds_[full_++] = live_from(0);
+    map_[entry] = {index, slot};
+    if (live_ == capacities_.back()) {
+      // Evict the least recently read tracked index: the largest window's
+      // boundary slot.
+      const std::uint32_t oldest = bounds_.back();
+      live_bits_[oldest >> 6] &= ~slot_bit(oldest);
+      erase_entry(slot_entry_[oldest]);
+    } else {
+      ++live_;
+      // A window that just filled holds every live slot.
+      if (live_ == capacities_[full_]) bounds_[full_++] = live_from(0);
+    }
   }
   for (std::size_t r = 0; r < advance; ++r) bounds_[r] = live_from(bounds_[r] + 1);
   ++reads_by_rung_[rung];
@@ -101,10 +114,9 @@ void ReuseSim::compact() {
   std::uint32_t kept = 0;
   for (std::size_t word = 0; word < live_bits_.size(); ++word) {
     for (std::uint64_t bits = live_bits_[word]; bits != 0; bits &= bits - 1) {
-      const std::uint64_t key = slot_keys_[word * 64 + std::countr_zero(bits)];
-      slot_keys_[kept] = key;
-      *map_find(key) = kept;
-      ++kept;
+      const std::uint32_t entry = slot_entry_[word * 64 + std::countr_zero(bits)];
+      map_[entry].slot = kept;
+      slot_entry_[kept++] = entry;
     }
   }
   DTSE_DCHECK(kept == live_, "reuse slots out of sync with the index map");
@@ -130,45 +142,20 @@ std::uint32_t ReuseSim::live_from(std::uint32_t slot) const {
   return static_cast<std::uint32_t>(word * 64 + std::countr_zero(bits));
 }
 
-std::uint32_t* ReuseSim::map_find(std::uint64_t key) {
-  std::uint64_t slot = mix_index(key) & map_mask_;
-  while (map_keys_[slot] != kEmptyKey) {
-    if (map_keys_[slot] == key) return &map_vals_[slot];
-    slot = (slot + 1) & map_mask_;
-  }
-  return nullptr;
-}
-
-void ReuseSim::map_insert(std::uint64_t key, std::uint32_t value) {
-  std::uint64_t slot = mix_index(key) & map_mask_;
-  while (map_keys_[slot] != kEmptyKey) slot = (slot + 1) & map_mask_;
-  map_keys_[slot] = key;
-  map_vals_[slot] = value;
-}
-
-void ReuseSim::map_erase(std::uint64_t key) {
-  std::uint64_t slot = mix_index(key) & map_mask_;
-  while (map_keys_[slot] != key) {
-    DTSE_DCHECK(map_keys_[slot] != kEmptyKey, "erasing an absent reuse-map key");
-    slot = (slot + 1) & map_mask_;
-  }
-  // Backward-shift deletion keeps probe chains intact without tombstones.
-  std::uint64_t hole = slot;
-  std::uint64_t probe = (hole + 1) & map_mask_;
-  while (map_keys_[probe] != kEmptyKey) {
-    const std::uint64_t home = mix_index(map_keys_[probe]) & map_mask_;
-    // Move the probed entry into the hole unless its home slot lies
-    // (cyclically) after the hole — then the hole does not break its chain.
-    const bool keep = hole <= probe ? (home > hole && home <= probe)
-                                    : (home > hole || home <= probe);
-    if (!keep) {
-      map_keys_[hole] = map_keys_[probe];
-      map_vals_[hole] = map_vals_[probe];
+void ReuseSim::erase_entry(std::size_t hole) {
+  // Backward-shift deletion keeps probe runs intact without tombstones: an
+  // entry moves into the hole when the hole lies (cyclically) between its
+  // home and its position.
+  for (std::size_t probe = (hole + 1) & map_mask_; map_[probe].key != kEmptyKey;
+       probe = (probe + 1) & map_mask_) {
+    const std::size_t home = fibonacci_bucket(map_[probe].key, map_shift_);
+    if (((probe - home) & map_mask_) >= ((probe - hole) & map_mask_)) {
+      map_[hole] = map_[probe];
+      slot_entry_[map_[hole].slot] = static_cast<std::uint32_t>(hole);
       hole = probe;
     }
-    probe = (probe + 1) & map_mask_;
   }
-  map_keys_[hole] = kEmptyKey;
+  map_[hole].key = kEmptyKey;
 }
 
 // --- Recorder ----------------------------------------------------------------
@@ -219,14 +206,12 @@ void Recorder::set_reuse_windows(ArrayId array, std::vector<WindowSpec> windows)
 
 void Recorder::begin_iteration(std::string_view body_name) {
   DTSE_CHECK(current_body_ < 0, "iterations cannot nest; end the previous one first");
-  auto it = body_index_.find(body_name);
-  if (it == body_index_.end()) {
-    BodyInfo body;
-    body.name = std::string(body_name);
-    bodies_.push_back(std::move(body));
-    it = body_index_.emplace(std::string(body_name), bodies_.size() - 1).first;
-  }
-  current_body_ = static_cast<long>(it->second);
+  // Kernels have a handful of loop bodies: a linear scan beats a tree.
+  const auto it = std::find_if(bodies_.begin(), bodies_.end(), [&](const BodyInfo& body) {
+    return body.name == body_name;
+  });
+  current_body_ = it - bodies_.begin();
+  if (it == bodies_.end()) bodies_.emplace_back().name = body_name;
   pending_.clear();
 }
 
@@ -262,52 +247,55 @@ void Recorder::aggregate_iteration() {
   const std::size_t n = arrays_.size();
   if (body.accesses.size() != 2 * n || body.co_arrays != n) grow_body_state(body, n);
 
-  for (const auto& event : pending_) {
-    auto& agg = body.accesses[event.slot];
-    if (agg.has_last && event.index > agg.last_index) {
-      const std::uint64_t delta = event.index - agg.last_index;
+  // One pass per event: stride statistics of its slot, then same-index
+  // co-accesses of the same kind between different arrays.  Each event is
+  // chained to the previous one with its (index, kind) key and pairs with
+  // every earlier event on that chain, so only same-key events compare.
+  constexpr std::uint32_t kNoEvent = ~std::uint32_t{0};
+  DTSE_DCHECK(pending_.size() < kNoEvent, "iteration too large");
+  // The chain heads are a power-of-two prefix of `co_heads_` at least four
+  // times the event count; it is empty between iterations, because only the
+  // buckets an iteration claimed are reset.
+  std::size_t table_size = 16;
+  while (table_size < 4 * pending_.size()) table_size <<= 1;
+  if (co_heads_.size() < table_size) co_heads_.resize(table_size, kNoEvent);
+  const std::size_t mask = table_size - 1;
+  const int shift = 64 - std::countr_zero(table_size);
+  co_chain_.resize(pending_.size());
+  co_claimed_.clear();
+  for (std::uint32_t i = 0; i < pending_.size(); ++i) {
+    const auto [slot, index] = pending_[i];
+    auto& agg = body.accesses[slot];
+    // `last_index` starts at ~0, which no index exceeds.
+    if (index > agg.last_index) {
+      const std::uint64_t delta = index - agg.last_index;
       if (delta == 1) ++agg.stride1;
       if (delta <= 3) {
         ++agg.dense;
         agg.dense_delta += delta;
       }
     }
-    agg.last_index = event.index;
-    agg.has_last = true;
+    agg.last_index = index;
     ++agg.count;
-  }
 
-  // Same-index co-accesses of the same kind between different arrays.  Each
-  // event is chained to the previous one with its (index, kind) key and pairs
-  // with every earlier event on that chain, so only same-key events compare.
-  constexpr std::uint32_t kNoEvent = ~std::uint32_t{0};
-  DTSE_DCHECK(pending_.size() < kNoEvent, "iteration too large");
-  // Fibonacci hashing: the key's top bits pick a bucket in a power-of-two
-  // table at least twice the iteration's event count.
-  std::size_t table_size = 16;
-  while (table_size < 2 * pending_.size()) table_size <<= 1;
-  const std::size_t mask = table_size - 1;
-  const int shift = 64 - std::countr_zero(table_size);
-  co_heads_.assign(table_size, kNoEvent);
-  co_chain_.resize(pending_.size());
-  for (std::uint32_t i = 0; i < pending_.size(); ++i) {
-    const auto& event = pending_[i];
-    const std::uint32_t kind = event.slot & 1u;
-    std::size_t bucket = (((event.index << 1) | kind) * 0x9E3779B97F4A7C15ULL) >> shift;
+    const std::uint32_t kind = slot & 1u;
+    std::size_t bucket = fibonacci_bucket((index << 1) | kind, shift);
     while (co_heads_[bucket] != kNoEvent) {
       const auto& head = pending_[co_heads_[bucket]];
-      if (head.index == event.index && (head.slot & 1u) == kind) break;
+      if (head.index == index && (head.slot & 1u) == kind) break;
       bucket = (bucket + 1) & mask;
     }
+    if (co_heads_[bucket] == kNoEvent) co_claimed_.push_back(bucket);
     co_chain_[i] = co_heads_[bucket];
     co_heads_[bucket] = i;
-    const ArrayId array = array_of(event.slot);
+    const ArrayId array = array_of(slot);
     for (std::uint32_t j = co_chain_[i]; j != kNoEvent; j = co_chain_[j]) {
       const ArrayId other = array_of(pending_[j].slot);
       if (other == array) continue;
       ++body.co_access[(kind * n + std::min(array, other)) * n + std::max(array, other)];
     }
   }
+  for (const auto bucket : co_claimed_) co_heads_[bucket] = kNoEvent;
 
   // Dependency skeleton, captured once from the first iteration.  Because
   // accesses aggregate into one node per slot, edges must follow a single

@@ -43,7 +43,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -61,15 +60,20 @@ using ArrayId = std::uint32_t;
 ///
 /// Only the `C` most recently read distinct indices are tracked, where `C`
 /// is the largest capacity: an index outside them has a stack distance of at
-/// least `C` and misses every window.  Tracked indices map (open addressing)
-/// to the *slot* of their latest read; slots are handed out in read order,
-/// a bitset over 2·C slots marks the live ones, and when the slots run out
-/// the live ones are compacted to the front.  Window `r` of capacity `c_r`
-/// is *full* once `c_r` indices are tracked; its boundary is then the lowest
-/// of the `c_r` highest live slots.  A read whose previous slot lies below a
-/// full window's boundary misses that window, and each boundary only moves
-/// up, to the next live slot, so a read costs O(1) amortized plus one
-/// next-live step per window it misses or whose boundary it was.
+/// least `C` and misses every window.  Tracked indices live in one
+/// open-addressed array of 12-byte `{index, slot}` entries, at least 2·C of
+/// them, addressed by a Fibonacci hash (the top bits of index ·
+/// 0x9E3779B97F4A7C15) with linear probing and backward-shift deletion; the
+/// entry holds the *slot* of the index's latest read.  Slots are handed out
+/// in read order over a space of 4·C; per slot a bitset marks the live ones
+/// and a 32-bit word names the live slot's map entry, so evicting the oldest
+/// index and compacting the live slots to the front (when the slots run out)
+/// need no hashing.  Window `r` of capacity `c_r` is *full* once `c_r`
+/// indices are tracked; its boundary is then the lowest of the `c_r` highest
+/// live slots.  A read whose previous slot lies below a full window's
+/// boundary misses that window, and each boundary only moves up, to the next
+/// live slot, so a read costs O(1) amortized plus one next-live step per
+/// window it misses or whose boundary it was.
 class ReuseSim {
  public:
   /// `capacities` must be strictly increasing; empty disables the simulator.
@@ -87,10 +91,8 @@ class ReuseSim {
   void compact();
   /// Lowest live slot at or after `slot`; one must exist.
   [[nodiscard]] std::uint32_t live_from(std::uint32_t slot) const;
-
-  [[nodiscard]] std::uint32_t* map_find(std::uint64_t key);
-  void map_insert(std::uint64_t key, std::uint32_t value);
-  void map_erase(std::uint64_t key);
+  /// Empties map entry `hole`, shifting later entries of its probe run back.
+  void erase_entry(std::size_t hole);
 
   std::vector<std::uint64_t> capacities_;  ///< ascending
   /// `reads_by_rung_[m]`: reads that missed exactly the `m` smallest windows.
@@ -100,12 +102,16 @@ class ReuseSim {
   std::size_t full_ = 0;  ///< windows [0, full_) are full
 
   static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
-  std::vector<std::uint64_t> map_keys_;   ///< kEmptyKey = free entry
-  std::vector<std::uint32_t> map_vals_;   ///< slot of the key's latest read
-  std::uint64_t map_mask_ = 0;
+  struct [[gnu::packed, gnu::aligned(4)]] Entry {
+    std::uint64_t key = kEmptyKey;  ///< tracked index; kEmptyKey = free entry
+    std::uint32_t slot = 0;         ///< slot of the key's latest read
+  };
+  std::vector<Entry> map_;
+  int map_shift_ = 63;  ///< 64 - log2(map size): the hash keeps the top bits
+  std::size_t map_mask_ = 0;
 
-  std::vector<std::uint64_t> slot_keys_;  ///< index read in each live slot
-  std::vector<std::uint64_t> live_bits_;  ///< bit s set = slot s is live
+  std::vector<std::uint32_t> slot_entry_;  ///< map entry of each live slot
+  std::vector<std::uint64_t> live_bits_;   ///< bit s set = slot s is live
   std::uint32_t next_slot_ = 0;
   std::uint32_t live_ = 0;  ///< tracked indices, <= capacities_.back()
 };
@@ -194,8 +200,7 @@ class Recorder {
     std::uint64_t stride1 = 0;      ///< successor at distance exactly 1
     std::uint64_t dense = 0;        ///< successor at distance 1..3
     std::uint64_t dense_delta = 0;  ///< sum of those distances
-    std::uint64_t last_index = ~std::uint64_t{0};
-    bool has_last = false;
+    std::uint64_t last_index = ~std::uint64_t{0};  ///< ~0: none yet
   };
 
   struct PendingEvent {
@@ -224,13 +229,14 @@ class Recorder {
   std::string app_name_;
   std::vector<ArrayInfo> arrays_;
   std::vector<BodyInfo> bodies_;
-  std::map<std::string, std::size_t, std::less<>> body_index_;
   long current_body_ = -1;
   std::vector<PendingEvent> pending_;
   /// Co-access scratch, reused across iterations: hash table of the latest
-  /// pending event per (index, kind) key, and each event's previous one.
+  /// pending event per (index, kind) key, each event's previous one, and the
+  /// buckets the current iteration claimed.
   std::vector<std::uint32_t> co_heads_;
   std::vector<std::uint32_t> co_chain_;
+  std::vector<std::size_t> co_claimed_;
   std::uint64_t total_events_ = 0;
 };
 

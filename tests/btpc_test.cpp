@@ -13,6 +13,7 @@
 #include "btpc/pyramid.hpp"
 #include "entropy/adaptive_huffman.hpp"
 #include "entropy/bitstream.hpp"
+#include "persist/app_container.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
@@ -722,6 +723,13 @@ TEST(Codec, ProfileHasThePaperShape) {
   }
   EXPECT_GT(max_iterations, 900'000.0);
   EXPECT_NO_THROW(app.validate());
+}
+
+TEST(Codec, ProfileTakesZeroDeclaredSizeAsProfiled) {
+  const auto image =
+      support::make_synthetic_image(48, 32, support::SyntheticKind::kCompound, 4);
+  EXPECT_EQ(persist::serialize(btpc::profile_btpc(image, 0, 0)),
+            persist::serialize(btpc::profile_btpc(image, 48, 32)));
 }
 
 }  // namespace

@@ -384,7 +384,7 @@ TEST(ReuseSim, MatchesReferenceLruAtEveryWindow) {
     std::vector<std::uint64_t> trace;
   };
   std::vector<Case> cases;
-  // 20k reads over 4096 indices: more reads than the 2 * 1024 access slots
+  // 20k reads over 4096 indices: more reads than the 4 * 1024 access slots
   // (forces compaction) and more distinct indices than the largest window
   // (forces eviction).
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
@@ -407,7 +407,7 @@ TEST(ReuseSim, MatchesReferenceLruAtEveryWindow) {
   }
 
   for (const auto& c : cases) {
-    ASSERT_GT(c.trace.size(), 2 * largest) << c.name;
+    ASSERT_GT(c.trace.size(), 4 * largest) << c.name;
     const auto misses = recorder_misses(windows, c.trace);
     ASSERT_EQ(misses.size(), distinct.size()) << c.name;
     for (std::size_t i = 0; i < distinct.size(); ++i) {
@@ -468,8 +468,8 @@ TEST(ReuseSim, MatchesReferenceLruOnBoundaryEdgeCases) {
     }
     expect_matches_reference_lru(small, trace, "capacity-1 ladder");
   }
-  // A working set between two capacities and a trace far longer than twice
-  // the largest: slots compact while only the small windows are full.
+  // A working set between two capacities and a trace far longer than four
+  // times the largest: slots compact while only the small windows are full.
   {
     const std::vector<std::uint64_t> wide{2, 8, 64, 512};
     std::vector<std::uint64_t> trace;
@@ -479,7 +479,8 @@ TEST(ReuseSim, MatchesReferenceLruOnBoundaryEdgeCases) {
     expect_matches_reference_lru(wide, trace, "between capacities");
   }
   // Seeded random ladders of 1-8 capacities up to 2048, each over a trace
-  // longer than twice its largest capacity.
+  // longer than four times its largest capacity (the slot space: every case
+  // compacts).
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     support::Rng ladder_rng(100 + seed);
     std::vector<std::uint64_t> capacities;
@@ -493,9 +494,31 @@ TEST(ReuseSim, MatchesReferenceLruOnBoundaryEdgeCases) {
     std::sort(capacities.begin(), capacities.end());
     const std::uint64_t span = 1 + ladder_rng.below(2 * capacities.back() + 16);
     const auto trace = mixed_trace(span, seed);
-    ASSERT_GT(trace.size(), 2 * capacities.back());
+    ASSERT_GT(trace.size(), 4 * capacities.back());
     expect_matches_reference_lru(capacities, trace,
                                  "random ladder " + std::to_string(seed));
+  }
+  // BTPC-shaped strided reads on the codec's window ladder (8 rungs, up to 16
+  // rows of a 512-wide frame): passes over the lattice of points whose x and
+  // y are multiples of 2^k, each read followed by the next finer level's
+  // point below-right and to the right of it.  The indices share their low
+  // k bits, so a hash that keeps low bits would cluster on them.
+  constexpr std::uint64_t kRow = 512;
+  const std::vector<std::uint64_t> btpc_ladder{
+      4, 12, 64, 256, kRow, 5 * kRow / 2, 5 * kRow, 16 * kRow};
+  for (std::uint64_t k = 1; k <= 5; ++k) {
+    const std::uint64_t step = std::uint64_t{1} << k;
+    std::vector<std::uint64_t> trace;
+    while (trace.size() <= 4 * btpc_ladder.back()) {
+      for (std::uint64_t y = 0; y < 64; y += step) {
+        for (std::uint64_t x = 0; x < kRow; x += step) {
+          trace.push_back(y * kRow + x);
+          trace.push_back((y + step / 2) * kRow + x + step / 2);
+          trace.push_back(y * kRow + x + step / 2);
+        }
+      }
+    }
+    expect_matches_reference_lru(btpc_ladder, trace, "lattice 2^" + std::to_string(k));
   }
 }
 
