@@ -106,8 +106,12 @@ void BM_ScbdMotionCurve(benchmark::State& state) {
 }
 BENCHMARK(BM_ScbdMotionCurve)->Unit(benchmark::kMicrosecond);
 
-void BM_AssignmentBranchAndBound(benchmark::State& state) {
-  const auto& app = demo_app();
+// One branch-and-bound solve at the default budget into range(0) memories;
+// `nodes` is the search nodes one solve visits.  The plain case solves
+// `demo_app` (btpc as profiled at 128x128), the `btpc_tuned` case the tuned
+// btpc model at the default profile size, the model of the btpc what-if
+// queries.
+void BM_AssignmentBranchAndBound(benchmark::State& state, const ir::Application& app) {
   const auto scbd_result = scbd::distribute_budget(app, {});
   memlib::MemoryLibrary library;
   const auto [onchip, offchip] = alloc::MemoryAllocator::partition_groups(app);
@@ -115,12 +119,27 @@ void BM_AssignmentBranchAndBound(benchmark::State& state) {
                                          20'000'000);
   alloc::SolverOptions options;
   options.solver = alloc::Solver::kBranchAndBound;
+  std::uint64_t nodes = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        alloc::solve_assignment(problem, static_cast<int>(state.range(0)), options));
+    const auto solution =
+        alloc::solve_assignment(problem, static_cast<int>(state.range(0)), options);
+    nodes = solution.nodes_explored;
+    benchmark::DoNotOptimize(solution);
   }
+  state.counters["nodes"] = static_cast<double>(nodes);
+}
+void BM_AssignmentBranchAndBound(benchmark::State& state) {
+  BM_AssignmentBranchAndBound(state, demo_app());
+}
+const ir::Application& tuned_btpc() {
+  static const auto app = [] {
+    const auto* workload = workloads::find_workload("btpc");
+    return workload->tuned_variant(workload->profile({}));
+  }();
+  return app;
 }
 BENCHMARK(BM_AssignmentBranchAndBound)->Arg(5)->Arg(8)->Arg(12);
+BENCHMARK_CAPTURE(BM_AssignmentBranchAndBound, btpc_tuned, tuned_btpc())->Arg(8);
 
 // One single-chain annealing run: the solver itself (incremental cost
 // engine) or the test-side replay of its chain on the full-recost oracle.

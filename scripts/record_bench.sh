@@ -25,8 +25,9 @@ cmake --build "$BUILD_DIR" -j --target perf_microbench
 # spend most of their time in, and the large-member annealing bench that
 # alone runs the multi-word member sets (no shipped model needs them).  So
 # must the instrumented array's two hot paths: an access with no recorder
-# attached and a recorded access, and the default-options profile of the two
-# workloads whose profiling dominates a cold exploration.
+# attached and a recorded access, the default-options profile of the two
+# workloads whose profiling dominates a cold exploration, and the
+# branch-and-bound solves behind the btpc what-if queries.
 for bench in BM_MotionEstimate \
              BM_UninstrumentedArrayAccess BM_RecorderRecordThroughput \
              BM_RecorderReuseWindow BM_RecorderCoAccess BM_ProfiledEncode \
@@ -38,7 +39,8 @@ for bench in BM_MotionEstimate \
              BM_EncodeLossless \
              BM_TelemetryOverhead BM_ScbdDistribution BM_ScbdMotionCurve \
              BM_AnnealingIncremental BM_AnnealingLargeMembers \
-             BM_AnnealingSharedModel; do
+             BM_AnnealingSharedModel \
+             BM_AssignmentBranchAndBound/ BM_AssignmentBranchAndBound/btpc_tuned; do
   if ! grep -q "\"$bench" "$OUT"; then
     echo "error: $OUT is missing $bench — incomplete trajectory point" >&2
     exit 1

@@ -58,7 +58,9 @@ struct AllocationResult {
 /// The ranking `allocate` applies across memory counts when
 /// `onchip_memories == 0`: a feasible candidate beats an infeasible
 /// incumbent, and among feasible candidates only a strictly lower scalar cost
-/// wins, so the earliest of equal candidates stays.
+/// wins, so the earliest of equal candidates stays.  Every solver prices its
+/// result from the assignment alone, so the same assignment found at two
+/// counts costs the same and the smaller count is kept.
 [[nodiscard]] constexpr bool outranks(bool feasible, double scalar_cost,
                                       bool incumbent_feasible, double incumbent_cost) {
   return feasible && (!incumbent_feasible || scalar_cost < incumbent_cost);

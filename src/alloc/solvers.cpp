@@ -6,6 +6,7 @@
 #include <numeric>
 
 #include "alloc/incremental_cost.hpp"
+#include "memlib/sram_model.hpp"
 #include "obs/telemetry.hpp"
 #include "support/check.hpp"
 #include "support/parallel.hpp"
@@ -54,10 +55,19 @@ std::vector<double> ideal_power(const AssignmentProblem& problem) {
   return result;
 }
 
+/// Relative rounding margin: the cell-area remainder shrinks and the greedy seed's
+/// cost grows by it, so rounding neither prunes a cheaper leaf nor keeps the seed.
+constexpr double kBoundMargin = 1e-9;
+
+AssignmentSolution solve_greedy(const AssignmentProblem& problem, int memory_count,
+                                const SolverOptions& options);
+
 /// Branch-and-bound over the groups in `search_order`.  Each memory keeps
 /// its member bitset, the running aggregate of its members' figures and a
 /// dual-port flag, so a node checks the third-port rule on the bitsets and
 /// prices the grown memory from its aggregate: no member list is rescanned.
+/// The greedy solution is the first incumbent (a run cancelled before any leaf
+/// returns it); the winner is priced by `evaluate`, not by the running sums.
 class BranchAndBound {
  public:
   BranchAndBound(const AssignmentProblem& problem, int memory_count,
@@ -68,21 +78,38 @@ class BranchAndBound {
         words_(problem.conflict_words()),
         order_(search_order(problem)),
         ideal_power_(ideal_power(problem)) {
-    // Suffix sums of the optimistic remainder bound along the search order.
-    remainder_.assign(order_.size() + 1, 0.0);
+    // Suffix sums of the optimistic remainder bounds along the search order.
+    power_remainder_.assign(order_.size() + 1, 0.0);
+    area_remainder_.assign(order_.size() + 1, 0.0);
     for (std::size_t i = order_.size(); i-- > 0;) {
-      remainder_[i] = remainder_[i + 1] + ideal_power_[order_[i]];
+      const auto& g = problem.group_aggregates(order_[i]);
+      const auto cell = memlib::SramModel::cell_area_mm2(static_cast<double>(g.words) *
+                                                         g.width_bits);
+      power_remainder_[i] = power_remainder_[i + 1] + ideal_power_[order_[i]];
+      area_remainder_[i] = area_remainder_[i + 1] + cell;
     }
+    for (auto& area : area_remainder_) area *= 1.0 - kBoundMargin;
   }
 
   AssignmentSolution run() {
     const auto memories = static_cast<std::size_t>(memory_count_);
     bits_.assign(memories * words_, 0);
     memories_.assign(memories, {});
+    const auto seed = solve_greedy(problem_, memory_count_, options_);
     best_.scalar_cost = std::numeric_limits<double>::max();
-    best_.feasible = false;
+    best_.feasible = seed.feasible;
+    if (seed.feasible) {
+      best_.assignment = seed.assignment;
+      best_.scalar_cost = seed.scalar_cost * (1.0 + kBoundMargin);
+    }
     assignment_.assign(problem_.group_count(), -1);
     recurse(0, 0);
+    if (best_.feasible) {
+      const auto summary = problem_.evaluate(best_.assignment, memory_count_);
+      DTSE_ASSERT(summary.has_value(), "branch-and-bound winner must be feasible");
+      best_.summary = *summary;
+      best_.scalar_cost = options_.weights.scalarize(*summary);
+    }
     best_.nodes_explored = nodes_;
     // Search-shape telemetry: totals only, bumped once per run — all three
     // are pure functions of (problem, memory_count, weights), so the
@@ -119,16 +146,17 @@ class BranchAndBound {
       if (scalar < best_.scalar_cost) {
         best_.scalar_cost = scalar;
         best_.assignment = assignment_;
-        best_.summary = {area_, power_, 0.0};
         best_.feasible = true;
         ++incumbents_;
       }
       return;
     }
-    // Admissible bound: committed cost plus the optimistic power of all
-    // unplaced groups (their area is not bounded below except by 0).
-    const double bound = options_.weights.area_weight * area_ +
-                         options_.weights.power_weight * (power_ + remainder_[depth]);
+    // Admissible bound: committed cost plus the optimistic power and cell
+    // area of all unplaced groups (a group adds at least its own bits' cell
+    // area to any memory it joins).
+    const double bound =
+        options_.weights.area_weight * (area_ + area_remainder_[depth]) +
+        options_.weights.power_weight * (power_ + power_remainder_[depth]);
     if (bound >= best_.scalar_cost) {
       ++pruned_;
       return;
@@ -174,7 +202,8 @@ class BranchAndBound {
   std::size_t words_;                ///< bitset words per member set
   std::vector<std::size_t> order_;
   std::vector<double> ideal_power_;
-  std::vector<double> remainder_;
+  std::vector<double> power_remainder_;
+  std::vector<double> area_remainder_;  ///< cell-area suffix sums, less the margin
   std::vector<std::uint64_t> bits_;  ///< memory m's member bitset at m * words_
   std::vector<Memory> memories_;
   double area_ = 0.0;

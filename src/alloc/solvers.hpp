@@ -2,7 +2,9 @@
 //
 // Three strategies with different quality/run-time trade-offs:
 //  * exact branch-and-bound with symmetry breaking (optimal, exponential;
-//    `Solver::kAuto` picks it up to a fixed group limit of 17),
+//    `Solver::kAuto` picks it up to a fixed group limit of 17), seeded with
+//    the greedy solution and bounded by the unplaced groups' ideal power and
+//    cell area; it returns the first minimal-cost leaf in its search order,
 //  * greedy constructive (fast seed / large instances),
 //  * simulated annealing: independent chains from greedy and perturbed-greedy
 //    starts, each cooling geometrically from a fixed fraction of its start
@@ -70,8 +72,9 @@ struct SolverOptions {
   /// it at a coarse stride — annealing chains every few hundred moves, B&B
   /// every few thousand nodes, greedy per group — and returns its best
   /// solution so far when it fires.  A cancelled run is still feasible when
-  /// the partial search found any feasible assignment; only determinism
-  /// *across different cancellation times* is given up, never within one.
+  /// the partial search found any feasible assignment (for B&B, its greedy
+  /// incumbent counts); only determinism *across different cancellation
+  /// times* is given up, never within one.
   const support::CancellationToken* cancel = nullptr;
 };
 

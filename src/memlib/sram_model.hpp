@@ -44,7 +44,7 @@ class SramModel {
     const double sqrt_bits = std::sqrt(bits);
 
     MemoryCost c;
-    c.area_mm2 = bits * kCellAreaUm2PerBit * 1e-6 + kPeripheryAreaMm2 +
+    c.area_mm2 = cell_area_mm2(bits) + kPeripheryAreaMm2 +
                  kPeripheryAreaPerBitMm2 * static_cast<double>(width_bits);
     c.read_energy_nj = kEnergyBaseNj + kEnergyPerSqrtBitNj * sqrt_bits +
                        kEnergyWidthFactorNj * static_cast<double>(width_bits);
@@ -53,7 +53,7 @@ class SramModel {
     c.access_time_ns = kAccessTimeBaseNs + kAccessTimePerSqrtBitNs * sqrt_bits;
 
     if (ports == PortCount::kDual) {
-      c.area_mm2 = bits * kCellAreaUm2PerBit * 1e-6 * kDualPortAreaFactor +
+      c.area_mm2 = cell_area_mm2(bits) * kDualPortAreaFactor +
                    2.0 * kPeripheryAreaMm2 +
                    2.0 * kPeripheryAreaPerBitMm2 * static_cast<double>(width_bits);
       c.read_energy_nj *= kDualPortEnergyFactor;
@@ -62,6 +62,12 @@ class SramModel {
       c.access_time_ns *= 1.15;
     }
     return c;
+  }
+
+  /// Single-port cell area of `bits` bits, the least any block holding them
+  /// costs: a second port, a wider word or the periphery only add to it.
+  [[nodiscard]] static constexpr double cell_area_mm2(double bits) {
+    return bits * kCellAreaUm2PerBit * 1e-6;
   }
 
  private:

@@ -3,16 +3,39 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iostream>
 #include <limits>
+#include <string_view>
+#include <utility>
 
 #include "alloc/allocator.hpp"
 #include "alloc/assignment_problem.hpp"
 #include "alloc/solvers.hpp"
+#include "entropy/entropy_coder.hpp"
+#include "oracles/loose_branch_and_bound.hpp"
+#include "scbd/budget_distribution.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
+#include "workloads/workload.hpp"
 
 namespace dtse::alloc {
 namespace {
+
+/// Size and traffic of one fixture group, per loop iteration.
+struct GroupFigures {
+  std::uint64_t words = 0;
+  int width_bits = 0;
+  double reads = 0.0;
+  double writes = 0.0;
+};
+
+std::vector<GroupFigures> graded_figures(int n_groups, double reads_per_iter) {
+  std::vector<GroupFigures> figures;
+  for (int i = 0; i < n_groups; ++i) {
+    figures.push_back({256u << (i % 3), 4 + 4 * (i % 4), reads_per_iter, 0.0});
+  }
+  return figures;
+}
 
 struct Fixture {
   ir::Application app{"fix"};
@@ -21,17 +44,23 @@ struct Fixture {
   memlib::MemoryLibrary library;
   std::uint64_t frame_cycles = 20'000'000;
 
-  explicit Fixture(int n_groups, double reads_per_iter = 1.0) {
+  explicit Fixture(int n_groups, double reads_per_iter = 1.0)
+      : Fixture(graded_figures(n_groups, reads_per_iter)) {}
+
+  /// Groups g0, g1, ... with the given figures, accessed in one loop body.
+  explicit Fixture(const std::vector<GroupFigures>& figures) {
     ir::LoopBody body;
     body.name = "loop";
     body.iterations = 100'000;
-    for (int i = 0; i < n_groups; ++i) {
+    for (const auto& f : figures) {
       std::string name = "g";
-      name += std::to_string(i);
-      const auto id = app.add_group(
-          {name, 256u << (i % 3), 4 + 4 * (i % 4)});
+      name += std::to_string(groups.size());
+      const auto id = app.add_group({name, f.words, f.width_bits});
       groups.push_back(id);
-      body.accesses.push_back({id, ir::AccessKind::kRead, reads_per_iter});
+      if (f.reads > 0.0) body.accesses.push_back({id, ir::AccessKind::kRead, f.reads});
+      if (f.writes > 0.0) {
+        body.accesses.push_back({id, ir::AccessKind::kWrite, f.writes});
+      }
     }
     app.add_body(body);
   }
@@ -151,7 +180,9 @@ TEST(AssignmentProblem, InsertionRuleMatchesSimultaneousAccesses) {
     Fixture fix(kGroups);
     const std::uint64_t edge_permille = 10 + 20 * (seed % 4);  // 1 % .. 7 %
     for (int i = 0; i < kGroups; ++i) {
-      if (rng.below(10) == 0) fix.conflicts.add_conflict(fix.groups[i], fix.groups[i], 1.0);
+      if (rng.below(10) == 0) {
+        fix.conflicts.add_conflict(fix.groups[i], fix.groups[i], 1.0);
+      }
       for (int j = i + 1; j < kGroups; ++j) {
         if (rng.below(1000) < edge_permille) {
           fix.conflicts.add_conflict(fix.groups[i], fix.groups[j], 1.0);
@@ -234,20 +265,78 @@ double brute_force_best(const AssignmentProblem& problem, int memories,
   return best;
 }
 
+/// A seeded instance rich in ties and port limits: 3..7 groups drawn from
+/// three figure prototypes (so duplicated groups tie), random conflicts,
+/// self-conflicting groups and a planted conflict triangle.
+Fixture tie_rich_fixture(std::uint64_t seed) {
+  support::Rng rng(seed);
+  constexpr std::uint64_t kWords[] = {64, 256, 1024, 4096};
+  constexpr int kWidths[] = {4, 8, 12, 16};
+  constexpr double kRates[] = {0.0, 0.5, 1.0, 2.0};
+  GroupFigures prototypes[3];
+  for (auto& p : prototypes) {
+    p = {kWords[rng.below(4)], kWidths[rng.below(4)], kRates[1 + rng.below(3)],
+         kRates[rng.below(4)]};
+  }
+  const auto n = static_cast<std::size_t>(3 + rng.below(5));
+  std::vector<GroupFigures> figures;
+  for (std::size_t i = 0; i < n; ++i) figures.push_back(prototypes[rng.below(3)]);
+  Fixture fix(figures);
+  const auto conflict = [&fix](std::size_t i, std::size_t j) {
+    fix.conflicts.add_conflict(fix.groups[i], fix.groups[j], 1.0);
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    if (rng.below(5) == 0) conflict(i, i);
+    for (std::size_t j = i + 1; j < n; ++j) {
+      if (rng.below(4) == 0) conflict(i, j);
+    }
+  }
+  if (rng.below(2) == 0) {
+    const auto a = rng.below(n);
+    const auto b = (a + 1 + rng.below(n - 1)) % n;
+    auto c = rng.below(n);
+    while (c == a || c == b) c = rng.below(n);
+    conflict(a, b);
+    conflict(b, c);
+    conflict(a, c);
+  }
+  return fix;
+}
+
+// Branch-and-bound is exact: same optimum and feasibility as exhaustive
+// search, and the reported cost is the winner's own price.  The seeded
+// instances carry ties, dual-port memories and third-port infeasibility.
 TEST(Solvers, BranchAndBoundMatchesBruteForce) {
-  Fixture fix(5);
-  fix.conflicts.add_conflict(fix.groups[0], fix.groups[1], 1.0);
-  fix.conflicts.add_conflict(fix.groups[2], fix.groups[3], 1.0);
-  const auto problem = fix.problem();
+  std::vector<Fixture> fixtures;
+  auto& graded = fixtures.emplace_back(5);
+  graded.conflicts.add_conflict(graded.groups[0], graded.groups[1], 1.0);
+  graded.conflicts.add_conflict(graded.groups[2], graded.groups[3], 1.0);
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    fixtures.push_back(tie_rich_fixture(seed));
+  }
   SolverOptions options;
   options.solver = Solver::kBranchAndBound;
-  for (const int memories : {1, 2, 3}) {
-    const auto solution = solve_assignment(problem, memories, options);
-    const double reference = brute_force_best(problem, memories, options.weights);
-    ASSERT_TRUE(solution.feasible);
-    EXPECT_NEAR(solution.scalar_cost, reference, 1e-6)
-        << "with " << memories << " memories";
+  int infeasible = 0;
+  for (std::size_t f = 0; f < fixtures.size(); ++f) {
+    const auto problem = fixtures[f].problem();
+    for (const int memories : {1, 2, 3, 4}) {
+      const auto solution = solve_assignment(problem, memories, options);
+      const double reference = brute_force_best(problem, memories, options.weights);
+      const bool feasible = reference < std::numeric_limits<double>::max();
+      ASSERT_EQ(solution.feasible, feasible)
+          << "fixture " << f << " with " << memories << " memories";
+      if (!feasible) {
+        ++infeasible;
+        continue;
+      }
+      EXPECT_NEAR(solution.scalar_cost, reference, 1e-12 * reference)
+          << "fixture " << f << " with " << memories << " memories";
+      const auto priced = problem.evaluate(solution.assignment, memories);
+      ASSERT_TRUE(priced.has_value());
+      EXPECT_EQ(solution.scalar_cost, options.weights.scalarize(*priced));
+    }
   }
+  EXPECT_GT(infeasible, 0);
 }
 
 TEST(Solvers, GreedyIsFeasibleAndSane) {
@@ -376,6 +465,94 @@ TEST_P(MemoryCountSweep, MoreMemoriesNeverHurtOptimalPower) {
 
 INSTANTIATE_TEST_SUITE_P(Counts, MemoryCountSweep, ::testing::Values(1, 2, 3, 4, 5));
 
+// --- shipped models ----------------------------------------------------------
+
+struct ShippedModel {
+  std::string label;
+  ir::Application app;
+};
+
+/// Every shipped model at profile size 64: each workload as profiled and
+/// tuned, and the tuned entropy-roster variants the exploration stages.
+const std::vector<ShippedModel>& shipped_models() {
+  static const auto models = [] {
+    std::vector<ShippedModel> result;
+    for (const auto name : workloads::workload_names()) {
+      const auto* workload = workloads::find_workload(name);
+      auto profiled = workload->profile({.profile_size = 64});
+      auto tuned = workload->tuned_variant(profiled);
+      result.push_back({std::string(name) + ":profiled", std::move(profiled)});
+      result.push_back({std::string(name), std::move(tuned)});
+    }
+    const std::pair<std::string_view, entropy::Backend> roster[] = {
+        {"btpc", entropy::Backend::kRice},
+        {"btpc", entropy::Backend::kExpGolomb},
+        {"hyperspec", entropy::Backend::kExpGolomb},
+        {"hyperspec", entropy::Backend::kRans}};
+    for (const auto& [name, backend] : roster) {
+      const auto* workload = workloads::find_workload(name);
+      result.push_back(
+          {std::string(name) + "[" + std::string(entropy::to_string(backend)) + "]",
+           workload->tuned_variant(
+               workload->profile({.profile_size = 64, .entropy_backend = backend}))});
+    }
+    return result;
+  }();
+  return models;
+}
+
+const ShippedModel& shipped_model(std::string_view label) {
+  for (const auto& model : shipped_models()) {
+    if (model.label == label) return model;
+  }
+  DTSE_ASSERT(false, "unknown shipped model");
+  return shipped_models().front();
+}
+
+/// The assignment problem the allocator solves for `app` at a storage
+/// budget, priced over a 20 Mcycle frame.
+AssignmentProblem shipped_problem(const ir::Application& app,
+                                  const memlib::MemoryLibrary& library,
+                                  std::uint64_t budget_cycles) {
+  scbd::ScbdOptions options;
+  options.global_budget_cycles = budget_cycles;
+  const auto scbd_result = scbd::distribute_budget(app, options);
+  return AssignmentProblem(app, MemoryAllocator::partition_groups(app).first,
+                           scbd_result.conflicts, library, 20'000'000);
+}
+
+// The pruned search returns the loose reference's answer on every shipped
+// model, at the exploration's three budgets and every swept count, after
+// visiting no more nodes; on the btpc models it visits far fewer.
+TEST(Solvers, BranchAndBoundMatchesLooseReferenceOnShippedModels) {
+  const memlib::MemoryLibrary library;
+  SolverOptions options;
+  options.solver = Solver::kBranchAndBound;
+  std::uint64_t btpc_nodes = 0;
+  std::uint64_t btpc_reference_nodes = 0;
+  for (const auto& model : shipped_models()) {
+    for (const std::uint64_t budget : {20'000'000u, 15'000'000u, 11'600'000u}) {
+      const auto problem = shipped_problem(model.app, library, budget);
+      for (int n = 1; n <= 14; ++n) {
+        const auto where = model.label + " at " + std::to_string(budget) + " with " +
+                           std::to_string(n) + " memories";
+        const auto solution = solve_assignment(problem, n, options);
+        const auto reference = oracle::loose_branch_and_bound(problem, n, options);
+        ASSERT_EQ(solution.feasible, reference.feasible) << where;
+        EXPECT_EQ(solution.assignment, reference.assignment) << where;
+        EXPECT_LE(solution.nodes_explored, reference.nodes_explored) << where;
+        if (model.label.starts_with("btpc")) {
+          btpc_nodes += solution.nodes_explored;
+          btpc_reference_nodes += reference.nodes_explored;
+        }
+      }
+    }
+  }
+  std::cout << "btpc models: " << btpc_reference_nodes << " -> " << btpc_nodes
+            << " branch-and-bound nodes\n";
+  EXPECT_GE(btpc_reference_nodes, 4 * btpc_nodes);
+}
+
 // --- allocator ---------------------------------------------------------------
 
 TEST(Allocator, PartitionRespectsThresholdAndForcing) {
@@ -449,6 +626,27 @@ TEST(Allocator, AutoCountSearchNodesSumEveryCount) {
   }
   EXPECT_GT(nodes, 0u);
   EXPECT_EQ(result.search_nodes, nodes);
+}
+
+// With an automatic memory count the earliest of equal candidates stays: a
+// count above the fewest one that reaches the winning assignment prices it
+// identically and cannot outrank it.
+TEST(Allocator, AutoCountPicksFewestMemoriesReachingTheWinner) {
+  const auto& app = shipped_model("btpc[rice]").app;
+  const memlib::MemoryLibrary library;
+  MemoryAllocator allocator{library};
+  AllocationOptions options;
+  const auto result = allocator.allocate(
+      app, scbd::distribute_budget(app, {}).conflicts, options);
+  ASSERT_TRUE(result.feasible);
+  const auto problem = shipped_problem(app, library, options.frame_cycles);
+  const auto winner =
+      solve_assignment(problem, result.requested_memories, options.solver).assignment;
+  for (int n = problem.min_memories(); n < result.requested_memories; ++n) {
+    EXPECT_NE(solve_assignment(problem, n, options.solver).assignment, winner)
+        << "count " << n << " reaches the winner picked at "
+        << result.requested_memories;
+  }
 }
 
 TEST(Allocator, SweepCoversRequestedCounts) {
